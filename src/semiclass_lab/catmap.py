@@ -62,7 +62,6 @@ class TorusPoint:
 @dataclass(frozen=True)
 class LyapunovData:
     lambda_plus: float
-    lambda_max: float
 
 
 def cat_apply(m: CatMap, p: TorusPoint) -> TorusPoint:
@@ -87,7 +86,7 @@ def cat_lyapunov(m: CatMap) -> LyapunovData:
     """Lyapunov exponent log of the leading eigenvalue of M (nats per step)."""
     t = abs(m.trace)
     lam = math.log((t + math.sqrt(t * t - 4)) / 2.0)
-    return LyapunovData(lambda_plus=lam, lambda_max=lam)
+    return LyapunovData(lambda_plus=lam)
 
 
 def torus_distance(p, q) -> float:

@@ -5,8 +5,11 @@ Usage:
     semiclass-lab --experiment egorov,qe-catmap --parallel --out results
     semiclass-lab --config run.cfg --seed 3
 
-The SEMICLASS_LAB_THREADS environment variable caps BLAS thread counts
-(it is applied on package import, before numpy loads).
+The SEMICLASS_LAB_THREADS environment variable caps BLAS thread counts.
+Importing the package copies it into OMP_NUM_THREADS, OPENBLAS_NUM_THREADS
+and MKL_NUM_THREADS where those are unset, so it takes effect only if it is
+set before numpy is first imported in the process; set later, it is
+silently ignored.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .config import EXPERIMENTS, ExperimentConfig, parse_config
+from .config import EXPERIMENTS, parse_config
 from .errors import SemiclassError
 from .experiments import run_experiment
 

@@ -18,8 +18,7 @@ import scipy.special
 
 from . import billiard_quantum as bq
 from .billiard import (BilliardState, StadiumDomain, _step_raw,
-                       circle_angular_momentum, ergodic_average, coverage_grid,
-                       billiard_flow)
+                       ergodic_average, coverage_grid, billiard_flow)
 from .catmap import TorusPoint, cat_lyapunov
 from .config import ExperimentConfig
 from .entropy import (atom_cloud, entropy_bound_check, ks_entropy_estimate,
@@ -32,8 +31,8 @@ from .serialization import (KIND_OPERATOR, KIND_STATE, write_csv, write_pgm,
 from .spectral import (diagonalize, degeneracy_clusters, quantum_period,
                        scarred_state, short_period_dimensions)
 from .torus_quantum import (TorusHilbert, TrigObservable, cat_propagator,
-                            intertwining_defect, unitarity_defect,
-                            weyl_quantize)
+                            egorov_defect, intertwining_defect,
+                            unitarity_defect)
 
 
 @dataclass
@@ -71,9 +70,9 @@ class RunReport:
         return path
 
 
-def _observable_modes(max_m=3):
-    """Representative cosine observables with frequencies up to max_m."""
-    freqs = [(1, 0), (0, 1), (1, 1), (2, 1), (max_m, max_m)]
+def _observable_modes():
+    """Representative cosine observables with frequencies up to 3."""
+    freqs = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 3)]
     return [((m1, m2), TrigObservable.cosine((m1, m2))) for m1, m2 in freqs]
 
 
@@ -81,28 +80,19 @@ def run_egorov(cfg: ExperimentConfig, out: Path, report: RunReport):
     m = cfg.cat_map()
     h = TorusHilbert(cfg.N)
     U = cat_propagator(h, m)
-    report.add("unitarity_defect_lt_1e-10", unitarity_defect(U) < 1e-10,
-               unitarity_defect(U))
+    unitarity = unitarity_defect(U)
+    report.add("unitarity_defect_lt_1e-10", unitarity < 1e-10, unitarity)
     inter = intertwining_defect(h, U, m)
     report.add("intertwining_defect_lt_1e-10", inter < 1e-10, inter)
-    rows = []
-    worst = 0.0
-    for (m1, m2), A in _observable_modes():
-        op = weyl_quantize(h, A)
-        mat = m.matrix(object)
-        Ut = np.eye(cfg.N, dtype=complex)
-        mat_t = np.eye(2, dtype=object)
-        for t in range(1, 6):
-            Ut = Ut @ U
-            mat_t = mat_t @ mat
-            evolved = Ut.conj().T @ op @ Ut
-            classical = weyl_quantize(h, A.compose_with(mat_t))
-            defect = float(np.linalg.norm(evolved - classical, 2))
-            worst = max(worst, defect)
-            rows.append((cfg.N, m1, m2, t, defect))
+    modes = _observable_modes()
+    defects = egorov_defect(h, U, m, [A for _, A in modes], 5)
+    rows = [(cfg.N, m1, m2, t, d)
+            for ((m1, m2), _), row in zip(modes, defects.tolist())
+            for t, d in enumerate(row, 1)]
     path = out / "egorov_defects.csv"
     write_csv(path, ("N", "m1", "m2", "t", "defect"), rows)
     report.artifacts.append(path.name)
+    worst = float(defects.max())
     report.add("max_egorov_defect_lt_1e-9", worst < 1e-9, worst)
     if cfg.dump_state:
         sp = out / "propagator.bin"
@@ -110,53 +100,61 @@ def run_egorov(cfg: ExperimentConfig, out: Path, report: RunReport):
         report.artifacts.append(sp.name)
 
 
+def qe_study(report: RunReport, m, A: TrigObservable, N: int):
+    """QE study of A at dimensions 64 and N: adds the basis-average identity
+    check per dimension and, if N > 64, the variance-decay check. Returns
+    the CSV rows and the eigendecomposition at N."""
+    variances = {}
+    rows = []
+    for n in sorted({64, N}):
+        h = TorusHilbert(n)
+        dec = diagonalize(cat_propagator(h, m))
+        mus = np.array([matrix_element(h, dec.eigenvectors[:, k], A)
+                        for k in range(n)])
+        avg_defect = abs(mus.mean() - A.mean)
+        report.add(f"basis_average_identity_N{n}", avg_defect < 1e-10, avg_defect)
+        variances[n] = qe_variance(h, dec, A)
+        rows.append((n, variances[n], avg_defect))
+        if n == N:
+            dec_N = dec
+    if N > 64:
+        report.add("variance_decays_with_N",
+                   variances[N] < variances[64], variances[N],
+                   f"variance at N=64: {variances[64]:.6g}")
+    return rows, dec_N
+
+
 def run_qe_catmap(cfg: ExperimentConfig, out: Path, report: RunReport):
-    m = cfg.cat_map()
     # the mixed mode 2 cos(2 pi (x + xi)): for axis-aligned modes the
     # eigenspace-diagonal part of the quantized observable vanishes
     # identically when N is a power of two, so the variance trend is only
     # visible on generic frequencies
     A = TrigObservable.cosine((1, 1))
-    variances = {}
-    rows = []
-    for N in sorted({64, cfg.N}):
-        h = TorusHilbert(N)
-        dec = diagonalize(cat_propagator(h, m))
-        mus = np.array([matrix_element(h, dec.eigenvectors[:, n], A)
-                        for n in range(N)])
-        avg_defect = abs(mus.mean() - A.mean)
-        report.add(f"basis_average_identity_N{N}", avg_defect < 1e-10, avg_defect)
-        variances[N] = qe_variance(h, dec, A)
-        rows.append((N, variances[N], avg_defect))
-        if N == cfg.N:
-            clusters = degeneracy_clusters(dec)
-            cluster_id = np.empty(N, int)
-            for cid, (_, idx) in enumerate(clusters.clusters):
-                cluster_id[idx] = cid
-            ep = out / "eigenphases.csv"
-            write_csv(ep, ("index", "phase", "cluster_id"),
-                      [(n, dec.eigenphases[n], cluster_id[n]) for n in range(N)])
-            report.artifacts.append(ep.name)
+    rows, dec = qe_study(report, cfg.cat_map(), A, cfg.N)
+    N = cfg.N
+    clusters = degeneracy_clusters(dec)
+    cluster_id = np.empty(N, int)
+    for cid, (_, idx) in enumerate(clusters.clusters):
+        cluster_id[idx] = cid
+    ep = out / "eigenphases.csv"
+    write_csv(ep, ("index", "phase", "cluster_id"),
+              [(n, dec.eigenphases[n], cluster_id[n]) for n in range(N)])
+    report.artifacts.append(ep.name)
     path = out / "qe_variance.csv"
     write_csv(path, ("N", "variance", "basis_average_defect"), rows)
     report.artifacts.append(path.name)
-    if cfg.N > 64:
-        report.add("variance_decays_with_N",
-                   variances[cfg.N] < variances[64], variances[cfg.N],
-                   f"variance at N=64: {variances[64]:.6g}")
 
 
-def run_scar_construction(cfg: ExperimentConfig, out: Path, report: RunReport):
-    m = cfg.cat_map()
-    dims = short_period_dimensions(m, 50, max(cfg.N, 250))
-    report.add("short_period_dims_found_ge_3", len(dims) >= 3, len(dims),
-               f"dims: {dims[:6]}")
+def scar_study(report: RunReport, m, dims):
+    """Half-scarred states on the fixed point at each (N, P) of dims: adds
+    the ball-mass and closest-measure checks per N. Returns the CSV rows
+    and (N, state, Husimi grid) of the last N, or None if dims is empty."""
     origin = ModelMeasure.periodic_orbit([TorusPoint(0.0, 0.0)])
     mixture = ModelMeasure.mixture(0.5, origin, ModelMeasure.lebesgue())
     lebesgue = ModelMeasure.lebesgue()
     rows = []
     last = None
-    for N, P in dims[:4]:
+    for N, P in dims:
         h = TorusHilbert(N)
         U = cat_propagator(h, m)
         qp = quantum_period(h, m, P + 1, U=U)
@@ -175,6 +173,15 @@ def run_scar_construction(cfg: ExperimentConfig, out: Path, report: RunReport):
                    d_mix < d_atom and d_mix < d_leb, d_mix,
                    f"d_atom {d_atom:.4f}, d_lebesgue {d_leb:.4f}")
         last = (N, psi, g)
+    return rows, last
+
+
+def run_scar_construction(cfg: ExperimentConfig, out: Path, report: RunReport):
+    m = cfg.cat_map()
+    dims = short_period_dimensions(m, 50, max(cfg.N, 250))
+    report.add("short_period_dims_found_ge_3", len(dims) >= 3, len(dims),
+               f"dims: {dims[:6]}")
+    rows, last = scar_study(report, m, dims[:4])
     path = out / "scarred_states.csv"
     write_csv(path, ("N", "P", "T_half", "ball_mass",
                      "d_mixture", "d_atom", "d_lebesgue"), rows)
@@ -190,12 +197,56 @@ def run_scar_construction(cfg: ExperimentConfig, out: Path, report: RunReport):
             report.artifacts.append(sp.name)
 
 
+def entropy_oracles(report: RunReport, m, seed: int):
+    """KS-entropy estimates on 1e6-point Lebesgue and half-atom clouds and
+    a pure atom: adds the exact Lebesgue model-entropy check and one
+    tolerance check per cloud. Returns the CSV rows."""
+    lam = cat_lyapunov(m).lambda_plus
+    n = 1_000_000
+    uni = uniform_cloud(n, seed=seed)
+    atom = atom_cloud([TorusPoint(0.0, 0.0)], 200)
+    mix = mixture_cloud(0.5, atom_cloud([TorusPoint(0.0, 0.0)], n // 2),
+                        uniform_cloud(n // 2, seed=seed + 1))
+    est_u = ks_entropy_estimate(m, uni, 8, 0.1, 10, seed=seed)
+    est_a = ks_entropy_estimate(m, atom, 8, 0.1, 10, seed=seed)
+    est_m = ks_entropy_estimate(m, mix, 8, 0.1, 20, seed=seed)
+    rows = [(label, est.T_used, est.eps_used, est.value,
+             est.standard_error, est.empty_ball_count, model)
+            for label, est, model in (("uniform", est_u, lam),
+                                      ("atom", est_a, 0.0),
+                                      ("mixture", est_m, lam / 2))]
+    lebesgue = ModelMeasure.lebesgue()
+    report.add("model_entropy_lebesgue_exact",
+               model_entropy(lebesgue, m) == lam, model_entropy(lebesgue, m))
+    report.add("estimate_uniform_within_15pct",
+               abs(est_u.value - lam) <= 0.15 * lam, est_u.value)
+    report.add("estimate_atom_within_0.05",
+               abs(est_a.value) <= 0.05, est_a.value)
+    report.add("estimate_mixture_within_20pct",
+               abs(est_m.value - lam / 2) <= 0.20 * (lam / 2), est_m.value)
+    return rows
+
+
+def entropy_bounds(report: RunReport, m):
+    """Scar-weight bound at entropy (1 - alpha) lambda for alpha in
+    (0, 1/4, 1/2, 3/4): adds the accept and reject checks. Returns the
+    table as a list of dicts."""
+    lam = cat_lyapunov(m).lambda_plus
+    bounds = []
+    for alpha in (0.0, 0.25, 0.5, 0.75):
+        chk = entropy_bound_check((1 - alpha) * lam, m, alpha)
+        bounds.append({"alpha": alpha, "entropy_margin": chk.entropy_margin,
+                       "weight_margin": chk.weight_margin, "passed": chk.passed})
+    report.add("bound_accepts_alpha_le_half",
+               bounds[0]["passed"] and bounds[1]["passed"] and bounds[2]["passed"],
+               1.0)
+    report.add("bound_rejects_alpha_above_half", not bounds[3]["passed"], 0.75)
+    return bounds
+
+
 def run_entropy_sweep(cfg: ExperimentConfig, out: Path, report: RunReport):
     m = cfg.cat_map()
     lam = cat_lyapunov(m).lambda_plus
-    origin = ModelMeasure.periodic_orbit([TorusPoint(0.0, 0.0)])
-    lebesgue = ModelMeasure.lebesgue()
-    mixture = ModelMeasure.mixture(0.5, origin, lebesgue)
     rows = []
 
     # sweep on a medium cloud for the table
@@ -205,67 +256,37 @@ def run_entropy_sweep(cfg: ExperimentConfig, out: Path, report: RunReport):
             est = ks_entropy_estimate(m, sweep_cloud, T, eps, 10, seed=cfg.seed)
             rows.append(("uniform-200k", T, eps, est.value, est.standard_error,
                          est.empty_ball_count, lam))
-    # oracle-grade clouds at full size
-    n = 1_000_000
-    uni = uniform_cloud(n, seed=cfg.seed)
-    atom = atom_cloud([TorusPoint(0.0, 0.0)], 200)
-    mix = mixture_cloud(0.5, atom_cloud([TorusPoint(0.0, 0.0)], n // 2),
-                        uniform_cloud(n // 2, seed=cfg.seed + 1))
-    est_u = ks_entropy_estimate(m, uni, 8, 0.1, 10, seed=cfg.seed)
-    est_a = ks_entropy_estimate(m, atom, 8, 0.1, 10, seed=cfg.seed)
-    est_m = ks_entropy_estimate(m, mix, 8, 0.1, 20, seed=cfg.seed)
-    for label, est, model in (("uniform", est_u, lam), ("atom", est_a, 0.0),
-                              ("mixture", est_m, lam / 2)):
-        rows.append((label, est.T_used, est.eps_used, est.value,
-                     est.standard_error, est.empty_ball_count, model))
+    rows += entropy_oracles(report, m, cfg.seed)
     path = out / "entropy_estimates.csv"
     write_csv(path, ("cloud", "T", "eps", "estimate", "stderr",
                      "empty_ball_count", "model_value"), rows)
     report.artifacts.append(path.name)
 
-    report.add("model_entropy_lebesgue_exact",
-               model_entropy(lebesgue, m) == lam, model_entropy(lebesgue, m))
-    report.add("estimate_uniform_within_15pct",
-               abs(est_u.value - lam) <= 0.15 * lam, est_u.value)
-    report.add("estimate_atom_within_0.05",
-               abs(est_a.value) <= 0.05, est_a.value)
-    report.add("estimate_mixture_within_20pct",
-               abs(est_m.value - lam / 2) <= 0.20 * (lam / 2), est_m.value)
-
-    bounds = []
-    for alpha in (0.0, 0.25, 0.5, 0.75):
-        chk = entropy_bound_check((1 - alpha) * lam, m, alpha)
-        bounds.append({"alpha": alpha, "entropy_margin": chk.entropy_margin,
-                       "weight_margin": chk.weight_margin, "passed": chk.passed})
+    bounds = entropy_bounds(report, m)
     bpath = out / "entropy_bounds.json"
     bpath.write_text(json.dumps(bounds, indent=2) + "\n")
     report.artifacts.append(bpath.name)
-    report.add("bound_accepts_alpha_le_half",
-               bounds[0]["passed"] and bounds[1]["passed"] and bounds[2]["passed"],
-               1.0)
-    report.add("bound_rejects_alpha_above_half", not bounds[3]["passed"], 0.75)
 
 
-def run_billiard_circle(cfg: ExperimentConfig, out: Path, report: RunReport):
+def circle_convergence(report: RunReport, h: float):
+    """Unit-disc eigenvalues at spacings 4h, 2h and h: adds the k1 and k2
+    accuracy checks at h and the convergence-order check. Returns the CSV
+    rows, the finest grid and its ground mode."""
     circle = StadiumDomain(half_length=0.0, radius=1.0)
     j0, j1 = scipy.special.jn_zeros(0, 1)[0], scipy.special.jn_zeros(1, 1)[0]
-    spacings = [4 * cfg.h, 2 * cfg.h, cfg.h]
+    spacings = [4 * h, 2 * h, h]
     rows = []
     k1 = {}
-    mode1 = dd = A = None
-    for h in spacings:
-        dd = bq.discretize_stadium(circle, h)
+    for s in spacings:
+        dd = bq.discretize_stadium(circle, s)
         A = bq.build_laplacian(dd)
         mode1 = bq.eigenmodes_near(dd, A, j0, 1)[0]
-        k1[h] = mode1.k
-        rows.append((h, mode1.k, j0, abs(mode1.k - j0) / j0))
-    err = {h: abs(k1[h] ** 2 - j0**2) for h in spacings}
+        k1[s] = mode1.k
+        rows.append((s, mode1.k, j0, abs(mode1.k - j0) / j0))
+    err = {s: abs(k1[s] ** 2 - j0**2) for s in spacings}
     order1 = math.log2(err[spacings[0]] / err[spacings[1]])
     order2 = math.log2(err[spacings[1]] / err[spacings[2]])
-    path = out / "circle_eigenvalues.csv"
-    write_csv(path, ("h", "k1", "k1_exact", "rel_err"), rows)
-    report.artifacts.append(path.name)
-    relerr = abs(k1[cfg.h] - j0) / j0
+    relerr = abs(k1[h] - j0) / j0
     report.add("k1_within_1pct", relerr < 0.01, relerr)
     mode2 = bq.eigenmodes_near(dd, A, j1, 1)[0]
     relerr2 = abs(mode2.k - j1) / j1
@@ -273,11 +294,13 @@ def run_billiard_circle(cfg: ExperimentConfig, out: Path, report: RunReport):
     report.add("convergence_order_in_window",
                1.7 <= order1 <= 2.3 and 1.7 <= order2 <= 2.3,
                order2, f"orders {order1:.2f}, {order2:.2f}")
+    return rows, dd, mode1
 
-    # classical regularity: angular momentum conservation over many bounces
-    rng = np.random.default_rng(cfg.seed)
-    ang = 2 * np.pi * rng.random()
-    x, y, dx, dy = 0.31, -0.12, math.cos(ang), math.sin(ang)
+
+def angular_momentum_drift(report: RunReport, angle: float):
+    """Angular-momentum drift check over 1e5 bounces in the unit disc from
+    (0.31, -0.12) in direction angle. Returns the first 1000 states."""
+    x, y, dx, dy = 0.31, -0.12, math.cos(angle), math.sin(angle)
     L0 = x * dy - y * dx
     drift = 0.0
     orbit_rows = [(0, x, y, dx, dy)]
@@ -287,6 +310,18 @@ def run_billiard_circle(cfg: ExperimentConfig, out: Path, report: RunReport):
         if i < 999:
             orbit_rows.append((i + 1, x, y, dx, dy))
     report.add("angular_momentum_drift_lt_1e-9", drift < 1e-9, drift)
+    return orbit_rows
+
+
+def run_billiard_circle(cfg: ExperimentConfig, out: Path, report: RunReport):
+    rows, dd, mode1 = circle_convergence(report, cfg.h)
+    path = out / "circle_eigenvalues.csv"
+    write_csv(path, ("h", "k1", "k1_exact", "rel_err"), rows)
+    report.artifacts.append(path.name)
+
+    # classical regularity: angular momentum conservation over many bounces
+    rng = np.random.default_rng(cfg.seed)
+    orbit_rows = angular_momentum_drift(report, 2 * np.pi * rng.random())
     opath = out / "circle_orbit.csv"
     write_csv(opath, ("step", "x", "y", "dx", "dy"), orbit_rows)
     report.artifacts.append(opath.name)
@@ -301,7 +336,10 @@ def _mode_raster(dd, mode):
     return grid.T[::-1]  # image rows top to bottom
 
 
-def _stadium_window(cfg, out, report, domain, dd, A, center_k, tag):
+def stadium_window(report: RunReport, out: Path, domain, dd, A, center_k, tag):
+    """Stadium modes with k within 1 of center_k: adds the Weyl-count and
+    score checks, suffixed with tag, and writes the mode table and the
+    top-scoring modes into out. Returns the modes."""
     modes = bq.eigenmodes_window(dd, A, domain, center_k)
     pred = domain.area / (4 * np.pi) * ((center_k + 1) ** 2 - (center_k - 1) ** 2)
     report.add(f"weyl_count_within_15pct_{tag}",
@@ -339,8 +377,8 @@ def run_billiard_stadium(cfg: ExperimentConfig, out: Path, report: RunReport):
     domain = StadiumDomain(half_length=1.0, radius=1.0)
     dd = bq.discretize_stadium(domain, cfg.h)
     A = bq.build_laplacian(dd)
-    modes15 = _stadium_window(cfg, out, report, domain, dd, A, 15.0, "k15")
-    modes30 = _stadium_window(cfg, out, report, domain, dd, A, 30.0, "k30")
+    modes15 = stadium_window(report, out, domain, dd, A, 15.0, "k15")
+    modes30 = stadium_window(report, out, domain, dd, A, 30.0, "k30")
     left = lambda x, y: x < 0
     v15 = bq.qe_spatial_variance(modes15, left)
     v30 = bq.qe_spatial_variance(modes30, left)
@@ -348,27 +386,32 @@ def run_billiard_stadium(cfg: ExperimentConfig, out: Path, report: RunReport):
                f"variance at k~15: {v15:.3e}")
 
 
-def run_ergodic_orbit(cfg: ExperimentConfig, out: Path, report: RunReport):
+def ergodic_study(report: RunReport, angle: float):
+    """Stadium orbit from (0.137, -0.041) in direction angle: adds the
+    left-half time-average and cell-coverage checks. Returns the coverage
+    rows and the first 2000 bounces."""
     domain = StadiumDomain(half_length=1.0, radius=1.0)
-    rng = np.random.default_rng(cfg.seed)
-    ang = 2 * np.pi * rng.random()
-    start = BilliardState(0.137, -0.041, math.cos(ang), math.sin(ang))
+    start = BilliardState(0.137, -0.041, math.cos(angle), math.sin(angle))
     frac = ergodic_average(domain, start, lambda x, y: x < 0, 1_000_000)
     report.add("left_half_fraction_within_0.02", abs(frac - 0.5) <= 0.02, frac)
     counts, inside = coverage_grid(domain, start, 100_000)
     covered = bool((counts[inside] > 0).all())
     report.add("all_interior_cells_visited", covered,
                float((counts[inside] > 0).sum()), f"of {int(inside.sum())} cells")
+    coverage_rows = [(i, j, int(counts[i, j]), bool(inside[i, j]))
+                     for i in range(counts.shape[0]) for j in range(counts.shape[1])]
+    arr, _ = billiard_flow(domain, start, 2000).as_arrays()
+    return coverage_rows, [(i, *arr[i]) for i in range(len(arr))]
+
+
+def run_ergodic_orbit(cfg: ExperimentConfig, out: Path, report: RunReport):
+    rng = np.random.default_rng(cfg.seed)
+    coverage_rows, orbit_rows = ergodic_study(report, 2 * np.pi * rng.random())
     cpath = out / "coverage_counts.csv"
-    write_csv(cpath, ("ix", "iy", "count", "inside"),
-              [(i, j, int(counts[i, j]), bool(inside[i, j]))
-               for i in range(counts.shape[0]) for j in range(counts.shape[1])])
+    write_csv(cpath, ("ix", "iy", "count", "inside"), coverage_rows)
     report.artifacts.append(cpath.name)
-    seg = billiard_flow(domain, start, 2000)
-    arr, times = seg.as_arrays()
     opath = out / "ergodic_orbit.csv"
-    write_csv(opath, ("step", "x", "y", "dx", "dy"),
-              [(i, *arr[i]) for i in range(len(arr))])
+    write_csv(opath, ("step", "x", "y", "dx", "dy"), orbit_rows)
     report.artifacts.append(opath.name)
 
 

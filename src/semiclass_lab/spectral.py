@@ -7,7 +7,7 @@ scarred quasi-eigenstates built on the fixed point at the origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg

@@ -256,22 +256,25 @@ def intertwining_defect(h: TorusHilbert, U: np.ndarray, m: CatMap,
     return worst
 
 
-def egorov_defect(h: TorusHilbert, m: CatMap, A: TrigObservable, t: int) -> float:
-    """Operator-norm difference between Heisenberg evolution for t steps and
-    quantization of the classically evolved observable. Zero to roundoff for
-    linear maps (exact correspondence)."""
-    if t == 0:
-        return 0.0
-    U = cat_propagator(h, m)
-    Ut = np.linalg.matrix_power(U, abs(t))
-    if t < 0:
-        Ut = Ut.conj().T
-    op = weyl_quantize(h, A)
-    evolved = Ut.conj().T @ op @ Ut
-    mat_t = np.linalg.matrix_power(m.matrix(object), t) if t > 0 else \
-        np.linalg.matrix_power(m.inverse_matrix(object), -t)
-    classical = weyl_quantize(h, A.compose_with(mat_t))
-    return float(np.linalg.norm(evolved - classical, 2))
+def egorov_defect(h: TorusHilbert, U: np.ndarray, m: CatMap, observables,
+                  T: int) -> np.ndarray:
+    """Operator-norm defects ||U^-t Op(A) U^t - Op(A o M^t)|| for each
+    observable A and t = 1..T, as an array [len(observables), T], where U is
+    the propagator of m. Zero to roundoff for linear maps (exact
+    correspondence). Op(A) is quantized afresh at each t rather than held:
+    each is a dense N x N matrix."""
+    defects = np.empty((len(observables), T))
+    mat = m.matrix(object)
+    mat_t = np.eye(2, dtype=object)
+    Ut = np.eye(h.N, dtype=complex)
+    for t in range(T):
+        Ut = Ut @ U
+        mat_t = mat_t @ mat
+        for i, A in enumerate(observables):
+            evolved = Ut.conj().T @ weyl_quantize(h, A) @ Ut
+            classical = weyl_quantize(h, A.compose_with(mat_t))
+            defects[i, t] = np.linalg.norm(evolved - classical, 2)
+    return defects
 
 
 def unitarity_defect(U: np.ndarray) -> float:

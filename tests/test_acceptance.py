@@ -1,30 +1,26 @@
 """End-to-end acceptance tests for the headline numerical claims.
 
-Each test prints exactly one PASS/FAIL line for its criterion.
+Each criterion runs the study code the suites run (the study functions of
+`semiclass_lab.experiments`, and `torus_quantum.egorov_defect`) at its own
+inputs, asserts on the checks that code reports, and prints exactly one
+PASS/FAIL line.
 """
 
 import math
 
-import numpy as np
 import pytest
-import scipy.special
 
-from semiclass_lab.billiard import (BilliardState, StadiumDomain, _step_raw,
-                                    coverage_grid, ergodic_average)
 from semiclass_lab import billiard_quantum as bq
+from semiclass_lab import experiments as ex
+from semiclass_lab.billiard import StadiumDomain
 from semiclass_lab.catmap import DEFAULT_MAP, TorusPoint, cat_lyapunov
 from semiclass_lab.config import ExperimentConfig
-from semiclass_lab.entropy import (atom_cloud, entropy_bound_check,
-                                   ks_entropy_estimate, mixture_cloud,
-                                   model_entropy, uniform_cloud)
-from semiclass_lab.experiments import run_experiment
-from semiclass_lab.measures import (ModelMeasure, ball_mass, husimi,
-                                    matrix_element, qe_variance,
-                                    weak_star_distance, wigner_coefficients)
-from semiclass_lab.spectral import diagonalize, quantum_period, scarred_state
+from semiclass_lab.entropy import model_entropy
+from semiclass_lab.measures import ModelMeasure
+from semiclass_lab.spectral import short_period_dimensions
 from semiclass_lab.torus_quantum import (TorusHilbert, TrigObservable,
-                                         cat_propagator, intertwining_defect,
-                                         unitarity_defect, weyl_quantize)
+                                         cat_propagator, egorov_defect,
+                                         intertwining_defect, unitarity_defect)
 
 M = DEFAULT_MAP
 LAM = cat_lyapunov(M).lambda_plus
@@ -33,6 +29,13 @@ DIMS = (64, 128, 256, 512)
 
 def _report(num, name, passed, detail):
     print(f"\n[criterion {num:2d}] {'PASS' if passed else 'FAIL'} {name}: {detail}")
+
+
+def _checks(report):
+    """Whether the report holds checks and all of them passed, and a summary."""
+    detail = "; ".join(f"{c.name} {c.value:.4g}" + (f" ({c.detail})" if c.detail else "")
+                       for c in report.checks)
+    return bool(report.checks) and report.passed, detail
 
 
 def _modes_up_to_3():
@@ -50,17 +53,8 @@ def test_criterion_1_exact_egorov():
     worst = 0.0
     for N in DIMS:
         h = TorusHilbert(N)
-        U = cat_propagator(h, M)
-        ops = [(A, weyl_quantize(h, A)) for A in _modes_up_to_3()]
-        Ut = np.eye(N, dtype=complex)
-        mat_t = np.eye(2, dtype=object)
-        for t in range(1, 6):
-            Ut = Ut @ U
-            mat_t = mat_t @ M.matrix(object)
-            for A, op in ops:
-                evolved = Ut.conj().T @ op @ Ut
-                classical = weyl_quantize(h, A.compose_with(mat_t))
-                worst = max(worst, np.linalg.norm(evolved - classical, 2))
+        defects = egorov_defect(h, cat_propagator(h, M), M, _modes_up_to_3(), 5)
+        worst = max(worst, defects.max())
     ok = worst < 1e-9
     _report(1, "exact Egorov, all modes |m|<=3, t<=5, N<=512", ok,
             f"max operator-norm defect {worst:.3e} < 1e-9")
@@ -81,18 +75,14 @@ def test_criterion_2_unitarity_and_intertwining():
 
 
 def test_criterion_3_qe_basis_average_and_variance():
+    report = ex.RunReport("qe")
     A = TrigObservable.cosine((1, 0))  # 2 cos(2 pi x)
-    variances = {}
-    worst_avg = 0.0
-    for N in (64, 512):
-        h = TorusHilbert(N)
-        dec = diagonalize(cat_propagator(h, M))
-        mus = np.array([matrix_element(h, dec.eigenvectors[:, n], A)
-                        for n in range(N)])
-        worst_avg = max(worst_avg, abs(mus.mean() - A.mean))
-        variances[N] = qe_variance(h, dec, A)
-    avg_ok = worst_avg < 1e-10
-    var_ok = variances[512] < variances[64]
+    rows, _ = ex.qe_study(report, M, A, 512)
+    variances = {N: var for N, var, _ in rows}
+    worst_avg = max(avg for _, _, avg in rows)
+    checks = {c.name: c.passed for c in report.checks}
+    avg_ok = checks["basis_average_identity_N64"] and checks["basis_average_identity_N512"]
+    var_ok = checks["variance_decays_with_N"]
     ok = avg_ok and var_ok
     _report(3, "QE basis-average identity and variance decay", ok,
             f"basis-average defect {worst_avg:.3e} < 1e-10; "
@@ -111,26 +101,14 @@ def test_criterion_3_qe_basis_average_and_variance():
 
 
 def test_criterion_4_half_scar_construction():
-    origin = ModelMeasure.periodic_orbit([TorusPoint(0.0, 0.0)])
-    lebesgue = ModelMeasure.lebesgue()
-    mixture = ModelMeasure.mixture(0.5, origin, lebesgue)
-    details = []
-    ok = True
-    for N in (56, 195, 209):
-        h = TorusHilbert(N)
-        U = cat_propagator(h, M)
-        qp = quantum_period(h, M, int(3 * math.log(N) / LAM) + 1, U=U)
-        assert qp is not None and qp.P <= 3 * math.log(N) / LAM
-        psi = scarred_state(h, M, max(1, qp.P // 2), U=U, period=qp)
-        mass = ball_mass(husimi(h, psi), TorusPoint(0.0, 0.0), 0.1)
-        w = wigner_coefficients(h, psi, 8)
-        d_mix = weak_star_distance(w, mixture)
-        closest = d_mix < weak_star_distance(w, origin) and \
-            d_mix < weak_star_distance(w, lebesgue)
-        ok &= (0.35 <= mass <= 0.60) and closest
-        details.append(f"N={N}: mass {mass:.3f}, mixture closest {closest}")
-    _report(4, "half-scar ball mass in [0.35, 0.60], mixture closest", ok,
-            "; ".join(details))
+    dims = short_period_dimensions(M, 50, 250)
+    assert [N for N, _ in dims] == [56, 195, 209]
+    report = ex.RunReport("scar")
+    rows, _ = ex.scar_study(report, M, dims)
+    for N, P, *_ in rows:
+        assert P <= 3 * math.log(N) / LAM
+    ok, detail = _checks(report)
+    _report(4, "half-scar ball mass in [0.35, 0.60], mixture closest", ok, detail)
     assert ok
 
 
@@ -141,111 +119,73 @@ def test_criterion_5_entropy_oracles():
     exact_ok = (model_entropy(origin, M) == 0.0
                 and model_entropy(lebesgue, M) == LAM
                 and model_entropy(mixture, M) == pytest.approx(LAM / 2, abs=1e-15))
-    n = 1_000_000
-    est_u = ks_entropy_estimate(M, uniform_cloud(n, seed=0), 8, 0.1, 10, seed=0)
-    est_a = ks_entropy_estimate(M, atom_cloud([TorusPoint(0.0, 0.0)], 200),
-                                8, 0.1, 10, seed=0)
-    mix = mixture_cloud(0.5, atom_cloud([TorusPoint(0.0, 0.0)], n // 2),
-                        uniform_cloud(n // 2, seed=1))
-    est_m = ks_entropy_estimate(M, mix, 8, 0.1, 20, seed=0)
-    u_ok = abs(est_u.value - LAM) <= 0.15 * LAM
-    a_ok = abs(est_a.value) <= 0.05
-    m_ok = abs(est_m.value - LAM / 2) <= 0.20 * (LAM / 2)
-    ok = exact_ok and u_ok and a_ok and m_ok
+    report = ex.RunReport("entropy")
+    ex.entropy_oracles(report, M, 0)
+    ok, detail = _checks(report)
+    ok = exact_ok and ok
     _report(5, "entropy oracles, 1e6 samples, T=8, eps=0.1", ok,
-            f"exact values {exact_ok}; Lebesgue {est_u.value:.4f} vs {LAM:.4f} "
-            f"(15%), atom {est_a.value:.4f} (0.05), "
-            f"mixture {est_m.value:.4f} vs {LAM / 2:.4f} (20%)")
+            f"exact values {exact_ok}; lambda {LAM:.4f}; {detail}")
     assert ok
 
 
 def test_criterion_6_scar_weight_bound():
-    checks = {a: entropy_bound_check((1 - a) * LAM, M, a)
-              for a in (0.0, 0.25, 0.5, 0.75)}
-    boundary = checks[0.5]
-    ok = (all(checks[a].passed for a in (0.0, 0.25, 0.5))
-          and not checks[0.75].passed
-          and boundary.entropy_margin == 0.0
-          and boundary.weight_margin == 0.0)
+    report = ex.RunReport("bounds")
+    boundary = ex.entropy_bounds(report, M)[2]
+    assert boundary["alpha"] == 0.5
+    ok, detail = _checks(report)
+    ok = ok and boundary["entropy_margin"] == 0.0 and boundary["weight_margin"] == 0.0
     _report(6, "scar-weight bound accepts alpha<=1/2, rejects above", ok,
-            f"margins at 1/2: entropy {boundary.entropy_margin:.1e}, "
-            f"weight {boundary.weight_margin:.1e}; alpha=0.75 rejected "
-            f"{not checks[0.75].passed}")
+            f"margins at 1/2: entropy {boundary['entropy_margin']:.1e}, "
+            f"weight {boundary['weight_margin']:.1e}; {detail}")
     assert ok
 
 
 def test_criterion_7_circle_billiard():
-    circle = StadiumDomain(half_length=0.0, radius=1.0)
-    j0 = scipy.special.jn_zeros(0, 1)[0]
-    k1 = {}
-    for h in (0.04, 0.02, 0.01):
-        dd = bq.discretize_stadium(circle, h)
-        k1[h] = bq.eigenmodes_near(dd, bq.build_laplacian(dd), j0, 1)[0].k
-    relerr = abs(k1[0.01] - j0) / j0
-    err = {h: abs(k1[h] ** 2 - j0**2) for h in k1}
-    o1 = math.log2(err[0.04] / err[0.02])
-    o2 = math.log2(err[0.02] / err[0.01])
-    x, y, dx, dy = 0.31, -0.12, math.cos(0.7), math.sin(0.7)
-    L0 = x * dy - y * dx
-    drift = 0.0
-    for _ in range(100_000):
-        x, y, dx, dy, _ = _step_raw(0.0, 1.0, x, y, dx, dy)
-        drift = max(drift, abs(x * dy - y * dx - L0))
-    ok = relerr < 0.01 and drift < 1e-9 and 1.7 <= o1 <= 2.3 and 1.7 <= o2 <= 2.3
-    _report(7, "circle billiard: k1, convergence order, L conservation", ok,
-            f"k1 rel err {relerr:.2e} < 1%, orders {o1:.2f}/{o2:.2f} in "
-            f"[1.7, 2.3], L drift {drift:.2e} < 1e-9 over 1e5 bounces")
+    report = ex.RunReport("circle")
+    ex.circle_convergence(report, 0.01)  # spacings 0.04, 0.02, 0.01
+    ex.angular_momentum_drift(report, 0.7)
+    ok, detail = _checks(report)
+    _report(7, "circle billiard: k1, convergence order, L conservation", ok, detail)
     assert ok
 
 
-def _window_checks(domain, h, center_k):
-    dd = bq.discretize_stadium(domain, h)
-    A = bq.build_laplacian(dd)
-    modes = bq.eigenmodes_window(dd, A, domain, center_k)
-    bb = np.array([bq.bouncing_ball_score(m, domain).ratio for m in modes])
-    sc = np.array([bq.scar_score(m, domain).ratio for m in modes])
-    p90 = float(np.quantile(sc, 0.9))
-    ok = (bb.max() > 1.5 and sc.max() > p90
-          and 0.8 <= np.median(bb) <= 1.2 and 0.8 <= np.median(sc) <= 1.2)
-    detail = (f"k~{center_k:.0f}: {len(modes)} modes, bb max {bb.max():.2f}, "
-              f"scar max {sc.max():.2f} > p90 {p90:.2f}, medians "
-              f"{np.median(bb):.2f}/{np.median(sc):.2f}")
-    return ok, detail
-
-
-def test_criterion_8_stadium_phenomenology():
+def test_criterion_8_stadium_phenomenology(tmp_path):
     domain = StadiumDomain(half_length=1.0, radius=1.0)
-    ok15, d15 = _window_checks(domain, 0.01, 15.0)
-    ok39, d39 = _window_checks(domain, 0.005, 39.0)
-    ok = ok15 and ok39
-    _report(8, "stadium mode phenomenology at k~39 (and reduced k~15)", ok,
-            f"{d39}; {d15}")
+    report = ex.RunReport("stadium")
+    for h, center_k in ((0.01, 15.0), (0.005, 39.0)):
+        dd = bq.discretize_stadium(domain, h)
+        ex.stadium_window(report, tmp_path, domain, dd, bq.build_laplacian(dd),
+                          center_k, f"k{center_k:.0f}")
+    ok, detail = _checks(report)
+    _report(8, "stadium mode phenomenology at k~39 (and reduced k~15)", ok, detail)
     assert ok
 
 
 def test_criterion_9_stadium_classical_ergodicity():
-    domain = StadiumDomain(half_length=1.0, radius=1.0)
-    start = BilliardState(0.137, -0.041, math.cos(0.83), math.sin(0.83))
-    frac = ergodic_average(domain, start, lambda x, y: x < 0, 1_000_000)
-    counts, inside = coverage_grid(domain, start, 100_000)
-    covered = bool((counts[inside] > 0).all())
-    ok = abs(frac - 0.5) <= 0.02 and covered
-    _report(9, "stadium ergodicity: left-half fraction and cell coverage", ok,
-            f"fraction {frac:.4f} in 0.5 +- 0.02; all {int(inside.sum())} "
-            f"cells visited {covered}")
+    report = ex.RunReport("ergodic")
+    ex.ergodic_study(report, 0.83)
+    ok, detail = _checks(report)
+    _report(9, "stadium ergodicity: left-half fraction and cell coverage", ok, detail)
     assert ok
 
 
+# suites at reduced sizes, each run in well under a second
+SMALL_RUNS = (("egorov", {"N": 128}), ("qe-catmap", {"N": 128}),
+              ("scar-construction", {"N": 64}), ("billiard-circle", {"h": 0.04}))
+
+
 def test_criterion_10_determinism(tmp_path):
-    outs = []
-    for tag in ("a", "b"):
-        out = tmp_path / tag
-        cfg = ExperimentConfig(experiment="egorov", N=128, out_dir=str(out))
-        run_experiment(cfg)
-        outs.append(out)
-    files = sorted(p.name for p in outs[0].glob("*.csv"))
-    same = bool(files) and all(
-        (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes() for f in files)
-    _report(10, "equal-seed runs produce identical CSV artifacts", same,
-            f"compared {files}")
+    same = True
+    compared = []
+    for name, size in SMALL_RUNS:
+        listings = []
+        for tag in ("a", "b"):
+            out = tmp_path / name / tag
+            ex.run_experiment(ExperimentConfig(experiment=name, out_dir=str(out), **size))
+            listings.append({p.name: p.read_bytes() for p in out.iterdir()
+                             if p.suffix in (".csv", ".pgm", ".jsonl")})
+        same &= bool(listings[0]) and listings[0] == listings[1]
+        compared += [f"{name}/{f}" for f in sorted(listings[0])]
+    _report(10, "equal-seed runs produce identical CSV, PGM and JSONL artifacts",
+            same, f"compared {compared}")
     assert same

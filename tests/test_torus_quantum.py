@@ -152,18 +152,24 @@ def test_propagator_multiplicative_up_to_phase():
     assert np.abs(U2 - phase * (U1 @ U1)).max() < 1e-10
 
 
-@pytest.mark.parametrize("t", [0, 1, 5])
-def test_egorov_defect_small(t):
+@pytest.mark.parametrize("T", [0, 1, 5])
+def test_egorov_defect_small(T):
     h = TorusHilbert(128)
     A = TrigObservable.cosine((1, 0))
-    assert egorov_defect(h, M, A, t) < 1e-9
+    defects = egorov_defect(h, cat_propagator(h, M), M, [A], T)
+    assert defects.shape == (1, T)
+    assert (defects < 1e-9).all()
 
 
-def test_egorov_mixed_mode_and_negative_time():
+def test_egorov_mixed_mode():
     h = TorusHilbert(64)
-    A = TrigObservable.cosine((2, 1), amplitude=0.5)
-    assert egorov_defect(h, M, A, 3) < 1e-9
-    assert egorov_defect(h, M, A, -2) < 1e-9
+    observables = [TrigObservable.cosine((2, 1), amplitude=0.5),
+                   TrigObservable.cosine((0, 1))]
+    defects = egorov_defect(h, cat_propagator(h, M), M, observables, 3)
+    assert defects.shape == (2, 3)
+    assert (defects < 1e-9).all()
+    # a unitary that does not quantize the map fails the correspondence
+    assert egorov_defect(h, np.eye(64), M, observables, 1).min() > 0.5
 
 
 def test_propagator_covariance_moves_coherent_state():
