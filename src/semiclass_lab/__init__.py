@@ -20,15 +20,14 @@ from .torus_quantum import (TorusHilbert, TrigObservable, cat_propagator,
                             coherent_state, egorov_defect, translation_op,
                             weyl_quantize)
 from .spectral import (EigenDecomposition, QuantumPeriod, diagonalize,
-                       degeneracy_clusters, project_degenerate, quantum_period,
-                       scarred_state, short_period_dimensions)
+                       degeneracy_clusters, quantum_period, scarred_state,
+                       short_period_dimensions)
 from .measures import (HusimiGrid, MassReport, ModelMeasure,
                        WignerCoefficients, ball_mass, husimi, matrix_element,
                        qe_variance, weak_star_distance, wigner_coefficients)
 from .entropy import (EntropyEstimate, SampleCloud, atom_cloud,
-                      brin_katok_local, entropy_bound_check, husimi_cloud,
-                      ks_entropy_estimate, mixture_cloud, model_entropy,
-                      ruelle_pesin_gap, uniform_cloud)
+                      entropy_bound_check, ks_entropy_estimate, mixture_cloud,
+                      model_entropy, uniform_cloud)
 from .billiard_quantum import (BilliardMode, DiscreteDomain, bouncing_ball_score,
                                build_laplacian, discretize_stadium,
                                eigenmodes_near, eigenmodes_window,

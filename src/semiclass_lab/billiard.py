@@ -32,10 +32,6 @@ class StadiumDomain:
             raise ValueError("radius must be > 0")
 
     @property
-    def is_circle(self) -> bool:
-        return self.half_length == 0.0
-
-    @property
     def area(self) -> float:
         return 4.0 * self.half_length * self.radius + math.pi * self.radius**2
 
@@ -43,9 +39,6 @@ class StadiumDomain:
         """Negative inside, positive outside; exact for the stadium shape."""
         dx = np.maximum(np.abs(x) - self.half_length, 0.0)
         return np.hypot(dx, y) - self.radius
-
-    def contains(self, x, y, tol=1e-12):
-        return self.signed_distance(x, y) <= tol
 
     def bounding_box(self):
         a, r = self.half_length, self.radius
@@ -131,19 +124,27 @@ def billiard_step(domain: StadiumDomain, s: BilliardState) -> BilliardState:
     return BilliardState(x, y, dx, dy)
 
 
+def _bounces(domain: StadiumDomain, s: BilliardState, n_bounces: int):
+    """Yield (x, y, dx, dy, t) at each of n_bounces successive collisions,
+    t being the chord length to it. A GrazingError carries the index of the
+    bounce that raised it."""
+    a, r = domain.half_length, domain.radius
+    x, y, dx, dy = s.x, s.y, s.dx, s.dy
+    try:
+        for i in range(n_bounces):
+            x, y, dx, dy, t = _step_raw(a, r, x, y, dx, dy)
+            yield x, y, dx, dy, t
+    except GrazingError as exc:
+        raise GrazingError(str(exc), bounce_index=i) from exc
+
+
 def billiard_flow(domain: StadiumDomain, s: BilliardState, n_bounces: int) -> OrbitSegment:
     """Orbit of n_bounces successive collisions, arc-length parametrized."""
     if n_bounces < 1:
         raise ValueError("n_bounces must be >= 1")
-    a, r = domain.half_length, domain.radius
     seg = OrbitSegment(states=[s], times=[0.0])
-    x, y, dx, dy = s.x, s.y, s.dx, s.dy
     t_acc = 0.0
-    for i in range(n_bounces):
-        try:
-            x, y, dx, dy, t = _step_raw(a, r, x, y, dx, dy)
-        except GrazingError as exc:
-            raise GrazingError(str(exc), bounce_index=i) from exc
+    for x, y, dx, dy, t in _bounces(domain, s, n_bounces):
         t_acc += t
         seg.states.append(BilliardState(x, y, dx, dy))
         seg.times.append(t_acc)
@@ -157,13 +158,10 @@ def circle_angular_momentum(s: BilliardState) -> float:
 
 def flow_vertices(domain: StadiumDomain, s: BilliardState, n_bounces: int) -> np.ndarray:
     """Collision points (n_bounces + 1, 2) without per-state object overhead."""
-    a, r = domain.half_length, domain.radius
     out = np.empty((n_bounces + 1, 2))
-    x, y, dx, dy = s.x, s.y, s.dx, s.dy
-    out[0] = (x, y)
-    for i in range(n_bounces):
-        x, y, dx, dy, _ = _step_raw(a, r, x, y, dx, dy)
-        out[i + 1] = (x, y)
+    out[0] = (s.x, s.y)
+    for i, (x, y, _, _, _) in enumerate(_bounces(domain, s, n_bounces), 1):
+        out[i] = (x, y)
     return out
 
 

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catmap import CatMap, TorusPoint, bowen_distance_cloud, cat_lyapunov
+from .catmap import CatMap, bowen_distance_cloud, cat_lyapunov
 from .errors import UnderResolved
-from .measures import HusimiGrid, ModelMeasure
+from .measures import ModelMeasure
 
 
 @dataclass
@@ -60,19 +60,6 @@ def mixture_cloud(alpha: float, a: SampleCloud, b: SampleCloud) -> SampleCloud:
                        source=f"mixture({alpha}, {a.source}, {b.source})")
 
 
-def husimi_cloud(grid: HusimiGrid, n: int, seed: int = 0) -> SampleCloud:
-    """Inverse-CDF sample of n points from a Husimi grid, jittered within
-    cells; deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    G = grid.G
-    flat = grid.values.ravel()
-    cells = rng.choice(G * G, size=n, p=flat / flat.sum())
-    jitter = rng.random((n, 2))
-    pts = np.column_stack([(cells // G + jitter[:, 0]) / G,
-                           (cells % G + jitter[:, 1]) / G])
-    return SampleCloud(points=pts, weights=np.full(n, 1.0 / n), source="husimi")
-
-
 @dataclass(frozen=True)
 class EntropyEstimate:
     value: float  # nats per step, >= 0
@@ -81,19 +68,6 @@ class EntropyEstimate:
     standard_error: float
     n_centers_used: int = 0
     empty_ball_count: int = 0
-
-
-@dataclass(frozen=True)
-class LocalEntropy:
-    """Plug-in Brin-Katok value at one center; infinite when the ball is empty."""
-
-    value: float
-    T: int
-    eps: float
-
-    @property
-    def is_empty(self) -> bool:
-        return math.isinf(self.value)
 
 
 def model_entropy(measure: ModelMeasure, m: CatMap) -> float:
@@ -111,21 +85,6 @@ def model_entropy(measure: ModelMeasure, m: CatMap) -> float:
 def _ball_mass(m: CatMap, cloud: SampleCloud, center, T: int, eps: float) -> float:
     d = bowen_distance_cloud(m, center, cloud.points, T)
     return float(cloud.weights[d < eps].sum())
-
-
-def brin_katok_local(m: CatMap, cloud: SampleCloud, rho: TorusPoint,
-                     T: int, eps: float) -> LocalEntropy:
-    """Plug-in local entropy -(1/T) log mu(B_T(rho, eps)) on the cloud."""
-    if T < 2:
-        raise ValueError("T must be >= 2")
-    if not 0 < eps < 0.25:
-        raise ValueError("eps must be in (0, 0.25)")
-    if len(cloud) == 0:
-        raise ValueError("cloud must be nonempty")
-    mass = _ball_mass(m, cloud, rho.as_array(), T, eps)
-    if mass <= 0.0:
-        return LocalEntropy(value=math.inf, T=T, eps=eps)
-    return LocalEntropy(value=-math.log(mass) / T, T=T, eps=eps)
 
 
 def ks_entropy_estimate(m: CatMap, cloud: SampleCloud, T: int, eps: float,
@@ -169,14 +128,6 @@ def ks_entropy_estimate(m: CatMap, cloud: SampleCloud, T: int, eps: float,
     return EntropyEstimate(value=max(0.0, float(values.mean())), T_used=T,
                            eps_used=eps, standard_error=stderr,
                            n_centers_used=len(values), empty_ball_count=empty)
-
-
-def ruelle_pesin_gap(h: float, m: CatMap) -> float:
-    """lambda_plus - h; nonnegative for admissible entropies, zero exactly
-    for the Lebesgue (Liouville) measure."""
-    if h < 0:
-        raise ValueError("entropy must be >= 0")
-    return cat_lyapunov(m).lambda_plus - h
 
 
 @dataclass(frozen=True)

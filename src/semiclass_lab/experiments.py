@@ -17,8 +17,9 @@ import numpy as np
 import scipy.special
 
 from . import billiard_quantum as bq
-from .billiard import (BilliardState, StadiumDomain, _step_raw,
-                       ergodic_average, coverage_grid, billiard_flow)
+from .billiard import (BilliardState, StadiumDomain, _bounces,
+                       billiard_flow, circle_angular_momentum,
+                       coverage_grid, ergodic_average)
 from .catmap import TorusPoint, cat_lyapunov
 from .config import ExperimentConfig
 from .entropy import (atom_cloud, entropy_bound_check, ks_entropy_estimate,
@@ -300,12 +301,12 @@ def circle_convergence(report: RunReport, h: float):
 def angular_momentum_drift(report: RunReport, angle: float):
     """Angular-momentum drift check over 1e5 bounces in the unit disc from
     (0.31, -0.12) in direction angle. Returns the first 1000 states."""
-    x, y, dx, dy = 0.31, -0.12, math.cos(angle), math.sin(angle)
-    L0 = x * dy - y * dx
+    disc = StadiumDomain(half_length=0.0, radius=1.0)
+    s = BilliardState(0.31, -0.12, math.cos(angle), math.sin(angle))
+    L0 = circle_angular_momentum(s)
     drift = 0.0
-    orbit_rows = [(0, x, y, dx, dy)]
-    for i in range(100_000):
-        x, y, dx, dy, _ = _step_raw(0.0, 1.0, x, y, dx, dy)
+    orbit_rows = [(0, s.x, s.y, s.dx, s.dy)]
+    for i, (x, y, dx, dy, _) in enumerate(_bounces(disc, s, 100_000)):
         drift = max(drift, abs(x * dy - y * dx - L0))
         if i < 999:
             orbit_rows.append((i + 1, x, y, dx, dy))

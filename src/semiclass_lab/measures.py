@@ -15,8 +15,9 @@ import numpy as np
 from .catmap import TorusPoint
 from .errors import AliasingError
 from .spectral import EigenDecomposition
-from .torus_quantum import (TorusHilbert, TrigObservable, coherent_state,
-                            op_apply, translation_apply, weyl_quantize)
+from .torus_quantum import (TorusHilbert, TrigObservable, _freq_to_label,
+                            coherent_state, op_apply, translation_apply,
+                            weyl_quantize)
 
 
 def matrix_element(h: TorusHilbert, psi: np.ndarray, A: TrigObservable) -> float:
@@ -43,7 +44,8 @@ def wigner_coefficients(h: TorusHilbert, psi: np.ndarray, cutoff: int) -> Wigner
     coeffs = {}
     for m1 in range(-cutoff, cutoff + 1):
         for m2 in range(-cutoff, cutoff + 1):
-            coeffs[(m1, m2)] = complex(np.vdot(psi, translation_apply(h, (m2, m1), psi)))
+            coeffs[(m1, m2)] = complex(
+                np.vdot(psi, translation_apply(h, _freq_to_label((m1, m2)), psi)))
     return WignerCoefficients(coefficients=coeffs, cutoff=cutoff)
 
 

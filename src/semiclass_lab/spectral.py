@@ -47,14 +47,6 @@ class QuantumPeriod:
     global_phase: float
 
 
-@dataclass
-class ProjectionResult:
-    state: np.ndarray
-    overlap: float
-    cluster_phase: float
-    weak: bool
-
-
 def diagonalize(U: np.ndarray, residual_tol: float = 1e-10) -> EigenDecomposition:
     """Eigendecomposition of a unitary matrix with orthonormal eigenvectors.
 
@@ -196,21 +188,3 @@ def scarred_state(h: TorusHilbert, m: CatMap, T_half: int,
         )
     return psi / nrm
 
-
-def project_degenerate(dec: EigenDecomposition, psi: np.ndarray,
-                       tol: float = DEGENERACY_TOL) -> ProjectionResult:
-    """Project psi onto the span of the eigenphase cluster carrying the
-    dominant share of its spectral weight; overlap below 0.5 is flagged weak."""
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    amps = dec.eigenvectors.conj().T @ psi
-    weights = np.abs(amps) ** 2
-    report = degeneracy_clusters(dec, tolerance=tol)
-    best = max(report.clusters, key=lambda c: weights[c[1]].sum())
-    phase, idx = best
-    proj = dec.eigenvectors[:, idx] @ amps[idx]
-    overlap = float(weights[idx].sum() / weights.sum())
-    nrm = np.linalg.norm(proj)
-    state = proj / nrm if nrm > 0 else proj
-    return ProjectionResult(state=state, overlap=overlap,
-                            cluster_phase=phase, weak=overlap < 0.5)

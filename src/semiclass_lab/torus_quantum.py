@@ -69,18 +69,6 @@ class TrigObservable:
         """Phase-space average, the coefficient of the zero mode."""
         return float(np.real(self.coefficients.get((0, 0), 0.0)))
 
-    @property
-    def max_frequency(self) -> int:
-        return max((max(abs(m[0]), abs(m[1])) for m in self.coefficients), default=0)
-
-    def evaluate(self, x, xi):
-        x = np.asarray(x, float)
-        xi = np.asarray(xi, float)
-        out = np.zeros(np.broadcast(x, xi).shape, complex)
-        for (m1, m2), c in self.coefficients.items():
-            out += c * np.exp(2j * np.pi * (m1 * x + m2 * xi))
-        return np.real_if_close(out).real
-
     def compose_with(self, mat) -> "TrigObservable":
         """Pullback A o M for the linear torus map with integer matrix mat:
         the coefficient at M^T m is the old coefficient at m."""
@@ -102,26 +90,30 @@ class TrigObservable:
         return TrigObservable({m: factor * c for m, c in self.coefficients.items()})
 
 
-def translation_op(h: TorusHilbert, n) -> np.ndarray:
-    """Weyl-Heisenberg translation T_N(n) as a dense unitary matrix.
+def _translation(h: TorusHilbert, n):
+    """Row j of T_N(n) holds phase[j] in column cols[j]:
 
     (T(n) psi)_j = exp(i pi n1 n2 / N) exp(2 pi i n2 j / N) psi_{(j + n1) mod N}.
     """
     N = h.N
     n1, n2 = int(n[0]), int(n[1])
     j = np.arange(N)
-    T = np.zeros((N, N), complex)
-    T[j, (j + n1) % N] = np.exp(1j * np.pi * n1 * n2 / N) * np.exp(2j * np.pi * n2 * j / N)
+    phase = np.exp(1j * np.pi * n1 * n2 / N) * np.exp(2j * np.pi * n2 * j / N)
+    return (j + n1) % N, phase
+
+
+def translation_op(h: TorusHilbert, n) -> np.ndarray:
+    """Weyl-Heisenberg translation T_N(n) as a dense unitary matrix."""
+    cols, phase = _translation(h, n)
+    T = np.zeros((h.N, h.N), complex)
+    T[np.arange(h.N), cols] = phase
     return T
 
 
 def translation_apply(h: TorusHilbert, n, psi: np.ndarray) -> np.ndarray:
     """T_N(n) psi without forming the matrix."""
-    N = h.N
-    n1, n2 = int(n[0]), int(n[1])
-    j = np.arange(N)
-    phase = np.exp(1j * np.pi * n1 * n2 / N) * np.exp(2j * np.pi * n2 * j / N)
-    return phase * psi[(j + n1) % N]
+    cols, phase = _translation(h, n)
+    return phase * psi[cols]
 
 
 # Index map between observable frequencies and translation labels: the
@@ -131,11 +123,13 @@ def _freq_to_label(m):
 
 
 def weyl_quantize(h: TorusHilbert, A: TrigObservable) -> np.ndarray:
-    """Hermitian operator Op_N(A) = sum_m c_m T_N of the matching translation."""
-    N = h.N
-    op = np.zeros((N, N), complex)
+    """Hermitian operator Op_N(A) = sum_m c_m T_N of the matching translation,
+    scattered into one matrix: each coefficient touches one entry per row."""
+    rows = np.arange(h.N)
+    op = np.zeros((h.N, h.N), complex)
     for m, c in A.coefficients.items():
-        op += c * translation_op(h, _freq_to_label(m))
+        cols, phase = _translation(h, _freq_to_label(m))
+        op[rows, cols] += c * phase
     return op
 
 
@@ -261,8 +255,8 @@ def egorov_defect(h: TorusHilbert, U: np.ndarray, m: CatMap, observables,
     """Operator-norm defects ||U^-t Op(A) U^t - Op(A o M^t)|| for each
     observable A and t = 1..T, as an array [len(observables), T], where U is
     the propagator of m. Zero to roundoff for linear maps (exact
-    correspondence). Op(A) is quantized afresh at each t rather than held:
-    each is a dense N x N matrix."""
+    correspondence). Op(A) is quantized afresh at each t rather than held as
+    a dense N x N matrix: re-quantizing costs O(N) per coefficient."""
     defects = np.empty((len(observables), T))
     mat = m.matrix(object)
     mat_t = np.eye(2, dtype=object)

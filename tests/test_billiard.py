@@ -81,6 +81,16 @@ def test_grazing_raises():
         billiard_flow(CIRCLE, s, 5)
 
 
+def test_grazing_error_carries_bounce_index():
+    s = BilliardState(1.0, 0.0, 0.0, 1.0)  # grazes at the first bounce
+    for run in (lambda: billiard_flow(CIRCLE, s, 5),
+                lambda: ergodic_average(CIRCLE, s, lambda x, y: x < 0, 5),
+                lambda: coverage_grid(CIRCLE, s, 5)):
+        with pytest.raises(GrazingError) as exc:
+            run()
+        assert exc.value.bounce_index == 0
+
+
 def test_speed_preserved_along_orbit():
     s = BilliardState(0.05, 0.11, math.cos(1.3), math.sin(1.3))
     seg = billiard_flow(STADIUM, s, 500)

@@ -5,13 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiclass_lab.catmap import DEFAULT_MAP, TorusPoint, cat_lyapunov
-from semiclass_lab.entropy import (SampleCloud, atom_cloud, brin_katok_local,
-                                   entropy_bound_check, husimi_cloud,
+from semiclass_lab.entropy import (SampleCloud, atom_cloud, entropy_bound_check,
                                    ks_entropy_estimate, mixture_cloud,
-                                   model_entropy, ruelle_pesin_gap,
-                                   uniform_cloud)
+                                   model_entropy, uniform_cloud)
 from semiclass_lab.errors import UnderResolved
-from semiclass_lab.measures import HusimiGrid, ModelMeasure
+from semiclass_lab.measures import ModelMeasure
 
 M = DEFAULT_MAP
 LAM = cat_lyapunov(M).lambda_plus
@@ -53,47 +51,6 @@ def test_cloud_constructors():
     assert mix.weights[:50].sum() == pytest.approx(0.25)
 
 
-def test_husimi_cloud_deterministic_per_seed():
-    rng = np.random.default_rng(0)
-    vals = rng.random((16, 16))
-    g = HusimiGrid(values=vals / vals.sum(), G=16)
-    c1 = husimi_cloud(g, 200, seed=7)
-    c2 = husimi_cloud(g, 200, seed=7)
-    c3 = husimi_cloud(g, 200, seed=8)
-    assert np.array_equal(c1.points, c2.points)
-    assert not np.array_equal(c1.points, c3.points)
-
-
-def test_brin_katok_atom_is_zero():
-    cloud = atom_cloud(ORIGIN, 200)
-    loc = brin_katok_local(M, cloud, TorusPoint(0, 0), 6, 0.1)
-    assert loc.value == pytest.approx(0.0, abs=1e-12)
-    assert not loc.is_empty
-
-
-def test_brin_katok_empty_ball():
-    cloud = atom_cloud(ORIGIN, 200)
-    loc = brin_katok_local(M, cloud, TorusPoint(0.5, 0.5), 6, 0.01)
-    assert loc.is_empty
-
-
-def test_brin_katok_monotone_in_eps():
-    cloud = uniform_cloud(20_000, seed=1)
-    center = TorusPoint(0.3, 0.7)
-    vals = [brin_katok_local(M, cloud, center, 4, e).value
-            for e in (0.05, 0.1, 0.2)]
-    # shrinking the ball can only raise the plug-in value
-    assert vals[0] >= vals[1] >= vals[2]
-
-
-def test_brin_katok_validation():
-    cloud = uniform_cloud(100)
-    with pytest.raises(ValueError):
-        brin_katok_local(M, cloud, TorusPoint(0, 0), 1, 0.1)
-    with pytest.raises(ValueError):
-        brin_katok_local(M, cloud, TorusPoint(0, 0), 4, 0.3)
-
-
 def test_ks_estimate_permutation_invariant():
     cloud = uniform_cloud(30_000, seed=2)
     perm = np.random.default_rng(9).permutation(len(cloud))
@@ -131,13 +88,6 @@ def test_ks_estimate_validation():
         ks_entropy_estimate(M, uniform_cloud(50), 8, 0.1, 20)
     with pytest.raises(ValueError):
         ks_entropy_estimate(M, cloud, 3, 0.1, 20)
-
-
-def test_ruelle_pesin_gap():
-    assert ruelle_pesin_gap(LAM, M) == pytest.approx(0.0, abs=1e-15)
-    assert ruelle_pesin_gap(0.0, M) == pytest.approx(LAM)
-    with pytest.raises(ValueError):
-        ruelle_pesin_gap(-0.1, M)
 
 
 @pytest.mark.parametrize("alpha,ok", [(0.0, True), (0.25, True),

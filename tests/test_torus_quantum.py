@@ -9,6 +9,7 @@ from semiclass_lab.torus_quantum import (TorusHilbert, TrigObservable,
                                          cat_propagator, coherent_state,
                                          egorov_defect, index_action,
                                          intertwining_defect, is_quantizable,
+                                         op_apply, translation_apply,
                                          translation_op, unitarity_defect,
                                          weyl_quantize)
 
@@ -53,6 +54,32 @@ def test_translation_adjoint(N, n1, n2):
     T = translation_op(h, (n1, n2))
     assert np.abs(T.conj().T - translation_op(h, (-n1, -n2))).max() < 1e-13
     assert np.abs(T.conj().T @ T - np.eye(N)).max() < 1e-13
+
+
+label = st.tuples(st.integers(-200, 200), st.integers(-200, 200))
+
+
+@given(st.integers(1, 128), label, label, st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_matrix_free_matches_dense(N, n, m, seed):
+    h = TorusHilbert(N)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=N) + 1j * rng.normal(size=N)
+    assert np.abs(translation_apply(h, n, psi) - translation_op(h, n) @ psi).max() < 1e-13
+    A = TrigObservable.cosine(n, 0.3) + TrigObservable.cosine(m, -1.7)
+    assert np.abs(op_apply(h, A, psi) - weyl_quantize(h, A) @ psi).max() < 1e-13
+
+
+@pytest.mark.parametrize("N", [7, 64, 509, 512])
+def test_quantize_is_sum_of_translations(N):
+    """Frequencies (0, 1) and (1, 1) both shift columns by one: their terms
+    land on the same entries, and the sum is exact."""
+    h = TorusHilbert(N)
+    A = TrigObservable.cosine((0, 1)) + TrigObservable.cosine((1, 1), amplitude=0.4)
+    dense = np.zeros((N, N), complex)
+    for (m1, m2), c in A.coefficients.items():
+        dense += c * translation_op(h, (m2, m1))
+    assert np.array_equal(weyl_quantize(h, A), dense)
 
 
 def test_observable_reality_enforced():
