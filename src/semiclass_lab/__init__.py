@@ -11,20 +11,18 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 
 from .catmap import (CatMap, DEFAULT_MAP, LyapunovData, TorusPoint,
-                     bowen_distance, cat_apply, cat_lyapunov, periodic_points,
-                     torus_distance)
-from .billiard import (BilliardState, OrbitSegment, StadiumDomain,
-                       billiard_flow, billiard_step, circle_angular_momentum,
-                       coverage_grid, ergodic_average)
+                     bowen_distance, cat_lyapunov, torus_distance)
+from .billiard import (BilliardState, StadiumDomain, billiard_flow,
+                       circle_angular_momentum, coverage_grid, ergodic_average)
 from .torus_quantum import (TorusHilbert, TrigObservable, cat_propagator,
                             coherent_state, egorov_defect, translation_op,
                             weyl_quantize)
 from .spectral import (EigenDecomposition, QuantumPeriod, diagonalize,
                        degeneracy_clusters, quantum_period, scarred_state,
                        short_period_dimensions)
-from .measures import (HusimiGrid, MassReport, ModelMeasure,
-                       WignerCoefficients, ball_mass, husimi, matrix_element,
-                       qe_variance, weak_star_distance, wigner_coefficients)
+from .measures import (HusimiGrid, ModelMeasure, WignerCoefficients, ball_mass,
+                       husimi, matrix_element, qe_variance, weak_star_distance,
+                       wigner_coefficients)
 from .entropy import (EntropyEstimate, SampleCloud, atom_cloud,
                       entropy_bound_check, ks_entropy_estimate, mixture_cloud,
                       model_entropy, uniform_cloud)

@@ -8,7 +8,7 @@ Trajectories are straight chords with specular reflection at the boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +16,9 @@ from .errors import GrazingError
 
 GRAZING_TOL = 1e-10
 _T_MIN = 1e-12  # minimal advance, rejects the departure point itself
+AVERAGE_SAMPLE_STEP = 0.02  # chord sampling of ergodic_average
+COVERAGE_SAMPLE_STEP = 0.04  # chord sampling of coverage_grid
+COVERAGE_CELLS = (32, 16)  # coverage_grid cells along x and y
 
 
 @dataclass(frozen=True)
@@ -58,18 +61,6 @@ class BilliardState:
         n = math.hypot(self.dx, self.dy)
         if abs(n - 1.0) > 1e-12:
             raise ValueError("direction must be a unit vector")
-
-
-@dataclass
-class OrbitSegment:
-    """Successive collision states; chord lengths give arc-length times."""
-
-    states: list = field(default_factory=list)
-    times: list = field(default_factory=list)
-
-    def as_arrays(self):
-        xs = np.array([(s.x, s.y, s.dx, s.dy) for s in self.states])
-        return xs, np.array(self.times)
 
 
 def _step_raw(a, r, x, y, dx, dy):
@@ -118,12 +109,6 @@ def _step_raw(a, r, x, y, dx, dy):
     return xh, yh, rx / nrm, ry / nrm, t_best
 
 
-def billiard_step(domain: StadiumDomain, s: BilliardState) -> BilliardState:
-    """Next collision with specular reflection about the outward normal."""
-    x, y, dx, dy, _ = _step_raw(domain.half_length, domain.radius, s.x, s.y, s.dx, s.dy)
-    return BilliardState(x, y, dx, dy)
-
-
 def _bounces(domain: StadiumDomain, s: BilliardState, n_bounces: int):
     """Yield (x, y, dx, dy, t) at each of n_bounces successive collisions,
     t being the chord length to it. A GrazingError carries the index of the
@@ -138,17 +123,25 @@ def _bounces(domain: StadiumDomain, s: BilliardState, n_bounces: int):
         raise GrazingError(str(exc), bounce_index=i) from exc
 
 
-def billiard_flow(domain: StadiumDomain, s: BilliardState, n_bounces: int) -> OrbitSegment:
-    """Orbit of n_bounces successive collisions, arc-length parametrized."""
+def _collisions(domain: StadiumDomain, s: BilliardState, n_bounces: int,
+                width: int) -> np.ndarray:
+    """Rows (x, y, dx, dy, t)[:width] for the start state (t = 0) and each
+    of n_bounces >= 1 collisions, t being the chord length to it."""
     if n_bounces < 1:
         raise ValueError("n_bounces must be >= 1")
-    seg = OrbitSegment(states=[s], times=[0.0])
-    t_acc = 0.0
-    for x, y, dx, dy, t in _bounces(domain, s, n_bounces):
-        t_acc += t
-        seg.states.append(BilliardState(x, y, dx, dy))
-        seg.times.append(t_acc)
-    return seg
+    out = np.empty((n_bounces + 1, width))
+    out[0] = (s.x, s.y, s.dx, s.dy, 0.0)[:width]
+    for i, row in enumerate(_bounces(domain, s, n_bounces), 1):
+        out[i] = row[:width]
+    return out
+
+
+def billiard_flow(domain: StadiumDomain, s: BilliardState, n_bounces: int):
+    """Orbit of n_bounces successive collisions as (states, times): states
+    (n_bounces + 1, 4) with columns x, y, dx, dy from the start state on,
+    and times the cumulative arc length at each."""
+    orbit = _collisions(domain, s, n_bounces, 5)
+    return orbit[:, :4], np.cumsum(orbit[:, 4])
 
 
 def circle_angular_momentum(s: BilliardState) -> float:
@@ -157,12 +150,8 @@ def circle_angular_momentum(s: BilliardState) -> float:
 
 
 def flow_vertices(domain: StadiumDomain, s: BilliardState, n_bounces: int) -> np.ndarray:
-    """Collision points (n_bounces + 1, 2) without per-state object overhead."""
-    out = np.empty((n_bounces + 1, 2))
-    out[0] = (s.x, s.y)
-    for i, (x, y, _, _, _) in enumerate(_bounces(domain, s, n_bounces), 1):
-        out[i] = (x, y)
-    return out
+    """Collision points (n_bounces + 1, 2), the start point first."""
+    return _collisions(domain, s, n_bounces, 2)
 
 
 def _chord_samples(vertices: np.ndarray, sample_step: float):
@@ -188,34 +177,35 @@ def _chord_samples(vertices: np.ndarray, sample_step: float):
         yield pts, w
 
 
-def ergodic_average(domain: StadiumDomain, s: BilliardState, region, n_bounces: int,
-                    sample_step: float = 0.02) -> float:
+def ergodic_average(domain: StadiumDomain, s: BilliardState, region,
+                    n_bounces: int) -> float:
     """Fraction of arc length the orbit spends inside the region.
 
     region is a vectorized indicator f(x, y) -> bool/0-1 over arrays. Chords
-    are sampled at the midpoint rule with spacing <= sample_step.
+    are sampled at the midpoint rule with spacing <= AVERAGE_SAMPLE_STEP.
     """
     verts = flow_vertices(domain, s, n_bounces)
     inside = 0.0
     total = 0.0
-    for pts, w in _chord_samples(verts, sample_step):
+    for pts, w in _chord_samples(verts, AVERAGE_SAMPLE_STEP):
         vals = np.asarray(region(pts[:, 0], pts[:, 1]), float)
         inside += float(vals @ w)
         total += float(w.sum())
     return inside / total
 
 
-def coverage_grid(domain: StadiumDomain, s: BilliardState, n_bounces: int,
-                  nx: int = 32, ny: int = 16, sample_step: float = 0.04):
-    """Visit counts of the orbit on an nx-by-ny grid over the bounding box.
+def coverage_grid(domain: StadiumDomain, s: BilliardState, n_bounces: int):
+    """Visit counts of the orbit on the COVERAGE_CELLS grid over the bounding
+    box, chords sampled at spacing <= COVERAGE_SAMPLE_STEP.
 
     Returns (counts, cell_inside) where cell_inside marks cells whose center
     lies inside the domain.
     """
     (x0, y0), (x1, y1) = domain.bounding_box()
+    nx, ny = COVERAGE_CELLS
     verts = flow_vertices(domain, s, n_bounces)
     counts = np.zeros((nx, ny), dtype=np.int64)
-    for pts, _ in _chord_samples(verts, sample_step):
+    for pts, _ in _chord_samples(verts, COVERAGE_SAMPLE_STEP):
         ix = np.clip(((pts[:, 0] - x0) / (x1 - x0) * nx).astype(int), 0, nx - 1)
         iy = np.clip(((pts[:, 1] - y0) / (y1 - y0) * ny).astype(int), 0, ny - 1)
         np.add.at(counts, (ix, iy), 1)

@@ -17,10 +17,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .billiard import StadiumDomain
-from .errors import GeometryError, NumericalError
-from .measures import MassReport
+from .errors import GeometryError, NumericalError, UnderResolved
 
 ALPHA_MIN = 1e-3
+WINDOW_HALFWIDTH = 1.0  # eigenmodes_window keeps |k - center_k| <= this
 
 
 @dataclass
@@ -140,7 +140,7 @@ def eigenmodes_near(dd: DiscreteDomain, A: sp.csr_matrix, target_k: float,
     """count eigenmodes with eigenvalues nearest target_k^2 (shift-invert),
     sorted by |k - target_k|."""
     if target_k * dd.spacing >= 0.5:
-        raise ValueError("target_k h >= 0.5: grid cannot resolve the wavelength")
+        raise UnderResolved("target_k h >= 0.5: grid cannot resolve the wavelength")
     n = A.shape[0]
     v0 = np.full(n, 1.0 / math.sqrt(n))  # fixed start vector for determinism
     try:
@@ -151,18 +151,29 @@ def eigenmodes_near(dd: DiscreteDomain, A: sp.csr_matrix, target_k: float,
     return _make_modes(dd, A, w, V, order)
 
 
-def eigenmodes_window(dd: DiscreteDomain, A: sp.csr_matrix, domain: StadiumDomain,
-                      center_k: float, halfwidth: float = 1.0) -> list:
-    """All modes with k in [center_k - halfwidth, center_k + halfwidth].
+def weyl_window_count(domain: StadiumDomain, center_k: float) -> float:
+    """Weyl-law mode count area/(4 pi) (k_hi^2 - k_lo^2) of the window
+    |k - center_k| <= WINDOW_HALFWIDTH."""
+    return domain.area / (4 * np.pi) * ((center_k + WINDOW_HALFWIDTH) ** 2
+                                        - (center_k - WINDOW_HALFWIDTH) ** 2)
 
-    The request size is padded over the Weyl-law count so the window is
-    captured; modes are returned sorted by k.
+
+def eigenmodes_window(dd: DiscreteDomain, A: sp.csr_matrix, domain: StadiumDomain,
+                      center_k: float) -> list:
+    """All modes with |k - center_k| <= WINDOW_HALFWIDTH, sorted by k.
+
+    The request size is padded over the Weyl-law count of domain. If even
+    the farthest mode returned lies inside the window, the window may be
+    cut short, and NumericalError is raised.
     """
-    pred = domain.area / (4 * np.pi) * ((center_k + halfwidth) ** 2
-                                        - (center_k - halfwidth) ** 2)
+    pred = weyl_window_count(domain, center_k)
     n_req = min(int(pred * 1.6) + 10, dd.n_interior - 2)
     modes = eigenmodes_near(dd, A, center_k, n_req)
-    sel = [m for m in modes if abs(m.k - center_k) <= halfwidth]
+    if abs(modes[-1].k - center_k) <= WINDOW_HALFWIDTH:
+        raise NumericalError(
+            f"all {len(modes)} modes requested near k = {center_k} lie in the "
+            "window; it may be incomplete")
+    sel = [m for m in modes if abs(m.k - center_k) <= WINDOW_HALFWIDTH]
     sel.sort(key=lambda m: m.k)
     return sel
 
@@ -183,25 +194,21 @@ def tube_area_fraction(domain: StadiumDomain, w: float) -> float:
 
 
 def scar_score(mode: BilliardMode, domain: StadiumDomain,
-               tube_halfwidth: float | None = None) -> MassReport:
+               tube_halfwidth: float | None = None) -> float:
     """Mass in the tube around the horizontal orbit over its area fraction."""
     r = domain.radius
     w = 0.1 * r if tube_halfwidth is None else tube_halfwidth
     if not 0 < w < r / 2:
         raise ValueError("tube halfwidth must lie in (0, r/2)")
     mass = position_measure(mode, lambda x, y: np.abs(y) <= w)
-    ref = tube_area_fraction(domain, w)
-    return MassReport(region=f"|y| <= {w}", mass=mass, reference=ref,
-                      ratio=mass / ref)
+    return mass / tube_area_fraction(domain, w)
 
 
-def bouncing_ball_score(mode: BilliardMode, domain: StadiumDomain) -> MassReport:
+def bouncing_ball_score(mode: BilliardMode, domain: StadiumDomain) -> float:
     """Mass in the central rectangle |x| <= a over its area fraction."""
     a = domain.half_length
     mass = position_measure(mode, lambda x, y: np.abs(x) <= a)
-    ref = 4 * a * domain.radius / domain.area
-    return MassReport(region=f"|x| <= {a}", mass=mass, reference=ref,
-                      ratio=mass / ref)
+    return mass / (4 * a * domain.radius / domain.area)
 
 
 def qe_spatial_variance(modes, region) -> float:

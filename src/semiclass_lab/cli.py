@@ -68,14 +68,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         configs = _configs_from_args(args)
+        if args.parallel and len(configs) > 1:
+            with ProcessPoolExecutor(max_workers=len(configs)) as pool:
+                reports = list(pool.map(run_experiment, configs))
+        else:
+            reports = [run_experiment(cfg) for cfg in configs]
     except SemiclassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.parallel and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=len(configs)) as pool:
-            reports = list(pool.map(run_experiment, configs))
-    else:
-        reports = [run_experiment(cfg) for cfg in configs]
     all_ok = True
     for report in reports:
         for check in report.checks:

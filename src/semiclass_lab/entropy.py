@@ -13,6 +13,9 @@ from .catmap import CatMap, bowen_distance_cloud, cat_lyapunov
 from .errors import UnderResolved
 from .measures import ModelMeasure
 
+MIN_BALL_POINTS = 5  # samples a Bowen ball needs to enter the entropy slope
+BOUND_TOL = 1e-12  # slack of the entropy and scar-weight bound checks
+
 
 @dataclass
 class SampleCloud:
@@ -88,13 +91,12 @@ def _ball_mass(m: CatMap, cloud: SampleCloud, center, T: int, eps: float) -> flo
 
 
 def ks_entropy_estimate(m: CatMap, cloud: SampleCloud, T: int, eps: float,
-                        n_centers: int, seed: int = 0,
-                        min_ball_points: int = 5) -> EntropyEstimate:
+                        n_centers: int, seed: int = 0) -> EntropyEstimate:
     """Average local entropy over centers drawn from the cloud.
 
     The finite-eps prefactor of the ball mass is removed by differencing:
     each center contributes the slope of -log mu(B_t) between t = 2 and the
-    largest even t <= T whose ball still holds at least min_ball_points
+    largest even t <= T whose ball still holds at least MIN_BALL_POINTS
     samples. Centers depleted already at t = 2 count as empty balls; more
     than half empty raises UnderResolved.
     """
@@ -106,7 +108,7 @@ def ks_entropy_estimate(m: CatMap, cloud: SampleCloud, T: int, eps: float,
         raise ValueError("T must be >= 4 for the two-point slope")
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(cloud), size=n_centers, p=cloud.weights)
-    floor = min_ball_points / len(cloud)
+    floor = MIN_BALL_POINTS / len(cloud)
     values = []
     empty = 0
     for ci in idx:
@@ -145,8 +147,8 @@ class BoundCheckReport:
         return self.entropy_ok and self.weight_ok
 
 
-def entropy_bound_check(h: float, m: CatMap, claimed_scar_weight: float,
-                        tol: float = 1e-12) -> BoundCheckReport:
+def entropy_bound_check(h: float, m: CatMap,
+                        claimed_scar_weight: float) -> BoundCheckReport:
     if not 0.0 <= claimed_scar_weight <= 1.0:
         raise ValueError("scar weight must lie in [0, 1]")
     lam = cat_lyapunov(m).lambda_plus
@@ -155,6 +157,6 @@ def entropy_bound_check(h: float, m: CatMap, claimed_scar_weight: float,
     return BoundCheckReport(
         entropy_margin=entropy_margin,
         weight_margin=weight_margin,
-        entropy_ok=entropy_margin >= -tol,
-        weight_ok=weight_margin >= -tol,
+        entropy_ok=entropy_margin >= -BOUND_TOL,
+        weight_ok=weight_margin >= -BOUND_TOL,
     )

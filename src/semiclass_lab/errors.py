@@ -33,16 +33,14 @@ class DegenerateConstruction(SemiclassError):
     """Time-averaged state vanished by destructive interference."""
 
 
-class ResourceLimitError(SemiclassError):
-    """Exhaustive search would exceed the configured size limit."""
-
-
 class GeometryError(SemiclassError):
     """Discretization produced an empty or invalid interior."""
 
 
 class UnderResolved(SemiclassError):
-    """Too many empty Bowen balls; enlarge the cloud or reduce T."""
+    """Sampling too coarse for the requested scale: too many empty Bowen
+    balls (enlarge the cloud or reduce T), or a grid too coarse for the
+    wavelength (refine the spacing)."""
 
 
 class ConfigError(SemiclassError):

@@ -149,11 +149,3 @@ def weak_star_distance(w: WignerCoefficients, model: ModelMeasure, K: int = 8) -
                 continue
             worst = max(worst, abs(w((m1, m2)) - model.fourier((m1, m2))))
     return worst
-
-
-@dataclass
-class MassReport:
-    region: str
-    mass: float
-    reference: float
-    ratio: float

@@ -3,6 +3,7 @@ binary container for states and operators."""
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -73,9 +74,12 @@ def read_state(path):
         raise ValueError("bad magic; not a state container")
     kind = raw[4:5]
     (N,) = struct.unpack("<I", raw[5:9])
+    shape = {KIND_STATE: (N,), KIND_OPERATOR: (N, N)}.get(kind)
+    if shape is None:
+        raise ValueError(f"unknown container kind {kind!r}")
+    count = math.prod(shape)
+    if len(raw) - 9 != 16 * count:
+        raise ValueError(f"payload of {len(raw) - 9} bytes is not "
+                         f"{count} complex doubles")
     data = np.frombuffer(raw[9:], dtype="<c16").astype(np.complex128)
-    if kind == KIND_STATE:
-        return data[:N].copy(), kind
-    if kind == KIND_OPERATOR:
-        return data[: N * N].reshape(N, N).copy(), kind
-    raise ValueError(f"unknown container kind {kind!r}")
+    return data.reshape(shape), kind

@@ -14,9 +14,13 @@ import scipy.linalg
 
 from .catmap import CatMap, TorusPoint, cat_lyapunov
 from .errors import DegenerateConstruction, NumericalError
-from .torus_quantum import TorusHilbert, cat_propagator, coherent_state
+from .torus_quantum import (TorusHilbert, cat_propagator, coherent_state,
+                            unitarity_defect)
 
 DEGENERACY_TOL = 1e-8 * 2 * np.pi
+RESIDUAL_TOL = 1e-10  # diagonalize: unitarity, eigen-residual, orthogonality
+PERIOD_TOL = 1e-8  # quantum_period: entrywise distance of U^P from a scalar
+SHORT_PERIOD_FACTOR = 3.0  # short periods: P <= SHORT_PERIOD_FACTOR log N / lambda
 
 
 @dataclass
@@ -25,10 +29,6 @@ class EigenDecomposition:
 
     eigenphases: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def N(self) -> int:
-        return len(self.eigenphases)
 
     def reconstruct(self) -> np.ndarray:
         V = self.eigenvectors
@@ -47,15 +47,15 @@ class QuantumPeriod:
     global_phase: float
 
 
-def diagonalize(U: np.ndarray, residual_tol: float = 1e-10) -> EigenDecomposition:
+def diagonalize(U: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a unitary matrix with orthonormal eigenvectors.
 
     Uses the complex Schur form, which is diagonal for normal matrices, so
     the eigenvector matrix is unitary even inside degenerate clusters.
     """
     N = U.shape[0]
-    if np.linalg.norm(U.conj().T @ U - np.eye(N), 2) > 1e-10:
-        raise NumericalError("input operator is not unitary to 1e-10")
+    if unitarity_defect(U) > RESIDUAL_TOL:
+        raise NumericalError(f"input operator is not unitary to {RESIDUAL_TOL}")
     T, Z = scipy.linalg.schur(U, output="complex")
     phases = np.angle(np.diag(T)) % (2 * np.pi)
     order = np.argsort(phases, kind="stable")
@@ -63,7 +63,7 @@ def diagonalize(U: np.ndarray, residual_tol: float = 1e-10) -> EigenDecompositio
     V = Z[:, order]
     resid = np.abs(U @ V - V * np.exp(1j * phases)).max()
     ortho = np.abs(V.conj().T @ V - np.eye(N)).max()
-    if resid > residual_tol or ortho > residual_tol:
+    if resid > RESIDUAL_TOL or ortho > RESIDUAL_TOL:
         raise NumericalError(
             f"eigensolver residual {resid:.2e}, orthogonality defect {ortho:.2e}"
         )
@@ -110,7 +110,7 @@ def matrix_order_mod(m: CatMap, modulus: int, p_max: int):
 
 
 def quantum_period(h: TorusHilbert, m: CatMap, P_max: int,
-                   U: np.ndarray | None = None, tol: float = 1e-8):
+                   U: np.ndarray | None = None):
     """Smallest P <= P_max with U^P proportional to the identity, else None.
 
     The result is cross-checked against the order of the map's matrix modulo
@@ -125,7 +125,8 @@ def quantum_period(h: TorusHilbert, m: CatMap, P_max: int,
     for P in range(1, P_max + 1):
         Up = Up @ U
         z = Up[0, 0]
-        if abs(abs(z) - 1.0) < tol and np.abs(Up - z * np.eye(N)).max() < tol:
+        if (abs(abs(z) - 1.0) < PERIOD_TOL
+                and np.abs(Up - z * np.eye(N)).max() < PERIOD_TOL):
             order = matrix_order_mod(m, 2 * N, P_max)
             if order is not None and order % P != 0:
                 raise NumericalError(
@@ -136,13 +137,14 @@ def quantum_period(h: TorusHilbert, m: CatMap, P_max: int,
     return None
 
 
-def short_period_dimensions(m: CatMap, n_min: int, n_max: int, factor: float = 3.0):
+def short_period_dimensions(m: CatMap, n_min: int, n_max: int):
     """Dimensions N in [n_min, n_max] whose quantum period P satisfies
-    P <= factor * log N / lambda_plus, found through the matrix order mod 2N."""
+    P <= SHORT_PERIOD_FACTOR * log N / lambda_plus, found through the matrix
+    order mod 2N."""
     lam = cat_lyapunov(m).lambda_plus
     out = []
     for N in range(max(2, n_min), n_max + 1):
-        bound = factor * np.log(N) / lam
+        bound = SHORT_PERIOD_FACTOR * np.log(N) / lam
         P = matrix_order_mod(m, 2 * N, int(bound) + 1)
         if P is not None and P <= bound:
             out.append((N, P))
@@ -167,7 +169,7 @@ def scarred_state(h: TorusHilbert, m: CatMap, T_half: int,
     cs = coherent_state(h, TorusPoint(0.0, 0.0))
     if period is None:
         lam = cat_lyapunov(m).lambda_plus
-        p_max = max(1, int(3.0 * np.log(max(h.N, 2)) / lam) + 1)
+        p_max = max(1, int(SHORT_PERIOD_FACTOR * np.log(max(h.N, 2)) / lam) + 1)
         period = quantum_period(h, m, p_max, U=U)
     if period is not None:
         theta0 = np.angle(np.vdot(cs, U @ cs))

@@ -20,6 +20,9 @@ import numpy as np
 from .catmap import CatMap, TorusPoint
 from .errors import InvalidObservable, QuantizationConditionError
 
+REALITY_TOL = 1e-12  # TrigObservable: |c_{-m} - conj(c_m)| allowed
+INTERTWINING_LABELS = ((1, 0), (0, 1), (1, 1))  # checked by intertwining_defect
+
 
 @dataclass(frozen=True)
 class TorusHilbert:
@@ -43,7 +46,7 @@ class TrigObservable:
     numbers with the reality constraint c_{-m} = conj(c_m).
     """
 
-    def __init__(self, coefficients, tol=1e-12):
+    def __init__(self, coefficients):
         coeffs = {}
         for m, c in dict(coefficients).items():
             m = (int(m[0]), int(m[1]))
@@ -52,7 +55,7 @@ class TrigObservable:
                 coeffs[m] = coeffs.get(m, 0.0) + c
         for m, c in coeffs.items():
             neg = (-m[0], -m[1])
-            if abs(coeffs.get(neg, 0.0) - np.conj(c)) > tol:
+            if abs(coeffs.get(neg, 0.0) - np.conj(c)) > REALITY_TOL:
                 raise InvalidObservable(
                     f"coefficient at {neg} must be the conjugate of the one at {m}"
                 )
@@ -85,9 +88,6 @@ class TrigObservable:
         for m, c in other.coefficients.items():
             out[m] = out.get(m, 0.0) + c
         return TrigObservable(out)
-
-    def scaled(self, factor: float) -> "TrigObservable":
-        return TrigObservable({m: factor * c for m, c in self.coefficients.items()})
 
 
 def _translation(h: TorusHilbert, n):
@@ -238,12 +238,11 @@ def cat_propagator(h: TorusHilbert, m: CatMap) -> np.ndarray:
     return U
 
 
-def intertwining_defect(h: TorusHilbert, U: np.ndarray, m: CatMap,
-                        labels=((1, 0), (0, 1), (1, 1))) -> float:
-    """Max operator-norm defect of U T(n) U* = T(An) over the given labels."""
+def intertwining_defect(h: TorusHilbert, U: np.ndarray, m: CatMap) -> float:
+    """Max operator-norm defect of U T(n) U* = T(An) over INTERTWINING_LABELS."""
     A = index_action(m)
     worst = 0.0
-    for n in labels:
+    for n in INTERTWINING_LABELS:
         lhs = U @ translation_op(h, n) @ U.conj().T
         rhs = translation_op(h, A @ np.asarray(n, np.int64))
         worst = max(worst, np.linalg.norm(lhs - rhs, 2))

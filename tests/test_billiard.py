@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiclass_lab.billiard import (BilliardState, StadiumDomain, billiard_flow,
-                                    billiard_step, circle_angular_momentum,
-                                    coverage_grid, ergodic_average, flow_vertices)
+                                    circle_angular_momentum, coverage_grid,
+                                    ergodic_average, flow_vertices)
 from semiclass_lab.errors import GrazingError
 
 CIRCLE = StadiumDomain(half_length=0.0, radius=1.0)
@@ -33,18 +33,23 @@ def test_signed_distance_samples():
     assert STADIUM.signed_distance(3.0, 0.0) == pytest.approx(1.0)
 
 
+def _first_bounce(domain, s):
+    states, _ = billiard_flow(domain, s, 1)
+    return states[1]
+
+
 def test_diameter_orbit_on_circle():
     s = BilliardState(-1.0, 0.0, 1.0, 0.0)
-    nxt = billiard_step(CIRCLE, s)
-    assert (nxt.x, nxt.y) == pytest.approx((1.0, 0.0))
-    assert (nxt.dx, nxt.dy) == pytest.approx((-1.0, 0.0))
+    x, y, dx, dy = _first_bounce(CIRCLE, s)
+    assert (x, y) == pytest.approx((1.0, 0.0))
+    assert (dx, dy) == pytest.approx((-1.0, 0.0))
 
 
 def test_stadium_axis_orbit_reaches_cap_apex():
     s = BilliardState(-1.0, 0.0, 1.0, 0.0)
-    nxt = billiard_step(STADIUM, s)
-    assert (nxt.x, nxt.y) == pytest.approx((2.0, 0.0))
-    assert (nxt.dx, nxt.dy) == pytest.approx((-1.0, 0.0))
+    x, y, dx, dy = _first_bounce(STADIUM, s)
+    assert (x, y) == pytest.approx((2.0, 0.0))
+    assert (dx, dy) == pytest.approx((-1.0, 0.0))
 
 
 @given(st.floats(0.1, 2 * math.pi - 0.1))
@@ -52,21 +57,21 @@ def test_stadium_axis_orbit_reaches_cap_apex():
 def test_specular_law_on_circle(ang):
     """Angle of incidence equals angle of reflection against the normal."""
     s = BilliardState(0.3, -0.2, math.cos(ang), math.sin(ang))
-    nxt = billiard_step(CIRCLE, s)
-    n = np.array([nxt.x, nxt.y])  # outward normal of the unit circle
+    nxt = _first_bounce(CIRCLE, s)
+    n = nxt[:2]  # outward normal of the unit circle
     d_in = np.array([s.dx, s.dy])
-    d_out = np.array([nxt.dx, nxt.dy])
+    d_out = nxt[2:]
     assert np.dot(d_in, n) == pytest.approx(-np.dot(d_out, n), abs=1e-12)
-    assert math.hypot(nxt.dx, nxt.dy) == pytest.approx(1.0, abs=1e-12)
+    assert math.hypot(*d_out) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_angular_momentum_conserved():
     s = BilliardState(0.31, -0.12, math.cos(0.7), math.sin(0.7))
     L0 = circle_angular_momentum(s)
-    seg = billiard_flow(CIRCLE, s, 2000)
-    Ls = [circle_angular_momentum(t) for t in seg.states]
+    states, times = billiard_flow(CIRCLE, s, 2000)
+    Ls = [circle_angular_momentum(BilliardState(*row)) for row in states]
     assert max(abs(L - L0) for L in Ls) < 1e-9
-    assert all(t2 > t1 for t1, t2 in zip(seg.times, seg.times[1:]))
+    assert times[0] == 0.0 and (np.diff(times) > 0).all()
 
 
 def test_angular_momentum_examples():
@@ -93,9 +98,9 @@ def test_grazing_error_carries_bounce_index():
 
 def test_speed_preserved_along_orbit():
     s = BilliardState(0.05, 0.11, math.cos(1.3), math.sin(1.3))
-    seg = billiard_flow(STADIUM, s, 500)
-    for t in seg.states:
-        assert math.hypot(t.dx, t.dy) == pytest.approx(1.0, abs=1e-12)
+    states, _ = billiard_flow(STADIUM, s, 500)
+    assert states.shape == (501, 4)
+    assert np.abs(np.hypot(states[:, 2], states[:, 3]) - 1.0).max() < 1e-12
 
 
 def test_ergodic_average_whole_domain():
@@ -128,7 +133,15 @@ def test_coverage_grid_shape_and_visits():
 
 def test_flow_vertices_matches_flow():
     s = BilliardState(0.2, 0.3, math.cos(2.1), math.sin(2.1))
-    seg = billiard_flow(STADIUM, s, 20)
-    arr, _ = seg.as_arrays()
-    verts = flow_vertices(STADIUM, s, 20)
-    assert np.allclose(arr[:, :2], verts)
+    states, _ = billiard_flow(STADIUM, s, 20)
+    assert np.array_equal(states[:, :2], flow_vertices(STADIUM, s, 20))
+
+
+@pytest.mark.parametrize("n_bounces", [0, -3])
+def test_bounce_count_must_be_positive(n_bounces):
+    s = BilliardState(0.2, 0.3, math.cos(2.1), math.sin(2.1))
+    for run in (lambda: billiard_flow(STADIUM, s, n_bounces),
+                lambda: ergodic_average(STADIUM, s, lambda x, y: x < 0, n_bounces),
+                lambda: coverage_grid(STADIUM, s, n_bounces)):
+        with pytest.raises(ValueError, match="n_bounces"):
+            run()

@@ -9,7 +9,7 @@ from semiclass_lab.billiard_quantum import (bouncing_ball_score, build_laplacian
                                             position_measure, qe_spatial_variance,
                                             scar_score, square_discrete_eigenvalue,
                                             square_sdf, tube_area_fraction)
-from semiclass_lab.errors import GeometryError
+from semiclass_lab.errors import GeometryError, NumericalError, UnderResolved
 
 CIRCLE = StadiumDomain(half_length=0.0, radius=1.0)
 STADIUM = StadiumDomain(half_length=1.0, radius=1.0)
@@ -100,8 +100,8 @@ def test_scores_on_synthetic_uniform_mode():
     flat = type(mode)(eigenvalue=mode.eigenvalue, k=mode.k, wavefunction=uniform,
                       x=mode.x, y=mode.y, spacing=mode.spacing, residual=0.0)
     # a flat state has ratio about 1 in both diagnostics
-    assert scar_score(flat, STADIUM).ratio == pytest.approx(1.0, abs=0.1)
-    assert bouncing_ball_score(flat, STADIUM).ratio == pytest.approx(1.0, abs=0.1)
+    assert scar_score(flat, STADIUM) == pytest.approx(1.0, abs=0.1)
+    assert bouncing_ball_score(flat, STADIUM) == pytest.approx(1.0, abs=0.1)
 
 
 def test_scar_score_validation():
@@ -115,12 +115,23 @@ def test_scar_score_validation():
 def test_window_count_near_weyl():
     dd = discretize_stadium(STADIUM, 0.02)
     A = build_laplacian(dd)
-    modes = eigenmodes_window(dd, A, STADIUM, 10.0, 1.0)
+    modes = eigenmodes_window(dd, A, STADIUM, 10.0)
     pred = STADIUM.area / (4 * np.pi) * (11.0**2 - 9.0**2)
     assert abs(len(modes) - pred) <= 0.3 * pred + 3
     ks = [m.k for m in modes]
     assert all(9.0 <= k <= 11.0 for k in ks)
     assert ks == sorted(ks)
+
+
+def test_window_completeness_guard():
+    """A Weyl count taken from a smaller domain (a disc of radius 0.3)
+    requests 11 modes where the stadium has about 23: every mode returned
+    lies in the window, so the window cannot be trusted to be complete."""
+    dd = discretize_stadium(STADIUM, 0.02)
+    A = build_laplacian(dd)
+    small = StadiumDomain(half_length=0.0, radius=0.3)
+    with pytest.raises(NumericalError):
+        eigenmodes_window(dd, A, small, 10.0)
 
 
 def test_qe_spatial_variance_requires_modes():
@@ -134,5 +145,5 @@ def test_qe_spatial_variance_requires_modes():
 def test_resolution_guard():
     dd = discretize_stadium(STADIUM, 0.1)
     A = build_laplacian(dd)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnderResolved):
         eigenmodes_near(dd, A, 6.0, 2)

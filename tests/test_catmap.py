@@ -6,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiclass_lab.catmap import (CatMap, DEFAULT_MAP, TorusPoint, bowen_distance,
-                                  bowen_distance_cloud, cat_apply, cat_apply_array,
-                                  cat_lyapunov, periodic_points, torus_distance)
-from semiclass_lab.errors import ResourceLimitError
+                                  bowen_distance_cloud, cat_lyapunov, torus_distance)
 
 M = DEFAULT_MAP
+
+
+def _step(pts):
+    """One step of M on an (n, 2) array of torus points, through the integer
+    matrix the Bowen distances and observable pullbacks iterate."""
+    return (np.asarray(pts, float) @ M.matrix().T) % 1.0
 
 
 def test_rejects_non_unimodular():
@@ -24,13 +28,12 @@ def test_rejects_non_hyperbolic():
 
 
 def test_fixed_points_of_default_map():
-    assert cat_apply(M, TorusPoint(0, 0)) == TorusPoint(0, 0)
-    assert cat_apply(M, TorusPoint(0.5, 0.5)) == TorusPoint(0.5, 0.5)
+    fixed = [(0.0, 0.0), (0.5, 0.5)]
+    assert np.array_equal(_step(fixed), fixed)
 
 
 def test_direct_arithmetic_example():
-    p = cat_apply(M, TorusPoint(0.25, 0.0))
-    assert p == TorusPoint(0.5, 0.75)
+    assert np.array_equal(_step([(0.25, 0.0)]), [(0.5, 0.75)])
 
 
 def test_lyapunov_closed_forms():
@@ -48,7 +51,7 @@ def test_lyapunov_closed_forms():
 def test_bijection_on_rational_lattice(q):
     """The map permutes the (1/q) lattice."""
     pts = np.array([(i / q, j / q) for i in range(q) for j in range(q)])
-    out = cat_apply_array(M, pts)
+    out = _step(pts)
     keys = {(round(x * q) % q, round(y * q) % q) for x, y in out}
     assert len(keys) == q * q
 
@@ -57,41 +60,11 @@ def test_measure_preservation_chi_squared():
     import scipy.stats
     rng = np.random.default_rng(1)
     pts = rng.random((1_000_000, 2))
-    out = cat_apply_array(M, pts, power=3)
+    out = _step(_step(_step(pts)))
     counts, _, _ = np.histogram2d(out[:, 0], out[:, 1], bins=16,
                                   range=[[0, 1], [0, 1]])
     _, p = scipy.stats.chisquare(counts.ravel())
     assert p > 0.001
-
-
-def test_periodic_points_period_one():
-    orbits = periodic_points(M, 1)
-    pts = [p for orb in orbits for p in orb]
-    assert TorusPoint(0, 0) in pts
-    det = abs(round(np.linalg.det(M.matrix() - np.eye(2))))
-    assert len(pts) == det == 2
-
-
-@pytest.mark.parametrize("period", [1, 2, 3, 4])
-def test_periodic_point_counts(period):
-    Mp = np.linalg.matrix_power(M.matrix(object), period)
-    det = abs(int(round(np.linalg.det(np.array(Mp - np.eye(2, dtype=object),
-                                               dtype=float)))))
-    orbits = periodic_points(M, period)
-    total = sum(len(o) for o in orbits)
-    assert total == det
-    # every reported point really is periodic
-    for orb in orbits:
-        for p in orb:
-            q = p
-            for _ in range(period):
-                q = cat_apply(M, q)
-            assert torus_distance(p, q) < 1e-9
-
-
-def test_periodic_points_resource_limit():
-    with pytest.raises(ResourceLimitError):
-        periodic_points(M, 12, max_count=1000)
 
 
 def test_bowen_distance_basics():

@@ -87,3 +87,11 @@ def test_main_multi_suite_subdirs(tmp_path):
                "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "egorov" / "egorov_defects.csv").exists()
+
+
+def test_main_reports_suite_error(tmp_path, capsys):
+    # at h = 0.2 the coarsest circle grid (4h) cannot resolve the first mode
+    rc = main(["--experiment", "billiard-circle", "--h", "0.2",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")

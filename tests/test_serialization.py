@@ -74,3 +74,15 @@ def test_read_state_bad_magic(tmp_path):
     p.write_bytes(b"NOPE" + bytes(20))
     with pytest.raises(ValueError):
         read_state(p)
+
+
+@pytest.mark.parametrize("kind, array", [(KIND_STATE, np.ones(16)),
+                                         (KIND_OPERATOR, np.ones((4, 4)))])
+def test_read_state_rejects_wrong_payload_length(tmp_path, kind, array):
+    p = tmp_path / "t.bin"
+    write_state(p, array, kind=kind)
+    raw = p.read_bytes()
+    for bad in (raw[:-32], raw + bytes(16)):
+        p.write_bytes(bad)
+        with pytest.raises(ValueError, match="payload"):
+            read_state(p)
