@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catmap import CatMap, bowen_distance_cloud, cat_lyapunov
+from .catmap import CatMap, cat_lyapunov, torus_distance_array
 from .errors import UnderResolved
 from .measures import ModelMeasure
 
@@ -85,9 +85,40 @@ def model_entropy(measure: ModelMeasure, m: CatMap) -> float:
     return measure.alpha * a + (1.0 - measure.alpha) * b
 
 
-def _ball_mass(m: CatMap, cloud: SampleCloud, center, T: int, eps: float) -> float:
-    d = bowen_distance_cloud(m, center, cloud.points, T)
-    return float(cloud.weights[d < eps].sum())
+def _step(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """One step of every row, with the arithmetic `bowen_distance_cloud`
+    applies to a whole cloud. numpy hands a single row to BLAS gemv, which
+    can round differently from gemm, so a lone row is stepped as two."""
+    if len(rows) == 1:
+        return _step(np.repeat(rows, 2, axis=0), mat)[:1]
+    return (rows @ mat.T) % 1.0
+
+
+def _nested_ball_masses(m: CatMap, cloud: SampleCloud, center, T: int,
+                        eps: float) -> dict:
+    """Mass of the Bowen ball B_t(center, eps) for every even t in [2, T].
+
+    Each even t adds one forward and one backward step to the window, so
+    B_{t+2} is B_t minus the points whose new step lands eps or more away.
+    Only the survivors are stepped, with the same per-row arithmetic as
+    `bowen_distance_cloud`, and their weights are summed in ascending index
+    order, so every mass equals `cloud.weights[bowen_distance_cloud(...) <
+    eps].sum()` to the bit.
+    """
+    mat = m.matrix().astype(float)
+    inv = m.inverse_matrix().astype(float)
+    fc = bc = np.asarray(center, float)
+    inside = np.flatnonzero(torus_distance_array(cloud.points, fc) < eps)
+    fwd = bwd = cloud.points[inside]
+    masses = {}
+    for t in range(2, T + 1, 2):
+        fwd, fc = _step(fwd, mat), (mat @ fc) % 1.0
+        bwd, bc = _step(bwd, inv), (inv @ bc) % 1.0
+        keep = ((torus_distance_array(fwd, fc) < eps)
+                & (torus_distance_array(bwd, bc) < eps))
+        inside, fwd, bwd = inside[keep], fwd[keep], bwd[keep]
+        masses[t] = float(cloud.weights[inside].sum())
+    return masses
 
 
 def ks_entropy_estimate(m: CatMap, cloud: SampleCloud, T: int, eps: float,
@@ -96,9 +127,12 @@ def ks_entropy_estimate(m: CatMap, cloud: SampleCloud, T: int, eps: float,
 
     The finite-eps prefactor of the ball mass is removed by differencing:
     each center contributes the slope of -log mu(B_t) between t = 2 and the
-    largest even t <= T whose ball still holds at least MIN_BALL_POINTS
-    samples. Centers depleted already at t = 2 count as empty balls; more
-    than half empty raises UnderResolved.
+    largest even t <= T whose ball mass is still at least
+    MIN_BALL_POINTS / len(cloud), the mass of MIN_BALL_POINTS samples of an
+    equally weighted cloud. Centers depleted already at t = 2 count as empty
+    balls; more than half empty raises UnderResolved. The balls are nested,
+    B_{t+2} within B_t, because the window only grows with t, so one pass
+    per center gives the masses for every t.
     """
     if n_centers < 10:
         raise ValueError("n_centers must be >= 10")
@@ -112,8 +146,7 @@ def ks_entropy_estimate(m: CatMap, cloud: SampleCloud, T: int, eps: float,
     values = []
     empty = 0
     for ci in idx:
-        c = cloud.points[ci]
-        masses = {t: _ball_mass(m, cloud, c, t, eps) for t in range(2, T + 1, 2)}
+        masses = _nested_ball_masses(m, cloud, cloud.points[ci], T, eps)
         usable = [t for t, mu in masses.items() if mu >= floor]
         t1 = max(usable, default=0)
         if t1 <= 2:

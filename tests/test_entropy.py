@@ -1,11 +1,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semiclass_lab.catmap import DEFAULT_MAP, TorusPoint, cat_lyapunov
-from semiclass_lab.entropy import (SampleCloud, atom_cloud, entropy_bound_check,
+from semiclass_lab.catmap import (DEFAULT_MAP, CatMap, TorusPoint,
+                                  bowen_distance_cloud, cat_lyapunov)
+from semiclass_lab.entropy import (SampleCloud, _nested_ball_masses, _step,
+                                   atom_cloud, entropy_bound_check,
                                    ks_entropy_estimate, mixture_cloud,
                                    model_entropy, uniform_cloud)
 from semiclass_lab.errors import UnderResolved
@@ -49,6 +51,62 @@ def test_cloud_constructors():
     mix = mixture_cloud(0.25, a, u)
     assert len(mix) == 550
     assert mix.weights[:50].sum() == pytest.approx(0.25)
+
+
+def _test_cloud(kind, n, seed, alpha):
+    u = uniform_cloud(n, seed)
+    rng = np.random.default_rng(seed)
+    orbit = [TorusPoint(*p) for p in rng.random((1 + seed % 3, 2))]
+    a = atom_cloud(orbit, n)  # every orbit point repeated
+    return {"uniform": u, "atom": a, "mixture": mixture_cloud(alpha, a, u)}[kind]
+
+
+@given(kind=st.sampled_from(["uniform", "atom", "mixture"]),
+       n=st.integers(2, 300), seed=st.integers(0, 2**16),
+       alpha=st.floats(0.05, 0.95),
+       center=st.one_of(st.integers(0, 10**6),
+                        st.tuples(st.floats(0, 1, exclude_max=True),
+                                  st.floats(0, 1, exclude_max=True))),
+       T=st.integers(0, 9),
+       eps=st.one_of(st.floats(1e-9, 1e-3), st.floats(1e-3, 0.75)),
+       m=st.sampled_from([DEFAULT_MAP, CatMap(2, 1, 1, 1), CatMap(3, 2, 4, 3)]))
+@example(kind="uniform", n=200, seed=1, alpha=0.5, center=(0.3, 0.6), T=5,
+         eps=1e-6, m=DEFAULT_MAP)  # empty before t = 2
+@example(kind="uniform", n=200, seed=1, alpha=0.5, center=7, T=8,
+         eps=1e-6, m=DEFAULT_MAP)  # only the center survives
+@settings(max_examples=200, deadline=None)
+def test_nested_ball_masses_equal_full_scans(kind, n, seed, alpha, center, T,
+                                             eps, m):
+    cloud = _test_cloud(kind, n, seed, alpha)
+    if isinstance(center, int):
+        center = cloud.points[center % len(cloud)]
+    masses = _nested_ball_masses(m, cloud, np.asarray(center, float), T, eps)
+    assert list(masses) == list(range(2, T + 1, 2))
+    for t, mass in masses.items():
+        d = bowen_distance_cloud(m, center, cloud.points, t)
+        assert mass == float(cloud.weights[d < eps].sum())
+    values = list(masses.values())
+    assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+def test_nested_ball_masses_ties_at_the_edge():
+    # dyadic grid points step exactly, so many distances equal eps exactly
+    g = np.arange(16) / 16
+    pts = np.stack(np.meshgrid(g, g), -1).reshape(-1, 2)
+    cloud = SampleCloud(points=pts, weights=np.full(len(pts), 1 / len(pts)))
+    for eps in np.unique(np.hypot(*pts[:40].T))[1:]:
+        masses = _nested_ball_masses(M, cloud, pts[17], 6, eps)
+        for t, mass in masses.items():
+            d = bowen_distance_cloud(M, pts[17], pts, t)
+            assert mass == float(cloud.weights[d < eps].sum())
+
+
+def test_lone_row_steps_as_in_whole_cloud():
+    pts = uniform_cloud(2000, seed=6).points
+    for mat in (M.matrix().astype(float), M.inverse_matrix().astype(float)):
+        whole = (pts @ mat.T) % 1.0  # bowen_distance_cloud's step
+        for i in range(len(pts)):
+            assert np.array_equal(_step(pts[i:i + 1], mat), whole[i:i + 1])
 
 
 def test_ks_estimate_permutation_invariant():
