@@ -16,7 +16,6 @@ from .errors import GrazingError
 
 GRAZING_TOL = 1e-10
 _T_MIN = 1e-12  # minimal advance, rejects the departure point itself
-AVERAGE_SAMPLE_STEP = 0.02  # chord sampling of ergodic_average
 COVERAGE_SAMPLE_STEP = 0.04  # chord sampling of coverage_grid
 COVERAGE_CELLS = (32, 16)  # coverage_grid cells along x and y
 
@@ -109,38 +108,23 @@ def _step_raw(a, r, x, y, dx, dy):
     return xh, yh, rx / nrm, ry / nrm, t_best
 
 
-def _bounces(domain: StadiumDomain, s: BilliardState, n_bounces: int):
-    """Yield (x, y, dx, dy, t) at each of n_bounces successive collisions,
-    t being the chord length to it. A GrazingError carries the index of the
-    bounce that raised it."""
+def billiard_flow(domain: StadiumDomain, s: BilliardState, n_bounces: int):
+    """Orbit of n_bounces >= 1 successive collisions as (states, times):
+    states (n_bounces + 1, 4) with columns x, y, dx, dy from the start state
+    on, and times the cumulative arc length at each. A GrazingError carries
+    the index of the bounce that raised it."""
+    if n_bounces < 1:
+        raise ValueError("n_bounces must be >= 1")
     a, r = domain.half_length, domain.radius
     x, y, dx, dy = s.x, s.y, s.dx, s.dy
+    orbit = np.empty((n_bounces + 1, 5))
+    orbit[0] = (x, y, dx, dy, 0.0)
     try:
         for i in range(n_bounces):
             x, y, dx, dy, t = _step_raw(a, r, x, y, dx, dy)
-            yield x, y, dx, dy, t
+            orbit[i + 1] = (x, y, dx, dy, t)
     except GrazingError as exc:
         raise GrazingError(str(exc), bounce_index=i) from exc
-
-
-def _collisions(domain: StadiumDomain, s: BilliardState, n_bounces: int,
-                width: int) -> np.ndarray:
-    """Rows (x, y, dx, dy, t)[:width] for the start state (t = 0) and each
-    of n_bounces >= 1 collisions, t being the chord length to it."""
-    if n_bounces < 1:
-        raise ValueError("n_bounces must be >= 1")
-    out = np.empty((n_bounces + 1, width))
-    out[0] = (s.x, s.y, s.dx, s.dy, 0.0)[:width]
-    for i, row in enumerate(_bounces(domain, s, n_bounces), 1):
-        out[i] = row[:width]
-    return out
-
-
-def billiard_flow(domain: StadiumDomain, s: BilliardState, n_bounces: int):
-    """Orbit of n_bounces successive collisions as (states, times): states
-    (n_bounces + 1, 4) with columns x, y, dx, dy from the start state on,
-    and times the cumulative arc length at each."""
-    orbit = _collisions(domain, s, n_bounces, 5)
     return orbit[:, :4], np.cumsum(orbit[:, 4])
 
 
@@ -149,18 +133,18 @@ def circle_angular_momentum(s: BilliardState) -> float:
     return s.x * s.dy - s.y * s.dx
 
 
-def flow_vertices(domain: StadiumDomain, s: BilliardState, n_bounces: int) -> np.ndarray:
-    """Collision points (n_bounces + 1, 2), the start point first."""
-    return _collisions(domain, s, n_bounces, 2)
+def _chord_ends(states: np.ndarray, n_bounces: int):
+    """Start and end points (n_bounces, 2) of the orbit's first n_bounces
+    chords."""
+    if not 1 <= n_bounces < len(states):
+        raise ValueError(f"n_bounces must be in [1, {len(states) - 1}]")
+    pts = states[:n_bounces + 1, :2]
+    return pts[:-1], pts[1:]
 
 
-def _chord_samples(vertices: np.ndarray, sample_step: float):
-    """Midpoint samples along each chord with per-sample arc-length weights.
-
-    Yields (points, weights) in chunks to bound memory.
-    """
-    p0 = vertices[:-1]
-    p1 = vertices[1:]
+def _chord_samples(p0: np.ndarray, p1: np.ndarray, sample_step: float):
+    """Midpoint samples along each chord, spacing <= sample_step, yielded in
+    chunks to bound memory."""
     lengths = np.hypot(*(p1 - p0).T)
     counts = np.maximum(1, np.ceil(lengths / sample_step).astype(int))
     chunk = 20_000
@@ -172,40 +156,36 @@ def _chord_samples(vertices: np.ndarray, sample_step: float):
         # fractional midpoint positions within each chord
         offs = np.arange(total) - np.repeat(np.cumsum(c) - c, c)
         frac = (offs + 0.5) / np.repeat(c, c)
-        pts = p0[reps] + frac[:, None] * (p1[reps] - p0[reps])
-        w = np.repeat(lengths[lo:hi] / c, c)
-        yield pts, w
+        yield p0[reps] + frac[:, None] * (p1[reps] - p0[reps])
 
 
-def ergodic_average(domain: StadiumDomain, s: BilliardState, region,
-                    n_bounces: int) -> float:
-    """Fraction of arc length the orbit spends inside the region.
-
-    region is a vectorized indicator f(x, y) -> bool/0-1 over arrays. Chords
-    are sampled at the midpoint rule with spacing <= AVERAGE_SAMPLE_STEP.
-    """
-    verts = flow_vertices(domain, s, n_bounces)
-    inside = 0.0
-    total = 0.0
-    for pts, w in _chord_samples(verts, AVERAGE_SAMPLE_STEP):
-        vals = np.asarray(region(pts[:, 0], pts[:, 1]), float)
-        inside += float(vals @ w)
-        total += float(w.sum())
-    return inside / total
+def ergodic_average(states: np.ndarray, n_bounces: int) -> float:
+    """Exact fraction of the arc length of the orbit's first n_bounces
+    chords that lies in x < 0; a chord crossing x = 0 splits at the chord
+    parameter x0 / (x0 - x1)."""
+    p0, p1 = _chord_ends(states, n_bounces)
+    lengths = np.hypot(*(p1 - p0).T)
+    x0, x1 = p0[:, 0], p1[:, 0]
+    left = (x0 < 0).astype(float)
+    cross = (x0 < 0) != (x1 < 0)
+    s = x0[cross] / (x0[cross] - x1[cross])
+    left[cross] = np.where(x0[cross] < 0, s, 1.0 - s)
+    return float(left @ lengths / lengths.sum())
 
 
-def coverage_grid(domain: StadiumDomain, s: BilliardState, n_bounces: int):
-    """Visit counts of the orbit on the COVERAGE_CELLS grid over the bounding
-    box, chords sampled at spacing <= COVERAGE_SAMPLE_STEP.
+def coverage_grid(domain: StadiumDomain, states: np.ndarray, n_bounces: int):
+    """Visit counts of the orbit's first n_bounces chords on the
+    COVERAGE_CELLS grid over the bounding box, chords sampled at spacing
+    <= COVERAGE_SAMPLE_STEP.
 
     Returns (counts, cell_inside) where cell_inside marks cells whose center
     lies inside the domain.
     """
     (x0, y0), (x1, y1) = domain.bounding_box()
     nx, ny = COVERAGE_CELLS
-    verts = flow_vertices(domain, s, n_bounces)
     counts = np.zeros((nx, ny), dtype=np.int64)
-    for pts, _ in _chord_samples(verts, COVERAGE_SAMPLE_STEP):
+    for pts in _chord_samples(*_chord_ends(states, n_bounces),
+                              COVERAGE_SAMPLE_STEP):
         ix = np.clip(((pts[:, 0] - x0) / (x1 - x0) * nx).astype(int), 0, nx - 1)
         iy = np.clip(((pts[:, 1] - y0) / (y1 - y0) * ny).astype(int), 0, ny - 1)
         np.add.at(counts, (ix, iy), 1)

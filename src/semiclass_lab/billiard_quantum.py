@@ -116,10 +116,6 @@ class BilliardMode:
     spacing: float
     residual: float
 
-    @property
-    def hbar(self) -> float:
-        return 1.0 / self.k
-
 
 def _make_modes(dd: DiscreteDomain, A, w, V, order) -> list:
     h = dd.spacing

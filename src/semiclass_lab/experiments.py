@@ -17,9 +17,8 @@ import numpy as np
 import scipy.special
 
 from . import billiard_quantum as bq
-from .billiard import (BilliardState, StadiumDomain, _bounces,
-                       billiard_flow, circle_angular_momentum,
-                       coverage_grid, ergodic_average)
+from .billiard import (BilliardState, StadiumDomain, billiard_flow,
+                       circle_angular_momentum, coverage_grid, ergodic_average)
 from .catmap import TorusPoint, cat_lyapunov
 from .config import ExperimentConfig
 from .entropy import (atom_cloud, entropy_bound_check, ks_entropy_estimate,
@@ -303,14 +302,11 @@ def angular_momentum_drift(report: RunReport, angle: float):
     disc = StadiumDomain(half_length=0.0, radius=1.0)
     s = BilliardState(0.31, -0.12, math.cos(angle), math.sin(angle))
     L0 = circle_angular_momentum(s)
-    drift = 0.0
-    orbit_rows = [(0, s.x, s.y, s.dx, s.dy)]
-    for i, (x, y, dx, dy, _) in enumerate(_bounces(disc, s, 100_000)):
-        drift = max(drift, abs(x * dy - y * dx - L0))
-        if i < 999:
-            orbit_rows.append((i + 1, x, y, dx, dy))
+    states, _ = billiard_flow(disc, s, 100_000)
+    x, y, dx, dy = states[1:].T
+    drift = float(np.abs(x * dy - y * dx - L0).max())
     report.add("angular_momentum_drift_lt_1e-9", drift < 1e-9, drift)
-    return orbit_rows
+    return [(i, *row) for i, row in enumerate(states[:1000])]
 
 
 def run_billiard_circle(cfg: ExperimentConfig, out: Path, report: RunReport):
@@ -398,21 +394,22 @@ def run_billiard_stadium(cfg: ExperimentConfig, out: Path, report: RunReport):
 
 
 def ergodic_study(report: RunReport, angle: float):
-    """Stadium orbit from (0.137, -0.041) in direction angle: adds the
-    left-half time-average and cell-coverage checks. Returns the coverage
+    """Stadium orbit of 1e6 bounces from (0.137, -0.041) in direction angle:
+    adds the left-half time-average check over all of it and the
+    cell-coverage check over its first 1e5 bounces. Returns the coverage
     rows and the first 2000 bounces."""
     domain = StadiumDomain(half_length=1.0, radius=1.0)
     start = BilliardState(0.137, -0.041, math.cos(angle), math.sin(angle))
-    frac = ergodic_average(domain, start, lambda x, y: x < 0, 1_000_000)
+    states, _ = billiard_flow(domain, start, 1_000_000)
+    frac = ergodic_average(states, 1_000_000)
     report.add("left_half_fraction_within_0.02", abs(frac - 0.5) <= 0.02, frac)
-    counts, inside = coverage_grid(domain, start, 100_000)
+    counts, inside = coverage_grid(domain, states, 100_000)
     covered = bool((counts[inside] > 0).all())
     report.add("all_interior_cells_visited", covered,
                float((counts[inside] > 0).sum()), f"of {int(inside.sum())} cells")
     coverage_rows = [(i, j, int(counts[i, j]), bool(inside[i, j]))
                      for i in range(counts.shape[0]) for j in range(counts.shape[1])]
-    states, _ = billiard_flow(domain, start, 2000)
-    return coverage_rows, [(i, *row) for i, row in enumerate(states)]
+    return coverage_rows, [(i, *row) for i, row in enumerate(states[:2001])]
 
 
 def run_ergodic_orbit(cfg: ExperimentConfig, out: Path, report: RunReport):

@@ -26,17 +26,13 @@ INTERTWINING_LABELS = ((1, 0), (0, 1), (1, 1))  # checked by intertwining_defect
 
 @dataclass(frozen=True)
 class TorusHilbert:
-    """Dimension-N quantum torus; hbar is derived, never stored."""
+    """Dimension-N quantum torus, with hbar = 1 / (2 pi N)."""
 
     N: int
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("dimension N must be >= 1")
-
-    @property
-    def hbar(self) -> float:
-        return 1.0 / (2.0 * np.pi * self.N)
 
 
 class TrigObservable:
@@ -81,12 +77,6 @@ class TrigObservable:
             key = (int(mat[0, 0] * m1 + mat[1, 0] * m2),
                    int(mat[0, 1] * m1 + mat[1, 1] * m2))
             out[key] = out.get(key, 0.0) + c
-        return TrigObservable(out)
-
-    def __add__(self, other):
-        out = dict(self.coefficients)
-        for m, c in other.coefficients.items():
-            out[m] = out.get(m, 0.0) + c
         return TrigObservable(out)
 
 
@@ -148,7 +138,9 @@ def coherent_state(h: TorusHilbert, center: TorusPoint) -> np.ndarray:
     j = np.arange(N)
     psi = np.zeros(N, complex)
     base = np.rint(j / N - x0).astype(int)
-    # Gaussian tail below 1e-16 once pi N dx^2 > 37; three translates suffice
+    # five translates: every omitted one has |dx| >= 2.5, so its weight
+    # exp(-pi N dx^2) is below e^-37 (about 1e-16) once pi N 2.5^2 > 37,
+    # that is for N >= 2
     for k in (-2, -1, 0, 1, 2):
         m = base + k
         dx = j / N - x0 - m

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from semiclass_lab.billiard import (BilliardState, StadiumDomain, billiard_flow,
                                     circle_angular_momentum, coverage_grid,
-                                    ergodic_average, flow_vertices)
+                                    ergodic_average)
 from semiclass_lab.errors import GrazingError
 
 CIRCLE = StadiumDomain(half_length=0.0, radius=1.0)
@@ -88,12 +88,9 @@ def test_grazing_raises():
 
 def test_grazing_error_carries_bounce_index():
     s = BilliardState(1.0, 0.0, 0.0, 1.0)  # grazes at the first bounce
-    for run in (lambda: billiard_flow(CIRCLE, s, 5),
-                lambda: ergodic_average(CIRCLE, s, lambda x, y: x < 0, 5),
-                lambda: coverage_grid(CIRCLE, s, 5)):
-        with pytest.raises(GrazingError) as exc:
-            run()
-        assert exc.value.bounce_index == 0
+    with pytest.raises(GrazingError) as exc:
+        billiard_flow(CIRCLE, s, 5)
+    assert exc.value.bounce_index == 0
 
 
 def test_speed_preserved_along_orbit():
@@ -104,44 +101,70 @@ def test_speed_preserved_along_orbit():
 
 
 def test_ergodic_average_whole_domain():
-    s = BilliardState(0.0, 0.1, math.cos(0.9), math.sin(0.9))
-    assert ergodic_average(STADIUM, s, lambda x, y: np.ones_like(x), 200) == \
-        pytest.approx(1.0)
+    """A bouncing-ball orbit across the straight section stays on one side
+    of x = 0 and spends all or none of its length in the left half."""
+    for x, frac in ((-0.5, 1.0), (0.5, 0.0)):
+        states, _ = billiard_flow(STADIUM, BilliardState(x, 0.0, 0.0, 1.0), 200)
+        assert ergodic_average(states, 200) == frac
+
+
+def test_axis_orbit_left_half_fraction_exact():
+    """From (-1, 0) along the axis the chords run 3 then 4, 4, 4, 4 long,
+    with 1 then 2 of each in x < 0."""
+    states, _ = billiard_flow(STADIUM, BilliardState(-1.0, 0.0, 1.0, 0.0), 5)
+    assert ergodic_average(states, 5) == 9 / 19
+
+
+def test_left_half_fraction_matches_sampling():
+    """The exact chord split against midpoint sampling of each chord."""
+    s = BilliardState(0.137, -0.041, math.cos(0.83), math.sin(0.83))
+    states, _ = billiard_flow(STADIUM, s, 2000)
+    p0, p1 = states[:-1, :2], states[1:, :2]
+    frac = (np.arange(4000) + 0.5) / 4000
+    xs = p0[:, :1] + frac * (p1[:, :1] - p0[:, :1])  # (chords, samples)
+    lengths = np.hypot(*(p1 - p0).T)
+    sampled = ((xs < 0).mean(axis=1) @ lengths) / lengths.sum()
+    assert abs(ergodic_average(states, 2000) - sampled) < 1e-4
 
 
 def test_caustic_excludes_inner_disc():
-    """|L| = 0.8 keeps the circle orbit outside radius 0.8."""
+    """|L| = 0.8 keeps every chord of the circle orbit outside radius 0.8."""
     # launch tangentially to the caustic: position r=0.8, direction perpendicular
     s = BilliardState(0.8, 0.0, 0.0, 1.0)
     assert circle_angular_momentum(s) == pytest.approx(0.8)
-    frac = ergodic_average(CIRCLE, s, lambda x, y: np.hypot(x, y) < 0.3, 2000)
-    assert frac == 0.0
+    states, _ = billiard_flow(CIRCLE, s, 2000)
+    p0, d = states[:-1, :2], np.diff(states[:, :2], axis=0)
+    # parameter of the point of each chord nearest the origin
+    t = np.clip(-(p0 * d).sum(axis=1) / (d * d).sum(axis=1), 0.0, 1.0)
+    nearest = np.hypot(*(p0 + t[:, None] * d).T)
+    assert nearest.min() >= 0.8 - 1e-9
 
 
 def test_left_half_fraction_short():
     s = BilliardState(0.137, -0.041, math.cos(0.83), math.sin(0.83))
-    frac = ergodic_average(STADIUM, s, lambda x, y: x < 0, 50_000)
-    assert abs(frac - 0.5) < 0.05
+    states, _ = billiard_flow(STADIUM, s, 50_000)
+    assert abs(ergodic_average(states, 50_000) - 0.5) < 0.05
 
 
 def test_coverage_grid_shape_and_visits():
     s = BilliardState(0.137, -0.041, math.cos(0.83), math.sin(0.83))
-    counts, inside = coverage_grid(STADIUM, s, 20_000)
+    states, _ = billiard_flow(STADIUM, s, 20_000)
+    counts, inside = coverage_grid(STADIUM, states, 20_000)
     assert counts.shape == (32, 16) and inside.shape == (32, 16)
     assert (counts[inside] > 0).mean() > 0.95
 
 
-def test_flow_vertices_matches_flow():
-    s = BilliardState(0.2, 0.3, math.cos(2.1), math.sin(2.1))
-    states, _ = billiard_flow(STADIUM, s, 20)
-    assert np.array_equal(states[:, :2], flow_vertices(STADIUM, s, 20))
-
-
 @pytest.mark.parametrize("n_bounces", [0, -3])
 def test_bounce_count_must_be_positive(n_bounces):
+    """Counts below 1, and counts past the end of the orbit, are rejected."""
     s = BilliardState(0.2, 0.3, math.cos(2.1), math.sin(2.1))
-    for run in (lambda: billiard_flow(STADIUM, s, n_bounces),
-                lambda: ergodic_average(STADIUM, s, lambda x, y: x < 0, n_bounces),
-                lambda: coverage_grid(STADIUM, s, n_bounces)):
+    states, _ = billiard_flow(STADIUM, s, 20)
+    for run in (lambda n: billiard_flow(STADIUM, s, n),
+                lambda n: ergodic_average(states, n),
+                lambda n: coverage_grid(STADIUM, states, n)):
         with pytest.raises(ValueError, match="n_bounces"):
-            run()
+            run(n_bounces)
+    for run in (lambda n: ergodic_average(states, n),
+                lambda n: coverage_grid(STADIUM, states, n)):
+        with pytest.raises(ValueError, match="n_bounces"):
+            run(len(states))

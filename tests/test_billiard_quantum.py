@@ -45,13 +45,12 @@ def test_square_spectrum_exact():
         assert m.residual < 1e-8
 
 
-def test_mode_normalization_and_hbar():
+def test_mode_normalization():
     h = 1.0 / 30
     dd, A = _square(h)
     modes = eigenmodes_near(dd, A, np.pi * np.sqrt(2), 3)
     for m in modes:
         assert (m.wavefunction**2).sum() * h**2 == pytest.approx(1.0, abs=1e-10)
-        assert m.hbar == pytest.approx(1.0 / m.k)
 
 
 def test_circle_ground_mode_matches_bessel_zero():
