@@ -21,6 +21,7 @@ from .errors import GeometryError, NumericalError, UnderResolved
 
 ALPHA_MIN = 1e-3
 WINDOW_HALFWIDTH = 1.0  # eigenmodes_window keeps |k - center_k| <= this
+SCAR_TUBE_FRACTION = 0.1  # scar_score: tube half-width over the cap radius
 
 
 @dataclass
@@ -189,13 +190,10 @@ def tube_area_fraction(domain: StadiumDomain, w: float) -> float:
     return tube / domain.area
 
 
-def scar_score(mode: BilliardMode, domain: StadiumDomain,
-               tube_halfwidth: float | None = None) -> float:
-    """Mass in the tube around the horizontal orbit over its area fraction."""
-    r = domain.radius
-    w = 0.1 * r if tube_halfwidth is None else tube_halfwidth
-    if not 0 < w < r / 2:
-        raise ValueError("tube halfwidth must lie in (0, r/2)")
+def scar_score(mode: BilliardMode, domain: StadiumDomain) -> float:
+    """Mass in the tube |y| <= SCAR_TUBE_FRACTION * r around the horizontal
+    orbit over its area fraction."""
+    w = SCAR_TUBE_FRACTION * domain.radius
     mass = position_measure(mode, lambda x, y: np.abs(y) <= w)
     return mass / tube_area_fraction(domain, w)
 

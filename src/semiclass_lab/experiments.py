@@ -23,7 +23,7 @@ from .catmap import TorusPoint, cat_lyapunov
 from .config import ExperimentConfig
 from .entropy import (atom_cloud, entropy_bound_check, ks_entropy_estimate,
                       mixture_cloud, model_entropy, uniform_cloud)
-from .measures import (ModelMeasure, ball_mass, husimi, matrix_element,
+from .measures import (ModelMeasure, ball_mass, eigenbasis_elements, husimi,
                        qe_variance, weak_star_distance, wigner_coefficients)
 from .serialization import (KIND_OPERATOR, KIND_STATE, write_csv, write_pgm,
                             write_state)
@@ -108,8 +108,7 @@ def qe_study(report: RunReport, m, A: TrigObservable, N: int):
     for n in sorted({64, N}):
         h = TorusHilbert(n)
         dec = diagonalize(cat_propagator(h, m))
-        mus = np.array([matrix_element(h, dec.eigenvectors[:, k], A)
-                        for k in range(n)])
+        mus = eigenbasis_elements(h, dec, A)
         avg_defect = abs(mus.mean() - A.mean)
         report.add(f"basis_average_identity_N{n}", avg_defect < 1e-10, avg_defect)
         variances[n] = qe_variance(h, dec, A)
@@ -156,9 +155,9 @@ def scar_study(report: RunReport, m, dims):
     for N, P in dims:
         h = TorusHilbert(N)
         U = cat_propagator(h, m)
-        qp = quantum_period(h, m, P + 1, U=U)
+        qp = quantum_period(h, m, P + 1, U)
         T_half = max(1, qp.P // 2)
-        psi = scarred_state(h, m, T_half, U=U, period=qp)
+        psi = scarred_state(h, T_half, U, qp)
         g = husimi(h, psi)
         mass = ball_mass(g, TorusPoint(0.0, 0.0), 0.1)
         w = wigner_coefficients(h, psi, 8)
@@ -380,8 +379,9 @@ def run_billiard_stadium(cfg: ExperimentConfig, out: Path, report: RunReport):
     v30 = bq.qe_spatial_variance(modes30, left)
     report.add("left_half_variance_decays", v30 < v15, v30,
                f"variance at k~15: {v15:.3e}")
-    # x -> -x pins every mode's left-half mass at 1/2, so the decay is
-    # gated on the central strip, which the symmetry does not pin
+    # x -> -x pins mode n's left-half mass at (1 - c_n)/2, c_n its mass on
+    # the grid column x = 0 that neither half counts, so the check above
+    # reads the QE variance of c_n; the central strip is not pinned at all
     strip = lambda x, y: np.abs(x) <= domain.half_length / 2
     s15 = bq.qe_spatial_variance(modes15, strip)
     s30 = bq.qe_spatial_variance(modes30, strip)

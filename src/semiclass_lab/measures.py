@@ -16,8 +16,7 @@ from .catmap import TorusPoint
 from .errors import AliasingError
 from .spectral import EigenDecomposition
 from .torus_quantum import (TorusHilbert, TrigObservable, _freq_to_label,
-                            coherent_state, op_apply, translation_apply,
-                            weyl_quantize)
+                            coherent_state, op_apply, translation_apply)
 
 
 def matrix_element(h: TorusHilbert, psi: np.ndarray, A: TrigObservable) -> float:
@@ -93,10 +92,20 @@ def ball_mass(g: HusimiGrid, center: TorusPoint, eps: float) -> float:
     return float(g.values[mask].sum())
 
 
+def eigenbasis_elements(h: TorusHilbert, dec: EigenDecomposition,
+                        A: TrigObservable) -> np.ndarray:
+    """mu_{v_n}(A) for every eigenvector v_n, equal bit for bit to
+    matrix_element on each: one op_apply gather on the whole basis, then one
+    vdot per column."""
+    V = dec.eigenvectors
+    W = op_apply(h, A, V)
+    return np.array([np.vdot(V[:, n], W[:, n]).real for n in range(V.shape[1])])
+
+
 def qe_variance(h: TorusHilbert, dec: EigenDecomposition, A: TrigObservable) -> float:
-    """(1/N) sum_n |mu_{v_n}(A) - mean(A)|^2 over the full eigenbasis."""
-    op = weyl_quantize(h, A)
-    diag = np.einsum("in,ij,jn->n", dec.eigenvectors.conj(), op, dec.eigenvectors)
+    """(1/N) sum_n |mu_{v_n}(A) - mean(A)|^2 over the full eigenbasis, read
+    from eigenbasis_elements."""
+    diag = eigenbasis_elements(h, dec, A)
     return float(np.mean(np.abs(diag - A.mean) ** 2))
 
 

@@ -14,8 +14,7 @@ import scipy.linalg
 
 from .catmap import CatMap, TorusPoint, cat_lyapunov
 from .errors import DegenerateConstruction, NumericalError
-from .torus_quantum import (TorusHilbert, cat_propagator, coherent_state,
-                            unitarity_defect)
+from .torus_quantum import TorusHilbert, coherent_state, unitarity_defect
 
 DEGENERACY_TOL = 1e-8 * 2 * np.pi
 RESIDUAL_TOL = 1e-10  # diagonalize: unitarity, eigen-residual, orthogonality
@@ -109,17 +108,15 @@ def matrix_order_mod(m: CatMap, modulus: int, p_max: int):
     return None
 
 
-def quantum_period(h: TorusHilbert, m: CatMap, P_max: int,
-                   U: np.ndarray | None = None):
-    """Smallest P <= P_max with U^P proportional to the identity, else None.
+def quantum_period(h: TorusHilbert, m: CatMap, P_max: int, U: np.ndarray):
+    """Smallest P <= P_max with U^P proportional to the identity, else None,
+    where U is the propagator of m.
 
     The result is cross-checked against the order of the map's matrix modulo
     2N, which governs when the propagator becomes scalar.
     """
     if P_max < 1:
         raise ValueError("P_max must be >= 1")
-    if U is None:
-        U = cat_propagator(h, m)
     N = h.N
     Up = np.eye(N, dtype=complex)
     for P in range(1, P_max + 1):
@@ -151,32 +148,22 @@ def short_period_dimensions(m: CatMap, n_min: int, n_max: int):
     return out
 
 
-def scarred_state(h: TorusHilbert, m: CatMap, T_half: int,
-                  U: np.ndarray | None = None,
-                  period: QuantumPeriod | None = None) -> np.ndarray:
+def scarred_state(h: TorusHilbert, T_half: int, U: np.ndarray,
+                  period: QuantumPeriod) -> np.ndarray:
     """Phase-weighted time average of the coherent state at the fixed origin:
 
-        sum_{t=0}^{T_half-1} exp(-i theta t) U^t |cs(0,0)>, normalized.
+        sum_{t=0}^{T_half-1} exp(-i theta t) U^t |cs(0,0)>, normalized,
 
-    When a quantum period P is known (or found here), theta is the
-    eigenphase-cluster center (global_phase + 2 pi k)/P closest to the
-    Rayleigh-quotient phase of the coherent state; otherwise theta = 0.
+    where U has quantum period P = period.P and theta is the eigenphase-cluster
+    center (global_phase + 2 pi k)/P closest to the Rayleigh-quotient phase
+    of the coherent state.
     """
     if T_half < 1:
         raise ValueError("T_half must be >= 1")
-    if U is None:
-        U = cat_propagator(h, m)
     cs = coherent_state(h, TorusPoint(0.0, 0.0))
-    if period is None:
-        lam = cat_lyapunov(m).lambda_plus
-        p_max = max(1, int(SHORT_PERIOD_FACTOR * np.log(max(h.N, 2)) / lam) + 1)
-        period = quantum_period(h, m, p_max, U=U)
-    if period is not None:
-        theta0 = np.angle(np.vdot(cs, U @ cs))
-        centers = (period.global_phase + 2 * np.pi * np.arange(period.P)) / period.P
-        theta = float(centers[np.argmin(np.abs(np.exp(1j * (centers - theta0)) - 1))])
-    else:
-        theta = 0.0
+    theta0 = np.angle(np.vdot(cs, U @ cs))
+    centers = (period.global_phase + 2 * np.pi * np.arange(period.P)) / period.P
+    theta = float(centers[np.argmin(np.abs(np.exp(1j * (centers - theta0)) - 1))])
     psi = np.zeros(h.N, dtype=complex)
     v = cs
     for t in range(T_half):

@@ -101,9 +101,10 @@ def translation_op(h: TorusHilbert, n) -> np.ndarray:
 
 
 def translation_apply(h: TorusHilbert, n, psi: np.ndarray) -> np.ndarray:
-    """T_N(n) psi without forming the matrix."""
+    """T_N(n) psi without forming the matrix, for a vector or a block of
+    columns: a row gather, scaled row by row (hence the transposes)."""
     cols, phase = _translation(h, n)
-    return phase * psi[cols]
+    return (phase * psi[cols].T).T
 
 
 # Index map between observable frequencies and translation labels: the
@@ -113,18 +114,15 @@ def _freq_to_label(m):
 
 
 def weyl_quantize(h: TorusHilbert, A: TrigObservable) -> np.ndarray:
-    """Hermitian operator Op_N(A) = sum_m c_m T_N of the matching translation,
-    scattered into one matrix: each coefficient touches one entry per row."""
-    rows = np.arange(h.N)
-    op = np.zeros((h.N, h.N), complex)
-    for m, c in A.coefficients.items():
-        cols, phase = _translation(h, _freq_to_label(m))
-        op[rows, cols] += c * phase
-    return op
+    """Hermitian operator Op_N(A) = sum_m c_m T_N of the matching translation
+    as a dense matrix: op_apply on the identity. The suites never form it;
+    it is the reference the matrix-free path is tested against."""
+    return op_apply(h, A, np.eye(h.N, dtype=complex))
 
 
 def op_apply(h: TorusHilbert, A: TrigObservable, psi: np.ndarray) -> np.ndarray:
-    """Op_N(A) psi using translation actions only."""
+    """Op_N(A) psi, for a vector or a block of columns, using translation
+    actions only: each coefficient touches one entry per row."""
     out = np.zeros_like(psi, dtype=complex)
     for m, c in A.coefficients.items():
         out += c * translation_apply(h, _freq_to_label(m), psi)
@@ -231,12 +229,15 @@ def cat_propagator(h: TorusHilbert, m: CatMap) -> np.ndarray:
 
 
 def intertwining_defect(h: TorusHilbert, U: np.ndarray, m: CatMap) -> float:
-    """Max operator-norm defect of U T(n) U* = T(An) over INTERTWINING_LABELS."""
+    """Max operator-norm defect of U T(n) U* = T(An) over INTERTWINING_LABELS,
+    read as ||T(An) U - U T(n)|| (unitary invariance). Both products are row
+    gathers: T(An) on the columns of U, and T(-n) = T(n)* on those of U*."""
     A = index_action(m)
+    U_adj = U.conj().T
     worst = 0.0
     for n in INTERTWINING_LABELS:
-        lhs = U @ translation_op(h, n) @ U.conj().T
-        rhs = translation_op(h, A @ np.asarray(n, np.int64))
+        lhs = translation_apply(h, A @ np.asarray(n, np.int64), U)
+        rhs = translation_apply(h, (-n[0], -n[1]), U_adj).conj().T
         worst = max(worst, np.linalg.norm(lhs - rhs, 2))
     return worst
 
@@ -246,8 +247,9 @@ def egorov_defect(h: TorusHilbert, U: np.ndarray, m: CatMap, observables,
     """Operator-norm defects ||U^-t Op(A) U^t - Op(A o M^t)|| for each
     observable A and t = 1..T, as an array [len(observables), T], where U is
     the propagator of m. Zero to roundoff for linear maps (exact
-    correspondence). Op(A) is quantized afresh at each t rather than held as
-    a dense N x N matrix: re-quantizing costs O(N) per coefficient."""
+    correspondence). The norm is read as ||Op(A) U^t - U^t Op(A o M^t)||
+    (unitary invariance), and both products are op_apply gathers, on the
+    columns of U^t and of its adjoint: the one dense product is U^t itself."""
     defects = np.empty((len(observables), T))
     mat = m.matrix(object)
     mat_t = np.eye(2, dtype=object)
@@ -255,9 +257,10 @@ def egorov_defect(h: TorusHilbert, U: np.ndarray, m: CatMap, observables,
     for t in range(T):
         Ut = Ut @ U
         mat_t = mat_t @ mat
+        Ut_adj = Ut.conj().T
         for i, A in enumerate(observables):
-            evolved = Ut.conj().T @ weyl_quantize(h, A) @ Ut
-            classical = weyl_quantize(h, A.compose_with(mat_t))
+            evolved = op_apply(h, A, Ut)
+            classical = op_apply(h, A.compose_with(mat_t), Ut_adj).conj().T
             defects[i, t] = np.linalg.norm(evolved - classical, 2)
     return defects
 

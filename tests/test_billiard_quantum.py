@@ -103,14 +103,6 @@ def test_scores_on_synthetic_uniform_mode():
     assert bouncing_ball_score(flat, STADIUM) == pytest.approx(1.0, abs=0.1)
 
 
-def test_scar_score_validation():
-    dd = discretize_stadium(STADIUM, 0.1)
-    A = build_laplacian(dd)
-    mode = eigenmodes_near(dd, A, 4.0, 1)[0]
-    with pytest.raises(ValueError):
-        scar_score(mode, STADIUM, tube_halfwidth=0.6)
-
-
 def test_window_count_near_weyl():
     dd = discretize_stadium(STADIUM, 0.02)
     A = build_laplacian(dd)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from semiclass_lab.catmap import DEFAULT_MAP, TorusPoint
 from semiclass_lab.errors import AliasingError
-from semiclass_lab.measures import (ModelMeasure, ball_mass, husimi,
+from semiclass_lab.measures import (ModelMeasure, ball_mass,
+                                    eigenbasis_elements, husimi,
                                     matrix_element, qe_variance,
                                     weak_star_distance, wigner_coefficients)
 from semiclass_lab.spectral import diagonalize
@@ -153,6 +154,16 @@ def test_qe_variance_trivial_cases():
     shifted = TrigObservable({(1, 1): 1.0, (-1, -1): 1.0, (0, 0): 2.5})
     assert qe_variance(h, dec, shifted) == pytest.approx(
         qe_variance(h, dec, A), abs=1e-12)
+
+
+def test_eigenbasis_elements_equal_matrix_element():
+    """The one gather over the basis gives matrix_element's bytes on every
+    eigenvector, which keeps qe_variance.csv unchanged."""
+    h = TorusHilbert(64)
+    dec = diagonalize(cat_propagator(h, M))
+    A = TrigObservable.cosine((1, 1))
+    loop = [matrix_element(h, dec.eigenvectors[:, n], A) for n in range(64)]
+    assert np.array_equal(eigenbasis_elements(h, dec, A), loop)
 
 
 def test_basis_average_identity():

@@ -37,31 +37,34 @@ def test_spectral_reconstruction():
 
 
 def test_quantum_period_n1():
-    qp = quantum_period(TorusHilbert(1), M, 5)
+    h = TorusHilbert(1)
+    qp = quantum_period(h, M, 5, cat_propagator(h, M))
     assert qp is not None and qp.P == 1
 
 
 def test_quantum_period_matches_matrix_order():
     for N in (15, 56):
         h = TorusHilbert(N)
-        qp = quantum_period(h, M, 20)
+        U = cat_propagator(h, M)
+        qp = quantum_period(h, M, 20, U)
         assert qp is not None
         assert qp.P == matrix_order_mod(M, 2 * N, 20)
-        U = cat_propagator(h, M)
         UP = np.linalg.matrix_power(U, qp.P)
         assert np.abs(UP - np.exp(1j * qp.global_phase) * np.eye(N)).max() < 1e-8
 
 
 def test_quantum_period_absent():
     # generic N: order of M mod 2N far exceeds the small search bound
-    assert quantum_period(TorusHilbert(101), M, 3) is None
+    h = TorusHilbert(101)
+    assert quantum_period(h, M, 3, cat_propagator(h, M)) is None
 
 
 def test_spectrum_on_period_roots():
     N = 56
     h = TorusHilbert(N)
-    qp = quantum_period(h, M, 12)
-    dec = diagonalize(cat_propagator(h, M))
+    U = cat_propagator(h, M)
+    qp = quantum_period(h, M, 12, U)
+    dec = diagonalize(U)
     centers = (qp.global_phase + 2 * np.pi * np.arange(qp.P)) / qp.P
     for ph in dec.eigenphases:
         assert np.min(np.abs(np.exp(1j * (ph - centers)) - 1)) < 1e-6
@@ -83,7 +86,8 @@ def test_degeneracy_clusters_partition_and_refine():
 
 def test_scarred_state_single_term_is_coherent():
     h = TorusHilbert(56)
-    psi = scarred_state(h, M, 1)
+    U = cat_propagator(h, M)
+    psi = scarred_state(h, 1, U, quantum_period(h, M, 12, U))
     cs = coherent_state(h, TorusPoint(0, 0))
     assert abs(np.vdot(cs, psi)) == pytest.approx(1.0, abs=1e-10)
 
@@ -91,8 +95,9 @@ def test_scarred_state_single_term_is_coherent():
 def test_scarred_state_normalized_and_scarred():
     from semiclass_lab.measures import ball_mass, husimi
     h = TorusHilbert(56)
-    qp = quantum_period(h, M, 12)
-    psi = scarred_state(h, M, qp.P // 2)
+    U = cat_propagator(h, M)
+    qp = quantum_period(h, M, 12, U)
+    psi = scarred_state(h, qp.P // 2, U, qp)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
     mass = ball_mass(husimi(h, psi), TorusPoint(0, 0), 0.1)
     assert 0.35 <= mass <= 0.60
@@ -100,8 +105,9 @@ def test_scarred_state_normalized_and_scarred():
 
 def test_scarred_state_concentrates_on_one_cluster():
     h = TorusHilbert(56)
-    qp = quantum_period(h, M, 12)
-    dec = diagonalize(cat_propagator(h, M))
+    U = cat_propagator(h, M)
+    qp = quantum_period(h, M, 12, U)
+    dec = diagonalize(U)
     clusters = degeneracy_clusters(dec, 1e-6).clusters
 
     def top_cluster_weight(psi):
@@ -109,9 +115,9 @@ def test_scarred_state_concentrates_on_one_cluster():
         return max(w[idx].sum() for _, idx in clusters) / w.sum()
 
     # a full-period average is an exact eigenprojection
-    assert top_cluster_weight(scarred_state(h, M, qp.P)) >= 0.99
+    assert top_cluster_weight(scarred_state(h, qp.P, U, qp)) >= 0.99
     # the half-period state still puts most of its weight on one cluster
-    assert top_cluster_weight(scarred_state(h, M, qp.P // 2)) >= 0.5
+    assert top_cluster_weight(scarred_state(h, qp.P // 2, U, qp)) >= 0.5
 
 
 def test_short_period_dimensions_bound():

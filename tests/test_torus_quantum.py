@@ -59,15 +59,18 @@ label = st.tuples(st.integers(-200, 200), st.integers(-200, 200))
 def test_matrix_free_matches_dense(N, n, m, seed):
     h = TorusHilbert(N)
     rng = np.random.default_rng(seed)
-    psi = rng.normal(size=N) + 1j * rng.normal(size=N)
-    assert np.abs(translation_apply(h, n, psi) - translation_op(h, n) @ psi).max() < 1e-13
     # 0.3 cos at n plus -1.7 cos at m, merged where n = +-m
     coeffs = {}
     for B in (TrigObservable.cosine(n, 0.3), TrigObservable.cosine(m, -1.7)):
         for k, c in B.coefficients.items():
             coeffs[k] = coeffs.get(k, 0.0) + c
     A = TrigObservable(coeffs)
-    assert np.abs(op_apply(h, A, psi) - weyl_quantize(h, A) @ psi).max() < 1e-13
+    # a vector, and an (N, 3) block of columns
+    for shape in (N, (N, 3)):
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert np.abs(translation_apply(h, n, psi)
+                      - translation_op(h, n) @ psi).max() < 1e-13
+        assert np.abs(op_apply(h, A, psi) - weyl_quantize(h, A) @ psi).max() < 1e-13
 
 
 @pytest.mark.parametrize("N", [7, 64, 509, 512])
@@ -166,6 +169,12 @@ def test_shear_composite_intertwines():
     U = cat_propagator(h, mp)
     assert intertwining_defect(h, U, mp) < 1e-10
     assert (index_action(mp) == np.array([[1, -2], [-2, 5]])).all()
+
+
+@pytest.mark.parametrize("N", [8, 64])
+def test_intertwining_defect_fails_without_propagator(N):
+    """The identity does not quantize the map: ||T(An) - T(n)|| is near 2."""
+    assert intertwining_defect(TorusHilbert(N), np.eye(N), M) > 0.5
 
 
 def test_propagator_multiplicative_up_to_phase():
