@@ -4,7 +4,9 @@ A five-point Laplacian on a uniform grid over the bounding box, with the
 boundary imposed through a ghost-value elimination: the missing neighbor
 across the wall at fractional distance alpha contributes 1/(alpha h^2) to
 the diagonal only, which keeps the matrix exactly symmetric and restores
-second-order eigenvalue convergence on curved boundaries.
+second-order eigenvalue convergence on curved boundaries. On the
+stadium's grid, which mirrors exactly about both axes, eigen-windows are
+solved separately in each of the four x/y parity classes.
 """
 
 from __future__ import annotations
@@ -38,18 +40,19 @@ class DiscreteDomain:
     def n_interior(self) -> int:
         return int(self.mask.sum())
 
+    def cell_index(self) -> np.ndarray:
+        """(nx, ny) grid of each interior cell's equation index, -1 outside."""
+        idx = -np.ones(self.mask.shape, int)
+        idx[self.mask] = np.arange(self.n_interior)
+        return idx
+
     def interior_points(self):
         """Coordinates (x, y) of the interior cells in equation order."""
         ii, jj = np.nonzero(self.mask)
         return self.xs[ii], self.ys[jj]
 
 
-def discretize(sdf, lo, hi, h: float) -> DiscreteDomain:
-    """Sample the signed distance function on a grid covering [lo, hi]."""
-    nx = int(np.ceil((hi[0] - lo[0]) / h)) + 1
-    ny = int(np.ceil((hi[1] - lo[1]) / h)) + 1
-    xs = lo[0] + np.arange(nx) * h
-    ys = lo[1] + np.arange(ny) * h
+def _sample(sdf, xs, ys, h: float) -> DiscreteDomain:
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     phi = np.asarray(sdf(X, Y), float)
     mask = phi < 0
@@ -58,11 +61,23 @@ def discretize(sdf, lo, hi, h: float) -> DiscreteDomain:
     return DiscreteDomain(spacing=h, xs=xs, ys=ys, mask=mask, phi=phi)
 
 
+def discretize(sdf, lo, hi, h: float) -> DiscreteDomain:
+    """Sample the signed distance function on a grid covering [lo, hi]."""
+    nx = int(np.ceil((hi[0] - lo[0]) / h)) + 1
+    ny = int(np.ceil((hi[1] - lo[1]) / h)) + 1
+    return _sample(sdf, lo[0] + np.arange(nx) * h, lo[1] + np.arange(ny) * h, h)
+
+
 def discretize_stadium(domain: StadiumDomain, h: float) -> DiscreteDomain:
-    (x0, y0), (x1, y1) = domain.bounding_box()
-    pad = 2 * h
-    return discretize(domain.signed_distance, (x0 - pad, y0 - pad),
-                      (x1 + pad, y1 + pad), h)
+    """Grid h*(i - c) about the origin, two cells beyond the bounding box.
+
+    Negating h*i is exact, so xs == -xs[::-1] and ys == -ys[::-1] bit for
+    bit, and phi, mask and the Laplacian mirror exactly under x -> -x and
+    y -> -y (which eigenmodes_window relies on)."""
+    _, (x1, y1) = domain.bounding_box()
+    cx, cy = int(np.ceil(x1 / h)) + 2, int(np.ceil(y1 / h)) + 2
+    return _sample(domain.signed_distance, h * np.arange(-cx, cx + 1),
+                   h * np.arange(-cy, cy + 1), h)
 
 
 def build_laplacian(dd: DiscreteDomain) -> sp.csr_matrix:
@@ -70,22 +85,20 @@ def build_laplacian(dd: DiscreteDomain) -> sp.csr_matrix:
     h = dd.spacing
     mask, phi = dd.mask, dd.phi
     nx, ny = mask.shape
-    idx = -np.ones(mask.shape, int)
-    idx[mask] = np.arange(mask.sum())
+    idx = dd.cell_index()
     ii, jj = np.nonzero(mask)
     n = len(ii)
-    diag = np.zeros(n)
-    rows, cols, vals = [], [], []
+    rows, cols, vals, terms = [], [], [], []
     for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         ni, nj = ii + di, jj + dj
         inb = (ni >= 0) & (ni < nx) & (nj >= 0) & (nj < ny)
         nbr = np.zeros(n, bool)
         nbr[inb] = mask[ni[inb], nj[inb]]
         # interior neighbor: standard off-diagonal coupling
-        rows.append(idx[ii, jj][nbr])
+        rows.append(np.flatnonzero(nbr))
         cols.append(idx[ni[nbr], nj[nbr]])
         vals.append(np.full(nbr.sum(), -1.0 / h**2))
-        diag[idx[ii, jj][nbr]] += 1.0 / h**2
+        term = np.full(n, 1.0 / h**2)
         # boundary crossing: the zero of the linearly interpolated signed
         # distance sits at fraction alpha of the grid step
         bnd = ~nbr
@@ -95,10 +108,13 @@ def build_laplacian(dd: DiscreteDomain) -> sp.csr_matrix:
         pn = np.full(bnd.sum(), np.inf)
         pn[ok] = phi[nio[ok], njo[ok]]
         alpha = np.clip(pb / (pb - pn), ALPHA_MIN, 1.0)
-        diag[idx[ii, jj][bnd]] += 1.0 / (alpha * h**2)
+        term[bnd] = 1.0 / (alpha * h**2)
+        terms.append(term)
     rows.append(np.arange(n))
     cols.append(np.arange(n))
-    vals.append(diag)
+    # each mirror pair summed first: a reflection swaps the two terms of a
+    # pair, so the diagonal mirrors bit for bit wherever phi does
+    vals.append((terms[0] + terms[1]) + (terms[2] + terms[3]))
     A = sp.csr_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n, n))
@@ -132,20 +148,53 @@ def _make_modes(dd: DiscreteDomain, A, w, V, order) -> list:
     return modes
 
 
-def eigenmodes_near(dd: DiscreteDomain, A: sp.csr_matrix, target_k: float,
-                    count: int) -> list:
-    """count eigenmodes with eigenvalues nearest target_k^2 (shift-invert),
-    sorted by |k - target_k|."""
+def _shift_invert(dd: DiscreteDomain, M, target_k: float, count: int):
+    """eigsh of M for the count eigenvalues nearest target_k^2."""
     if target_k * dd.spacing >= 0.5:
         raise UnderResolved("target_k h >= 0.5: grid cannot resolve the wavelength")
-    n = A.shape[0]
+    n = M.shape[0]
     v0 = np.full(n, 1.0 / math.sqrt(n))  # fixed start vector for determinism
     try:
-        w, V = spla.eigsh(A, k=count, sigma=target_k**2, which="LM", v0=v0)
+        return spla.eigsh(M, k=count, sigma=target_k**2, which="LM", v0=v0)
     except spla.ArpackNoConvergence as exc:
         raise NumericalError(f"shift-invert eigensolver failed: {exc}") from exc
+
+
+def eigenmodes_near(dd: DiscreteDomain, A: sp.csr_matrix, target_k: float,
+                    count: int) -> list:
+    """count eigenmodes with eigenvalues nearest target_k^2 (shift-invert on
+    the full grid), sorted by |k - target_k|."""
+    w, V = _shift_invert(dd, A, target_k, count)
     order = np.argsort(np.abs(np.sqrt(w) - target_k))
     return _make_modes(dd, A, w, V, order)
+
+
+def _parity_bases(dd: DiscreteDomain) -> list:
+    """Orthonormal bases Q (interior cells x class size) of the four
+    classes (sx, sy) of functions with f(-x, y) = sx f and f(x, -y) = sy f.
+
+    Column r is the signed sum over the mirror orbit of the r-th cell with
+    x >= 0 and y >= 0, normalized; on a mirror line the orbit folds onto
+    itself, so its terms add for an even sign and cancel for an odd one."""
+    if not (np.array_equal(dd.xs, -dd.xs[::-1])
+            and np.array_equal(dd.ys, -dd.ys[::-1])):
+        raise GeometryError("parity classes need a grid mirrored about both axes")
+    nx, ny = dd.mask.shape
+    idx = dd.cell_index()
+    qi, qj = np.nonzero(dd.mask[nx // 2:, ny // 2:])
+    qi, qj = qi + nx // 2, qj + ny // 2
+    orbit = np.concatenate([idx[qi, qj], idx[nx - 1 - qi, qj],
+                            idx[qi, ny - 1 - qj], idx[nx - 1 - qi, ny - 1 - qj]])
+    reps = np.tile(np.arange(len(qi)), 4)
+    bases = []
+    for sx in (1, -1):
+        for sy in (1, -1):
+            signs = np.repeat([1.0, sx, sy, sx * sy], len(qi))
+            Q = sp.csc_matrix((signs, (orbit, reps)), shape=(dd.n_interior, len(qi)))
+            Q.eliminate_zeros()
+            Q = Q[:, np.diff(Q.indptr) > 0]
+            bases.append(Q @ sp.diags(1.0 / np.sqrt(Q.power(2).sum(axis=0).A1)))
+    return bases
 
 
 def weyl_window_count(domain: StadiumDomain, center_k: float) -> float:
@@ -159,20 +208,30 @@ def eigenmodes_window(dd: DiscreteDomain, A: sp.csr_matrix, domain: StadiumDomai
                       center_k: float) -> list:
     """All modes with |k - center_k| <= WINDOW_HALFWIDTH, sorted by k.
 
-    The request size is padded over the Weyl-law count of domain. If even
-    the farthest mode returned lies inside the window, the window may be
-    cut short, and NumericalError is raised.
+    The grid must mirror about both axes, as discretize_stadium's does; A
+    then commutes with x -> -x and y -> -y, and its spectrum splits into
+    the four x/y parity classes. Each class is solved by shift-invert on
+    Q^T A Q, about a quarter of the unknowns, with Q its basis of signed
+    mirror-orbit sums, and its modes are lifted back as Q V; residuals are
+    taken against the full A. The total request, padded over the Weyl-law
+    count of domain, is split evenly: ceil(n_req / 4) modes per class. If
+    even the farthest mode returned in some class lies inside the window,
+    that class may be cut short, and NumericalError is raised.
     """
     pred = weyl_window_count(domain, center_k)
-    n_req = min(int(pred * 1.6) + 10, dd.n_interior - 2)
-    modes = eigenmodes_near(dd, A, center_k, n_req)
-    if abs(modes[-1].k - center_k) <= WINDOW_HALFWIDTH:
-        raise NumericalError(
-            f"all {len(modes)} modes requested near k = {center_k} lie in the "
-            "window; it may be incomplete")
-    sel = [m for m in modes if abs(m.k - center_k) <= WINDOW_HALFWIDTH]
-    sel.sort(key=lambda m: m.k)
-    return sel
+    per_class = math.ceil((int(pred * 1.6) + 10) / 4)
+    modes = []
+    for Q in _parity_bases(dd):
+        w, V = _shift_invert(dd, (Q.T @ A @ Q).tocsr(), center_k,
+                             min(per_class, Q.shape[1] - 2))
+        inside = np.abs(np.sqrt(w) - center_k) <= WINDOW_HALFWIDTH
+        if inside.all():
+            raise NumericalError(
+                f"all {len(w)} modes requested near k = {center_k} in one parity "
+                "class lie in the window; it may be incomplete")
+        modes += _make_modes(dd, A, w, Q @ V, np.flatnonzero(inside))
+    modes.sort(key=lambda m: m.k)
+    return modes
 
 
 def position_measure(mode: BilliardMode, region) -> float:
@@ -182,27 +241,25 @@ def position_measure(mode: BilliardMode, region) -> float:
     return float((vals * mode.wavefunction**2).sum() * mode.spacing**2)
 
 
-def tube_area_fraction(domain: StadiumDomain, w: float) -> float:
-    """Exact area fraction of the horizontal tube |y| <= w (rectangle strip
-    plus the two circular-cap slivers)."""
-    a, r = domain.half_length, domain.radius
-    tube = 4 * a * w + 2 * (r**2 * math.asin(w / r) + w * math.sqrt(r**2 - w**2))
-    return tube / domain.area
+def _area_fraction(mode: BilliardMode, region) -> float:
+    """Discrete area fraction of region: its share of the mode's cells."""
+    return float(np.mean(np.asarray(region(mode.x, mode.y), float)))
 
 
 def scar_score(mode: BilliardMode, domain: StadiumDomain) -> float:
     """Mass in the tube |y| <= SCAR_TUBE_FRACTION * r around the horizontal
-    orbit over its area fraction."""
+    orbit over the tube's discrete area fraction."""
     w = SCAR_TUBE_FRACTION * domain.radius
-    mass = position_measure(mode, lambda x, y: np.abs(y) <= w)
-    return mass / tube_area_fraction(domain, w)
+    tube = lambda x, y: np.abs(y) <= w
+    return position_measure(mode, tube) / _area_fraction(mode, tube)
 
 
 def bouncing_ball_score(mode: BilliardMode, domain: StadiumDomain) -> float:
-    """Mass in the central rectangle |x| <= a over its area fraction."""
+    """Mass in the central rectangle |x| <= a over its discrete area
+    fraction."""
     a = domain.half_length
-    mass = position_measure(mode, lambda x, y: np.abs(x) <= a)
-    return mass / (4 * a * domain.radius / domain.area)
+    rect = lambda x, y: np.abs(x) <= a
+    return position_measure(mode, rect) / _area_fraction(mode, rect)
 
 
 def qe_spatial_variance(modes, region) -> float:
@@ -210,8 +267,7 @@ def qe_spatial_variance(modes, region) -> float:
     discrete area fraction."""
     if len(modes) < 10:
         raise ValueError("need at least 10 modes in the window")
-    m0 = modes[0]
-    frac = float(np.mean(np.asarray(region(m0.x, m0.y), float)))
+    frac = _area_fraction(modes[0], region)
     masses = np.array([position_measure(m, region) for m in modes])
     return float(np.mean((masses - frac) ** 2))
 

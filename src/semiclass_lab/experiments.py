@@ -387,6 +387,10 @@ def run_billiard_stadium(cfg: ExperimentConfig, out: Path, report: RunReport):
     s30 = bq.qe_spatial_variance(modes30, strip)
     report.add("central_strip_variance_decays", s30 < s15, s30,
                f"variance at k~15: {s15:.3e}")
+    # each window mode is lifted from one x/y parity class, so its mass
+    # mirrors exactly; a wrong mirror index or sign in a class basis breaks
+    # that by far more than 1e-9 (an x-mirror index one cell off reads 0.87,
+    # a wrong sign on the doubly mirrored cell in the x-odd classes 1.4e-3)
     asym = max(abs(bq.position_measure(m, left)
                    - bq.position_measure(m, lambda x, y: x > 0))
                for m in modes15 + modes30)

@@ -169,9 +169,11 @@ def test_criterion_9_stadium_classical_ergodicity():
     assert ok
 
 
-# suites at reduced sizes, each run in well under a second
+# suites at reduced sizes, each run in well under a second, and the stadium
+# at its default h=0.01 (about 4 s a run)
 SMALL_RUNS = (("egorov", {"N": 128}), ("qe-catmap", {"N": 128}),
-              ("scar-construction", {"N": 64}), ("billiard-circle", {"h": 0.04}))
+              ("scar-construction", {"N": 64}), ("billiard-circle", {"h": 0.04}),
+              ("billiard-stadium", {}))
 
 
 def test_criterion_10_determinism(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.special
 
 from semiclass_lab.billiard import StadiumDomain
@@ -8,7 +9,7 @@ from semiclass_lab.billiard_quantum import (bouncing_ball_score, build_laplacian
                                             eigenmodes_near, eigenmodes_window,
                                             position_measure, qe_spatial_variance,
                                             scar_score, square_discrete_eigenvalue,
-                                            square_sdf, tube_area_fraction)
+                                            square_sdf, weyl_window_count)
 from semiclass_lab.errors import GeometryError, NumericalError, UnderResolved
 
 CIRCLE = StadiumDomain(half_length=0.0, radius=1.0)
@@ -29,6 +30,32 @@ def test_laplacian_exactly_symmetric():
     dd = discretize_stadium(STADIUM, 0.05)
     A = build_laplacian(dd)
     assert abs(A - A.T).max() == 0.0
+
+
+def _mirror(dd, axis):
+    """Interior cell index -> index of its image under x -> -x (axis 0) or
+    y -> -y (axis 1)."""
+    return np.flip(dd.cell_index(), axis)[dd.mask]
+
+
+@pytest.mark.parametrize("domain", [STADIUM, CIRCLE])
+def test_stadium_grid_mirrors_exactly(domain):
+    dd = discretize_stadium(domain, 0.01)
+    assert np.array_equal(dd.xs, -dd.xs[::-1])
+    assert np.array_equal(dd.ys, -dd.ys[::-1])
+    for axis in (0, 1):
+        assert np.array_equal(dd.mask, np.flip(dd.mask, axis))
+        assert np.array_equal(dd.phi, np.flip(dd.phi, axis))
+
+
+@pytest.mark.parametrize("h", [0.05, 0.01])
+def test_laplacian_commutes_with_reflections(h):
+    dd = discretize_stadium(STADIUM, h)
+    A = build_laplacian(dd)
+    n = dd.n_interior
+    for axis in (0, 1):
+        P = sp.csr_matrix((np.ones(n), (np.arange(n), _mirror(dd, axis))), shape=(n, n))
+        assert abs(P @ A - A @ P).max() == 0.0
 
 
 def test_square_spectrum_exact():
@@ -82,13 +109,6 @@ def test_position_measure_additive_and_total():
     assert 0 <= left <= 1
 
 
-def test_tube_area_fraction_limits():
-    assert tube_area_fraction(STADIUM, 1.0) == pytest.approx(1.0)
-    small = tube_area_fraction(STADIUM, 0.01)
-    # thin tube: width 0.02 times total horizontal extent 4 over the area
-    assert small == pytest.approx(0.02 * 4 / STADIUM.area, rel=1e-3)
-
-
 def test_scores_on_synthetic_uniform_mode():
     h = 0.01
     dd = discretize_stadium(STADIUM, h)
@@ -98,9 +118,10 @@ def test_scores_on_synthetic_uniform_mode():
                            1.0 / np.sqrt(len(mode.wavefunction) * h**2))
     flat = type(mode)(eigenvalue=mode.eigenvalue, k=mode.k, wavefunction=uniform,
                       x=mode.x, y=mode.y, spacing=mode.spacing, residual=0.0)
-    # a flat state has ratio about 1 in both diagnostics
-    assert scar_score(flat, STADIUM) == pytest.approx(1.0, abs=0.1)
-    assert bouncing_ball_score(flat, STADIUM) == pytest.approx(1.0, abs=0.1)
+    # both diagnostics divide by their region's share of the cells, so a
+    # flat state scores 1 up to rounding
+    assert scar_score(flat, STADIUM) == pytest.approx(1.0, abs=1e-12)
+    assert bouncing_ball_score(flat, STADIUM) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_window_count_near_weyl():
@@ -112,6 +133,46 @@ def test_window_count_near_weyl():
     ks = [m.k for m in modes]
     assert all(9.0 <= k <= 11.0 for k in ks)
     assert ks == sorted(ks)
+
+
+@pytest.fixture(scope="module")
+def window_k10():
+    dd = discretize_stadium(STADIUM, 0.02)
+    A = build_laplacian(dd)
+    return dd, A, eigenmodes_window(dd, A, STADIUM, 10.0)
+
+
+def test_window_matches_full_domain_solve(window_k10):
+    """The four parity-class solves find the window's modes of one
+    full-grid solve with the same total request."""
+    dd, A, modes = window_k10
+    n_req = int(1.6 * weyl_window_count(STADIUM, 10.0)) + 10
+    full = sorted(m.eigenvalue for m in eigenmodes_near(dd, A, 10.0, n_req)
+                  if abs(m.k - 10.0) <= 1.0)
+    assert len(modes) == len(full)
+    assert np.allclose([m.eigenvalue for m in modes], full, rtol=1e-10, atol=0)
+
+
+def test_window_modes_have_exact_parity(window_k10):
+    dd, _, modes = window_k10
+    classes = set()
+    for m in modes:
+        parity = []
+        for axis in (0, 1):
+            image = m.wavefunction[_mirror(dd, axis)]
+            assert (np.array_equal(image, m.wavefunction)
+                    or np.array_equal(image, -m.wavefunction))
+            parity.append(np.array_equal(image, m.wavefunction))
+        classes.add(tuple(parity))
+    assert len(classes) == 4
+
+
+def test_window_needs_mirror_grid():
+    """The unit square's grid does not mirror about the origin, so it has no
+    parity classes to split a window into."""
+    dd, A = _square(1.0 / 30)
+    with pytest.raises(GeometryError):
+        eigenmodes_window(dd, A, STADIUM, 5.0)
 
 
 def test_window_completeness_guard():
