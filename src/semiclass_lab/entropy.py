@@ -15,6 +15,7 @@ from .measures import ModelMeasure
 
 MIN_BALL_POINTS = 5  # samples a Bowen ball needs to enter the entropy slope
 BOUND_TOL = 1e-12  # slack of the entropy and scar-weight bound checks
+MAX_CELLS_PER_AXIS = 2**20  # keeps the cell keys of `_cell_index` in int64
 
 
 @dataclass
@@ -26,7 +27,10 @@ class SampleCloud:
     source: str = ""
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, float) % 1.0
+        self.points = np.asarray(self.points, float)
+        if not np.isfinite(self.points).all():
+            raise ValueError("points must be finite")
+        self.points = self.points % 1.0
         self.weights = np.asarray(self.weights, float)
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise ValueError("points must be an (n, 2) array")
@@ -94,30 +98,77 @@ def _step(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return (rows @ mat.T) % 1.0
 
 
+def _cell_index(points: np.ndarray, eps: float):
+    """Bucket points into an n x n grid of torus cells, n = int(1/eps) - 1,
+    each cell wider than eps. Returns near(center): the ascending indices
+    of the points in the 3 x 3 cells around center's, wrapped mod n, which
+    hold every point within eps of center. With fewer than 3 cells per axis
+    the neighbourhood would repeat cells, so near returns every index.
+
+    The width exceeds eps by at least eps^2 (or 2^-40 under the cap), far
+    above the few ulps by which a rounded x * n can misplace a point, so a
+    point lands at most one cell from the center's whenever its computed
+    distance is below eps.
+    """
+    n = min(int(1 / eps) - 1, MAX_CELLS_PER_AXIS)
+    if n < 3:
+        everything = np.arange(len(points))
+        return lambda center: everything
+
+    def cell(p):  # x = 1.0 lands in cell 0
+        return np.floor(np.asarray(p, float) * n).astype(np.int64) % n
+
+    ij = cell(points)
+    keys = ij[:, 0] * n + ij[:, 1]
+    order = np.argsort(keys)
+    keys = keys[order]
+    shifts = np.array([-1, 0, 1])
+
+    def near(center):
+        i, j = cell(center)
+        wanted = (((i + shifts) % n)[:, None] * n + (j + shifts) % n).ravel()
+        lo = np.searchsorted(keys, wanted, "left")
+        hi = np.searchsorted(keys, wanted, "right")
+        return np.sort(np.concatenate([order[a:b] for a, b in zip(lo, hi)]))
+
+    return near
+
+
 def _nested_ball_masses(m: CatMap, cloud: SampleCloud, center, T: int,
-                        eps: float) -> dict:
+                        eps: float, near: np.ndarray) -> dict:
     """Mass of the Bowen ball B_t(center, eps) for every even t in [2, T].
 
-    Each even t adds one forward and one backward step to the window, so
-    B_{t+2} is B_t minus the points whose new step lands eps or more away.
-    Only the survivors are stepped, with the same per-row arithmetic as
-    `bowen_distance_cloud`, and their weights are summed in ascending index
-    order, so every mass equals `cloud.weights[bowen_distance_cloud(...) <
-    eps].sum()` to the bit.
+    `near` holds the ascending indices of every point that can lie within
+    eps of center (see `_cell_index`); the t = 0 ball is measured among
+    them with `torus_distance_array`, whose arithmetic is elementwise, so
+    each distance has the bits of a whole-cloud scan. Each even t adds one
+    forward and one backward step to the window, so B_{t+2} is B_t minus
+    the points whose new step lands eps or more away. Copies of one point
+    share every step, so only the distinct survivors are stepped, with the
+    same per-row arithmetic as `bowen_distance_cloud`, and each mass sums
+    the weights of every copy of a live point in ascending index order.
+    Those are the weights and the order of the full scan, so every mass
+    equals `cloud.weights[bowen_distance_cloud(...) < eps].sum()` to the bit.
     """
     mat = m.matrix().astype(float)
     inv = m.inverse_matrix().astype(float)
     fc = bc = np.asarray(center, float)
-    inside = np.flatnonzero(torus_distance_array(cloud.points, fc) < eps)
-    fwd = bwd = cloud.points[inside]
+    inside = near[torus_distance_array(cloud.points[near], fc) < eps]
+    # rows viewed as complex numbers sort and compare as (x, xi) pairs
+    distinct, which = np.unique(cloud.points[inside].view(complex).ravel(),
+                                return_inverse=True)
+    fwd = bwd = distinct.view(float).reshape(-1, 2)
+    rows = np.arange(len(fwd))
+    live = np.ones(len(fwd), bool)
     masses = {}
     for t in range(2, T + 1, 2):
         fwd, fc = _step(fwd, mat), (mat @ fc) % 1.0
         bwd, bc = _step(bwd, inv), (inv @ bc) % 1.0
         keep = ((torus_distance_array(fwd, fc) < eps)
                 & (torus_distance_array(bwd, bc) < eps))
-        inside, fwd, bwd = inside[keep], fwd[keep], bwd[keep]
-        masses[t] = float(cloud.weights[inside].sum())
+        live[rows[~keep]] = False
+        rows, fwd, bwd = rows[keep], fwd[keep], bwd[keep]
+        masses[t] = float(cloud.weights[inside[live[which]]].sum())
     return masses
 
 
@@ -133,6 +184,13 @@ def ks_entropy_estimate(m: CatMap, cloud: SampleCloud, T: int, eps: float,
     balls; more than half empty raises UnderResolved. The balls are nested,
     B_{t+2} within B_t, because the window only grows with t, so one pass
     per center gives the masses for every t.
+
+    The cloud is bucketed once per call into an n x n torus grid, n =
+    int(1/eps) - 1 (full scans below 3 cells per axis), and each center's
+    t = 0 ball is measured only among the points of its 3 x 3 neighbour
+    cells. Each distinct point of the ball is stepped once, however many
+    copies the cloud holds. Both leave every mass bit-identical to a
+    full-cloud `bowen_distance_cloud` scan (see `_nested_ball_masses`).
     """
     if n_centers < 10:
         raise ValueError("n_centers must be >= 10")
@@ -140,13 +198,17 @@ def ks_entropy_estimate(m: CatMap, cloud: SampleCloud, T: int, eps: float,
         raise ValueError("cloud too small for estimation (need >= 100 points)")
     if T < 4:
         raise ValueError("T must be >= 4 for the two-point slope")
+    if not eps > 0:
+        raise ValueError("eps must be > 0")
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(cloud), size=n_centers, p=cloud.weights)
+    near = _cell_index(cloud.points, eps)
     floor = MIN_BALL_POINTS / len(cloud)
     values = []
     empty = 0
     for ci in idx:
-        masses = _nested_ball_masses(m, cloud, cloud.points[ci], T, eps)
+        center = cloud.points[ci]
+        masses = _nested_ball_masses(m, cloud, center, T, eps, near(center))
         usable = [t for t, mu in masses.items() if mu >= floor]
         t1 = max(usable, default=0)
         if t1 <= 2:

@@ -1,15 +1,22 @@
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import semiclass_lab
 from semiclass_lab.catmap import (DEFAULT_MAP, CatMap, TorusPoint,
-                                  bowen_distance_cloud, cat_lyapunov)
-from semiclass_lab.entropy import (SampleCloud, _nested_ball_masses, _step,
-                                   atom_cloud, entropy_bound_check,
-                                   ks_entropy_estimate, mixture_cloud,
-                                   model_entropy, uniform_cloud)
+                                  bowen_distance_cloud, cat_lyapunov,
+                                  torus_distance_array)
+from semiclass_lab.entropy import (SampleCloud, _cell_index,
+                                   _nested_ball_masses, _step, atom_cloud,
+                                   entropy_bound_check, ks_entropy_estimate,
+                                   mixture_cloud, model_entropy, uniform_cloud)
 from semiclass_lab.errors import UnderResolved
 from semiclass_lab.measures import ModelMeasure
 
@@ -43,6 +50,14 @@ def test_cloud_validation():
         SampleCloud(points=np.zeros((2, 2)), weights=np.array([1.5, -0.5]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cloud_rejects_non_finite_points(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SampleCloud(points=[[bad, 0.2], [0.3, 0.1]], weights=[0.5, 0.5])
+    with pytest.raises(ValueError, match="finite"):
+        SampleCloud(points=[[0.4, 0.2], [0.3, bad]], weights=[0.5, 0.5])
+
+
 def test_cloud_constructors():
     u = uniform_cloud(500, seed=3)
     assert len(u) == 500 and u.weights.sum() == pytest.approx(1.0)
@@ -74,13 +89,19 @@ def _test_cloud(kind, n, seed, alpha):
          eps=1e-6, m=DEFAULT_MAP)  # empty before t = 2
 @example(kind="uniform", n=200, seed=1, alpha=0.5, center=7, T=8,
          eps=1e-6, m=DEFAULT_MAP)  # only the center survives
+@example(kind="mixture", n=300, seed=2, alpha=0.5, center=0, T=8,
+         eps=0.1, m=DEFAULT_MAP)  # indexed, on a point with 300 copies
+@example(kind="mixture", n=300, seed=2, alpha=0.5, center=0, T=8,
+         eps=0.3, m=DEFAULT_MAP)  # full scan, on a point with 300 copies
 @settings(max_examples=200, deadline=None)
 def test_nested_ball_masses_equal_full_scans(kind, n, seed, alpha, center, T,
                                              eps, m):
     cloud = _test_cloud(kind, n, seed, alpha)
     if isinstance(center, int):
         center = cloud.points[center % len(cloud)]
-    masses = _nested_ball_masses(m, cloud, np.asarray(center, float), T, eps)
+    center = np.asarray(center, float)
+    near = _cell_index(cloud.points, eps)  # as ks_entropy_estimate builds it
+    masses = _nested_ball_masses(m, cloud, center, T, eps, near(center))
     assert list(masses) == list(range(2, T + 1, 2))
     for t, mass in masses.items():
         d = bowen_distance_cloud(m, center, cloud.points, t)
@@ -95,9 +116,35 @@ def test_nested_ball_masses_ties_at_the_edge():
     pts = np.stack(np.meshgrid(g, g), -1).reshape(-1, 2)
     cloud = SampleCloud(points=pts, weights=np.full(len(pts), 1 / len(pts)))
     for eps in np.unique(np.hypot(*pts[:40].T))[1:]:
-        masses = _nested_ball_masses(M, cloud, pts[17], 6, eps)
+        near = _cell_index(pts, eps)
+        masses = _nested_ball_masses(M, cloud, pts[17], 6, eps, near(pts[17]))
         for t, mass in masses.items():
             d = bowen_distance_cloud(M, pts[17], pts, t)
+            assert mass == float(cloud.weights[d < eps].sum())
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.15, 0.25])
+def test_cell_index_on_cell_boundaries_and_the_seam(eps):
+    # coordinates on every multiple of 1/n (the cell boundaries) and of eps
+    # (points eps apart), one ulp to either side of each, and the seam pair
+    # 0 and 1 - 2**-53, which lie 2**-53 apart on the torus
+    n = int(1 / eps) - 1
+    k = np.concatenate([np.arange(n + 1) / n, np.arange(n + 2) * eps])
+    v = np.unique(np.concatenate([k, np.nextafter(k, -1), np.nextafter(k, 2),
+                                  [0.0, 1 - 2.0**-53]]).clip(0, 1 - 2.0**-53))
+    w = np.array([0.0, 0.5, 1 - 2.0**-53])
+    pts = np.concatenate([np.stack(np.meshgrid(v, w), -1).reshape(-1, 2),
+                          np.stack(np.meshgrid(w, v), -1).reshape(-1, 2)])
+    near = _cell_index(pts, eps)
+    for c in pts:
+        ball = np.flatnonzero(torus_distance_array(pts, c) < eps)
+        nb = near(c)
+        assert np.array_equal(nb[torus_distance_array(pts[nb], c) < eps], ball)
+    cloud = SampleCloud(points=pts, weights=np.full(len(pts), 1 / len(pts)))
+    for c in pts[::7]:
+        masses = _nested_ball_masses(M, cloud, c, 4, eps, near(c))
+        for t, mass in masses.items():
+            d = bowen_distance_cloud(M, c, pts, t)
             assert mass == float(cloud.weights[d < eps].sum())
 
 
@@ -125,6 +172,37 @@ def test_ks_estimate_uniform_near_lyapunov():
     assert est.n_centers_used >= 20
 
 
+# estimates on a half-atom cloud, indexed (eps 0.1) and by full scans
+# (eps 0.3, where about 70k distinct rows survive t = 0 and are stepped as
+# one product)
+THREADED_ESTIMATES = """
+from semiclass_lab import (DEFAULT_MAP, TorusPoint, atom_cloud,
+                           ks_entropy_estimate, mixture_cloud, uniform_cloud)
+mix = mixture_cloud(0.5, atom_cloud([TorusPoint(0.0, 0.0)], 50_000),
+                    uniform_cloud(250_000, seed=1))
+for eps in (0.1, 0.3):
+    print(repr(ks_entropy_estimate(DEFAULT_MAP, mix, 8, eps, 20, seed=0)))
+"""
+
+
+def test_ks_estimate_same_at_one_and_two_blas_threads():
+    # the thread count only takes effect before numpy is imported, so each
+    # count runs in a fresh interpreter
+    src = str(Path(semiclass_lab.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in
+               ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["SEMICLASS_LAB_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        runs.append(subprocess.Popen([sys.executable, "-c", THREADED_ESTIMATES],
+                                     env=env, stdout=subprocess.PIPE, text=True))
+    one, two = (run.communicate(timeout=300)[0] for run in runs)
+    assert [run.returncode for run in runs] == [0, 0]
+    assert one.count("EntropyEstimate(") == 2
+    assert one == two  # repr round-trips every float field
+
+
 def test_ks_estimate_atom_is_zero():
     cloud = atom_cloud(ORIGIN, 1_000)
     est = ks_entropy_estimate(M, cloud, 8, 0.1, 20, seed=0)
@@ -146,6 +224,8 @@ def test_ks_estimate_validation():
         ks_entropy_estimate(M, uniform_cloud(50), 8, 0.1, 20)
     with pytest.raises(ValueError):
         ks_entropy_estimate(M, cloud, 3, 0.1, 20)
+    with pytest.raises(ValueError):
+        ks_entropy_estimate(M, cloud, 8, 0.0, 20)
 
 
 @pytest.mark.parametrize("alpha,ok", [(0.0, True), (0.25, True),
