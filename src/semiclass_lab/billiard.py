@@ -170,7 +170,9 @@ def ergodic_average(states: np.ndarray, n_bounces: int) -> float:
     cross = (x0 < 0) != (x1 < 0)
     s = x0[cross] / (x0[cross] - x1[cross])
     left[cross] = np.where(x0[cross] < 0, s, 1.0 - s)
-    return float(left @ lengths / lengths.sum())
+    # numpy's own sum, not a BLAS dot, whose split over threads would make
+    # the last bits depend on the thread count
+    return float((left * lengths).sum() / lengths.sum())
 
 
 def coverage_grid(domain: StadiumDomain, states: np.ndarray, n_bounces: int):

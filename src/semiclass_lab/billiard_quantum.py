@@ -4,9 +4,10 @@ A five-point Laplacian on a uniform grid over the bounding box, with the
 boundary imposed through a ghost-value elimination: the missing neighbor
 across the wall at fractional distance alpha contributes 1/(alpha h^2) to
 the diagonal only, which keeps the matrix exactly symmetric and restores
-second-order eigenvalue convergence on curved boundaries. On the
-stadium's grid, which mirrors exactly about both axes, eigen-windows are
-solved separately in each of the four x/y parity classes.
+second-order eigenvalue convergence on curved boundaries. Every grid is
+centred on the origin and mirrors exactly about both axes, so the matrix
+commutes with x -> -x and y -> -y, and every eigen-solve runs separately
+in each of the four x/y parity classes, on about a quarter of the unknowns.
 """
 
 from __future__ import annotations
@@ -52,32 +53,23 @@ class DiscreteDomain:
         return self.xs[ii], self.ys[jj]
 
 
-def _sample(sdf, xs, ys, h: float) -> DiscreteDomain:
+def discretize_stadium(domain, h: float) -> DiscreteDomain:
+    """Sample domain's signed distance on the grid h*(i - c) about the
+    origin, two cells beyond its bounding box; domain is any object with
+    signed_distance and bounding_box, symmetric about both axes.
+
+    Negating h*i is exact, so xs == -xs[::-1] and ys == -ys[::-1] bit for
+    bit, and phi, mask and the Laplacian mirror exactly under x -> -x and
+    y -> -y (which the parity-class solves rely on)."""
+    _, (x1, y1) = domain.bounding_box()
+    cx, cy = int(np.ceil(x1 / h)) + 2, int(np.ceil(y1 / h)) + 2
+    xs, ys = h * np.arange(-cx, cx + 1), h * np.arange(-cy, cy + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    phi = np.asarray(sdf(X, Y), float)
+    phi = np.asarray(domain.signed_distance(X, Y), float)
     mask = phi < 0
     if not mask.any():
         raise GeometryError("discretization produced an empty interior")
     return DiscreteDomain(spacing=h, xs=xs, ys=ys, mask=mask, phi=phi)
-
-
-def discretize(sdf, lo, hi, h: float) -> DiscreteDomain:
-    """Sample the signed distance function on a grid covering [lo, hi]."""
-    nx = int(np.ceil((hi[0] - lo[0]) / h)) + 1
-    ny = int(np.ceil((hi[1] - lo[1]) / h)) + 1
-    return _sample(sdf, lo[0] + np.arange(nx) * h, lo[1] + np.arange(ny) * h, h)
-
-
-def discretize_stadium(domain: StadiumDomain, h: float) -> DiscreteDomain:
-    """Grid h*(i - c) about the origin, two cells beyond the bounding box.
-
-    Negating h*i is exact, so xs == -xs[::-1] and ys == -ys[::-1] bit for
-    bit, and phi, mask and the Laplacian mirror exactly under x -> -x and
-    y -> -y (which eigenmodes_window relies on)."""
-    _, (x1, y1) = domain.bounding_box()
-    cx, cy = int(np.ceil(x1 / h)) + 2, int(np.ceil(y1 / h)) + 2
-    return _sample(domain.signed_distance, h * np.arange(-cx, cx + 1),
-                   h * np.arange(-cy, cy + 1), h)
 
 
 def build_laplacian(dd: DiscreteDomain) -> sp.csr_matrix:
@@ -134,41 +126,6 @@ class BilliardMode:
     residual: float
 
 
-def _make_modes(dd: DiscreteDomain, A, w, V, order) -> list:
-    h = dd.spacing
-    x, y = dd.interior_points()
-    modes = []
-    for i in order:
-        lam = float(w[i])
-        psi = V[:, i] / (np.linalg.norm(V[:, i]) * h)
-        resid = float(np.linalg.norm(A @ psi - lam * psi) / np.linalg.norm(psi))
-        modes.append(BilliardMode(eigenvalue=lam, k=math.sqrt(lam),
-                                  wavefunction=psi, x=x, y=y, spacing=h,
-                                  residual=resid))
-    return modes
-
-
-def _shift_invert(dd: DiscreteDomain, M, target_k: float, count: int):
-    """eigsh of M for the count eigenvalues nearest target_k^2."""
-    if target_k * dd.spacing >= 0.5:
-        raise UnderResolved("target_k h >= 0.5: grid cannot resolve the wavelength")
-    n = M.shape[0]
-    v0 = np.full(n, 1.0 / math.sqrt(n))  # fixed start vector for determinism
-    try:
-        return spla.eigsh(M, k=count, sigma=target_k**2, which="LM", v0=v0)
-    except spla.ArpackNoConvergence as exc:
-        raise NumericalError(f"shift-invert eigensolver failed: {exc}") from exc
-
-
-def eigenmodes_near(dd: DiscreteDomain, A: sp.csr_matrix, target_k: float,
-                    count: int) -> list:
-    """count eigenmodes with eigenvalues nearest target_k^2 (shift-invert on
-    the full grid), sorted by |k - target_k|."""
-    w, V = _shift_invert(dd, A, target_k, count)
-    order = np.argsort(np.abs(np.sqrt(w) - target_k))
-    return _make_modes(dd, A, w, V, order)
-
-
 def _parity_bases(dd: DiscreteDomain) -> list:
     """Orthonormal bases Q (interior cells x class size) of the four
     classes (sx, sy) of functions with f(-x, y) = sx f and f(x, -y) = sy f.
@@ -197,6 +154,53 @@ def _parity_bases(dd: DiscreteDomain) -> list:
     return bases
 
 
+def _parity_modes(dd: DiscreteDomain, A, target_k: float, count: int, keep) -> list:
+    """Shift-invert eigsh of Q^T A Q in each parity class, from a fixed
+    start vector, for its min(count, class size - 2) eigenvalues nearest
+    target_k^2. keep(w, cls), given every eigenvalue and its class, picks
+    the indices to lift to the grid as Q v, normalize to sum psi^2 h^2 = 1
+    and give residuals against A."""
+    if target_k * dd.spacing >= 0.5:
+        raise UnderResolved("target_k h >= 0.5: grid cannot resolve the wavelength")
+    ws, vectors = [], []
+    for Q in _parity_bases(dd):
+        n = Q.shape[1]
+        if n < 3:
+            raise UnderResolved(f"a parity class has only {n} cells")
+        v0 = np.full(n, 1.0 / math.sqrt(n))  # fixed start vector for determinism
+        try:
+            w, V = spla.eigsh((Q.T @ A @ Q).tocsr(), k=min(count, n - 2),
+                              sigma=target_k**2, which="LM", v0=v0)
+        except spla.ArpackNoConvergence as exc:
+            raise NumericalError(f"shift-invert eigensolver failed: {exc}") from exc
+        ws.append(w)
+        vectors += [(Q, V[:, i]) for i in range(len(w))]
+    w = np.concatenate(ws)
+    cls = np.repeat(np.arange(len(ws)), [len(c) for c in ws])
+    h = dd.spacing
+    x, y = dd.interior_points()
+    modes = []
+    for j in keep(w, cls):
+        Q, v = vectors[j]
+        u = Q @ v
+        psi = u / (np.linalg.norm(u) * h)
+        lam = float(w[j])
+        resid = float(np.linalg.norm(A @ psi - lam * psi) / np.linalg.norm(psi))
+        modes.append(BilliardMode(eigenvalue=lam, k=math.sqrt(lam),
+                                  wavefunction=psi, x=x, y=y, spacing=h,
+                                  residual=resid))
+    return modes
+
+
+def eigenmodes_near(dd: DiscreteDomain, A: sp.csr_matrix, target_k: float,
+                    count: int) -> list:
+    """count eigenmodes with eigenvalues nearest target_k^2, sorted by
+    |k - target_k|: the count nearest of each parity class, then the count
+    nearest of those."""
+    return _parity_modes(dd, A, target_k, count, lambda w, cls: np.argsort(
+        np.abs(np.sqrt(w) - target_k), kind="stable")[:count])
+
+
 def weyl_window_count(domain: StadiumDomain, center_k: float) -> float:
     """Weyl-law mode count area/(4 pi) (k_hi^2 - k_lo^2) of the window
     |k - center_k| <= WINDOW_HALFWIDTH."""
@@ -208,30 +212,23 @@ def eigenmodes_window(dd: DiscreteDomain, A: sp.csr_matrix, domain: StadiumDomai
                       center_k: float) -> list:
     """All modes with |k - center_k| <= WINDOW_HALFWIDTH, sorted by k.
 
-    The grid must mirror about both axes, as discretize_stadium's does; A
-    then commutes with x -> -x and y -> -y, and its spectrum splits into
-    the four x/y parity classes. Each class is solved by shift-invert on
-    Q^T A Q, about a quarter of the unknowns, with Q its basis of signed
-    mirror-orbit sums, and its modes are lifted back as Q V; residuals are
-    taken against the full A. The total request, padded over the Weyl-law
-    count of domain, is split evenly: ceil(n_req / 4) modes per class. If
+    The total request, padded over the Weyl-law count of domain, is split
+    evenly over the parity classes: ceil(n_req / 4) modes per class. If
     even the farthest mode returned in some class lies inside the window,
     that class may be cut short, and NumericalError is raised.
     """
     pred = weyl_window_count(domain, center_k)
     per_class = math.ceil((int(pred * 1.6) + 10) / 4)
-    modes = []
-    for Q in _parity_bases(dd):
-        w, V = _shift_invert(dd, (Q.T @ A @ Q).tocsr(), center_k,
-                             min(per_class, Q.shape[1] - 2))
-        inside = np.abs(np.sqrt(w) - center_k) <= WINDOW_HALFWIDTH
-        if inside.all():
+
+    def inside(w, cls):
+        near = np.abs(np.sqrt(w) - center_k) <= WINDOW_HALFWIDTH
+        if any(near[cls == c].all() for c in range(4)):
             raise NumericalError(
-                f"all {len(w)} modes requested near k = {center_k} in one parity "
-                "class lie in the window; it may be incomplete")
-        modes += _make_modes(dd, A, w, Q @ V, np.flatnonzero(inside))
-    modes.sort(key=lambda m: m.k)
-    return modes
+                f"every mode requested near k = {center_k} in some parity "
+                "class lies in the window; it may be incomplete")
+        return np.flatnonzero(near)
+    return sorted(_parity_modes(dd, A, center_k, per_class, inside),
+                  key=lambda m: m.k)
 
 
 def position_measure(mode: BilliardMode, region) -> float:
@@ -273,11 +270,13 @@ def qe_spatial_variance(modes, region) -> float:
 
 
 def square_sdf(x, y):
-    """Unit square (0,1)^2 test geometry with an exact discrete spectrum."""
-    return np.maximum(np.abs(x - 0.5), np.abs(y - 0.5)) - 0.5
+    """Unit square (-1/2, 1/2)^2 test geometry with an exact discrete
+    spectrum."""
+    return np.maximum(np.abs(x), np.abs(y)) - 0.5
 
 
 def square_discrete_eigenvalue(h: float, p: int, q: int) -> float:
     """Closed-form eigenvalue of the discrete Dirichlet Laplacian on the
-    unit square at spacing h = 1/(n+1)."""
+    unit square at spacing h = 1/n, n even, where the grid lines +-1/2 fall
+    on the walls."""
     return (2.0 / h**2) * (2.0 - math.cos(math.pi * p * h) - math.cos(math.pi * q * h))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -38,8 +39,8 @@ class ExperimentConfig:
             )
         if self.N < 1:
             raise ConfigError("N must be >= 1 (dimension of the Hilbert space)")
-        if self.h <= 0:
-            raise ConfigError("h must be > 0 (grid spacing)")
+        if not 0 < self.h < math.inf:  # also rejects NaN
+            raise ConfigError("h must be finite and > 0 (grid spacing)")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         self.cat_map()

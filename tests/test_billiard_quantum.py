@@ -1,11 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 import scipy.special
 
 from semiclass_lab.billiard import StadiumDomain
-from semiclass_lab.billiard_quantum import (bouncing_ball_score, build_laplacian,
-                                            discretize, discretize_stadium,
+from semiclass_lab.billiard_quantum import (DiscreteDomain, bouncing_ball_score,
+                                            build_laplacian, discretize_stadium,
                                             eigenmodes_near, eigenmodes_window,
                                             position_measure, qe_spatial_variance,
                                             scar_score, square_discrete_eigenvalue,
@@ -16,14 +19,21 @@ CIRCLE = StadiumDomain(half_length=0.0, radius=1.0)
 STADIUM = StadiumDomain(half_length=1.0, radius=1.0)
 
 
+def _box(sdf):
+    """A domain for discretize_stadium: signed distance sdf, bounding box
+    the unit square (-1/2, 1/2)^2."""
+    return SimpleNamespace(signed_distance=sdf,
+                           bounding_box=lambda: ((-0.5, -0.5), (0.5, 0.5)))
+
+
 def _square(h):
-    dd = discretize(square_sdf, (-2 * h, -2 * h), (1 + 2 * h, 1 + 2 * h), h)
+    dd = discretize_stadium(_box(square_sdf), h)
     return dd, build_laplacian(dd)
 
 
 def test_discretize_empty_interior():
     with pytest.raises(GeometryError):
-        discretize(lambda x, y: np.ones_like(x), (0, 0), (1, 1), 0.1)
+        discretize_stadium(_box(lambda x, y: np.ones_like(x)), 0.1)
 
 
 def test_laplacian_exactly_symmetric():
@@ -59,8 +69,9 @@ def test_laplacian_commutes_with_reflections(h):
 
 
 def test_square_spectrum_exact():
-    """On the unit square the grid is boundary-aligned and the discrete
-    eigenvalues match the closed form to solver accuracy."""
+    """On the unit square centred on the origin the grid lines +-1/2 fall
+    on the walls, and the discrete eigenvalues match the closed form to
+    solver accuracy."""
     h = 1.0 / 40
     dd, A = _square(h)
     exact = sorted(square_discrete_eigenvalue(h, p, q)
@@ -142,13 +153,34 @@ def window_k10():
     return dd, A, eigenmodes_window(dd, A, STADIUM, 10.0)
 
 
+def _full_solve(A, target_k, count):
+    """Eigenvalues of one shift-invert eigsh on the full A, ascending."""
+    return np.sort(spla.eigsh(A, k=count, sigma=target_k**2, which="LM")[0])
+
+
+@pytest.mark.parametrize("case", ["circle", "square"])
+def test_near_matches_full_domain_solve(case):
+    """The parity-class solves find the count modes nearest the target
+    that one full-grid solve finds."""
+    if case == "circle":
+        dd, target = discretize_stadium(CIRCLE, 0.04), 5.0
+        A = build_laplacian(dd)
+    else:
+        (dd, A), target = _square(1.0 / 40), 7.0
+    modes = eigenmodes_near(dd, A, target, 6)
+    dist = [abs(m.k - target) for m in modes]
+    assert dist == sorted(dist)
+    assert np.allclose(sorted(m.eigenvalue for m in modes),
+                       _full_solve(A, target, 6), rtol=1e-10, atol=0)
+
+
 def test_window_matches_full_domain_solve(window_k10):
     """The four parity-class solves find the window's modes of one
     full-grid solve with the same total request."""
     dd, A, modes = window_k10
     n_req = int(1.6 * weyl_window_count(STADIUM, 10.0)) + 10
-    full = sorted(m.eigenvalue for m in eigenmodes_near(dd, A, 10.0, n_req)
-                  if abs(m.k - 10.0) <= 1.0)
+    full = [lam for lam in _full_solve(A, 10.0, n_req)
+            if abs(np.sqrt(lam) - 10.0) <= 1.0]
     assert len(modes) == len(full)
     assert np.allclose([m.eigenvalue for m in modes], full, rtol=1e-10, atol=0)
 
@@ -168,22 +200,33 @@ def test_window_modes_have_exact_parity(window_k10):
 
 
 def test_window_needs_mirror_grid():
-    """The unit square's grid does not mirror about the origin, so it has no
-    parity classes to split a window into."""
-    dd, A = _square(1.0 / 30)
+    """A grid shifted by h/2 does not mirror about the axes, so it has no
+    parity classes to split a solve into."""
+    h = 0.05
+    dd = discretize_stadium(STADIUM, h)
+    xs, ys = dd.xs + h / 2, dd.ys + h / 2
+    phi = STADIUM.signed_distance(*np.meshgrid(xs, ys, indexing="ij"))
+    shifted = DiscreteDomain(spacing=h, xs=xs, ys=ys, mask=phi < 0, phi=phi)
+    A = build_laplacian(shifted)
     with pytest.raises(GeometryError):
-        eigenmodes_window(dd, A, STADIUM, 5.0)
+        eigenmodes_window(shifted, A, STADIUM, 5.0)
+    with pytest.raises(GeometryError):
+        eigenmodes_near(shifted, A, 5.0, 1)
 
 
 def test_window_completeness_guard():
     """A Weyl count taken from a smaller domain (a disc of radius 0.3)
     requests 11 modes where the stadium has about 23: every mode returned
-    lies in the window, so the window cannot be trusted to be complete."""
+    lies in the window, so the window cannot be trusted to be complete.
+    A disc of radius 0.9 requests 6 modes per class, and the stadium's
+    window at k=10 holds 7, 5, 5 and 4 modes in its four classes: only
+    the first class is cut short, and that alone must stop the window."""
     dd = discretize_stadium(STADIUM, 0.02)
     A = build_laplacian(dd)
-    small = StadiumDomain(half_length=0.0, radius=0.3)
-    with pytest.raises(NumericalError):
-        eigenmodes_window(dd, A, small, 10.0)
+    for radius in (0.3, 0.9):
+        small = StadiumDomain(half_length=0.0, radius=radius)
+        with pytest.raises(NumericalError):
+            eigenmodes_window(dd, A, small, 10.0)
 
 
 def test_qe_spatial_variance_requires_modes():
@@ -199,3 +242,7 @@ def test_resolution_guard():
     A = build_laplacian(dd)
     with pytest.raises(UnderResolved):
         eigenmodes_near(dd, A, 6.0, 2)
+    # at h = 0.45 the disc's odd-odd class holds a single cell
+    dd = discretize_stadium(CIRCLE, 0.45)
+    with pytest.raises(UnderResolved):
+        eigenmodes_near(dd, build_laplacian(dd), 1.0, 1)

@@ -47,8 +47,9 @@ def test_validated_rejects_bad_values():
         ExperimentConfig(experiment="nonsense").validated()
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="egorov", N=0).validated()
-    with pytest.raises(ConfigError):
-        ExperimentConfig(experiment="egorov", h=0.0).validated()
+    for h in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(experiment="egorov", h=h).validated()
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="egorov", a=1, b=1, c=0, d=1).validated()
     assert ExperimentConfig(experiment="egorov").validated().experiment == "egorov"
@@ -95,3 +96,10 @@ def test_main_reports_suite_error(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("h", ["nan", "inf"])
+def test_main_rejects_non_finite_spacing(tmp_path, capsys, h):
+    rc = main(["--experiment", "billiard-circle", "--h", h, "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: h must be finite")

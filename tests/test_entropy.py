@@ -1,15 +1,9 @@
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import semiclass_lab
 from semiclass_lab.catmap import (DEFAULT_MAP, CatMap, TorusPoint,
                                   bowen_distance_cloud, cat_lyapunov,
                                   torus_distance_array)
@@ -185,20 +179,8 @@ for eps in (0.1, 0.3):
 """
 
 
-def test_ks_estimate_same_at_one_and_two_blas_threads():
-    # the thread count only takes effect before numpy is imported, so each
-    # count runs in a fresh interpreter
-    src = str(Path(semiclass_lab.__file__).resolve().parents[1])
-    runs = []
-    for threads in ("1", "2"):
-        env = {k: v for k, v in os.environ.items() if k not in
-               ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-        env["SEMICLASS_LAB_THREADS"] = threads
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        runs.append(subprocess.Popen([sys.executable, "-c", THREADED_ESTIMATES],
-                                     env=env, stdout=subprocess.PIPE, text=True))
-    one, two = (run.communicate(timeout=300)[0] for run in runs)
-    assert [run.returncode for run in runs] == [0, 0]
+def test_ks_estimate_same_at_one_and_two_blas_threads(at_one_and_two_threads):
+    one, two = at_one_and_two_threads(THREADED_ESTIMATES)
     assert one.count("EntropyEstimate(") == 2
     assert one == two  # repr round-trips every float field
 
