@@ -14,9 +14,8 @@ from .catmap import (CatMap, DEFAULT_MAP, LyapunovData, TorusPoint,
                      bowen_distance, cat_lyapunov, torus_distance)
 from .billiard import (BilliardState, StadiumDomain, billiard_flow,
                        circle_angular_momentum, coverage_grid, ergodic_average)
-from .torus_quantum import (TorusHilbert, TrigObservable, cat_propagator,
-                            coherent_state, egorov_defect, translation_op,
-                            weyl_quantize)
+from .torus_quantum import (TrigObservable, cat_propagator, coherent_state,
+                            egorov_defect, translation_op, weyl_quantize)
 from .spectral import (EigenDecomposition, QuantumPeriod, diagonalize,
                        degeneracy_clusters, quantum_period, scarred_state,
                        short_period_dimensions)

@@ -21,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import EXPERIMENTS, parse_config
-from .errors import SemiclassError
+from .errors import ConfigError, SemiclassError
 from .experiments import run_experiment
 
 
@@ -51,13 +51,16 @@ def _configs_from_args(args) -> list:
     if args.dump_state:
         overrides["dump_state"] = True
     base = parse_config(args.config, overrides)
-    names = args.experiment.split(",") if args.experiment else \
-        ([base.experiment] if base.experiment else [])
+    names = [name.strip() for name in args.experiment.split(",")] \
+        if args.experiment else ([base.experiment] if base.experiment else [])
     if not names:
         raise SemiclassError("no experiment given (use --experiment or a config file)")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"a suite is listed twice in {args.experiment!r}; "
+                          "its runs would write the same files")
     configs = []
     for name in names:
-        cfg = replace(base, experiment=name.strip())
+        cfg = replace(base, experiment=name)
         if len(names) > 1:
             cfg = replace(cfg, out_dir=str(Path(cfg.out_dir) / cfg.experiment))
         configs.append(cfg.validated())

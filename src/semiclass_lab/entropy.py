@@ -24,7 +24,6 @@ class SampleCloud:
 
     points: np.ndarray  # (n, 2) in [0, 1)
     weights: np.ndarray  # nonnegative, summing to 1
-    source: str = ""
 
     def __post_init__(self):
         self.points = np.asarray(self.points, float)
@@ -48,45 +47,35 @@ class SampleCloud:
 
 def uniform_cloud(n: int, seed: int = 0) -> SampleCloud:
     rng = np.random.default_rng(seed)
-    return SampleCloud(points=rng.random((n, 2)), weights=np.full(n, 1.0 / n),
-                       source="lebesgue")
+    return SampleCloud(points=rng.random((n, 2)), weights=np.full(n, 1.0 / n))
 
 
 def atom_cloud(points, n: int) -> SampleCloud:
     """Cloud of n samples spread uniformly over the given orbit points."""
     pts = np.array([[p.x, p.xi] for p in points], float)
     reps = np.resize(np.arange(len(pts)), n)
-    return SampleCloud(points=pts[reps], weights=np.full(n, 1.0 / n), source="orbit")
+    return SampleCloud(points=pts[reps], weights=np.full(n, 1.0 / n))
 
 
 def mixture_cloud(alpha: float, a: SampleCloud, b: SampleCloud) -> SampleCloud:
     """Concatenated cloud with weights alpha on a and 1 - alpha on b."""
     pts = np.concatenate([a.points, b.points])
     w = np.concatenate([alpha * a.weights, (1.0 - alpha) * b.weights])
-    return SampleCloud(points=pts, weights=w,
-                       source=f"mixture({alpha}, {a.source}, {b.source})")
+    return SampleCloud(points=pts, weights=w)
 
 
 @dataclass(frozen=True)
 class EntropyEstimate:
     value: float  # nats per step, >= 0
-    T_used: int
-    eps_used: float
     standard_error: float
     n_centers_used: int = 0
     empty_ball_count: int = 0
 
 
 def model_entropy(measure: ModelMeasure, m: CatMap) -> float:
-    """Exact KS entropy: 0 on periodic orbits, lambda_plus on Lebesgue
-    (measure of maximal entropy), affine on mixtures."""
-    if measure.kind == "orbit":
-        return 0.0
-    if measure.kind == "lebesgue":
-        return cat_lyapunov(m).lambda_plus
-    a = model_entropy(measure.part_a, m)
-    b = model_entropy(measure.part_b, m)
-    return measure.alpha * a + (1.0 - measure.alpha) * b
+    """Exact KS entropy: 0 on the periodic-orbit atom, lambda_plus on
+    Lebesgue (measure of maximal entropy), so (1 - weight) lambda_plus."""
+    return (1.0 - measure.weight) * cat_lyapunov(m).lambda_plus
 
 
 def _step(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -222,9 +211,9 @@ def ks_entropy_estimate(m: CatMap, cloud: SampleCloud, T: int, eps: float,
         )
     values = np.array(values)
     stderr = float(values.std() / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    return EntropyEstimate(value=max(0.0, float(values.mean())), T_used=T,
-                           eps_used=eps, standard_error=stderr,
-                           n_centers_used=len(values), empty_ball_count=empty)
+    return EntropyEstimate(value=max(0.0, float(values.mean())),
+                           standard_error=stderr, n_centers_used=len(values),
+                           empty_ball_count=empty)
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,8 @@ from .serialization import (KIND_OPERATOR, KIND_STATE, write_csv, write_pgm,
                             write_state)
 from .spectral import (diagonalize, degeneracy_clusters, quantum_period,
                        scarred_state, short_period_dimensions)
-from .torus_quantum import (TorusHilbert, TrigObservable, cat_propagator,
-                            egorov_defect, intertwining_defect,
-                            unitarity_defect)
+from .torus_quantum import (TrigObservable, cat_propagator, egorov_defect,
+                            intertwining_defect, unitarity_defect)
 
 
 @dataclass
@@ -77,14 +76,13 @@ def _observable_modes():
 
 def run_egorov(cfg: ExperimentConfig, out: Path, report: RunReport):
     m = cfg.cat_map()
-    h = TorusHilbert(cfg.N)
-    U = cat_propagator(h, m)
+    U = cat_propagator(cfg.N, m)
     unitarity = unitarity_defect(U)
     report.add("unitarity_defect_lt_1e-10", unitarity < 1e-10, unitarity)
-    inter = intertwining_defect(h, U, m)
+    inter = intertwining_defect(U, m)
     report.add("intertwining_defect_lt_1e-10", inter < 1e-10, inter)
     modes = _observable_modes()
-    defects = egorov_defect(h, U, m, [A for _, A in modes], 5)
+    defects = egorov_defect(U, m, [A for _, A in modes], 5)
     rows = [(cfg.N, m1, m2, t, d)
             for ((m1, m2), _), row in zip(modes, defects.tolist())
             for t, d in enumerate(row, 1)]
@@ -106,12 +104,11 @@ def qe_study(report: RunReport, m, A: TrigObservable, N: int):
     variances = {}
     rows = []
     for n in sorted({64, N}):
-        h = TorusHilbert(n)
-        dec = diagonalize(cat_propagator(h, m))
-        mus = eigenbasis_elements(h, dec, A)
+        dec = diagonalize(cat_propagator(n, m))
+        mus = eigenbasis_elements(dec, A)
         avg_defect = abs(mus.mean() - A.mean)
         report.add(f"basis_average_identity_N{n}", avg_defect < 1e-10, avg_defect)
-        variances[n] = qe_variance(h, dec, A)
+        variances[n] = qe_variance(dec, A)
         rows.append((n, variances[n], avg_defect))
         if n == N:
             dec_N = dec
@@ -130,9 +127,8 @@ def run_qe_catmap(cfg: ExperimentConfig, out: Path, report: RunReport):
     A = TrigObservable.cosine((1, 1))
     rows, dec = qe_study(report, cfg.cat_map(), A, cfg.N)
     N = cfg.N
-    clusters = degeneracy_clusters(dec)
     cluster_id = np.empty(N, int)
-    for cid, (_, idx) in enumerate(clusters.clusters):
+    for cid, (_, idx) in enumerate(degeneracy_clusters(dec)):
         cluster_id[idx] = cid
     ep = out / "eigenphases.csv"
     write_csv(ep, ("index", "phase", "cluster_id"),
@@ -148,19 +144,18 @@ def scar_study(report: RunReport, m, dims):
     the ball-mass and closest-measure checks per N. Returns the CSV rows
     and (N, state, Husimi grid) of the last N, or None if dims is empty."""
     origin = ModelMeasure.periodic_orbit([TorusPoint(0.0, 0.0)])
-    mixture = ModelMeasure.mixture(0.5, origin, ModelMeasure.lebesgue())
+    mixture = ModelMeasure.mixture(0.5, origin.orbit)
     lebesgue = ModelMeasure.lebesgue()
     rows = []
     last = None
     for N, P in dims:
-        h = TorusHilbert(N)
-        U = cat_propagator(h, m)
-        qp = quantum_period(h, m, P + 1, U)
+        U = cat_propagator(N, m)
+        qp = quantum_period(m, P + 1, U)
         T_half = max(1, qp.P // 2)
-        psi = scarred_state(h, T_half, U, qp)
-        g = husimi(h, psi)
+        psi = scarred_state(T_half, U, qp)
+        g = husimi(psi)
         mass = ball_mass(g, TorusPoint(0.0, 0.0), 0.1)
-        w = wigner_coefficients(h, psi, 8)
+        w = wigner_coefficients(psi, 8)
         d_mix = weak_star_distance(w, mixture)
         d_atom = weak_star_distance(w, origin)
         d_leb = weak_star_distance(w, lebesgue)
@@ -205,17 +200,17 @@ def entropy_oracles(report: RunReport, m, seed: int):
     atom = atom_cloud([TorusPoint(0.0, 0.0)], 200)
     mix = mixture_cloud(0.5, atom_cloud([TorusPoint(0.0, 0.0)], n // 2),
                         uniform_cloud(n // 2, seed=seed + 1))
-    est_u = ks_entropy_estimate(m, uni, 8, 0.1, 10, seed=seed)
-    est_a = ks_entropy_estimate(m, atom, 8, 0.1, 10, seed=seed)
-    est_m = ks_entropy_estimate(m, mix, 8, 0.1, 20, seed=seed)
-    rows = [(label, est.T_used, est.eps_used, est.value,
+    T, eps = 8, 0.1
+    est_u = ks_entropy_estimate(m, uni, T, eps, 10, seed=seed)
+    est_a = ks_entropy_estimate(m, atom, T, eps, 10, seed=seed)
+    est_m = ks_entropy_estimate(m, mix, T, eps, 20, seed=seed)
+    rows = [(label, T, eps, est.value,
              est.standard_error, est.empty_ball_count, model)
             for label, est, model in (("uniform", est_u, lam),
                                       ("atom", est_a, 0.0),
                                       ("mixture", est_m, lam / 2))]
-    lebesgue = ModelMeasure.lebesgue()
-    report.add("model_entropy_lebesgue_exact",
-               model_entropy(lebesgue, m) == lam, model_entropy(lebesgue, m))
+    exact = model_entropy(ModelMeasure.lebesgue(), m)
+    report.add("model_entropy_lebesgue_exact", exact == lam, exact)
     report.add("estimate_uniform_within_15pct",
                abs(est_u.value - lam) <= 0.15 * lam, est_u.value)
     report.add("estimate_atom_within_0.05",
@@ -331,10 +326,11 @@ def _mode_raster(dd, mode):
     return grid.T[::-1]  # image rows top to bottom
 
 
-def stadium_window(report: RunReport, out: Path, domain, dd, A, center_k, tag):
+def stadium_window(report: RunReport, out: Path, domain, dd, A, center_k):
     """Stadium modes with k within 1 of center_k: adds the Weyl-count and
-    score checks, suffixed with tag, and writes the mode table and the
-    top-scoring modes into out. Returns the modes."""
+    score checks, suffixed with the tag k<center_k> ("k15"), and writes the
+    mode table and the top-scoring modes into out. Returns the modes."""
+    tag = f"k{center_k:.0f}"
     modes = bq.eigenmodes_window(dd, A, domain, center_k)
     pred = bq.weyl_window_count(domain, center_k)
     report.add(f"weyl_count_within_15pct_{tag}",
@@ -372,8 +368,8 @@ def run_billiard_stadium(cfg: ExperimentConfig, out: Path, report: RunReport):
     domain = StadiumDomain(half_length=1.0, radius=1.0)
     dd = bq.discretize_stadium(domain, cfg.h)
     A = bq.build_laplacian(dd)
-    modes15 = stadium_window(report, out, domain, dd, A, 15.0, "k15")
-    modes30 = stadium_window(report, out, domain, dd, A, 30.0, "k30")
+    modes15 = stadium_window(report, out, domain, dd, A, 15.0)
+    modes30 = stadium_window(report, out, domain, dd, A, 30.0)
     left = lambda x, y: x < 0
     v15 = bq.qe_spatial_variance(modes15, left)
     v30 = bq.qe_spatial_variance(modes30, left)

@@ -2,7 +2,8 @@
 
 Wigner (Fourier) coefficients, Husimi distributions on a grid, matrix
 elements of observables, the quantum-ergodicity variance over an eigenbasis,
-and weak-star distances to a small family of model invariant measures.
+and weak-star distances to the model invariant measures
+weight * (atom on a periodic orbit) + (1 - weight) * Lebesgue.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import numpy as np
 from .catmap import TorusPoint
 from .errors import AliasingError
 from .spectral import EigenDecomposition
-from .torus_quantum import (TorusHilbert, TrigObservable, _freq_to_label,
-                            coherent_state, op_apply, translation_apply)
+from .torus_quantum import (TrigObservable, _freq_to_label, coherent_state,
+                            op_apply, translation_apply)
 
 
-def matrix_element(h: TorusHilbert, psi: np.ndarray, A: TrigObservable) -> float:
+def matrix_element(psi: np.ndarray, A: TrigObservable) -> float:
     """mu_psi(A) = <psi, Op_N(A) psi>; real for real observables."""
-    val = np.vdot(psi, op_apply(h, A, psi))
+    val = np.vdot(psi, op_apply(A, psi))
     return float(val.real)
 
 
@@ -36,15 +37,16 @@ class WignerCoefficients:
         return self.coefficients[(int(m[0]), int(m[1]))]
 
 
-def wigner_coefficients(h: TorusHilbert, psi: np.ndarray, cutoff: int) -> WignerCoefficients:
+def wigner_coefficients(psi: np.ndarray, cutoff: int) -> WignerCoefficients:
     """Coefficient at frequency m is mu_psi of exp(2 pi i (m1 x + m2 xi))."""
-    if cutoff >= h.N / 2:
-        raise AliasingError(f"cutoff {cutoff} reaches the Nyquist limit N/2 = {h.N / 2}")
+    N = len(psi)
+    if cutoff >= N / 2:
+        raise AliasingError(f"cutoff {cutoff} reaches the Nyquist limit N/2 = {N / 2}")
     coeffs = {}
     for m1 in range(-cutoff, cutoff + 1):
         for m2 in range(-cutoff, cutoff + 1):
             coeffs[(m1, m2)] = complex(
-                np.vdot(psi, translation_apply(h, _freq_to_label((m1, m2)), psi)))
+                np.vdot(psi, translation_apply(_freq_to_label((m1, m2)), psi)))
     return WignerCoefficients(coefficients=coeffs, cutoff=cutoff)
 
 
@@ -64,16 +66,16 @@ def default_grid_size(N: int) -> int:
     return max(8, math.ceil(2 * math.sqrt(N)))
 
 
-def husimi(h: TorusHilbert, psi: np.ndarray, G: int | None = None) -> HusimiGrid:
+def husimi(psi: np.ndarray, G: int | None = None) -> HusimiGrid:
     """Coherent-state overlaps |<cs(i/G, k/G), psi>|^2, normalized to sum 1."""
     if G is None:
-        G = default_grid_size(h.N)
+        G = default_grid_size(len(psi))
     if G < 8:
         raise ValueError("grid size G must be >= 8")
     H = np.empty((G, G))
     for i in range(G):
         for k in range(G):
-            cs = coherent_state(h, TorusPoint(i / G, k / G))
+            cs = coherent_state(len(psi), TorusPoint(i / G, k / G))
             H[i, k] = abs(np.vdot(cs, psi)) ** 2
     H /= H.sum()
     return HusimiGrid(values=H, G=G)
@@ -92,59 +94,57 @@ def ball_mass(g: HusimiGrid, center: TorusPoint, eps: float) -> float:
     return float(g.values[mask].sum())
 
 
-def eigenbasis_elements(h: TorusHilbert, dec: EigenDecomposition,
-                        A: TrigObservable) -> np.ndarray:
+def eigenbasis_elements(dec: EigenDecomposition, A: TrigObservable) -> np.ndarray:
     """mu_{v_n}(A) for every eigenvector v_n, equal bit for bit to
     matrix_element on each: one op_apply gather on the whole basis, then one
     vdot per column."""
     V = dec.eigenvectors
-    W = op_apply(h, A, V)
+    W = op_apply(A, V)
     return np.array([np.vdot(V[:, n], W[:, n]).real for n in range(V.shape[1])])
 
 
-def qe_variance(h: TorusHilbert, dec: EigenDecomposition, A: TrigObservable) -> float:
+def qe_variance(dec: EigenDecomposition, A: TrigObservable) -> float:
     """(1/N) sum_n |mu_{v_n}(A) - mean(A)|^2 over the full eigenbasis, read
     from eigenbasis_elements."""
-    diag = eigenbasis_elements(h, dec, A)
+    diag = eigenbasis_elements(dec, A)
     return float(np.mean(np.abs(diag - A.mean) ** 2))
 
 
 @dataclass(frozen=True)
 class ModelMeasure:
-    """Lebesgue, a uniform atom on a periodic orbit, or a two-way mixture."""
+    """weight * (uniform atom on the orbit) + (1 - weight) * Lebesgue, the
+    family the scar-weight bound weight <= 1/2 is stated for. Lebesgue has
+    weight 0 and no orbit."""
 
-    kind: str  # "lebesgue" | "orbit" | "mixture"
     orbit: tuple = ()
-    alpha: float = 0.0
-    part_a: "ModelMeasure | None" = None
-    part_b: "ModelMeasure | None" = None
+    weight: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.weight <= 1.0:
+            raise ValueError("mixture weight must lie in [0, 1]")
+        if self.weight > 0 and not self.orbit:
+            raise ValueError("an atom of positive weight needs a nonempty orbit")
 
     @classmethod
     def lebesgue(cls):
-        return cls(kind="lebesgue")
+        return cls()
 
     @classmethod
     def periodic_orbit(cls, points):
-        points = tuple(points)
-        if not points:
-            raise ValueError("orbit must be nonempty")
-        return cls(kind="orbit", orbit=points)
+        return cls(tuple(points), 1.0)
 
     @classmethod
-    def mixture(cls, alpha, part_a, part_b):
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError("mixture weight must lie in [0, 1]")
-        return cls(kind="mixture", alpha=float(alpha), part_a=part_a, part_b=part_b)
+    def mixture(cls, weight, points):
+        return cls(tuple(points), float(weight))
 
     def fourier(self, m) -> complex:
         """Fourier coefficient at integer frequency m = (m1, m2)."""
         m1, m2 = int(m[0]), int(m[1])
-        if self.kind == "lebesgue":
-            return 1.0 + 0.0j if (m1, m2) == (0, 0) else 0.0 + 0.0j
-        if self.kind == "orbit":
-            vals = [np.exp(2j * np.pi * (m1 * p.x + m2 * p.xi)) for p in self.orbit]
-            return complex(np.mean(vals))
-        return self.alpha * self.part_a.fourier(m) + (1.0 - self.alpha) * self.part_b.fourier(m)
+        lebesgue = 1.0 + 0.0j if (m1, m2) == (0, 0) else 0.0 + 0.0j
+        if not self.orbit:
+            return lebesgue
+        vals = [np.exp(2j * np.pi * (m1 * p.x + m2 * p.xi)) for p in self.orbit]
+        return self.weight * complex(np.mean(vals)) + (1.0 - self.weight) * lebesgue
 
 
 def weak_star_distance(w: WignerCoefficients, model: ModelMeasure, K: int = 8) -> float:

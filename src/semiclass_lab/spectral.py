@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .catmap import CatMap, TorusPoint, cat_lyapunov
 from .errors import DegenerateConstruction, NumericalError
-from .torus_quantum import TorusHilbert, coherent_state, unitarity_defect
+from .torus_quantum import coherent_state, unitarity_defect
 
 DEGENERACY_TOL = 1e-8 * 2 * np.pi
 RESIDUAL_TOL = 1e-10  # diagonalize: unitarity, eigen-residual, orthogonality
@@ -32,12 +32,6 @@ class EigenDecomposition:
     def reconstruct(self) -> np.ndarray:
         V = self.eigenvectors
         return (V * np.exp(1j * self.eigenphases)) @ V.conj().T
-
-
-@dataclass
-class DegeneracyReport:
-    clusters: list  # (mean phase, member index array)
-    tolerance: float
 
 
 @dataclass(frozen=True)
@@ -70,15 +64,16 @@ def diagonalize(U: np.ndarray) -> EigenDecomposition:
 
 
 def degeneracy_clusters(dec: EigenDecomposition,
-                        tolerance: float = DEGENERACY_TOL) -> DegeneracyReport:
-    """Partition eigenphase indices by linking circular gaps below tolerance.
+                        tolerance: float = DEGENERACY_TOL) -> list:
+    """Partition eigenphase indices by linking circular gaps below tolerance,
+    as a list of (mean phase, member index array) in eigenphase order.
 
     Halving the tolerance can only split clusters, never merge them.
     """
     ph = dec.eigenphases
     n = len(ph)
     if n == 0:
-        return DegeneracyReport(clusters=[], tolerance=tolerance)
+        return []
     gaps = np.diff(ph)
     breaks = np.nonzero(gaps > tolerance)[0]
     pieces = np.split(np.arange(n), breaks + 1)
@@ -86,12 +81,9 @@ def degeneracy_clusters(dec: EigenDecomposition,
     if len(pieces) > 1 and (ph[0] + 2 * np.pi - ph[-1]) <= tolerance:
         pieces[0] = np.concatenate([pieces[-1], pieces[0]])
         pieces.pop()
-    clusters = []
-    for idx in pieces:
-        z = np.exp(1j * ph[idx]).mean()
-        clusters.append((float(np.angle(z) % (2 * np.pi)), idx))
-    clusters.sort(key=lambda c: ph[c[1][0]])
-    return DegeneracyReport(clusters=clusters, tolerance=tolerance)
+    pieces.sort(key=lambda idx: ph[idx[0]])
+    return [(float(np.angle(np.exp(1j * ph[idx]).mean()) % (2 * np.pi)), idx)
+            for idx in pieces]
 
 
 def matrix_order_mod(m: CatMap, modulus: int, p_max: int):
@@ -108,7 +100,7 @@ def matrix_order_mod(m: CatMap, modulus: int, p_max: int):
     return None
 
 
-def quantum_period(h: TorusHilbert, m: CatMap, P_max: int, U: np.ndarray):
+def quantum_period(m: CatMap, P_max: int, U: np.ndarray):
     """Smallest P <= P_max with U^P proportional to the identity, else None,
     where U is the propagator of m.
 
@@ -117,7 +109,7 @@ def quantum_period(h: TorusHilbert, m: CatMap, P_max: int, U: np.ndarray):
     """
     if P_max < 1:
         raise ValueError("P_max must be >= 1")
-    N = h.N
+    N = len(U)
     Up = np.eye(N, dtype=complex)
     for P in range(1, P_max + 1):
         Up = Up @ U
@@ -148,8 +140,7 @@ def short_period_dimensions(m: CatMap, n_min: int, n_max: int):
     return out
 
 
-def scarred_state(h: TorusHilbert, T_half: int, U: np.ndarray,
-                  period: QuantumPeriod) -> np.ndarray:
+def scarred_state(T_half: int, U: np.ndarray, period: QuantumPeriod) -> np.ndarray:
     """Phase-weighted time average of the coherent state at the fixed origin:
 
         sum_{t=0}^{T_half-1} exp(-i theta t) U^t |cs(0,0)>, normalized,
@@ -160,11 +151,11 @@ def scarred_state(h: TorusHilbert, T_half: int, U: np.ndarray,
     """
     if T_half < 1:
         raise ValueError("T_half must be >= 1")
-    cs = coherent_state(h, TorusPoint(0.0, 0.0))
+    cs = coherent_state(len(U), TorusPoint(0.0, 0.0))
     theta0 = np.angle(np.vdot(cs, U @ cs))
     centers = (period.global_phase + 2 * np.pi * np.arange(period.P)) / period.P
     theta = float(centers[np.argmin(np.abs(np.exp(1j * (centers - theta0)) - 1))])
-    psi = np.zeros(h.N, dtype=complex)
+    psi = np.zeros(len(U), dtype=complex)
     v = cs
     for t in range(T_half):
         psi = psi + np.exp(-1j * theta * t) * v

@@ -1,7 +1,8 @@
 """Quantum mechanics on the torus at inverse Planck constant 2*pi*N.
 
-The Hilbert space is C^N in the position basis j/N. Phase-space translations
-T_N(n) generate the Weyl algebra
+The Hilbert space is C^N in the position basis j/N: a state is a length-N
+array and an operator an N x N one, and functions given either read N from
+its first axis. Phase-space translations T_N(n) generate the Weyl algebra
 
     T(m) T(n) = exp(i*pi*(m1*n2 - m2*n1)/N) T(m + n),
 
@@ -13,8 +14,6 @@ intertwines the translations exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .catmap import CatMap, TorusPoint
@@ -22,17 +21,6 @@ from .errors import InvalidObservable, QuantizationConditionError
 
 REALITY_TOL = 1e-12  # TrigObservable: |c_{-m} - conj(c_m)| allowed
 INTERTWINING_LABELS = ((1, 0), (0, 1), (1, 1))  # checked by intertwining_defect
-
-
-@dataclass(frozen=True)
-class TorusHilbert:
-    """Dimension-N quantum torus, with hbar = 1 / (2 pi N)."""
-
-    N: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("dimension N must be >= 1")
 
 
 class TrigObservable:
@@ -59,8 +47,10 @@ class TrigObservable:
 
     @classmethod
     def cosine(cls, m, amplitude=1.0):
-        """amplitude * 2 cos(2 pi m.(x, xi))."""
+        """amplitude * 2 cos(2 pi m.(x, xi)); at m = 0 the constant 2 amplitude."""
         m = (int(m[0]), int(m[1]))
+        if m == (0, 0):
+            return cls({m: 2 * amplitude})
         return cls({m: amplitude, (-m[0], -m[1]): amplitude})
 
     @property
@@ -80,30 +70,34 @@ class TrigObservable:
         return TrigObservable(out)
 
 
-def _translation(h: TorusHilbert, n):
+def _translation(N: int, n):
     """Row j of T_N(n) holds phase[j] in column cols[j]:
 
     (T(n) psi)_j = exp(i pi n1 n2 / N) exp(2 pi i n2 j / N) psi_{(j + n1) mod N}.
+
+    Both exponents are reduced in integers first (n1 n2 mod 2N, n2 j mod N),
+    so the phase keeps full precision for labels far larger than N, such as
+    those of A o M^t.
     """
-    N = h.N
     n1, n2 = int(n[0]), int(n[1])
     j = np.arange(N)
-    phase = np.exp(1j * np.pi * n1 * n2 / N) * np.exp(2j * np.pi * n2 * j / N)
+    phase = (np.exp(1j * np.pi * (n1 * n2 % (2 * N)) / N)
+             * np.exp(2j * np.pi * (n2 % N * j % N) / N))
     return (j + n1) % N, phase
 
 
-def translation_op(h: TorusHilbert, n) -> np.ndarray:
+def translation_op(N: int, n) -> np.ndarray:
     """Weyl-Heisenberg translation T_N(n) as a dense unitary matrix."""
-    cols, phase = _translation(h, n)
-    T = np.zeros((h.N, h.N), complex)
-    T[np.arange(h.N), cols] = phase
+    cols, phase = _translation(N, n)
+    T = np.zeros((N, N), complex)
+    T[np.arange(N), cols] = phase
     return T
 
 
-def translation_apply(h: TorusHilbert, n, psi: np.ndarray) -> np.ndarray:
+def translation_apply(n, psi: np.ndarray) -> np.ndarray:
     """T_N(n) psi without forming the matrix, for a vector or a block of
     columns: a row gather, scaled row by row (hence the transposes)."""
-    cols, phase = _translation(h, n)
+    cols, phase = _translation(len(psi), n)
     return (phase * psi[cols].T).T
 
 
@@ -113,25 +107,26 @@ def _freq_to_label(m):
     return (int(m[1]), int(m[0]))
 
 
-def weyl_quantize(h: TorusHilbert, A: TrigObservable) -> np.ndarray:
+def weyl_quantize(N: int, A: TrigObservable) -> np.ndarray:
     """Hermitian operator Op_N(A) = sum_m c_m T_N of the matching translation
     as a dense matrix: op_apply on the identity. The suites never form it;
     it is the reference the matrix-free path is tested against."""
-    return op_apply(h, A, np.eye(h.N, dtype=complex))
+    return op_apply(A, np.eye(N, dtype=complex))
 
 
-def op_apply(h: TorusHilbert, A: TrigObservable, psi: np.ndarray) -> np.ndarray:
+def op_apply(A: TrigObservable, psi: np.ndarray) -> np.ndarray:
     """Op_N(A) psi, for a vector or a block of columns, using translation
     actions only: each coefficient touches one entry per row."""
     out = np.zeros_like(psi, dtype=complex)
     for m, c in A.coefficients.items():
-        out += c * translation_apply(h, _freq_to_label(m), psi)
+        out += c * translation_apply(_freq_to_label(m), psi)
     return out
 
 
-def coherent_state(h: TorusHilbert, center: TorusPoint) -> np.ndarray:
+def coherent_state(N: int, center: TorusPoint) -> np.ndarray:
     """Normalized periodized Gaussian wave packet centered at (x0, xi0)."""
-    N = h.N
+    if N < 1:
+        raise ValueError("dimension N must be >= 1")
     x0, xi0 = center.x, center.xi
     j = np.arange(N)
     psi = np.zeros(N, complex)
@@ -204,7 +199,7 @@ def _generator_unitary(N: int, token) -> np.ndarray:
     return np.diag(np.exp(-1j * np.pi * c * j * j / N))
 
 
-def cat_propagator(h: TorusHilbert, m: CatMap) -> np.ndarray:
+def cat_propagator(N: int, m: CatMap) -> np.ndarray:
     """Unitary quantization of the cat map in the zero-angle sector.
 
     Built as a product of metaplectic generators (discrete Fourier transform
@@ -212,11 +207,12 @@ def cat_propagator(h: TorusHilbert, m: CatMap) -> np.ndarray:
     A = index_action(m). The global phase makes the largest entry of the
     first row real positive, preferring the (0, 0) entry when significant.
     """
+    if N < 1:
+        raise ValueError("dimension N must be >= 1")
     if not is_quantizable(m):
         raise QuantizationConditionError(
             f"map {m} violates the parity condition (a*b, c*d even)"
         )
-    N = h.N
     word = _theta_group_word(index_action(m))
     U = np.eye(N, dtype=complex)
     for token in word:
@@ -228,7 +224,7 @@ def cat_propagator(h: TorusHilbert, m: CatMap) -> np.ndarray:
     return U
 
 
-def intertwining_defect(h: TorusHilbert, U: np.ndarray, m: CatMap) -> float:
+def intertwining_defect(U: np.ndarray, m: CatMap) -> float:
     """Max operator-norm defect of U T(n) U* = T(An) over INTERTWINING_LABELS,
     read as ||T(An) U - U T(n)|| (unitary invariance). Both products are row
     gathers: T(An) on the columns of U, and T(-n) = T(n)* on those of U*."""
@@ -236,14 +232,13 @@ def intertwining_defect(h: TorusHilbert, U: np.ndarray, m: CatMap) -> float:
     U_adj = U.conj().T
     worst = 0.0
     for n in INTERTWINING_LABELS:
-        lhs = translation_apply(h, A @ np.asarray(n, np.int64), U)
-        rhs = translation_apply(h, (-n[0], -n[1]), U_adj).conj().T
+        lhs = translation_apply(A @ np.asarray(n, np.int64), U)
+        rhs = translation_apply((-n[0], -n[1]), U_adj).conj().T
         worst = max(worst, np.linalg.norm(lhs - rhs, 2))
     return worst
 
 
-def egorov_defect(h: TorusHilbert, U: np.ndarray, m: CatMap, observables,
-                  T: int) -> np.ndarray:
+def egorov_defect(U: np.ndarray, m: CatMap, observables, T: int) -> np.ndarray:
     """Operator-norm defects ||U^-t Op(A) U^t - Op(A o M^t)|| for each
     observable A and t = 1..T, as an array [len(observables), T], where U is
     the propagator of m. Zero to roundoff for linear maps (exact
@@ -253,14 +248,14 @@ def egorov_defect(h: TorusHilbert, U: np.ndarray, m: CatMap, observables,
     defects = np.empty((len(observables), T))
     mat = m.matrix(object)
     mat_t = np.eye(2, dtype=object)
-    Ut = np.eye(h.N, dtype=complex)
+    Ut = np.eye(len(U), dtype=complex)
     for t in range(T):
         Ut = Ut @ U
         mat_t = mat_t @ mat
         Ut_adj = Ut.conj().T
         for i, A in enumerate(observables):
-            evolved = op_apply(h, A, Ut)
-            classical = op_apply(h, A.compose_with(mat_t), Ut_adj).conj().T
+            evolved = op_apply(A, Ut)
+            classical = op_apply(A.compose_with(mat_t), Ut_adj).conj().T
             defects[i, t] = np.linalg.norm(evolved - classical, 2)
     return defects
 

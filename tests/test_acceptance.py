@@ -18,9 +18,9 @@ from semiclass_lab.config import ExperimentConfig
 from semiclass_lab.entropy import model_entropy
 from semiclass_lab.measures import ModelMeasure
 from semiclass_lab.spectral import short_period_dimensions
-from semiclass_lab.torus_quantum import (TorusHilbert, TrigObservable,
-                                         cat_propagator, egorov_defect,
-                                         intertwining_defect, unitarity_defect)
+from semiclass_lab.torus_quantum import (TrigObservable, cat_propagator,
+                                         egorov_defect, intertwining_defect,
+                                         unitarity_defect)
 
 M = DEFAULT_MAP
 LAM = cat_lyapunov(M).lambda_plus
@@ -52,8 +52,7 @@ def _modes_up_to_3():
 def test_criterion_1_exact_egorov():
     worst = 0.0
     for N in DIMS:
-        h = TorusHilbert(N)
-        defects = egorov_defect(h, cat_propagator(h, M), M, _modes_up_to_3(), 5)
+        defects = egorov_defect(cat_propagator(N, M), M, _modes_up_to_3(), 5)
         worst = max(worst, defects.max())
     ok = worst < 1e-9
     _report(1, "exact Egorov, all modes |m|<=3, t<=5, N<=512", ok,
@@ -64,10 +63,9 @@ def test_criterion_1_exact_egorov():
 def test_criterion_2_unitarity_and_intertwining():
     worst_u = worst_i = 0.0
     for N in DIMS:
-        h = TorusHilbert(N)
-        U = cat_propagator(h, M)
+        U = cat_propagator(N, M)
         worst_u = max(worst_u, unitarity_defect(U))
-        worst_i = max(worst_i, intertwining_defect(h, U, M))
+        worst_i = max(worst_i, intertwining_defect(U, M))
     ok = worst_u < 1e-10 and worst_i < 1e-10
     _report(2, "propagator unitarity and intertwining, N<=512", ok,
             f"unitarity {worst_u:.3e}, intertwining {worst_i:.3e} < 1e-10")
@@ -115,7 +113,7 @@ def test_criterion_4_half_scar_construction():
 def test_criterion_5_entropy_oracles():
     origin = ModelMeasure.periodic_orbit([TorusPoint(0.0, 0.0)])
     lebesgue = ModelMeasure.lebesgue()
-    mixture = ModelMeasure.mixture(0.5, origin, lebesgue)
+    mixture = ModelMeasure.mixture(0.5, origin.orbit)
     exact_ok = (model_entropy(origin, M) == 0.0
                 and model_entropy(lebesgue, M) == LAM
                 and model_entropy(mixture, M) == pytest.approx(LAM / 2, abs=1e-15))
@@ -155,7 +153,7 @@ def test_criterion_8_stadium_phenomenology(tmp_path):
     for h, center_k in ((0.01, 15.0), (0.005, 39.0)):
         dd = bq.discretize_stadium(domain, h)
         ex.stadium_window(report, tmp_path, domain, dd, bq.build_laplacian(dd),
-                          center_k, f"k{center_k:.0f}")
+                          center_k)
     ok, detail = _checks(report)
     _report(8, "stadium mode phenomenology at k~39 (and reduced k~15)", ok, detail)
     assert ok

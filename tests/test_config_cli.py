@@ -84,10 +84,20 @@ def test_main_runs_suite_and_is_deterministic(tmp_path, capsys):
 
 
 def test_main_multi_suite_subdirs(tmp_path):
-    rc = main(["--experiment", "egorov,egorov", "--N", "32",
+    rc = main(["--experiment", "egorov, qe-catmap", "--N", "32",
                "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "egorov" / "egorov_defects.csv").exists()
+    assert (tmp_path / "qe-catmap" / "qe_variance.csv").exists()
+
+
+def test_main_rejects_duplicate_suite(tmp_path, capsys):
+    """Two runs of one suite would write the same files at once."""
+    rc = main(["--experiment", "egorov,qe-catmap, egorov", "--parallel",
+               "--N", "32", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "listed twice" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_main_reports_suite_error(tmp_path, capsys):

@@ -22,16 +22,14 @@ ORIGIN = [TorusPoint(0.0, 0.0)]
 def test_model_entropy_exact_values():
     assert model_entropy(ModelMeasure.lebesgue(), M) == pytest.approx(LAM)
     assert model_entropy(ModelMeasure.periodic_orbit(ORIGIN), M) == 0.0
-    mix = ModelMeasure.mixture(0.5, ModelMeasure.periodic_orbit(ORIGIN),
-                               ModelMeasure.lebesgue())
+    mix = ModelMeasure.mixture(0.5, ORIGIN)
     assert model_entropy(mix, M) == pytest.approx(LAM / 2)
 
 
 @given(st.floats(0.0, 1.0))
 @settings(max_examples=30, deadline=None)
 def test_model_entropy_affine(alpha):
-    mix = ModelMeasure.mixture(alpha, ModelMeasure.periodic_orbit(ORIGIN),
-                               ModelMeasure.lebesgue())
+    mix = ModelMeasure.mixture(alpha, ORIGIN)
     assert model_entropy(mix, M) == pytest.approx((1 - alpha) * LAM, abs=1e-12)
 
 

@@ -10,8 +10,8 @@ from semiclass_lab.measures import (ModelMeasure, ball_mass,
                                     matrix_element, qe_variance,
                                     weak_star_distance, wigner_coefficients)
 from semiclass_lab.spectral import diagonalize
-from semiclass_lab.torus_quantum import (TorusHilbert, TrigObservable,
-                                         cat_propagator, coherent_state)
+from semiclass_lab.torus_quantum import (TrigObservable, cat_propagator,
+                                         coherent_state)
 
 M = DEFAULT_MAP
 
@@ -23,27 +23,24 @@ def _random_state(N, seed=0):
 
 
 def test_matrix_element_constant():
-    h = TorusHilbert(32)
     psi = _random_state(32)
-    assert matrix_element(h, psi, TrigObservable({(0, 0): 1.0})) == \
+    assert matrix_element(psi, TrigObservable({(0, 0): 1.0})) == \
         pytest.approx(1.0, abs=1e-12)
 
 
 def test_matrix_element_position_basis():
     """Position observables act diagonally on basis vectors."""
-    h = TorusHilbert(24)
     A = TrigObservable.cosine((1, 0))
     for j in (0, 5, 13):
         e = np.zeros(24, complex)
         e[j] = 1.0
-        assert matrix_element(h, e, A) == \
+        assert matrix_element(e, A) == \
             pytest.approx(2 * np.cos(2 * np.pi * j / 24), abs=1e-12)
 
 
 def test_matrix_element_coherent_state_near_symbol_value():
-    h = TorusHilbert(256)
-    cs = coherent_state(h, TorusPoint(0, 0))
-    val = matrix_element(h, cs, TrigObservable.cosine((1, 0)))
+    cs = coherent_state(256, TorusPoint(0, 0))
+    val = matrix_element(cs, TrigObservable.cosine((1, 0)))
     assert abs(val - 2.0) < 0.05  # 2 - O(1/N)
     assert val < 2.0
 
@@ -52,7 +49,6 @@ def test_matrix_element_coherent_state_near_symbol_value():
 @settings(max_examples=20, deadline=None)
 def test_matrix_element_real_and_linear(seed):
     rng = np.random.default_rng(seed)
-    h = TorusHilbert(16)
     psi = _random_state(16, seed)
     coeffs = {}
     for _ in range(4):
@@ -62,17 +58,16 @@ def test_matrix_element_real_and_linear(seed):
         coeffs[(-m[0], -m[1])] = coeffs.get((-m[0], -m[1]), 0) + np.conj(c)
     A = TrigObservable(coeffs)
     B = TrigObservable.cosine((1, 1))
-    va, vb = matrix_element(h, psi, A), matrix_element(h, psi, B)
+    va, vb = matrix_element(psi, A), matrix_element(psi, B)
     for m, c in B.coefficients.items():
         coeffs[m] = coeffs.get(m, 0) + c
-    vab = matrix_element(h, psi, TrigObservable(coeffs))  # A + B
+    vab = matrix_element(psi, TrigObservable(coeffs))  # A + B
     assert vab == pytest.approx(va + vb, abs=1e-10)
 
 
 def test_wigner_normalization_and_symmetry():
-    h = TorusHilbert(32)
     psi = _random_state(32, 5)
-    w = wigner_coefficients(h, psi, 6)
+    w = wigner_coefficients(psi, 6)
     assert w((0, 0)) == pytest.approx(1.0, abs=1e-12)
     for m1 in range(-6, 7):
         for m2 in range(-6, 7):
@@ -81,27 +76,24 @@ def test_wigner_normalization_and_symmetry():
 
 
 def test_wigner_aliasing_guard():
-    h = TorusHilbert(16)
     with pytest.raises(AliasingError):
-        wigner_coefficients(h, _random_state(16), 8)
+        wigner_coefficients(_random_state(16), 8)
 
 
 def test_position_basis_vector_delocalized_in_momentum():
-    h = TorusHilbert(16)
     e = np.zeros(16, complex)
     e[3] = 1.0
-    w = wigner_coefficients(h, e, 2)
+    w = wigner_coefficients(e, 2)
     # pure position state: the position-frequency coefficient has modulus 1
     assert abs(w((1, 0))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eigenbasis_average_wigner_vanishes():
     """Averaging over a full eigenbasis gives (1/N) tr T(m) = 0 off zero."""
-    h = TorusHilbert(30)
-    dec = diagonalize(cat_propagator(h, M))
+    dec = diagonalize(cat_propagator(30, M))
     acc = {}
     for n in range(30):
-        w = wigner_coefficients(h, dec.eigenvectors[:, n], 3)
+        w = wigner_coefficients(dec.eigenvectors[:, n], 3)
         for m, c in w.coefficients.items():
             acc[m] = acc.get(m, 0) + c / 30
     for m, c in acc.items():
@@ -110,9 +102,8 @@ def test_eigenbasis_average_wigner_vanishes():
 
 
 def test_husimi_peak_and_mass():
-    h = TorusHilbert(128)
-    psi = coherent_state(h, TorusPoint(0.5, 0.5))
-    g = husimi(h, psi, 64)
+    psi = coherent_state(128, TorusPoint(0.5, 0.5))
+    g = husimi(psi, 64)
     assert g.values.sum() == pytest.approx(1.0, abs=1e-12)
     assert (g.values >= 0).all()
     i, k = np.unravel_index(np.argmax(g.values), g.values.shape)
@@ -120,9 +111,8 @@ def test_husimi_peak_and_mass():
 
 
 def test_husimi_grid_size_guard():
-    h = TorusHilbert(16)
     with pytest.raises(ValueError):
-        husimi(h, _random_state(16), 4)
+        husimi(_random_state(16), 4)
 
 
 def test_ball_mass_uniform_and_monotone():
@@ -139,51 +129,46 @@ def test_ball_mass_uniform_and_monotone():
 
 def test_coherent_ball_mass_concentrated():
     N = 128
-    h = TorusHilbert(N)
-    psi = coherent_state(h, TorusPoint(0.25, 0.75))
-    g = husimi(h, psi, 48)
+    psi = coherent_state(N, TorusPoint(0.25, 0.75))
+    g = husimi(psi, 48)
     assert ball_mass(g, TorusPoint(0.25, 0.75), 3 / np.sqrt(N)) >= 0.95
 
 
 def test_qe_variance_trivial_cases():
-    h = TorusHilbert(64)
-    dec = diagonalize(cat_propagator(h, M))
+    dec = diagonalize(cat_propagator(64, M))
     const = TrigObservable({(0, 0): 3.0})
-    assert qe_variance(h, dec, const) < 1e-20
+    assert qe_variance(dec, const) < 1e-20
     A = TrigObservable.cosine((1, 1))
     shifted = TrigObservable({(1, 1): 1.0, (-1, -1): 1.0, (0, 0): 2.5})
-    assert qe_variance(h, dec, shifted) == pytest.approx(
-        qe_variance(h, dec, A), abs=1e-12)
+    assert qe_variance(dec, shifted) == pytest.approx(
+        qe_variance(dec, A), abs=1e-12)
 
 
 def test_eigenbasis_elements_equal_matrix_element():
     """The one gather over the basis gives matrix_element's bytes on every
     eigenvector, which keeps qe_variance.csv unchanged."""
-    h = TorusHilbert(64)
-    dec = diagonalize(cat_propagator(h, M))
+    dec = diagonalize(cat_propagator(64, M))
     A = TrigObservable.cosine((1, 1))
-    loop = [matrix_element(h, dec.eigenvectors[:, n], A) for n in range(64)]
-    assert np.array_equal(eigenbasis_elements(h, dec, A), loop)
+    loop = [matrix_element(dec.eigenvectors[:, n], A) for n in range(64)]
+    assert np.array_equal(eigenbasis_elements(dec, A), loop)
 
 
 def test_basis_average_identity():
-    h = TorusHilbert(64)
-    dec = diagonalize(cat_propagator(h, M))
+    dec = diagonalize(cat_propagator(64, M))
     A = TrigObservable.cosine((2, 1), amplitude=0.7)
-    mus = [matrix_element(h, dec.eigenvectors[:, n], A) for n in range(64)]
+    mus = [matrix_element(dec.eigenvectors[:, n], A) for n in range(64)]
     assert np.mean(mus) == pytest.approx(A.mean, abs=1e-10)
 
 
 def test_eigenstate_measures_invariant():
     """mu_v(A o M) = mu_v(A) through exact Egorov."""
-    h = TorusHilbert(64)
-    dec = diagonalize(cat_propagator(h, M))
+    dec = diagonalize(cat_propagator(64, M))
     A = TrigObservable({(1, 0): 1.0, (-1, 0): 1.0, (1, 1): 0.5, (-1, -1): 0.5})
     comp = A.compose_with(M.matrix())
     for n in (0, 17, 40):
         v = dec.eigenvectors[:, n]
-        assert matrix_element(h, v, comp) == \
-            pytest.approx(matrix_element(h, v, A), abs=1e-9)
+        assert matrix_element(v, comp) == \
+            pytest.approx(matrix_element(v, A), abs=1e-9)
 
 
 def test_model_measure_coefficients():
@@ -192,19 +177,19 @@ def test_model_measure_coefficients():
     assert leb.fourier((2, -1)) == 0.0
     atom = ModelMeasure.periodic_orbit([TorusPoint(0, 0)])
     assert atom.fourier((3, 5)) == pytest.approx(1.0)
-    half = ModelMeasure.mixture(0.5, atom, leb)
+    half = ModelMeasure.mixture(0.5, [TorusPoint(0, 0)])
     assert half.fourier((3, 5)) == pytest.approx(0.5)
+    assert half.fourier((0, 0)) == pytest.approx(1.0)
     orbit = ModelMeasure.periodic_orbit([TorusPoint(0, 0.5), TorusPoint(0.5, 0)])
     assert orbit.fourier((1, 1)) == pytest.approx(-1.0)
 
 
 def test_weak_star_distance_eigenbasis_average():
-    h = TorusHilbert(30)
-    dec = diagonalize(cat_propagator(h, M))
+    dec = diagonalize(cat_propagator(30, M))
     # mixed-state analog through explicit averaging of coefficients
     acc = {}
     for n in range(30):
-        w = wigner_coefficients(h, dec.eigenvectors[:, n], 8)
+        w = wigner_coefficients(dec.eigenvectors[:, n], 8)
         for m, c in w.coefficients.items():
             acc[m] = acc.get(m, 0) + c / 30
     w.coefficients = acc
@@ -212,7 +197,14 @@ def test_weak_star_distance_eigenbasis_average():
 
 
 def test_weak_star_requires_cutoff():
-    h = TorusHilbert(64)
-    w = wigner_coefficients(h, _random_state(64), 4)
+    w = wigner_coefficients(_random_state(64), 4)
     with pytest.raises(ValueError):
         weak_star_distance(w, ModelMeasure.lebesgue(), 8)
+
+
+def test_model_measure_rejects_bad_parts():
+    with pytest.raises(ValueError):
+        ModelMeasure.periodic_orbit([])
+    for weight in (-0.1, 1.5):
+        with pytest.raises(ValueError):
+            ModelMeasure.mixture(weight, [TorusPoint(0, 0)])

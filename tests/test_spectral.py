@@ -6,7 +6,7 @@ from semiclass_lab.errors import NumericalError
 from semiclass_lab.spectral import (degeneracy_clusters, diagonalize,
                                     matrix_order_mod, quantum_period,
                                     scarred_state, short_period_dimensions)
-from semiclass_lab.torus_quantum import TorusHilbert, cat_propagator, coherent_state
+from semiclass_lab.torus_quantum import cat_propagator, coherent_state
 
 M = DEFAULT_MAP
 
@@ -28,8 +28,7 @@ def test_diagonalize_rejects_non_unitary():
 
 
 def test_spectral_reconstruction():
-    h = TorusHilbert(64)
-    U = cat_propagator(h, M)
+    U = cat_propagator(64, M)
     dec = diagonalize(U)
     assert len(dec.eigenphases) == 64
     assert np.all(np.diff(dec.eigenphases) >= 0)
@@ -37,16 +36,14 @@ def test_spectral_reconstruction():
 
 
 def test_quantum_period_n1():
-    h = TorusHilbert(1)
-    qp = quantum_period(h, M, 5, cat_propagator(h, M))
+    qp = quantum_period(M, 5, cat_propagator(1, M))
     assert qp is not None and qp.P == 1
 
 
 def test_quantum_period_matches_matrix_order():
     for N in (15, 56):
-        h = TorusHilbert(N)
-        U = cat_propagator(h, M)
-        qp = quantum_period(h, M, 20, U)
+        U = cat_propagator(N, M)
+        qp = quantum_period(M, 20, U)
         assert qp is not None
         assert qp.P == matrix_order_mod(M, 2 * N, 20)
         UP = np.linalg.matrix_power(U, qp.P)
@@ -55,15 +52,13 @@ def test_quantum_period_matches_matrix_order():
 
 def test_quantum_period_absent():
     # generic N: order of M mod 2N far exceeds the small search bound
-    h = TorusHilbert(101)
-    assert quantum_period(h, M, 3, cat_propagator(h, M)) is None
+    assert quantum_period(M, 3, cat_propagator(101, M)) is None
 
 
 def test_spectrum_on_period_roots():
     N = 56
-    h = TorusHilbert(N)
-    U = cat_propagator(h, M)
-    qp = quantum_period(h, M, 12, U)
+    U = cat_propagator(N, M)
+    qp = quantum_period(M, 12, U)
     dec = diagonalize(U)
     centers = (qp.global_phase + 2 * np.pi * np.arange(qp.P)) / qp.P
     for ph in dec.eigenphases:
@@ -71,53 +66,49 @@ def test_spectrum_on_period_roots():
 
 
 def test_degeneracy_clusters_partition_and_refine():
-    h = TorusHilbert(56)
-    dec = diagonalize(cat_propagator(h, M))
-    rep = degeneracy_clusters(dec, 1e-6)
-    idx = np.concatenate([c[1] for c in rep.clusters])
+    dec = diagonalize(cat_propagator(56, M))
+    coarse = degeneracy_clusters(dec, 1e-6)
+    idx = np.concatenate([c[1] for c in coarse])
     assert sorted(idx) == list(range(56))
     # halving the tolerance only splits clusters
     fine = degeneracy_clusters(dec, 5e-7)
-    coarse_sets = [set(c[1].tolist()) for c in rep.clusters]
-    for _, members in fine.clusters:
+    coarse_sets = [set(c[1].tolist()) for c in coarse]
+    for _, members in fine:
         s = set(members.tolist())
         assert any(s <= cs for cs in coarse_sets)
 
 
 def test_scarred_state_single_term_is_coherent():
-    h = TorusHilbert(56)
-    U = cat_propagator(h, M)
-    psi = scarred_state(h, 1, U, quantum_period(h, M, 12, U))
-    cs = coherent_state(h, TorusPoint(0, 0))
+    U = cat_propagator(56, M)
+    psi = scarred_state(1, U, quantum_period(M, 12, U))
+    cs = coherent_state(56, TorusPoint(0, 0))
     assert abs(np.vdot(cs, psi)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_scarred_state_normalized_and_scarred():
     from semiclass_lab.measures import ball_mass, husimi
-    h = TorusHilbert(56)
-    U = cat_propagator(h, M)
-    qp = quantum_period(h, M, 12, U)
-    psi = scarred_state(h, qp.P // 2, U, qp)
+    U = cat_propagator(56, M)
+    qp = quantum_period(M, 12, U)
+    psi = scarred_state(qp.P // 2, U, qp)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
-    mass = ball_mass(husimi(h, psi), TorusPoint(0, 0), 0.1)
+    mass = ball_mass(husimi(psi), TorusPoint(0, 0), 0.1)
     assert 0.35 <= mass <= 0.60
 
 
 def test_scarred_state_concentrates_on_one_cluster():
-    h = TorusHilbert(56)
-    U = cat_propagator(h, M)
-    qp = quantum_period(h, M, 12, U)
+    U = cat_propagator(56, M)
+    qp = quantum_period(M, 12, U)
     dec = diagonalize(U)
-    clusters = degeneracy_clusters(dec, 1e-6).clusters
+    clusters = degeneracy_clusters(dec, 1e-6)
 
     def top_cluster_weight(psi):
         w = np.abs(dec.eigenvectors.conj().T @ psi) ** 2
         return max(w[idx].sum() for _, idx in clusters) / w.sum()
 
     # a full-period average is an exact eigenprojection
-    assert top_cluster_weight(scarred_state(h, qp.P, U, qp)) >= 0.99
+    assert top_cluster_weight(scarred_state(qp.P, U, qp)) >= 0.99
     # the half-period state still puts most of its weight on one cluster
-    assert top_cluster_weight(scarred_state(h, qp.P // 2, U, qp)) >= 0.5
+    assert top_cluster_weight(scarred_state(qp.P // 2, U, qp)) >= 0.5
 
 
 def test_short_period_dimensions_bound():

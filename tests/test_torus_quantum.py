@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from semiclass_lab.catmap import CatMap, DEFAULT_MAP, TorusPoint
 from semiclass_lab.errors import InvalidObservable, QuantizationConditionError
-from semiclass_lab.torus_quantum import (TorusHilbert, TrigObservable,
-                                         cat_propagator, coherent_state,
+from semiclass_lab.torus_quantum import (TrigObservable, cat_propagator,
+                                         coherent_state,
                                          egorov_defect, index_action,
                                          intertwining_defect, is_quantizable,
                                          op_apply, translation_apply,
@@ -17,16 +17,14 @@ M = DEFAULT_MAP
 
 
 def test_translation_identity():
-    h = TorusHilbert(7)
-    assert np.allclose(translation_op(h, (0, 0)), np.eye(7))
+    assert np.allclose(translation_op(7, (0, 0)), np.eye(7))
 
 
 def test_weyl_commutation_example_n4():
     """T(m) T(n) = exp(i pi sigma/N) T(m+n) with sigma = 1 at N = 4."""
-    h = TorusHilbert(4)
-    Tm = translation_op(h, (1, 0))
-    Tn = translation_op(h, (0, 1))
-    Tmn = translation_op(h, (1, 1))
+    Tm = translation_op(4, (1, 0))
+    Tn = translation_op(4, (0, 1))
+    Tmn = translation_op(4, (1, 1))
     scalar = (Tm @ Tn) @ np.linalg.inv(Tmn)
     assert np.allclose(scalar, np.exp(1j * np.pi / 4) * np.eye(4))
 
@@ -35,19 +33,17 @@ def test_weyl_commutation_example_n4():
        st.integers(-8, 8), st.integers(-8, 8))
 @settings(max_examples=60, deadline=None)
 def test_weyl_commutation_relation(N, m1, m2, n1, n2):
-    h = TorusHilbert(N)
     sigma = m1 * n2 - m2 * n1
-    lhs = translation_op(h, (m1, m2)) @ translation_op(h, (n1, n2))
-    rhs = np.exp(1j * np.pi * sigma / N) * translation_op(h, (m1 + n1, m2 + n2))
+    lhs = translation_op(N, (m1, m2)) @ translation_op(N, (n1, n2))
+    rhs = np.exp(1j * np.pi * sigma / N) * translation_op(N, (m1 + n1, m2 + n2))
     assert np.abs(lhs - rhs).max() < 1e-13
 
 
 @given(st.integers(3, 64), st.integers(-10, 10), st.integers(-10, 10))
 @settings(max_examples=40, deadline=None)
 def test_translation_adjoint(N, n1, n2):
-    h = TorusHilbert(N)
-    T = translation_op(h, (n1, n2))
-    assert np.abs(T.conj().T - translation_op(h, (-n1, -n2))).max() < 1e-13
+    T = translation_op(N, (n1, n2))
+    assert np.abs(T.conj().T - translation_op(N, (-n1, -n2))).max() < 1e-13
     assert np.abs(T.conj().T @ T - np.eye(N)).max() < 1e-13
 
 
@@ -57,7 +53,6 @@ label = st.tuples(st.integers(-200, 200), st.integers(-200, 200))
 @given(st.integers(1, 128), label, label, st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_matrix_free_matches_dense(N, n, m, seed):
-    h = TorusHilbert(N)
     rng = np.random.default_rng(seed)
     # 0.3 cos at n plus -1.7 cos at m, merged where n = +-m
     coeffs = {}
@@ -68,21 +63,20 @@ def test_matrix_free_matches_dense(N, n, m, seed):
     # a vector, and an (N, 3) block of columns
     for shape in (N, (N, 3)):
         psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        assert np.abs(translation_apply(h, n, psi)
-                      - translation_op(h, n) @ psi).max() < 1e-13
-        assert np.abs(op_apply(h, A, psi) - weyl_quantize(h, A) @ psi).max() < 1e-13
+        assert np.abs(translation_apply(n, psi)
+                      - translation_op(N, n) @ psi).max() < 1e-13
+        assert np.abs(op_apply(A, psi) - weyl_quantize(N, A) @ psi).max() < 1e-13
 
 
 @pytest.mark.parametrize("N", [7, 64, 509, 512])
 def test_quantize_is_sum_of_translations(N):
     """Frequencies (0, 1) and (1, 1) both shift columns by one: their terms
     land on the same entries, and the sum is exact."""
-    h = TorusHilbert(N)
     A = TrigObservable({(0, 1): 1.0, (0, -1): 1.0, (1, 1): 0.4, (-1, -1): 0.4})
     dense = np.zeros((N, N), complex)
     for (m1, m2), c in A.coefficients.items():
-        dense += c * translation_op(h, (m2, m1))
-    assert np.array_equal(weyl_quantize(h, A), dense)
+        dense += c * translation_op(N, (m2, m1))
+    assert np.array_equal(weyl_quantize(N, A), dense)
 
 
 def test_observable_reality_enforced():
@@ -93,19 +87,16 @@ def test_observable_reality_enforced():
 
 
 def test_quantize_constant_is_identity():
-    h = TorusHilbert(16)
-    assert np.allclose(weyl_quantize(h, TrigObservable({(0, 0): 1.0})), np.eye(16))
+    assert np.allclose(weyl_quantize(16, TrigObservable({(0, 0): 1.0})), np.eye(16))
 
 
 def test_position_observable_is_diagonal():
-    h = TorusHilbert(12)
-    op = weyl_quantize(h, TrigObservable.cosine((1, 0)))
+    op = weyl_quantize(12, TrigObservable.cosine((1, 0)))
     j = np.arange(12)
     assert np.allclose(op, np.diag(2 * np.cos(2 * np.pi * j / 12)), atol=1e-13)
 
 
 def test_hermiticity_and_linearity():
-    h = TorusHilbert(20)
     rng = np.random.default_rng(3)
     coeffs = {}
     for _ in range(5):
@@ -115,31 +106,28 @@ def test_hermiticity_and_linearity():
         neg = (-m[0], -m[1])
         coeffs[neg] = coeffs.get(neg, 0) + np.conj(c)
     A = TrigObservable(coeffs)
-    op = weyl_quantize(h, A)
+    op = weyl_quantize(20, A)
     assert np.abs(op - op.conj().T).max() < 1e-13
-    op2 = weyl_quantize(h, TrigObservable({m: 2.0 * c for m, c in coeffs.items()}))
+    op2 = weyl_quantize(20, TrigObservable({m: 2.0 * c for m, c in coeffs.items()}))
     assert np.allclose(op2, 2 * op)
 
 
 def test_normalized_trace_equals_mean():
-    h = TorusHilbert(32)
     A = TrigObservable({(0, 0): 0.7, (2, 1): 0.3, (-2, -1): 0.3})
-    assert np.trace(weyl_quantize(h, A)) / 32 == pytest.approx(0.7, abs=1e-13)
+    assert np.trace(weyl_quantize(32, A)) / 32 == pytest.approx(0.7, abs=1e-13)
 
 
 @pytest.mark.parametrize("N", [17, 64, 1024])
 def test_coherent_state_normalized(N):
-    h = TorusHilbert(N)
-    psi = coherent_state(h, TorusPoint(0.31, 0.77))
+    psi = coherent_state(N, TorusPoint(0.31, 0.77))
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coherent_state_translation_covariance():
     """Center (1/2, 1/2) equals the translated origin state up to phase."""
     N = 64
-    h = TorusHilbert(N)
-    a = coherent_state(h, TorusPoint(0.5, 0.5))
-    b = translation_op(h, (N // 2, N // 2)) @ coherent_state(h, TorusPoint(0, 0))
+    a = coherent_state(N, TorusPoint(0.5, 0.5))
+    b = translation_op(N, (N // 2, N // 2)) @ coherent_state(N, TorusPoint(0, 0))
     overlap = abs(np.vdot(a, b))
     assert overlap == pytest.approx(1.0, abs=1e-10)
 
@@ -149,40 +137,37 @@ def test_quantizability_condition():
     arnold = CatMap(2, 1, 1, 1)
     assert not is_quantizable(arnold)
     with pytest.raises(QuantizationConditionError):
-        cat_propagator(TorusHilbert(8), arnold)
+        cat_propagator(8, arnold)
 
 
 @pytest.mark.parametrize("N", [5, 8, 64, 127, 512])
 def test_propagator_unitary_and_intertwines(N):
-    h = TorusHilbert(N)
-    U = cat_propagator(h, M)
+    U = cat_propagator(N, M)
     assert unitarity_defect(U) < 1e-10
-    assert intertwining_defect(h, U, M) < 1e-10
+    assert intertwining_defect(U, M) < 1e-10
 
 
 def test_shear_composite_intertwines():
     """The shear product [[1,0],[2,1]] [[1,2],[0,1]] = [[1,2],[2,5]] is a
     quantizable hyperbolic map; its index action carries the parity signs."""
-    h = TorusHilbert(32)
     prod = np.array([[1, 0], [2, 1]]) @ np.array([[1, 2], [0, 1]])
     mp = CatMap(*(int(v) for v in prod.ravel()))
-    U = cat_propagator(h, mp)
-    assert intertwining_defect(h, U, mp) < 1e-10
+    U = cat_propagator(32, mp)
+    assert intertwining_defect(U, mp) < 1e-10
     assert (index_action(mp) == np.array([[1, -2], [-2, 5]])).all()
 
 
 @pytest.mark.parametrize("N", [8, 64])
 def test_intertwining_defect_fails_without_propagator(N):
     """The identity does not quantize the map: ||T(An) - T(n)|| is near 2."""
-    assert intertwining_defect(TorusHilbert(N), np.eye(N), M) > 0.5
+    assert intertwining_defect(np.eye(N), M) > 0.5
 
 
 def test_propagator_multiplicative_up_to_phase():
     """U(M^2) equals U(M)^2 up to a global phase."""
-    h = TorusHilbert(24)
-    U1 = cat_propagator(h, M)
+    U1 = cat_propagator(24, M)
     sq = M.matrix() @ M.matrix()
-    U2 = cat_propagator(h, CatMap(*(int(v) for v in sq.ravel())))
+    U2 = cat_propagator(24, CatMap(*(int(v) for v in sq.ravel())))
     phase = np.trace(U2 @ np.linalg.inv(U1 @ U1)) / 24
     assert abs(abs(phase) - 1.0) < 1e-10
     assert np.abs(U2 - phase * (U1 @ U1)).max() < 1e-10
@@ -190,34 +175,56 @@ def test_propagator_multiplicative_up_to_phase():
 
 @pytest.mark.parametrize("T", [0, 1, 5])
 def test_egorov_defect_small(T):
-    h = TorusHilbert(128)
     A = TrigObservable.cosine((1, 0))
-    defects = egorov_defect(h, cat_propagator(h, M), M, [A], T)
+    defects = egorov_defect(cat_propagator(128, M), M, [A], T)
     assert defects.shape == (1, T)
     assert (defects < 1e-9).all()
 
 
 def test_egorov_mixed_mode():
-    h = TorusHilbert(64)
     observables = [TrigObservable.cosine((2, 1), amplitude=0.5),
                    TrigObservable.cosine((0, 1))]
-    defects = egorov_defect(h, cat_propagator(h, M), M, observables, 3)
+    defects = egorov_defect(cat_propagator(64, M), M, observables, 3)
     assert defects.shape == (2, 3)
     assert (defects < 1e-9).all()
     # a unitary that does not quantize the map fails the correspondence
-    assert egorov_defect(h, np.eye(64), M, observables, 1).min() > 0.5
+    assert egorov_defect(np.eye(64), M, observables, 1).min() > 0.5
 
 
 def test_propagator_covariance_moves_coherent_state():
     """One step sends the wave packet at rho near M rho."""
     from semiclass_lab.measures import ball_mass, husimi
     N = 128
-    h = TorusHilbert(N)
     rho = TorusPoint(0.2, 0.4)
-    U = cat_propagator(h, M)
-    psi = U @ coherent_state(h, rho)
+    U = cat_propagator(N, M)
+    psi = U @ coherent_state(N, rho)
     target = TorusPoint(*(M.matrix() @ rho.as_array()))
-    g = husimi(h, psi, 32)
+    g = husimi(psi, 32)
     lam = 2 + np.sqrt(3)
     mass = ball_mass(g, target, min(0.49, 5 * lam / np.sqrt(N)))
     assert mass >= 0.5
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_egorov_exact_at_small_N(N):
+    """The labels of A o M^t grow like 4^t while N is tiny: the translation
+    phases reduce them mod 2N in integers, so no precision is lost."""
+    observables = [TrigObservable.cosine(m) for m in
+                   ((1, 0), (0, 1), (1, 1), (2, 1), (3, 3))]
+    observables.append(TrigObservable({(2, -3): -1j, (-2, 3): 1j}))  # 2 sin
+    defects = egorov_defect(cat_propagator(N, M), M, observables, 5)
+    assert defects.max() < 1e-13
+
+
+def test_cosine_zero_mode_is_twice_the_amplitude():
+    """2 cos 0 = 2: the zero mode is its own negative, so it carries 2a."""
+    assert TrigObservable.cosine((0, 0)).mean == 2.0
+    assert TrigObservable.cosine((0, 0), 0.3).coefficients == {(0, 0): 0.6}
+    assert TrigObservable.cosine((1, 2), 0.3).mean == 0.0
+
+
+def test_dimension_must_be_positive():
+    with pytest.raises(ValueError):
+        cat_propagator(0, M)
+    with pytest.raises(ValueError):
+        coherent_state(0, TorusPoint(0.0, 0.0))
