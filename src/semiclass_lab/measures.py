@@ -16,7 +16,7 @@ import numpy as np
 from .catmap import TorusPoint
 from .errors import AliasingError
 from .spectral import EigenDecomposition
-from .torus_quantum import (TrigObservable, _freq_to_label, coherent_state,
+from .torus_quantum import (TrigObservable, _freq_to_label, _coherent_rows,
                             op_apply, translation_apply)
 
 
@@ -67,16 +67,16 @@ def default_grid_size(N: int) -> int:
 
 
 def husimi(psi: np.ndarray, G: int | None = None) -> HusimiGrid:
-    """Coherent-state overlaps |<cs(i/G, k/G), psi>|^2, normalized to sum 1."""
+    """Coherent-state overlaps |<cs(i/G, k/G), psi>|^2, normalized to sum 1:
+    one block of G states and one matrix-vector product per row i."""
     if G is None:
         G = default_grid_size(len(psi))
     if G < 8:
         raise ValueError("grid size G must be >= 8")
     H = np.empty((G, G))
+    xi0 = np.arange(G) / G
     for i in range(G):
-        for k in range(G):
-            cs = coherent_state(len(psi), TorusPoint(i / G, k / G))
-            H[i, k] = abs(np.vdot(cs, psi)) ** 2
+        H[i] = np.abs(_coherent_rows(len(psi), i / G, xi0).conj() @ psi) ** 2
     H /= H.sum()
     return HusimiGrid(values=H, G=G)
 

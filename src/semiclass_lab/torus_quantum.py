@@ -125,11 +125,16 @@ def op_apply(A: TrigObservable, psi: np.ndarray) -> np.ndarray:
 
 def coherent_state(N: int, center: TorusPoint) -> np.ndarray:
     """Normalized periodized Gaussian wave packet centered at (x0, xi0)."""
+    return _coherent_rows(N, center.x, np.array([center.xi]))[0]
+
+
+def _coherent_rows(N: int, x0: float, xi0: np.ndarray) -> np.ndarray:
+    """The coherent states at (x0, xi0[r]) as the rows of a (len(xi0), N)
+    block: the rows share x0, so the Gaussian weights are computed once."""
     if N < 1:
         raise ValueError("dimension N must be >= 1")
-    x0, xi0 = center.x, center.xi
     j = np.arange(N)
-    psi = np.zeros(N, complex)
+    psi = np.zeros((len(xi0), N), complex)
     base = np.rint(j / N - x0).astype(int)
     # five translates: every omitted one has |dx| >= 2.5, so its weight
     # exp(-pi N dx^2) is below e^-37 (about 1e-16) once pi N 2.5^2 > 37,
@@ -137,9 +142,12 @@ def coherent_state(N: int, center: TorusPoint) -> np.ndarray:
     for k in (-2, -1, 0, 1, 2):
         m = base + k
         dx = j / N - x0 - m
-        psi += np.exp(-np.pi * N * dx**2) * np.exp(2j * np.pi * N * xi0 * (j / N - m))
-    nrm = np.linalg.norm(psi)
-    return psi / nrm
+        psi += np.exp(-np.pi * N * dx**2) * np.exp(2j * np.pi * N * xi0[:, None] * (j / N - m))
+    # a vector norm per row, as for a single state: norm(psi, axis=1) sums
+    # in another order and moves the last bits
+    for row in psi:
+        row /= np.linalg.norm(row)
+    return psi
 
 
 def index_action(m: CatMap) -> np.ndarray:
@@ -224,27 +232,38 @@ def cat_propagator(N: int, m: CatMap) -> np.ndarray:
     return U
 
 
+def _norm_bound(X: np.ndarray) -> float:
+    """Upper bound sqrt(||X||_1 ||X||_inf) on the operator norm ||X||_2
+    (Golub & Van Loan, Matrix Computations, 2.3): the largest column
+    abs-sum times the largest row abs-sum, in O(N^2) where an SVD costs
+    O(N^3). For N x N matrices it is at most sqrt(N) ||X||_2."""
+    a = np.abs(X)
+    return float(np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()))
+
+
 def intertwining_defect(U: np.ndarray, m: CatMap) -> float:
-    """Max operator-norm defect of U T(n) U* = T(An) over INTERTWINING_LABELS,
-    read as ||T(An) U - U T(n)|| (unitary invariance). Both products are row
-    gathers: T(An) on the columns of U, and T(-n) = T(n)* on those of U*."""
+    """Max defect of U T(n) U* = T(An) over INTERTWINING_LABELS, read as
+    ||T(An) U - U T(n)|| (unitary invariance) through _norm_bound, an upper
+    bound on the operator norm. Both products are row gathers: T(An) on the
+    columns of U, and T(-n) = T(n)* on those of U*."""
     A = index_action(m)
     U_adj = U.conj().T
     worst = 0.0
     for n in INTERTWINING_LABELS:
         lhs = translation_apply(A @ np.asarray(n, np.int64), U)
         rhs = translation_apply((-n[0], -n[1]), U_adj).conj().T
-        worst = max(worst, np.linalg.norm(lhs - rhs, 2))
+        worst = max(worst, _norm_bound(lhs - rhs))
     return worst
 
 
 def egorov_defect(U: np.ndarray, m: CatMap, observables, T: int) -> np.ndarray:
-    """Operator-norm defects ||U^-t Op(A) U^t - Op(A o M^t)|| for each
-    observable A and t = 1..T, as an array [len(observables), T], where U is
-    the propagator of m. Zero to roundoff for linear maps (exact
-    correspondence). The norm is read as ||Op(A) U^t - U^t Op(A o M^t)||
-    (unitary invariance), and both products are op_apply gathers, on the
-    columns of U^t and of its adjoint: the one dense product is U^t itself."""
+    """Defects ||U^-t Op(A) U^t - Op(A o M^t)|| for each observable A and
+    t = 1..T, as an array [len(observables), T], where U is the propagator
+    of m. Each value is _norm_bound, an upper bound on the operator norm,
+    so zero to roundoff for linear maps (exact correspondence). The norm is
+    read as ||Op(A) U^t - U^t Op(A o M^t)|| (unitary invariance), and both
+    products are op_apply gathers, on the columns of U^t and of its
+    adjoint: the one dense product is U^t itself."""
     defects = np.empty((len(observables), T))
     mat = m.matrix(object)
     mat_t = np.eye(2, dtype=object)
@@ -256,9 +275,10 @@ def egorov_defect(U: np.ndarray, m: CatMap, observables, T: int) -> np.ndarray:
         for i, A in enumerate(observables):
             evolved = op_apply(A, Ut)
             classical = op_apply(A.compose_with(mat_t), Ut_adj).conj().T
-            defects[i, t] = np.linalg.norm(evolved - classical, 2)
+            defects[i, t] = _norm_bound(evolved - classical)
     return defects
 
 
 def unitarity_defect(U: np.ndarray) -> float:
-    return float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]), 2))
+    """_norm_bound of U* U - I, an upper bound on its operator norm."""
+    return _norm_bound(U.conj().T @ U - np.eye(U.shape[0]))

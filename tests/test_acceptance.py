@@ -56,7 +56,7 @@ def test_criterion_1_exact_egorov():
         worst = max(worst, defects.max())
     ok = worst < 1e-9
     _report(1, "exact Egorov, all modes |m|<=3, t<=5, N<=512", ok,
-            f"max operator-norm defect {worst:.3e} < 1e-9")
+            f"max defect {worst:.3e} < 1e-9 (upper bound on the operator norm)")
     assert ok
 
 
@@ -68,7 +68,8 @@ def test_criterion_2_unitarity_and_intertwining():
         worst_i = max(worst_i, intertwining_defect(U, M))
     ok = worst_u < 1e-10 and worst_i < 1e-10
     _report(2, "propagator unitarity and intertwining, N<=512", ok,
-            f"unitarity {worst_u:.3e}, intertwining {worst_i:.3e} < 1e-10")
+            f"unitarity {worst_u:.3e}, intertwining {worst_i:.3e} < 1e-10 "
+            "(upper bounds on the operator norm)")
     assert ok
 
 

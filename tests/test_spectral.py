@@ -6,7 +6,8 @@ from semiclass_lab.errors import NumericalError
 from semiclass_lab.spectral import (degeneracy_clusters, diagonalize,
                                     matrix_order_mod, quantum_period,
                                     scarred_state, short_period_dimensions)
-from semiclass_lab.torus_quantum import cat_propagator, coherent_state
+from semiclass_lab.torus_quantum import (cat_propagator, coherent_state,
+                                         unitarity_defect)
 
 M = DEFAULT_MAP
 
@@ -25,6 +26,15 @@ def test_diagonalize_diagonal_case():
 def test_diagonalize_rejects_non_unitary():
     with pytest.raises(NumericalError):
         diagonalize(np.diag([2.0, 1.0]).astype(complex))
+
+
+def test_diagonalize_rejects_propagator_just_off_unitary():
+    """(1 + 1e-9) U has ||U* U - I|| about 2e-9, twenty times the 1e-10
+    gate: the cheap norm bound still rejects it for a real reason."""
+    U = (1 + 1e-9) * cat_propagator(64, M)
+    assert unitarity_defect(U) > 1e-10
+    with pytest.raises(NumericalError):
+        diagonalize(U)
 
 
 def test_spectral_reconstruction():

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from semiclass_lab.catmap import CatMap, DEFAULT_MAP, TorusPoint
 from semiclass_lab.errors import InvalidObservable, QuantizationConditionError
-from semiclass_lab.torus_quantum import (TrigObservable, cat_propagator,
-                                         coherent_state,
+from semiclass_lab.torus_quantum import (TrigObservable, _norm_bound,
+                                         cat_propagator, coherent_state,
                                          egorov_defect, index_action,
                                          intertwining_defect, is_quantizable,
                                          op_apply, translation_apply,
@@ -140,6 +140,32 @@ def test_quantizability_condition():
         cat_propagator(8, arnold)
 
 
+@given(st.integers(1, 48), st.sampled_from(["dense", "rank_one", "row", "column"]),
+       st.integers(-12, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_norm_bound_brackets_operator_norm(N, kind, exponent, seed):
+    """||X||_2 <= sqrt(||X||_1 ||X||_inf) <= sqrt(N) ||X||_2 on complex
+    Gaussian matrices and on rank-one ones u v*, at scales down to the
+    defects'. A single row or column is the rank-one case where one of
+    ||X||_1 and ||X||_inf alone falls below ||X||_2."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.normal(size=(2, N, 2)) @ np.array([1, 1j])
+    if kind == "dense":
+        X = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    else:
+        k = int(rng.integers(N))
+        if kind == "row":
+            u = np.eye(N)[k]
+        elif kind == "column":
+            v = np.eye(N)[k]
+        X = np.outer(u, v.conj())
+    X *= 10.0 ** exponent
+    two = np.linalg.norm(X, 2)
+    bound = _norm_bound(X)
+    assert bound >= two * (1 - 1e-12)
+    assert bound <= np.sqrt(N) * two * (1 + 1e-12)
+
+
 @pytest.mark.parametrize("N", [5, 8, 64, 127, 512])
 def test_propagator_unitary_and_intertwines(N):
     U = cat_propagator(N, M)
@@ -203,6 +229,29 @@ def test_propagator_covariance_moves_coherent_state():
     lam = 2 + np.sqrt(3)
     mass = ball_mass(g, target, min(0.49, 5 * lam / np.sqrt(N)))
     assert mass >= 0.5
+
+
+# the egorov suite's three check values and the digest of its CSV at
+# N = 128, where an SVD 2-norm of the same defects differs in its last bits
+# between one and two BLAS threads
+THREADED_EGOROV = """
+import hashlib, tempfile
+from pathlib import Path
+from semiclass_lab.config import ExperimentConfig
+from semiclass_lab.experiments import run_experiment
+with tempfile.TemporaryDirectory() as out:
+    report = run_experiment(ExperimentConfig(experiment="egorov", N=128,
+                                             out_dir=out).validated())
+    for c in report.checks:
+        print(c.name, repr(c.value))
+    print(hashlib.sha256((Path(out) / "egorov_defects.csv").read_bytes()).hexdigest())
+"""
+
+
+def test_egorov_same_at_one_and_two_blas_threads(at_one_and_two_threads):
+    one, two = at_one_and_two_threads(THREADED_EGOROV)
+    assert len(one.splitlines()) == 4  # three checks and one file
+    assert one == two
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
