@@ -19,6 +19,8 @@ from .spectral import EigenDecomposition
 from .torus_quantum import (TrigObservable, _freq_to_label, _coherent_rows,
                             op_apply, translation_apply)
 
+WEAK_STAR_K = 8  # weak_star_distance: frequencies 0 < max(|m1|, |m2|) <= this
+
 
 def matrix_element(psi: np.ndarray, A: TrigObservable) -> float:
     """mu_psi(A) = <psi, Op_N(A) psi>; real for real observables."""
@@ -147,13 +149,13 @@ class ModelMeasure:
         return self.weight * complex(np.mean(vals)) + (1.0 - self.weight) * lebesgue
 
 
-def weak_star_distance(w: WignerCoefficients, model: ModelMeasure, K: int = 8) -> float:
-    """Max over 0 < max(|m1|, |m2|) <= K of |w(m) - model coefficient|."""
-    if K > w.cutoff:
-        raise ValueError(f"K = {K} exceeds the available cutoff {w.cutoff}")
+def weak_star_distance(w: WignerCoefficients, model: ModelMeasure) -> float:
+    """Max over 0 < max(|m1|, |m2|) <= WEAK_STAR_K of |w(m) - model(m)|."""
+    if WEAK_STAR_K > w.cutoff:
+        raise ValueError(f"WEAK_STAR_K exceeds the available cutoff {w.cutoff}")
     worst = 0.0
-    for m1 in range(-K, K + 1):
-        for m2 in range(-K, K + 1):
+    for m1 in range(-WEAK_STAR_K, WEAK_STAR_K + 1):
+        for m2 in range(-WEAK_STAR_K, WEAK_STAR_K + 1):
             if (m1, m2) == (0, 0):
                 continue
             worst = max(worst, abs(w((m1, m2)) - model.fourier((m1, m2))))

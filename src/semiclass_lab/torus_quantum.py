@@ -198,22 +198,15 @@ def _theta_group_word(A):
     return word
 
 
-def _generator_unitary(N: int, token) -> np.ndarray:
-    if token[0] == "J":
-        j = np.arange(N)
-        return np.exp(-2j * np.pi * np.outer(j, j) / N) / np.sqrt(N)
-    c = token[1]
-    j = np.arange(N)
-    return np.diag(np.exp(-1j * np.pi * c * j * j / N))
-
-
 def cat_propagator(N: int, m: CatMap) -> np.ndarray:
     """Unitary quantization of the cat map in the zero-angle sector.
 
-    Built as a product of metaplectic generators (discrete Fourier transform
-    and quadratic chirps), so U T_N(n) U* = T_N(A n) holds to roundoff with
-    A = index_action(m). The global phase makes the largest entry of the
-    first row real positive, preferring the (0, 0) entry when significant.
+    A product of metaplectic generators applied in place to the identity:
+    each J is a unitary FFT along the rows, each G_c a column scaling by the
+    chirp exp(-i pi c j^2 / N) reduced mod 2N in integers, so U T_N(n) U* =
+    T_N(A n) holds to roundoff with A = index_action(m). The global phase
+    makes the largest entry of the first row real positive, preferring the
+    (0, 0) entry when significant.
     """
     if N < 1:
         raise ValueError("dimension N must be >= 1")
@@ -222,9 +215,13 @@ def cat_propagator(N: int, m: CatMap) -> np.ndarray:
             f"map {m} violates the parity condition (a*b, c*d even)"
         )
     word = _theta_group_word(index_action(m))
+    jj = np.arange(N) ** 2
     U = np.eye(N, dtype=complex)
     for token in word:
-        U = U @ _generator_unitary(N, token)
+        if token[0] == "J":
+            U = np.fft.fft(U, axis=1, norm="ortho")
+        else:
+            U *= np.exp(-1j * np.pi * (token[1] % (2 * N) * jj % (2 * N)) / N)
     z = U[0, 0]
     if abs(z) < 1e-8:
         z = U[0, int(np.argmax(np.abs(U[0])))]

@@ -193,13 +193,13 @@ def test_weak_star_distance_eigenbasis_average():
         for m, c in w.coefficients.items():
             acc[m] = acc.get(m, 0) + c / 30
     w.coefficients = acc
-    assert weak_star_distance(w, ModelMeasure.lebesgue(), 8) < 1e-12
+    assert weak_star_distance(w, ModelMeasure.lebesgue()) < 1e-12
 
 
 def test_weak_star_requires_cutoff():
     w = wigner_coefficients(_random_state(64), 4)
     with pytest.raises(ValueError):
-        weak_star_distance(w, ModelMeasure.lebesgue(), 8)
+        weak_star_distance(w, ModelMeasure.lebesgue())
 
 
 def test_model_measure_rejects_bad_parts():

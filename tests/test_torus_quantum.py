@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from semiclass_lab.catmap import CatMap, DEFAULT_MAP, TorusPoint
 from semiclass_lab.errors import InvalidObservable, QuantizationConditionError
 from semiclass_lab.torus_quantum import (TrigObservable, _norm_bound,
+                                         _theta_group_word,
                                          cat_propagator, coherent_state,
                                          egorov_defect, index_action,
                                          intertwining_defect, is_quantizable,
@@ -14,6 +15,7 @@ from semiclass_lab.torus_quantum import (TrigObservable, _norm_bound,
                                          weyl_quantize)
 
 M = DEFAULT_MAP
+MAPS = (M, CatMap(1, 2, 2, 5), CatMap(3, 2, 4, 3))  # quantizable, hyperbolic
 
 
 def test_translation_identity():
@@ -166,11 +168,43 @@ def test_norm_bound_brackets_operator_norm(N, kind, exponent, seed):
     assert bound <= np.sqrt(N) * two * (1 + 1e-12)
 
 
-@pytest.mark.parametrize("N", [5, 8, 64, 127, 512])
-def test_propagator_unitary_and_intertwines(N):
-    U = cat_propagator(N, M)
-    assert unitarity_defect(U) < 1e-10
-    assert intertwining_defect(U, M) < 1e-10
+def _propagator_cases():
+    """Each map at each N; the default map's cases are named by N alone."""
+    for m in MAPS:
+        tag = "" if m == M else f"-map{m.a}{m.b}{m.c}{m.d}"
+        for N in (5, 8, 64, 127, 512, 1000, 1500):
+            yield pytest.param(N, m, id=f"{N}{tag}")
+
+
+@pytest.mark.parametrize("N, m", _propagator_cases())
+def test_propagator_unitary_and_intertwines(N, m):
+    U = cat_propagator(N, m)
+    assert unitarity_defect(U) < 1e-12
+    assert intertwining_defect(U, m) < 1e-12
+
+
+def _dense_generator_product(N, m):
+    """Reference propagator: the product of the dense metaplectic generator
+    matrices of the map's theta-group word, the DFT matrix for J and the
+    diagonal chirp for G_c, phased so that the (0, 0) entry is real
+    positive."""
+    j = np.arange(N)
+    U = np.eye(N, dtype=complex)
+    for token in _theta_group_word(index_action(m)):
+        if token[0] == "J":
+            U = U @ (np.exp(-2j * np.pi * np.outer(j, j) / N) / np.sqrt(N))
+        else:
+            U = U @ np.diag(np.exp(-1j * np.pi * token[1] * j * j / N))
+    assert abs(U[0, 0]) > 1e-8  # the phase rule's first branch applies
+    return U * (np.conj(U[0, 0]) / abs(U[0, 0]))
+
+
+@pytest.mark.parametrize("m", MAPS)
+@pytest.mark.parametrize("N", [5, 8, 64, 127])
+def test_propagator_matches_dense_generator_product(N, m):
+    """The in-place FFT and chirps give the dense product's matrix, global
+    phase included, up to the rounding of the dense product."""
+    assert np.abs(cat_propagator(N, m) - _dense_generator_product(N, m)).max() < 1e-12
 
 
 def test_shear_composite_intertwines():
