@@ -8,6 +8,7 @@ Trajectories are straight chords with specular reflection at the boundary.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,73 +59,63 @@ class BilliardState:
 
     def __post_init__(self):
         n = math.hypot(self.dx, self.dy)
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("direction must be a unit vector")
-
-
-def _step_raw(a, r, x, y, dx, dy):
-    """Advance to the next boundary collision; returns (x', y', dx', dy', t).
-
-    Raises GrazingError when the reflection would be tangential.
-    """
-    t_best = math.inf
-    hit = None  # (x, y, nx, ny)
-
-    # straight walls y = +-r over |x| <= a
-    if a > 0:
-        for ysign in (1.0, -1.0):
-            if dy * ysign > 1e-15:
-                t = (ysign * r - y) / dy
-                if t > _T_MIN and t < t_best:
-                    xh = x + t * dx
-                    if abs(xh) <= a + 1e-12:
-                        t_best = t
-                        hit = (xh, ysign * r, 0.0, ysign)
-
-    # caps: circles of radius r centered at (+-a, 0), valid for +-x beyond a
-    for xc in ((a,) if a == 0 else (a, -a)):
-        px, py = x - xc, y
-        bq = px * dx + py * dy
-        cq = px * px + py * py - r * r
-        disc = bq * bq - cq
-        if disc <= 0:
-            continue
-        sq = math.sqrt(disc)
-        for t in (-bq - sq, -bq + sq):
-            if _T_MIN < t < t_best:
-                xh, yh = x + t * dx, y + t * dy
-                if a == 0 or (xh >= a - 1e-12 if xc > 0 else xh <= -a + 1e-12):
-                    t_best = t
-                    hit = (xh, yh, (xh - xc) / r, yh / r)
-
-    if hit is None:
-        raise GrazingError("no forward boundary intersection found")
-    xh, yh, nx, ny = hit
-    dn = dx * nx + dy * ny
-    if abs(dn) < GRAZING_TOL:
-        raise GrazingError("tangential collision within grazing tolerance")
-    rx, ry = dx - 2.0 * dn * nx, dy - 2.0 * dn * ny
-    nrm = math.hypot(rx, ry)
-    return xh, yh, rx / nrm, ry / nrm, t_best
 
 
 def billiard_flow(domain: StadiumDomain, s: BilliardState, n_bounces: int):
     """Orbit of n_bounces >= 1 successive collisions as (states, times):
     states (n_bounces + 1, 4) with columns x, y, dx, dy from the start state
-    on, and times the cumulative arc length at each. A GrazingError carries
-    the index of the bounce that raised it."""
+    on, and times the cumulative arc length at each. The start must lie in
+    the domain or on its boundary.
+
+    The stadium is convex, so each chord leaves through exactly one point:
+    the wall the chord flies toward if it meets that wall within |x| <= a,
+    else the far intersection with the cap circle on the side where it
+    meets the wall's line (on the side of dx for chords parallel to the
+    walls). Each bounce is written into one flat preallocated buffer. A
+    GrazingError carries the index of the bounce that raised it."""
     if n_bounces < 1:
         raise ValueError("n_bounces must be >= 1")
+    if not domain.signed_distance(s.x, s.y) <= 1e-12:  # NaN fails too
+        raise ValueError("start state must lie in the domain or on its boundary")
     a, r = domain.half_length, domain.radius
+    sqrt, hypot = math.sqrt, math.hypot
     x, y, dx, dy = s.x, s.y, s.dx, s.dy
-    orbit = np.empty((n_bounces + 1, 5))
-    orbit[0] = (x, y, dx, dy, 0.0)
-    try:
-        for i in range(n_bounces):
-            x, y, dx, dy, t = _step_raw(a, r, x, y, dx, dy)
-            orbit[i + 1] = (x, y, dx, dy, t)
-    except GrazingError as exc:
-        raise GrazingError(str(exc), bounce_index=i) from exc
+    buf = array("d", bytes(8 * 5 * (n_bounces + 1)))
+    buf[0], buf[1], buf[2], buf[3] = x, y, dx, dy
+    j = 5
+    for i in range(n_bounces):
+        if a > 0 and abs(dy) > 1e-15:
+            ny = 1.0 if dy > 0 else -1.0
+            t = (ny * r - y) / dy
+            xh = x + t * dx
+            on_wall = t > _T_MIN and abs(xh) <= a + 1e-12
+            xc = a if xh > 0 else -a
+        else:
+            on_wall = False
+            xc = a if dx > 0 or a == 0 else -a  # the circle's one centre is a
+        if on_wall:
+            yh, nx = ny * r, 0.0
+        else:
+            px, py = x - xc, y
+            bq = px * dx + py * dy
+            disc = bq * bq - (px * px + py * py - r * r)
+            if disc <= 0 or (t := -bq + sqrt(disc)) <= _T_MIN:
+                raise GrazingError("no forward boundary intersection found",
+                                   bounce_index=i)
+            xh, yh = x + t * dx, y + t * dy
+            nx, ny = (xh - xc) / r, yh / r
+        dn = dx * nx + dy * ny
+        if abs(dn) < GRAZING_TOL:
+            raise GrazingError("tangential collision within grazing tolerance",
+                               bounce_index=i)
+        rx, ry = dx - 2.0 * dn * nx, dy - 2.0 * dn * ny
+        nrm = hypot(rx, ry)
+        x, y, dx, dy = xh, yh, rx / nrm, ry / nrm
+        buf[j], buf[j + 1], buf[j + 2], buf[j + 3], buf[j + 4] = x, y, dx, dy, t
+        j += 5
+    orbit = np.frombuffer(buf).reshape(n_bounces + 1, 5)
     return orbit[:, :4], np.cumsum(orbit[:, 4])
 
 
@@ -143,20 +134,18 @@ def _chord_ends(states: np.ndarray, n_bounces: int):
 
 
 def _chord_samples(p0: np.ndarray, p1: np.ndarray, sample_step: float):
-    """Midpoint samples along each chord, spacing <= sample_step, yielded in
-    chunks to bound memory."""
-    lengths = np.hypot(*(p1 - p0).T)
-    counts = np.maximum(1, np.ceil(lengths / sample_step).astype(int))
+    """Midpoint samples along each chord, spacing <= sample_step, yielded as
+    [x, y] coordinate arrays in chunks of 20,000 chords; one coordinate at a
+    time keeps the per-sample temporaries one-dimensional, to bound memory."""
     chunk = 20_000
     for lo in range(0, len(p0), chunk):
-        hi = min(lo + chunk, len(p0))
-        c = counts[lo:hi]
-        total = c.sum()
-        reps = np.repeat(np.arange(lo, hi), c)
+        p = p0[lo:lo + chunk]
+        d = p1[lo:lo + chunk] - p
+        c = np.maximum(1, np.ceil(np.hypot(*d.T) / sample_step).astype(int))
         # fractional midpoint positions within each chord
-        offs = np.arange(total) - np.repeat(np.cumsum(c) - c, c)
-        frac = (offs + 0.5) / np.repeat(c, c)
-        yield p0[reps] + frac[:, None] * (p1[reps] - p0[reps])
+        frac = ((np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c) + 0.5)
+                / np.repeat(c, c))
+        yield [np.repeat(p[:, k], c) + frac * np.repeat(d[:, k], c) for k in (0, 1)]
 
 
 def ergodic_average(states: np.ndarray, n_bounces: int) -> float:
@@ -185,14 +174,14 @@ def coverage_grid(domain: StadiumDomain, states: np.ndarray, n_bounces: int):
     """
     (x0, y0), (x1, y1) = domain.bounding_box()
     nx, ny = COVERAGE_CELLS
-    counts = np.zeros((nx, ny), dtype=np.int64)
-    for pts in _chord_samples(*_chord_ends(states, n_bounces),
-                              COVERAGE_SAMPLE_STEP):
-        ix = np.clip(((pts[:, 0] - x0) / (x1 - x0) * nx).astype(int), 0, nx - 1)
-        iy = np.clip(((pts[:, 1] - y0) / (y1 - y0) * ny).astype(int), 0, ny - 1)
-        np.add.at(counts, (ix, iy), 1)
+    counts = np.zeros(nx * ny, dtype=np.int64)
+    for xs, ys in _chord_samples(*_chord_ends(states, n_bounces),
+                                 COVERAGE_SAMPLE_STEP):
+        ix = np.clip(((xs - x0) / (x1 - x0) * nx).astype(int), 0, nx - 1)
+        iy = np.clip(((ys - y0) / (y1 - y0) * ny).astype(int), 0, ny - 1)
+        counts += np.bincount(ix * ny + iy, minlength=nx * ny)
     cx = x0 + (np.arange(nx) + 0.5) * (x1 - x0) / nx
     cy = y0 + (np.arange(ny) + 0.5) * (y1 - y0) / ny
     CX, CY = np.meshgrid(cx, cy, indexing="ij")
     cell_inside = domain.signed_distance(CX, CY) < 0
-    return counts, cell_inside
+    return counts.reshape(nx, ny), cell_inside

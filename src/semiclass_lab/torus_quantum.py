@@ -205,8 +205,9 @@ def cat_propagator(N: int, m: CatMap) -> np.ndarray:
     each J is a unitary FFT along the rows, each G_c a column scaling by the
     chirp exp(-i pi c j^2 / N) reduced mod 2N in integers, so U T_N(n) U* =
     T_N(A n) holds to roundoff with A = index_action(m). The global phase
-    makes the largest entry of the first row real positive, preferring the
-    (0, 0) entry when significant.
+    makes the (0, 0) entry real positive when significant, else the first
+    entry of the first row whose modulus is at least (1 - 1e-9) times the
+    row's largest.
     """
     if N < 1:
         raise ValueError("dimension N must be >= 1")
@@ -224,7 +225,10 @@ def cat_propagator(N: int, m: CatMap) -> np.ndarray:
             U *= np.exp(-1j * np.pi * (token[1] % (2 * N) * jj % (2 * N)) / N)
     z = U[0, 0]
     if abs(z) < 1e-8:
-        z = U[0, int(np.argmax(np.abs(U[0])))]
+        # the first entry within rounding of the row's largest modulus, so
+        # rounding cannot choose among entries of equal modulus
+        row = np.abs(U[0])
+        z = U[0, int(np.argmax(row >= row.max() * (1 - 1e-9)))]
     U *= np.conj(z) / abs(z)
     return U
 

@@ -5,13 +5,68 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiclass_lab.billiard import (BilliardState, StadiumDomain, billiard_flow,
-                                    circle_angular_momentum, coverage_grid,
-                                    ergodic_average)
+from semiclass_lab.billiard import (_T_MIN, COVERAGE_CELLS, COVERAGE_SAMPLE_STEP,
+                                    GRAZING_TOL, BilliardState, StadiumDomain,
+                                    billiard_flow, circle_angular_momentum,
+                                    coverage_grid, ergodic_average)
 from semiclass_lab.errors import GrazingError
 
 CIRCLE = StadiumDomain(half_length=0.0, radius=1.0)
 STADIUM = StadiumDomain(half_length=1.0, radius=1.0)
+
+
+def _reference_step(a, r, x, y, dx, dy):
+    """Next boundary collision as (x', y', dx', dy', t): the nearest
+    forward candidate among both walls and both roots of both cap circles."""
+    t_best = math.inf
+    hit = None  # (x, y, nx, ny)
+    if a > 0:
+        for ysign in (1.0, -1.0):
+            if dy * ysign > 1e-15:
+                t = (ysign * r - y) / dy
+                if t > _T_MIN and t < t_best:
+                    xh = x + t * dx
+                    if abs(xh) <= a + 1e-12:
+                        t_best = t
+                        hit = (xh, ysign * r, 0.0, ysign)
+    for xc in ((a,) if a == 0 else (a, -a)):
+        px, py = x - xc, y
+        bq = px * dx + py * dy
+        cq = px * px + py * py - r * r
+        disc = bq * bq - cq
+        if disc <= 0:
+            continue
+        sq = math.sqrt(disc)
+        for t in (-bq - sq, -bq + sq):
+            if _T_MIN < t < t_best:
+                xh, yh = x + t * dx, y + t * dy
+                if a == 0 or (xh >= a - 1e-12 if xc > 0 else xh <= -a + 1e-12):
+                    t_best = t
+                    hit = (xh, yh, (xh - xc) / r, yh / r)
+    if hit is None:
+        raise GrazingError("no forward boundary intersection found")
+    xh, yh, nx, ny = hit
+    dn = dx * nx + dy * ny
+    if abs(dn) < GRAZING_TOL:
+        raise GrazingError("tangential collision within grazing tolerance")
+    rx, ry = dx - 2.0 * dn * nx, dy - 2.0 * dn * ny
+    nrm = math.hypot(rx, ry)
+    return xh, yh, rx / nrm, ry / nrm, t_best
+
+
+def _reference_flow(domain, s, n_bounces):
+    """billiard_flow's (states, times) by the candidate-minimum step."""
+    a, r = domain.half_length, domain.radius
+    x, y, dx, dy = s.x, s.y, s.dx, s.dy
+    orbit = np.empty((n_bounces + 1, 5))
+    orbit[0] = (x, y, dx, dy, 0.0)
+    for i in range(n_bounces):
+        try:
+            x, y, dx, dy, t = _reference_step(a, r, x, y, dx, dy)
+        except GrazingError as exc:
+            raise GrazingError(str(exc), bounce_index=i) from exc
+        orbit[i + 1] = (x, y, dx, dy, t)
+    return orbit[:, :4], np.cumsum(orbit[:, 4])
 
 
 def test_domain_validation():
@@ -93,6 +148,61 @@ def test_grazing_error_carries_bounce_index():
     assert exc.value.bounce_index == 0
 
 
+@given(st.one_of(st.just(0.0), st.floats(0.05, 3.0)), st.floats(0.3, 2.0),
+       st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+       st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+       st.floats(0.0, 2 * math.pi))
+@settings(max_examples=40, deadline=None)
+def test_convex_exit_matches_candidate_minimum(a, r, u, v, ang):
+    """From any start inside, the one-exit step gives the reference's orbit
+    bit for bit, and raises where it raises, at the same bounce."""
+    domain = StadiumDomain(half_length=a, radius=r)
+    y = 0.9 * r * u
+    x = (a + 0.9 * math.sqrt(r * r - y * y)) * v
+    s = BilliardState(x, y, math.cos(ang), math.sin(ang))
+    try:
+        want_states, want_times = _reference_flow(domain, s, 2000)
+    except GrazingError as exc:
+        with pytest.raises(GrazingError) as got:
+            billiard_flow(domain, s, 2000)
+        assert got.value.bounce_index == exc.bounce_index
+        return
+    states, times = billiard_flow(domain, s, 2000)
+    assert np.array_equal(states, want_states)
+    assert np.array_equal(times, want_times)
+
+
+def test_ergodic_study_orbit_matches_reference():
+    """The first 20,000 bounces of the ergodic-orbit study's stadium orbit."""
+    s = BilliardState(0.137, -0.041, math.cos(0.83), math.sin(0.83))
+    states, times = billiard_flow(STADIUM, s, 20_000)
+    want_states, want_times = _reference_flow(STADIUM, s, 20_000)
+    assert np.array_equal(states, want_states)
+    assert np.array_equal(times, want_times)
+
+
+@pytest.mark.parametrize("x, dx", [(3.0, 1.0), (3.0, -1.0), (math.nan, 1.0)])
+def test_start_outside_domain_rejected(x, dx):
+    with pytest.raises(ValueError, match="domain"):
+        billiard_flow(STADIUM, BilliardState(x, 0.0, dx, 0.0), 5)
+
+
+def test_nan_direction_rejected():
+    with pytest.raises(ValueError, match="unit vector"):
+        BilliardState(0.0, 0.0, math.nan, 1.0)
+
+
+@pytest.mark.parametrize("domain, s", [
+    (CIRCLE, BilliardState(1.0, 0.0, -1.0, 0.0)),
+    (CIRCLE, BilliardState(-1.0, 0.0, 1.0, 0.0)),
+    (STADIUM, BilliardState(2.0, 0.0, -1.0, 0.0)),
+    (STADIUM, BilliardState(0.5, 1.0, 0.0, -1.0)),
+])
+def test_boundary_start_accepted(domain, s):
+    states, _ = billiard_flow(domain, s, 3)
+    assert np.abs(domain.signed_distance(states[1:, 0], states[1:, 1])).max() < 1e-12
+
+
 def test_speed_preserved_along_orbit():
     s = BilliardState(0.05, 0.11, math.cos(1.3), math.sin(1.3))
     states, _ = billiard_flow(STADIUM, s, 500)
@@ -152,6 +262,23 @@ def test_coverage_grid_shape_and_visits():
     counts, inside = coverage_grid(STADIUM, states, 20_000)
     assert counts.shape == (32, 16) and inside.shape == (32, 16)
     assert (counts[inside] > 0).mean() > 0.95
+
+
+def test_coverage_counts_match_per_chord_reference():
+    """25,000 chords, across a chunk boundary, counted chord by chord."""
+    s = BilliardState(0.137, -0.041, math.cos(0.83), math.sin(0.83))
+    states, _ = billiard_flow(STADIUM, s, 25_000)
+    counts, _ = coverage_grid(STADIUM, states, 25_000)
+    (x0, y0), (x1, y1) = STADIUM.bounding_box()
+    nx, ny = COVERAGE_CELLS
+    want = np.zeros((nx, ny), dtype=np.int64)
+    for q0, q1 in zip(states[:-1, :2], states[1:, :2]):
+        n = max(1, math.ceil(np.hypot(*(q1 - q0)) / COVERAGE_SAMPLE_STEP))
+        pts = q0 + ((np.arange(n) + 0.5) / n)[:, None] * (q1 - q0)
+        ix = np.clip(((pts[:, 0] - x0) / (x1 - x0) * nx).astype(int), 0, nx - 1)
+        iy = np.clip(((pts[:, 1] - y0) / (y1 - y0) * ny).astype(int), 0, ny - 1)
+        np.add.at(want, (ix, iy), 1)
+    assert np.array_equal(counts, want)
 
 
 @pytest.mark.parametrize("n_bounces", [0, -3])

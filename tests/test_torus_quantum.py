@@ -207,6 +207,19 @@ def test_propagator_matches_dense_generator_product(N, m):
     assert np.abs(cat_propagator(N, m) - _dense_generator_product(N, m)).max() < 1e-12
 
 
+@pytest.mark.parametrize("m", MAPS[1:], ids=lambda m: f"map{m.a}{m.b}{m.c}{m.d}")
+@pytest.mark.parametrize("N", range(2, 131, 4))
+def test_global_phase_tie_break(N, m):
+    """At N = 2 mod 4 these maps have U[0, 0] = 0 and first-row entries of
+    equal modulus; the phase rule makes the first of them real positive,
+    whichever of them rounding makes largest."""
+    U = cat_propagator(N, m)
+    row = np.abs(U[0])
+    assert row[0] < 1e-8
+    z = U[0, int(np.argmax(row >= row.max() * (1 - 1e-9)))]
+    assert z.real > 0 and abs(z.imag) <= 1e-12 * abs(z)
+
+
 def test_shear_composite_intertwines():
     """The shear product [[1,0],[2,1]] [[1,2],[0,1]] = [[1,2],[2,5]] is a
     quantizable hyperbolic map; its index action carries the parity signs."""
