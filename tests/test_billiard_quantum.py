@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,12 +12,24 @@ from semiclass_lab.billiard_quantum import (DiscreteDomain, bouncing_ball_score,
                                             build_laplacian, discretize_stadium,
                                             eigenmodes_near, eigenmodes_window,
                                             position_measure, qe_spatial_variance,
-                                            scar_score, square_discrete_eigenvalue,
-                                            square_sdf, weyl_window_count)
+                                            scar_score, weyl_window_count)
 from semiclass_lab.errors import GeometryError, NumericalError, UnderResolved
 
 CIRCLE = StadiumDomain(half_length=0.0, radius=1.0)
 STADIUM = StadiumDomain(half_length=1.0, radius=1.0)
+
+
+def square_sdf(x, y):
+    """Unit square (-1/2, 1/2)^2 test geometry with an exact discrete
+    spectrum."""
+    return np.maximum(np.abs(x), np.abs(y)) - 0.5
+
+
+def square_discrete_eigenvalue(h: float, p: int, q: int) -> float:
+    """Closed-form eigenvalue of the discrete Dirichlet Laplacian on the
+    unit square at spacing h = 1/n, n even, where the grid lines +-1/2 fall
+    on the walls."""
+    return (2.0 / h**2) * (2.0 - math.cos(math.pi * p * h) - math.cos(math.pi * q * h))
 
 
 def _box(sdf):
@@ -227,6 +240,36 @@ def test_window_completeness_guard():
         small = StadiumDomain(half_length=0.0, radius=radius)
         with pytest.raises(NumericalError):
             eigenmodes_window(dd, A, small, 10.0)
+
+
+def test_window_factors_each_class_once(monkeypatch):
+    """Each parity class is factored once, under the MMD ordering, and
+    eigsh applies that factor instead of factoring the class itself."""
+    factors, solves = [], []
+    splu, eigsh = spla.splu, spla.eigsh
+
+    def counted_splu(M, **kwargs):
+        factors.append(kwargs.get("permc_spec"))
+        return splu(M, **kwargs)
+
+    def counted_eigsh(B, **kwargs):
+        solves.append(kwargs.get("OPinv"))
+        return eigsh(B, **kwargs)
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    monkeypatch.setattr(spla, "eigsh", counted_eigsh)
+    dd = discretize_stadium(STADIUM, 0.02)
+    eigenmodes_window(dd, build_laplacian(dd), STADIUM, 10.0)
+    assert factors == ["MMD_AT_PLUS_A"] * 4
+    assert len(solves) == 4 and all(op is not None for op in solves)
+
+
+def test_singular_shift_is_numerical_error(monkeypatch):
+    def singular(M, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+    monkeypatch.setattr(spla, "splu", singular)
+    dd = discretize_stadium(STADIUM, 0.1)
+    with pytest.raises(NumericalError, match="exactly singular"):
+        eigenmodes_near(dd, build_laplacian(dd), 4.0, 3)
 
 
 def test_qe_spatial_variance_requires_modes():
