@@ -10,17 +10,16 @@ if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
 
-from .catmap import (CatMap, DEFAULT_MAP, LyapunovData, TorusPoint,
-                     bowen_distance, cat_lyapunov, torus_distance)
+from .catmap import CatMap, DEFAULT_MAP, LyapunovData, TorusPoint, cat_lyapunov
 from .billiard import (BilliardState, StadiumDomain, billiard_flow,
                        circle_angular_momentum, coverage_grid, ergodic_average)
 from .torus_quantum import (TrigObservable, cat_propagator, coherent_state,
-                            egorov_defect, translation_op, weyl_quantize)
+                            egorov_defect)
 from .spectral import (EigenDecomposition, QuantumPeriod, diagonalize,
                        degeneracy_clusters, quantum_period, scarred_state,
                        short_period_dimensions)
 from .measures import (HusimiGrid, ModelMeasure, WignerCoefficients, ball_mass,
-                       husimi, matrix_element, qe_variance, weak_star_distance,
+                       husimi, qe_variance, weak_star_distance,
                        wigner_coefficients)
 from .entropy import (EntropyEstimate, SampleCloud, atom_cloud,
                       entropy_bound_check, ks_entropy_estimate, mixture_cloud,

@@ -64,10 +64,9 @@ class BilliardState:
 
 
 def billiard_flow(domain: StadiumDomain, s: BilliardState, n_bounces: int):
-    """Orbit of n_bounces >= 1 successive collisions as (states, times):
-    states (n_bounces + 1, 4) with columns x, y, dx, dy from the start state
-    on, and times the cumulative arc length at each. The start must lie in
-    the domain or on its boundary.
+    """Orbit of n_bounces >= 1 successive collisions as one C-contiguous
+    (n_bounces + 1, 4) array with columns x, y, dx, dy, from the start state
+    on. The start must lie in the domain or on its boundary.
 
     The stadium is convex, so each chord leaves through exactly one point:
     the wall the chord flies toward if it meets that wall within |x| <= a,
@@ -82,9 +81,9 @@ def billiard_flow(domain: StadiumDomain, s: BilliardState, n_bounces: int):
     a, r = domain.half_length, domain.radius
     sqrt, hypot = math.sqrt, math.hypot
     x, y, dx, dy = s.x, s.y, s.dx, s.dy
-    buf = array("d", bytes(8 * 5 * (n_bounces + 1)))
+    buf = array("d", bytes(8 * 4 * (n_bounces + 1)))
     buf[0], buf[1], buf[2], buf[3] = x, y, dx, dy
-    j = 5
+    j = 4
     for i in range(n_bounces):
         if a > 0 and abs(dy) > 1e-15:
             ny = 1.0 if dy > 0 else -1.0
@@ -113,10 +112,9 @@ def billiard_flow(domain: StadiumDomain, s: BilliardState, n_bounces: int):
         rx, ry = dx - 2.0 * dn * nx, dy - 2.0 * dn * ny
         nrm = hypot(rx, ry)
         x, y, dx, dy = xh, yh, rx / nrm, ry / nrm
-        buf[j], buf[j + 1], buf[j + 2], buf[j + 3], buf[j + 4] = x, y, dx, dy, t
-        j += 5
-    orbit = np.frombuffer(buf).reshape(n_bounces + 1, 5)
-    return orbit[:, :4], np.cumsum(orbit[:, 4])
+        buf[j], buf[j + 1], buf[j + 2], buf[j + 3] = x, y, dx, dy
+        j += 4
+    return np.frombuffer(buf).reshape(n_bounces + 1, 4)
 
 
 def circle_angular_momentum(s: BilliardState) -> float:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catmap import CatMap, cat_lyapunov, torus_distance_array
+from .catmap import CatMap, cat_lyapunov, step_rows, torus_distance_array
 from .errors import UnderResolved
 from .measures import ModelMeasure
 
@@ -78,15 +78,6 @@ def model_entropy(measure: ModelMeasure, m: CatMap) -> float:
     return (1.0 - measure.weight) * cat_lyapunov(m).lambda_plus
 
 
-def _step(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """One step of every row, with the arithmetic `bowen_distance_cloud`
-    applies to a whole cloud. numpy hands a single row to BLAS gemv, which
-    can round differently from gemm, so a lone row is stepped as two."""
-    if len(rows) == 1:
-        return _step(np.repeat(rows, 2, axis=0), mat)[:1]
-    return (rows @ mat.T) % 1.0
-
-
 def _cell_index(points: np.ndarray, eps: float):
     """Bucket points into an n x n grid of torus cells, n = int(1/eps) - 1,
     each cell wider than eps. Returns near(center): the ascending indices
@@ -133,8 +124,8 @@ def _nested_ball_masses(m: CatMap, cloud: SampleCloud, center, T: int,
     each distance has the bits of a whole-cloud scan. Each even t adds one
     forward and one backward step to the window, so B_{t+2} is B_t minus
     the points whose new step lands eps or more away. Copies of one point
-    share every step, so only the distinct survivors are stepped, with the
-    same per-row arithmetic as `bowen_distance_cloud`, and each mass sums
+    share every step, so only the distinct survivors are stepped, by the
+    `step_rows` that `bowen_distance_cloud` steps with, and each mass sums
     the weights of every copy of a live point in ascending index order.
     Those are the weights and the order of the full scan, so every mass
     equals `cloud.weights[bowen_distance_cloud(...) < eps].sum()` to the bit.
@@ -151,8 +142,8 @@ def _nested_ball_masses(m: CatMap, cloud: SampleCloud, center, T: int,
     live = np.ones(len(fwd), bool)
     masses = {}
     for t in range(2, T + 1, 2):
-        fwd, fc = _step(fwd, mat), (mat @ fc) % 1.0
-        bwd, bc = _step(bwd, inv), (inv @ bc) % 1.0
+        fwd, fc = step_rows(fwd, mat), (mat @ fc) % 1.0
+        bwd, bc = step_rows(bwd, inv), (inv @ bc) % 1.0
         keep = ((torus_distance_array(fwd, fc) < eps)
                 & (torus_distance_array(bwd, bc) < eps))
         live[rows[~keep]] = False

@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.special
 
 from . import billiard_quantum as bq
 from .billiard import (BilliardState, StadiumDomain, billiard_flow,
@@ -31,6 +30,11 @@ from .spectral import (diagonalize, degeneracy_clusters, quantum_period,
                        scarred_state, short_period_dimensions)
 from .torus_quantum import (TrigObservable, cat_propagator, egorov_defect,
                             intertwining_defect, unitarity_defect)
+
+# first zeros of J0 and J1, the repr of scipy.special.jn_zeros(n, 1)[0]; read
+# as constants so that importing the package does not load scipy.special
+BESSEL_J0_ZERO = 2.4048255576957724
+BESSEL_J1_ZERO = 3.8317059702075125
 
 
 @dataclass
@@ -266,7 +270,7 @@ def circle_convergence(report: RunReport, h: float):
     accuracy checks at h and the convergence-order check. Returns the CSV
     rows, the finest grid and its ground mode."""
     circle = StadiumDomain(half_length=0.0, radius=1.0)
-    j0, j1 = scipy.special.jn_zeros(0, 1)[0], scipy.special.jn_zeros(1, 1)[0]
+    j0, j1 = BESSEL_J0_ZERO, BESSEL_J1_ZERO
     spacings = [4 * h, 2 * h, h]
     rows = []
     k1 = {}
@@ -296,7 +300,7 @@ def angular_momentum_drift(report: RunReport, angle: float):
     disc = StadiumDomain(half_length=0.0, radius=1.0)
     s = BilliardState(0.31, -0.12, math.cos(angle), math.sin(angle))
     L0 = circle_angular_momentum(s)
-    states, _ = billiard_flow(disc, s, 100_000)
+    states = billiard_flow(disc, s, 100_000)
     x, y, dx, dy = states[1:].T
     drift = float(np.abs(x * dy - y * dx - L0).max())
     report.add("angular_momentum_drift_lt_1e-9", drift < 1e-9, drift)
@@ -400,7 +404,7 @@ def ergodic_study(report: RunReport, angle: float):
     rows and the first 2000 bounces."""
     domain = StadiumDomain(half_length=1.0, radius=1.0)
     start = BilliardState(0.137, -0.041, math.cos(angle), math.sin(angle))
-    states, _ = billiard_flow(domain, start, 1_000_000)
+    states = billiard_flow(domain, start, 1_000_000)
     frac = ergodic_average(states, 1_000_000)
     report.add("left_half_fraction_within_0.02", abs(frac - 0.5) <= 0.02, frac)
     counts, inside = coverage_grid(domain, states, 100_000)

@@ -29,10 +29,6 @@ class EigenDecomposition:
     eigenphases: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        V = self.eigenvectors
-        return (V * np.exp(1j * self.eigenphases)) @ V.conj().T
-
 
 @dataclass(frozen=True)
 class QuantumPeriod:

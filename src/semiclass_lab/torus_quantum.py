@@ -86,14 +86,6 @@ def _translation(N: int, n):
     return (j + n1) % N, phase
 
 
-def translation_op(N: int, n) -> np.ndarray:
-    """Weyl-Heisenberg translation T_N(n) as a dense unitary matrix."""
-    cols, phase = _translation(N, n)
-    T = np.zeros((N, N), complex)
-    T[np.arange(N), cols] = phase
-    return T
-
-
 def translation_apply(n, psi: np.ndarray) -> np.ndarray:
     """T_N(n) psi without forming the matrix, for a vector or a block of
     columns: a row gather, scaled row by row (hence the transposes)."""

@@ -55,7 +55,8 @@ def _reference_step(a, r, x, y, dx, dy):
 
 
 def _reference_flow(domain, s, n_bounces):
-    """billiard_flow's (states, times) by the candidate-minimum step."""
+    """billiard_flow's states by the candidate-minimum step, and the
+    cumulative arc length at each, from the chord parameters t."""
     a, r = domain.half_length, domain.radius
     x, y, dx, dy = s.x, s.y, s.dx, s.dy
     orbit = np.empty((n_bounces + 1, 5))
@@ -67,6 +68,16 @@ def _reference_flow(domain, s, n_bounces):
             raise GrazingError(str(exc), bounce_index=i) from exc
         orbit[i + 1] = (x, y, dx, dy, t)
     return orbit[:, :4], np.cumsum(orbit[:, 4])
+
+
+def _chord_lengths(states):
+    """Length of each chord: the hypot of successive positions."""
+    return np.hypot(*np.diff(states[:, :2], axis=0).T)
+
+
+def _arc_lengths(states):
+    """Cumulative arc length at each state, from the chord lengths."""
+    return np.concatenate([[0.0], np.cumsum(_chord_lengths(states))])
 
 
 def test_domain_validation():
@@ -89,8 +100,7 @@ def test_signed_distance_samples():
 
 
 def _first_bounce(domain, s):
-    states, _ = billiard_flow(domain, s, 1)
-    return states[1]
+    return billiard_flow(domain, s, 1)[1]
 
 
 def test_diameter_orbit_on_circle():
@@ -123,10 +133,10 @@ def test_specular_law_on_circle(ang):
 def test_angular_momentum_conserved():
     s = BilliardState(0.31, -0.12, math.cos(0.7), math.sin(0.7))
     L0 = circle_angular_momentum(s)
-    states, times = billiard_flow(CIRCLE, s, 2000)
+    states = billiard_flow(CIRCLE, s, 2000)
     Ls = [circle_angular_momentum(BilliardState(*row)) for row in states]
     assert max(abs(L - L0) for L in Ls) < 1e-9
-    assert times[0] == 0.0 and (np.diff(times) > 0).all()
+    assert (_chord_lengths(states) > 0).all()
 
 
 def test_angular_momentum_examples():
@@ -167,18 +177,18 @@ def test_convex_exit_matches_candidate_minimum(a, r, u, v, ang):
             billiard_flow(domain, s, 2000)
         assert got.value.bounce_index == exc.bounce_index
         return
-    states, times = billiard_flow(domain, s, 2000)
+    states = billiard_flow(domain, s, 2000)
     assert np.array_equal(states, want_states)
-    assert np.array_equal(times, want_times)
+    assert np.allclose(_arc_lengths(states), want_times, rtol=1e-12, atol=0)
 
 
 def test_ergodic_study_orbit_matches_reference():
     """The first 20,000 bounces of the ergodic-orbit study's stadium orbit."""
     s = BilliardState(0.137, -0.041, math.cos(0.83), math.sin(0.83))
-    states, times = billiard_flow(STADIUM, s, 20_000)
+    states = billiard_flow(STADIUM, s, 20_000)
     want_states, want_times = _reference_flow(STADIUM, s, 20_000)
     assert np.array_equal(states, want_states)
-    assert np.array_equal(times, want_times)
+    assert np.allclose(_arc_lengths(states), want_times, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("x, dx", [(3.0, 1.0), (3.0, -1.0), (math.nan, 1.0)])
@@ -199,13 +209,21 @@ def test_nan_direction_rejected():
     (STADIUM, BilliardState(0.5, 1.0, 0.0, -1.0)),
 ])
 def test_boundary_start_accepted(domain, s):
-    states, _ = billiard_flow(domain, s, 3)
+    states = billiard_flow(domain, s, 3)
     assert np.abs(domain.signed_distance(states[1:, 0], states[1:, 1])).max() < 1e-12
+
+
+def test_orbit_is_one_contiguous_states_array():
+    s = BilliardState(0.05, 0.11, math.cos(1.3), math.sin(1.3))
+    states = billiard_flow(STADIUM, s, 500)
+    assert states.dtype == np.float64 and states.flags.c_contiguous
+    assert states.shape == (501, 4)
+    assert np.array_equal(states[0], [s.x, s.y, s.dx, s.dy])
 
 
 def test_speed_preserved_along_orbit():
     s = BilliardState(0.05, 0.11, math.cos(1.3), math.sin(1.3))
-    states, _ = billiard_flow(STADIUM, s, 500)
+    states = billiard_flow(STADIUM, s, 500)
     assert states.shape == (501, 4)
     assert np.abs(np.hypot(states[:, 2], states[:, 3]) - 1.0).max() < 1e-12
 
@@ -214,21 +232,21 @@ def test_ergodic_average_whole_domain():
     """A bouncing-ball orbit across the straight section stays on one side
     of x = 0 and spends all or none of its length in the left half."""
     for x, frac in ((-0.5, 1.0), (0.5, 0.0)):
-        states, _ = billiard_flow(STADIUM, BilliardState(x, 0.0, 0.0, 1.0), 200)
+        states = billiard_flow(STADIUM, BilliardState(x, 0.0, 0.0, 1.0), 200)
         assert ergodic_average(states, 200) == frac
 
 
 def test_axis_orbit_left_half_fraction_exact():
     """From (-1, 0) along the axis the chords run 3 then 4, 4, 4, 4 long,
     with 1 then 2 of each in x < 0."""
-    states, _ = billiard_flow(STADIUM, BilliardState(-1.0, 0.0, 1.0, 0.0), 5)
+    states = billiard_flow(STADIUM, BilliardState(-1.0, 0.0, 1.0, 0.0), 5)
     assert ergodic_average(states, 5) == 9 / 19
 
 
 def test_left_half_fraction_matches_sampling():
     """The exact chord split against midpoint sampling of each chord."""
     s = BilliardState(0.137, -0.041, math.cos(0.83), math.sin(0.83))
-    states, _ = billiard_flow(STADIUM, s, 2000)
+    states = billiard_flow(STADIUM, s, 2000)
     p0, p1 = states[:-1, :2], states[1:, :2]
     frac = (np.arange(4000) + 0.5) / 4000
     xs = p0[:, :1] + frac * (p1[:, :1] - p0[:, :1])  # (chords, samples)
@@ -242,7 +260,7 @@ def test_caustic_excludes_inner_disc():
     # launch tangentially to the caustic: position r=0.8, direction perpendicular
     s = BilliardState(0.8, 0.0, 0.0, 1.0)
     assert circle_angular_momentum(s) == pytest.approx(0.8)
-    states, _ = billiard_flow(CIRCLE, s, 2000)
+    states = billiard_flow(CIRCLE, s, 2000)
     p0, d = states[:-1, :2], np.diff(states[:, :2], axis=0)
     # parameter of the point of each chord nearest the origin
     t = np.clip(-(p0 * d).sum(axis=1) / (d * d).sum(axis=1), 0.0, 1.0)
@@ -252,13 +270,13 @@ def test_caustic_excludes_inner_disc():
 
 def test_left_half_fraction_short():
     s = BilliardState(0.137, -0.041, math.cos(0.83), math.sin(0.83))
-    states, _ = billiard_flow(STADIUM, s, 50_000)
+    states = billiard_flow(STADIUM, s, 50_000)
     assert abs(ergodic_average(states, 50_000) - 0.5) < 0.05
 
 
 def test_coverage_grid_shape_and_visits():
     s = BilliardState(0.137, -0.041, math.cos(0.83), math.sin(0.83))
-    states, _ = billiard_flow(STADIUM, s, 20_000)
+    states = billiard_flow(STADIUM, s, 20_000)
     counts, inside = coverage_grid(STADIUM, states, 20_000)
     assert counts.shape == (32, 16) and inside.shape == (32, 16)
     assert (counts[inside] > 0).mean() > 0.95
@@ -267,7 +285,7 @@ def test_coverage_grid_shape_and_visits():
 def test_coverage_counts_match_per_chord_reference():
     """25,000 chords, across a chunk boundary, counted chord by chord."""
     s = BilliardState(0.137, -0.041, math.cos(0.83), math.sin(0.83))
-    states, _ = billiard_flow(STADIUM, s, 25_000)
+    states = billiard_flow(STADIUM, s, 25_000)
     counts, _ = coverage_grid(STADIUM, states, 25_000)
     (x0, y0), (x1, y1) = STADIUM.bounding_box()
     nx, ny = COVERAGE_CELLS
@@ -285,7 +303,7 @@ def test_coverage_counts_match_per_chord_reference():
 def test_bounce_count_must_be_positive(n_bounces):
     """Counts below 1, and counts past the end of the orbit, are rejected."""
     s = BilliardState(0.2, 0.3, math.cos(2.1), math.sin(2.1))
-    states, _ = billiard_flow(STADIUM, s, 20)
+    states = billiard_flow(STADIUM, s, 20)
     for run in (lambda n: billiard_flow(STADIUM, s, n),
                 lambda n: ergodic_average(states, n),
                 lambda n: coverage_grid(STADIUM, states, n)):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import scipy.special
 
+from semiclass_lab import experiments
 from semiclass_lab.billiard import StadiumDomain
 from semiclass_lab.billiard_quantum import (DiscreteDomain, bouncing_ball_score,
                                             build_laplacian, discretize_stadium,
@@ -102,6 +107,22 @@ def test_mode_normalization():
     modes = eigenmodes_near(dd, A, np.pi * np.sqrt(2), 3)
     for m in modes:
         assert (m.wavefunction**2).sum() * h**2 == pytest.approx(1.0, abs=1e-10)
+
+
+def test_bessel_zero_constants_are_scipy_values():
+    """circle_convergence's constants hold jn_zeros' values to the bit."""
+    assert experiments.BESSEL_J0_ZERO == scipy.special.jn_zeros(0, 1)[0]
+    assert experiments.BESSEL_J1_ZERO == scipy.special.jn_zeros(1, 1)[0]
+
+
+def test_package_import_leaves_scipy_special_unloaded():
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, semiclass_lab; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"
 
 
 def test_circle_ground_mode_matches_bessel_zero():

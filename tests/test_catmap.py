@@ -5,10 +5,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiclass_lab.catmap import (CatMap, DEFAULT_MAP, TorusPoint, bowen_distance,
-                                  bowen_distance_cloud, cat_lyapunov, torus_distance)
+from semiclass_lab.catmap import (CatMap, DEFAULT_MAP, TorusPoint,
+                                  bowen_distance_cloud, cat_lyapunov)
 
 M = DEFAULT_MAP
+
+
+def _as_array(p):
+    return p.as_array() if isinstance(p, TorusPoint) else np.asarray(p, float)
+
+
+def torus_distance(p, q) -> float:
+    """Flat quotient metric: min over integer translates of Euclidean distance."""
+    d = np.abs(_as_array(p) - _as_array(q)) % 1.0
+    d = np.minimum(d, 1.0 - d)
+    return float(np.hypot(*d))
+
+
+def bowen_distance(m, p, q, T: int) -> float:
+    """Reference Bowen distance, one pair of points at a time: the max torus
+    distance of the two orbits over the discrete window
+    t in [-floor(T/2), ceil(T/2)]."""
+    p, q = _as_array(p), _as_array(q)
+    best = torus_distance(p, q)
+    mat = m.matrix().astype(float)
+    inv = m.inverse_matrix().astype(float)
+    pf, qf = p.copy(), q.copy()
+    for _ in range((T + 1) // 2):
+        pf, qf = (mat @ pf) % 1.0, (mat @ qf) % 1.0
+        best = max(best, torus_distance(pf, qf))
+    pb, qb = p.copy(), q.copy()
+    for _ in range(T // 2):
+        pb, qb = (inv @ pb) % 1.0, (inv @ qb) % 1.0
+        best = max(best, torus_distance(pb, qb))
+    return best
 
 
 def _step(pts):

@@ -5,10 +5,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiclass_lab.catmap import (DEFAULT_MAP, CatMap, TorusPoint,
-                                  bowen_distance_cloud, cat_lyapunov,
+                                  bowen_distance_cloud, cat_lyapunov, step_rows,
                                   torus_distance_array)
 from semiclass_lab.entropy import (SampleCloud, _cell_index,
-                                   _nested_ball_masses, _step, atom_cloud,
+                                   _nested_ball_masses, atom_cloud,
                                    entropy_bound_check, ks_entropy_estimate,
                                    mixture_cloud, model_entropy, uniform_cloud)
 from semiclass_lab.errors import UnderResolved
@@ -143,9 +143,10 @@ def test_cell_index_on_cell_boundaries_and_the_seam(eps):
 def test_lone_row_steps_as_in_whole_cloud():
     pts = uniform_cloud(2000, seed=6).points
     for mat in (M.matrix().astype(float), M.inverse_matrix().astype(float)):
-        whole = (pts @ mat.T) % 1.0  # bowen_distance_cloud's step
+        whole = step_rows(pts, mat)
+        assert np.array_equal(whole, (pts @ mat.T) % 1.0)
         for i in range(len(pts)):
-            assert np.array_equal(_step(pts[i:i + 1], mat), whole[i:i + 1])
+            assert np.array_equal(step_rows(pts[i:i + 1], mat), whole[i:i + 1])
 
 
 def test_ks_estimate_permutation_invariant():

@@ -42,7 +42,9 @@ def test_spectral_reconstruction():
     dec = diagonalize(U)
     assert len(dec.eigenphases) == 64
     assert np.all(np.diff(dec.eigenphases) >= 0)
-    assert np.linalg.norm(dec.reconstruct() - U, 2) < 1e-9
+    V = dec.eigenvectors
+    rebuilt = (V * np.exp(1j * dec.eigenphases)) @ V.conj().T
+    assert np.linalg.norm(rebuilt - U, 2) < 1e-9
 
 
 def test_quantum_period_n1():

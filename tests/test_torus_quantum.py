@@ -11,11 +11,15 @@ from semiclass_lab.torus_quantum import (TrigObservable, _norm_bound,
                                          egorov_defect, index_action,
                                          intertwining_defect, is_quantizable,
                                          op_apply, translation_apply,
-                                         translation_op, unitarity_defect,
-                                         weyl_quantize)
+                                         unitarity_defect, weyl_quantize)
 
 M = DEFAULT_MAP
 MAPS = (M, CatMap(1, 2, 2, 5), CatMap(3, 2, 4, 3))  # quantizable, hyperbolic
+
+
+def translation_op(N: int, n) -> np.ndarray:
+    """Weyl-Heisenberg translation T_N(n) as a dense unitary matrix."""
+    return translation_apply(n, np.eye(N, dtype=complex))
 
 
 def test_translation_identity():
