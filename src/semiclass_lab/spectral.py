@@ -37,19 +37,49 @@ class QuantumPeriod:
 
 
 def diagonalize(U: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a unitary matrix with orthonormal eigenvectors.
+    """Eigendecomposition of a unitary matrix that commutes with the parity
+    R: psi_j -> psi_{-j mod N}, with orthonormal eigenvectors.
 
-    Uses the complex Schur form, which is diagonal for normal matrices, so
-    the eigenvector matrix is unitary even inside degenerate clusters.
+    U is folded by index into its even and odd blocks Q^T U Q, on the fixed
+    points j = 0 and N/2 and the pairs (e_j +- e_{N-j})/sqrt(2), and each
+    block's complex Schur form, diagonal for normal matrices, gives its
+    eigenvectors. So every eigenvector has a definite parity, and where the
+    spectrum is simple within each class (the cat map at power-of-two N)
+    the basis is unique up to phases. A U that does not commute with R is
+    refused.
     """
     N = U.shape[0]
     if unitarity_defect(U) > RESIDUAL_TOL:
         raise NumericalError(f"input operator is not unitary to {RESIDUAL_TOL}")
-    T, Z = scipy.linalg.schur(U, output="complex")
-    phases = np.angle(np.diag(T)) % (2 * np.pi)
+    j = np.arange(N)
+    rev = -j % N
+    commutator = np.abs(U[np.ix_(rev, rev)] - U).max()
+    if commutator > RESIDUAL_TOL:
+        raise NumericalError(
+            f"operator does not commute with parity (defect {commutator:.2e})"
+        )
+    fixed = j[rev == j]  # 0, and N/2 for even N
+    lo = j[1:(N + 1) // 2]  # pairs (lo, N - lo)
+    hi = N - lo
+    s = np.sqrt(0.5)
+    # columns of U Q, then rows of Q^T (U Q), for each class
+    even_cols = np.concatenate([U[:, fixed], s * (U[:, lo] + U[:, hi])], axis=1)
+    odd_cols = s * (U[:, lo] - U[:, hi])
+    even = np.concatenate([even_cols[fixed], s * (even_cols[lo] + even_cols[hi])])
+    odd = s * (odd_cols[lo] - odd_cols[hi])
+    Te, Ze = scipy.linalg.schur(even, output="complex")
+    To, Zo = scipy.linalg.schur(odd, output="complex")
+    phases = np.angle(np.concatenate([np.diag(Te), np.diag(To)])) % (2 * np.pi)
+    # lift Q Z into one basis, even vectors first
+    ne = len(fixed) + len(lo)
+    V = np.zeros((N, N), dtype=complex)
+    V[fixed, :ne] = Ze[:len(fixed)]
+    V[lo, :ne] = V[hi, :ne] = s * Ze[len(fixed):]
+    V[lo, ne:] = s * Zo
+    V[hi, ne:] = -V[lo, ne:]
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
-    V = Z[:, order]
+    V = V[:, order]
     resid = np.abs(U @ V - V * np.exp(1j * phases)).max()
     ortho = np.abs(V.conj().T @ V - np.eye(N)).max()
     if resid > RESIDUAL_TOL or ortho > RESIDUAL_TOL:

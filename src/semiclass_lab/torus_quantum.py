@@ -108,10 +108,16 @@ def weyl_quantize(N: int, A: TrigObservable) -> np.ndarray:
 
 def op_apply(A: TrigObservable, psi: np.ndarray) -> np.ndarray:
     """Op_N(A) psi, for a vector or a block of columns, using translation
-    actions only: each coefficient touches one entry per row."""
+    actions only: each coefficient touches one entry per row. Each term is
+    gathered into one buffer and scaled in place, by the phase and then by
+    c; that operand order fixes the last bits of the result."""
     out = np.zeros_like(psi, dtype=complex)
     for m, c in A.coefficients.items():
-        out += c * translation_apply(_freq_to_label(m), psi)
+        cols, phase = _translation(len(psi), _freq_to_label(m))
+        g = psi[cols].astype(complex, copy=False)
+        np.multiply(phase.reshape((-1,) + (1,) * (psi.ndim - 1)), g, out=g)
+        np.multiply(c, g, out=g)
+        out += g
     return out
 
 
@@ -238,9 +244,10 @@ def intertwining_defect(U: np.ndarray, m: CatMap) -> float:
     """Max defect of U T(n) U* = T(An) over INTERTWINING_LABELS, read as
     ||T(An) U - U T(n)|| (unitary invariance) through _norm_bound, an upper
     bound on the operator norm. Both products are row gathers: T(An) on the
-    columns of U, and T(-n) = T(n)* on those of U*."""
+    columns of U, and T(-n) = T(n)* on those of U*, built C-contiguous so
+    that each gathered row is contiguous."""
     A = index_action(m)
-    U_adj = U.conj().T
+    U_adj = np.ascontiguousarray(U.conj().T)
     worst = 0.0
     for n in INTERTWINING_LABELS:
         lhs = translation_apply(A @ np.asarray(n, np.int64), U)
@@ -256,7 +263,8 @@ def egorov_defect(U: np.ndarray, m: CatMap, observables, T: int) -> np.ndarray:
     so zero to roundoff for linear maps (exact correspondence). The norm is
     read as ||Op(A) U^t - U^t Op(A o M^t)|| (unitary invariance), and both
     products are op_apply gathers, on the columns of U^t and of its
-    adjoint: the one dense product is U^t itself."""
+    adjoint (built C-contiguous, so each gathered row is contiguous): the
+    one dense product is U^t itself."""
     defects = np.empty((len(observables), T))
     mat = m.matrix(object)
     mat_t = np.eye(2, dtype=object)
@@ -264,7 +272,7 @@ def egorov_defect(U: np.ndarray, m: CatMap, observables, T: int) -> np.ndarray:
     for t in range(T):
         Ut = Ut @ U
         mat_t = mat_t @ mat
-        Ut_adj = Ut.conj().T
+        Ut_adj = np.ascontiguousarray(Ut.conj().T)
         for i, A in enumerate(observables):
             evolved = op_apply(A, Ut)
             classical = op_apply(A.compose_with(mat_t), Ut_adj).conj().T

@@ -3,9 +3,10 @@ import pytest
 
 from semiclass_lab.catmap import DEFAULT_MAP, TorusPoint
 from semiclass_lab.errors import NumericalError
-from semiclass_lab.spectral import (degeneracy_clusters, diagonalize,
-                                    matrix_order_mod, quantum_period,
-                                    scarred_state, short_period_dimensions)
+from semiclass_lab.spectral import (EigenDecomposition, degeneracy_clusters,
+                                    diagonalize, matrix_order_mod,
+                                    quantum_period, scarred_state,
+                                    short_period_dimensions)
 from semiclass_lab.torus_quantum import (cat_propagator, coherent_state,
                                          unitarity_defect)
 
@@ -45,6 +46,74 @@ def test_spectral_reconstruction():
     V = dec.eigenvectors
     rebuilt = (V * np.exp(1j * dec.eigenphases)) @ V.conj().T
     assert np.linalg.norm(rebuilt - U, 2) < 1e-9
+
+
+def _parity_classes(dec):
+    """Eigenphase-sorted decompositions of the even and odd eigenvectors,
+    each vector's parity read from <v, R v> with R: psi_j -> psi_{-j mod N}."""
+    V = dec.eigenvectors
+    N = len(V)
+    parity = np.einsum("ij,ij->j", V.conj(), V[-np.arange(N) % N]).real
+    assert np.abs(np.abs(parity) - 1).max() < 1e-10
+    return [EigenDecomposition(dec.eigenphases[cls], V[:, cls])
+            for cls in (parity > 0, parity < 0)]
+
+
+@pytest.mark.parametrize("N", [64, 512])
+def test_cat_map_spectrum_simple_per_parity_class(N):
+    """At power-of-two N every degenerate pair holds one even and one odd
+    vector, so within a class no eigenphase repeats."""
+    dec = diagonalize(cat_propagator(N, M))
+    even, odd = _parity_classes(dec)
+    assert len(even.eigenphases) == N // 2 + 1
+    for cls in (even, odd):
+        assert max(len(idx) for _, idx in degeneracy_clusters(cls)) == 1
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_diagonalize_small_dimensions(N):
+    """N <= 2 has no odd class; N = 3 has one vector in it."""
+    U = cat_propagator(N, M)
+    dec = diagonalize(U)
+    V = dec.eigenvectors
+    assert np.all(np.diff(dec.eigenphases) >= 0)
+    assert np.abs(V.conj().T @ V - np.eye(N)).max() < 1e-12
+    assert np.abs(U @ V - V * np.exp(1j * dec.eigenphases)).max() < 1e-12
+    sizes = [len(c.eigenphases) for c in _parity_classes(dec)]
+    assert sizes == [N // 2 + 1, (N - 1) // 2]
+
+
+def test_diagonalize_rejects_operator_not_commuting_with_parity():
+    """diag(e^{i theta_j}) commutes with R only if theta_j = theta_{N-j}."""
+    with pytest.raises(NumericalError, match="parity"):
+        diagonalize(np.diag(np.exp(1j * np.array([0.1, 0.2, 0.3, 0.4]))))
+
+
+THREADED_QE = """
+import tempfile
+from pathlib import Path
+from semiclass_lab.config import ExperimentConfig
+from semiclass_lab.experiments import run_experiment
+with tempfile.TemporaryDirectory() as out:
+    report = run_experiment(ExperimentConfig(experiment="qe-catmap", N=128,
+                                             out_dir=out).validated())
+    for c in report.checks:
+        print(c.name, c.passed)
+    rows = (Path(out) / "qe_variance.csv").read_text().splitlines()[1:]
+    for row in rows:
+        N, variance, _ = row.split(",")
+        print(N, variance)
+"""
+
+
+def test_qe_variance_same_at_one_and_two_blas_threads(at_one_and_two_threads):
+    """Within each parity class the spectrum is simple, so the eigenbasis
+    is unique up to phases and the variance reads it the same way at any
+    thread count. The basis-average defect and eigenphases.csv are left
+    out: they differ at rounding level."""
+    one, two = at_one_and_two_threads(THREADED_QE)
+    assert len(one.splitlines()) == 5  # three checks and two variances
+    assert one == two
 
 
 def test_quantum_period_n1():

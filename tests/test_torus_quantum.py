@@ -74,6 +74,26 @@ def test_matrix_free_matches_dense(N, n, m, seed):
         assert np.abs(op_apply(A, psi) - weyl_quantize(N, A) @ psi).max() < 1e-13
 
 
+def op_apply_reference(A: TrigObservable, psi: np.ndarray) -> np.ndarray:
+    """Op_N(A) psi as a sum of whole translated copies, one per coefficient."""
+    out = np.zeros_like(psi, dtype=complex)
+    for (m1, m2), c in A.coefficients.items():
+        out += c * translation_apply((m2, m1), psi)
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 7, 64, 512])
+def test_op_apply_matches_reference_bit_for_bit(N):
+    """The in-place gather scales in the reference's order, phase first and
+    then c, so a vector and a block of columns agree to the last bit."""
+    rng = np.random.default_rng(N)
+    A = TrigObservable({(1, 0): 0.3, (-1, 0): 0.3, (2, -3): -1j, (-2, 3): 1j,
+                        (0, 0): 0.7, (5, 11): 0.2 + 0.1j, (-5, -11): 0.2 - 0.1j})
+    for shape in (N, (N, 5)):
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert np.array_equal(op_apply(A, psi), op_apply_reference(A, psi))
+
+
 @pytest.mark.parametrize("N", [7, 64, 509, 512])
 def test_quantize_is_sum_of_translations(N):
     """Frequencies (0, 1) and (1, 1) both shift columns by one: their terms
