@@ -29,10 +29,10 @@ class StadiumDomain:
     radius: float = 1.0
 
     def __post_init__(self):
-        if self.half_length < 0:
-            raise ValueError("half_length must be >= 0")
-        if self.radius <= 0:
-            raise ValueError("radius must be > 0")
+        if not 0 <= self.half_length < math.inf:  # also rejects NaN
+            raise ValueError("half_length must be finite and >= 0")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be finite and > 0")
 
     @property
     def area(self) -> float:
@@ -131,21 +131,6 @@ def _chord_ends(states: np.ndarray, n_bounces: int):
     return pts[:-1], pts[1:]
 
 
-def _chord_samples(p0: np.ndarray, p1: np.ndarray, sample_step: float):
-    """Midpoint samples along each chord, spacing <= sample_step, yielded as
-    [x, y] coordinate arrays in chunks of 20,000 chords; one coordinate at a
-    time keeps the per-sample temporaries one-dimensional, to bound memory."""
-    chunk = 20_000
-    for lo in range(0, len(p0), chunk):
-        p = p0[lo:lo + chunk]
-        d = p1[lo:lo + chunk] - p
-        c = np.maximum(1, np.ceil(np.hypot(*d.T) / sample_step).astype(int))
-        # fractional midpoint positions within each chord
-        frac = ((np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c) + 0.5)
-                / np.repeat(c, c))
-        yield [np.repeat(p[:, k], c) + frac * np.repeat(d[:, k], c) for k in (0, 1)]
-
-
 def ergodic_average(states: np.ndarray, n_bounces: int) -> float:
     """Exact fraction of the arc length of the orbit's first n_bounces
     chords that lies in x < 0; a chord crossing x = 0 splits at the chord
@@ -173,8 +158,17 @@ def coverage_grid(domain: StadiumDomain, states: np.ndarray, n_bounces: int):
     (x0, y0), (x1, y1) = domain.bounding_box()
     nx, ny = COVERAGE_CELLS
     counts = np.zeros(nx * ny, dtype=np.int64)
-    for xs, ys in _chord_samples(*_chord_ends(states, n_bounces),
-                                 COVERAGE_SAMPLE_STEP):
+    p0, p1 = _chord_ends(states, n_bounces)
+    x, y = p0.T
+    dx, dy = (p1 - p0).T
+    c = np.maximum(1, np.ceil(np.hypot(dx, dy) / COVERAGE_SAMPLE_STEP).astype(int))
+    # the k-th midpoints of the chords that have one, so each temporary holds
+    # at most one sample per chord; chords without one are dropped for good
+    for k in range(c.max()):
+        on = c > k
+        x, y, dx, dy, c = x[on], y[on], dx[on], dy[on], c[on]
+        frac = (k + 0.5) / c
+        xs, ys = x + frac * dx, y + frac * dy
         ix = np.clip(((xs - x0) / (x1 - x0) * nx).astype(int), 0, nx - 1)
         iy = np.clip(((ys - y0) / (y1 - y0) * ny).astype(int), 0, ny - 1)
         counts += np.bincount(ix * ny + iy, minlength=nx * ny)

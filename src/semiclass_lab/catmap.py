@@ -50,6 +50,8 @@ class TorusPoint:
     xi: float
 
     def __post_init__(self):
+        if not (-math.inf < self.x < math.inf and -math.inf < self.xi < math.inf):
+            raise ValueError("torus point coordinates must be finite")
         object.__setattr__(self, "x", self.x % 1.0)
         object.__setattr__(self, "xi", self.xi % 1.0)
 

@@ -53,6 +53,8 @@ def uniform_cloud(n: int, seed: int = 0) -> SampleCloud:
 def atom_cloud(points, n: int) -> SampleCloud:
     """Cloud of n samples spread uniformly over the given orbit points."""
     pts = np.array([[p.x, p.xi] for p in points], float)
+    if len(pts) == 0 or n < 1:
+        raise ValueError("atom_cloud needs at least one orbit point and n >= 1")
     reps = np.resize(np.arange(len(pts)), n)
     return SampleCloud(points=pts[reps], weights=np.full(n, 1.0 / n))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,16 @@ def test_domain_validation():
         StadiumDomain(half_length=-0.1)
     with pytest.raises(ValueError):
         StadiumDomain(radius=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_domain_rejects_non_finite(bad):
+    """A NaN or infinite shape is refused here, before a discretization
+    fails on it or an orbit runs off to infinity."""
+    with pytest.raises(ValueError, match="half_length must be finite"):
+        StadiumDomain(half_length=bad)
+    with pytest.raises(ValueError, match="radius must be finite"):
+        StadiumDomain(radius=bad)
 
 
 def test_area():
@@ -283,10 +294,17 @@ def test_coverage_grid_shape_and_visits():
 
 
 def test_coverage_counts_match_per_chord_reference():
-    """25,000 chords, across a chunk boundary, counted chord by chord."""
+    """25,000 chords counted chord by chord. coverage_grid holds a few
+    samples per chord at a time, so its traced peak stays under 8 MiB."""
     s = BilliardState(0.137, -0.041, math.cos(0.83), math.sin(0.83))
     states = billiard_flow(STADIUM, s, 25_000)
-    counts, _ = coverage_grid(STADIUM, states, 25_000)
+    tracemalloc.start()
+    try:
+        counts, _ = coverage_grid(STADIUM, states, 25_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
     (x0, y0), (x1, y1) = STADIUM.bounding_box()
     nx, ny = COVERAGE_CELLS
     want = np.zeros((nx, ny), dtype=np.int64)

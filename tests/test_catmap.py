@@ -47,6 +47,15 @@ def _step(pts):
     return (np.asarray(pts, float) @ M.matrix().T) % 1.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_torus_point_rejects_non_finite(bad):
+    """inf % 1.0 is NaN, so a non-finite coordinate is refused, not reduced."""
+    with pytest.raises(ValueError, match="finite"):
+        TorusPoint(bad, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        TorusPoint(0.25, bad)
+
+
 def test_rejects_non_unimodular():
     with pytest.raises(ValueError):
         CatMap(2, 1, 1, 2)

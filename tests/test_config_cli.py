@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
 
+from semiclass_lab.catmap import DEFAULT_MAP
 from semiclass_lab.cli import build_parser, main
 from semiclass_lab.config import EXPERIMENTS, ExperimentConfig, parse_config
 from semiclass_lab.errors import ConfigError
+from semiclass_lab.serialization import KIND_OPERATOR, KIND_STATE, read_state
+from semiclass_lab.torus_quantum import cat_propagator
 
 
 def test_defaults():
@@ -113,3 +117,16 @@ def test_main_rejects_non_finite_spacing(tmp_path, capsys, h):
     rc = main(["--experiment", "billiard-circle", "--h", h, "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: h must be finite")
+
+
+def test_main_dump_state_writes_containers(tmp_path):
+    """--dump-state writes the N=64 propagator and the last scarred state."""
+    rc = main(["--experiment", "egorov,scar-construction", "--N", "64",
+               "--dump-state", "--out", str(tmp_path)])
+    assert rc == 0
+    U, kind = read_state(tmp_path / "egorov" / "propagator.bin")
+    assert kind == KIND_OPERATOR
+    assert np.array_equal(U, cat_propagator(64, DEFAULT_MAP))
+    psi, kind = read_state(tmp_path / "scar-construction" / "scarred_state_N209.bin")
+    assert kind == KIND_STATE and psi.shape == (209,)
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)

@@ -50,6 +50,12 @@ def test_cloud_rejects_non_finite_points(bad):
         SampleCloud(points=[[0.4, 0.2], [0.3, bad]], weights=[0.5, 0.5])
 
 
+@pytest.mark.parametrize("points, n", [([], 10), (ORIGIN, 0)])
+def test_atom_cloud_rejects_empty(points, n):
+    with pytest.raises(ValueError, match="atom_cloud"):
+        atom_cloud(points, n)
+
+
 def test_cloud_constructors():
     u = uniform_cloud(500, seed=3)
     assert len(u) == 500 and u.weights.sum() == pytest.approx(1.0)
