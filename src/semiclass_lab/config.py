@@ -74,7 +74,10 @@ def parse_config(path=None, overrides=None) -> ExperimentConfig:
     (command-line flags win). Unknown keys are rejected."""
     cfg = ExperimentConfig()
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ConfigError(f"config file {path}: {exc.strerror}") from exc
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:

@@ -1,8 +1,8 @@
 """Named experiment suites with reproducible artifacts.
 
 Each suite runs a self-contained study, writes CSV/PGM/JSON artifacts into
-the output directory, and returns a RunReport whose checks mirror the
-package invariants the suite exercises.
+its RunReport's output directory, and adds checks to that report which
+mirror the package invariants the suite exercises.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .catmap import TorusPoint, cat_lyapunov
 from .config import ExperimentConfig
 from .entropy import (atom_cloud, entropy_bound_check, ks_entropy_estimate,
                       mixture_cloud, model_entropy, uniform_cloud)
+from .errors import ConfigError
 from .measures import (ModelMeasure, ball_mass, eigenbasis_elements, husimi,
                        qe_variance, weak_star_distance, wigner_coefficients)
 from .serialization import (KIND_OPERATOR, KIND_STATE, write_csv, write_pgm,
@@ -48,6 +49,7 @@ class Check:
 @dataclass
 class RunReport:
     experiment: str
+    out: Path | None = None  # the run's directory; a report without one writes no file
     checks: list = field(default_factory=list)
     wall_time: float = 0.0
     artifacts: list = field(default_factory=list)
@@ -59,8 +61,14 @@ class RunReport:
     def add(self, name, passed, value, detail=""):
         self.checks.append(Check(name, bool(passed), float(value), detail))
 
-    def write(self, out_dir):
-        path = Path(out_dir) / "report.json"
+    def path(self, name):
+        """Path of artifact name in the run's directory, listed among the artifacts."""
+        path = self.out / name
+        self.artifacts.append(name)
+        return path
+
+    def write(self):
+        path = self.out / "report.json"
         payload = {
             "experiment": self.experiment,
             "passed": self.passed,
@@ -78,7 +86,7 @@ def _observable_modes():
     return [((m1, m2), TrigObservable.cosine((m1, m2))) for m1, m2 in freqs]
 
 
-def run_egorov(cfg: ExperimentConfig, out: Path, report: RunReport):
+def run_egorov(cfg: ExperimentConfig, report: RunReport):
     m = cfg.cat_map()
     U = cat_propagator(cfg.N, m)
     unitarity = unitarity_defect(U)
@@ -90,15 +98,11 @@ def run_egorov(cfg: ExperimentConfig, out: Path, report: RunReport):
     rows = [(cfg.N, m1, m2, t, d)
             for ((m1, m2), _), row in zip(modes, defects.tolist())
             for t, d in enumerate(row, 1)]
-    path = out / "egorov_defects.csv"
-    write_csv(path, ("N", "m1", "m2", "t", "defect"), rows)
-    report.artifacts.append(path.name)
+    write_csv(report.path("egorov_defects.csv"), ("N", "m1", "m2", "t", "defect"), rows)
     worst = float(defects.max())
     report.add("max_egorov_defect_lt_1e-9", worst < 1e-9, worst)
     if cfg.dump_state:
-        sp = out / "propagator.bin"
-        write_state(sp, U, kind=KIND_OPERATOR)
-        report.artifacts.append(sp.name)
+        write_state(report.path("propagator.bin"), U, kind=KIND_OPERATOR)
 
 
 def qe_study(report: RunReport, m, A: TrigObservable, N: int):
@@ -123,7 +127,7 @@ def qe_study(report: RunReport, m, A: TrigObservable, N: int):
     return rows, dec_N
 
 
-def run_qe_catmap(cfg: ExperimentConfig, out: Path, report: RunReport):
+def run_qe_catmap(cfg: ExperimentConfig, report: RunReport):
     # the mixed mode 2 cos(2 pi (x + xi)): for axis-aligned modes the
     # eigenspace-diagonal part of the quantized observable vanishes
     # identically when N is a power of two, so the variance trend is only
@@ -134,13 +138,10 @@ def run_qe_catmap(cfg: ExperimentConfig, out: Path, report: RunReport):
     cluster_id = np.empty(N, int)
     for cid, (_, idx) in enumerate(degeneracy_clusters(dec)):
         cluster_id[idx] = cid
-    ep = out / "eigenphases.csv"
-    write_csv(ep, ("index", "phase", "cluster_id"),
+    write_csv(report.path("eigenphases.csv"), ("index", "phase", "cluster_id"),
               [(n, dec.eigenphases[n], cluster_id[n]) for n in range(N)])
-    report.artifacts.append(ep.name)
-    path = out / "qe_variance.csv"
-    write_csv(path, ("N", "variance", "basis_average_defect"), rows)
-    report.artifacts.append(path.name)
+    write_csv(report.path("qe_variance.csv"),
+              ("N", "variance", "basis_average_defect"), rows)
 
 
 def scar_study(report: RunReport, m, dims):
@@ -173,25 +174,19 @@ def scar_study(report: RunReport, m, dims):
     return rows, last
 
 
-def run_scar_construction(cfg: ExperimentConfig, out: Path, report: RunReport):
+def run_scar_construction(cfg: ExperimentConfig, report: RunReport):
     m = cfg.cat_map()
     dims = short_period_dimensions(m, 50, max(cfg.N, 250))
     report.add("short_period_dims_found_ge_3", len(dims) >= 3, len(dims),
                f"dims: {dims[:6]}")
     rows, last = scar_study(report, m, dims[:4])
-    path = out / "scarred_states.csv"
-    write_csv(path, ("N", "P", "T_half", "ball_mass",
-                     "d_mixture", "d_atom", "d_lebesgue"), rows)
-    report.artifacts.append(path.name)
+    write_csv(report.path("scarred_states.csv"), ("N", "P", "T_half", "ball_mass",
+              "d_mixture", "d_atom", "d_lebesgue"), rows)
     if last is not None:
         N, psi, g = last
-        pgm = out / f"husimi_scar_N{N}.pgm"
-        write_pgm(g.values, pgm)
-        report.artifacts.append(pgm.name)
+        write_pgm(g.values, report.path(f"husimi_scar_N{N}.pgm"))
         if cfg.dump_state:
-            sp = out / f"scarred_state_N{N}.bin"
-            write_state(sp, psi, kind=KIND_STATE)
-            report.artifacts.append(sp.name)
+            write_state(report.path(f"scarred_state_N{N}.bin"), psi, kind=KIND_STATE)
 
 
 def entropy_oracles(report: RunReport, m, seed: int):
@@ -241,7 +236,7 @@ def entropy_bounds(report: RunReport, m):
     return bounds
 
 
-def run_entropy_sweep(cfg: ExperimentConfig, out: Path, report: RunReport):
+def run_entropy_sweep(cfg: ExperimentConfig, report: RunReport):
     m = cfg.cat_map()
     lam = cat_lyapunov(m).lambda_plus
     rows = []
@@ -254,15 +249,10 @@ def run_entropy_sweep(cfg: ExperimentConfig, out: Path, report: RunReport):
             rows.append(("uniform-200k", T, eps, est.value, est.standard_error,
                          est.empty_ball_count, lam))
     rows += entropy_oracles(report, m, cfg.seed)
-    path = out / "entropy_estimates.csv"
-    write_csv(path, ("cloud", "T", "eps", "estimate", "stderr",
-                     "empty_ball_count", "model_value"), rows)
-    report.artifacts.append(path.name)
-
+    write_csv(report.path("entropy_estimates.csv"), ("cloud", "T", "eps", "estimate",
+              "stderr", "empty_ball_count", "model_value"), rows)
     bounds = entropy_bounds(report, m)
-    bpath = out / "entropy_bounds.json"
-    bpath.write_text(json.dumps(bounds, indent=2) + "\n")
-    report.artifacts.append(bpath.name)
+    report.path("entropy_bounds.json").write_text(json.dumps(bounds, indent=2) + "\n")
 
 
 def circle_convergence(report: RunReport, h: float):
@@ -307,21 +297,17 @@ def angular_momentum_drift(report: RunReport, angle: float):
     return [(i, *row) for i, row in enumerate(states[:1000])]
 
 
-def run_billiard_circle(cfg: ExperimentConfig, out: Path, report: RunReport):
+def run_billiard_circle(cfg: ExperimentConfig, report: RunReport):
     rows, dd, mode1 = circle_convergence(report, cfg.h)
-    path = out / "circle_eigenvalues.csv"
-    write_csv(path, ("h", "k1", "k1_exact", "rel_err"), rows)
-    report.artifacts.append(path.name)
+    write_csv(report.path("circle_eigenvalues.csv"), ("h", "k1", "k1_exact", "rel_err"),
+              rows)
 
     # classical regularity: angular momentum conservation over many bounces
     rng = np.random.default_rng(cfg.seed)
     orbit_rows = angular_momentum_drift(report, 2 * np.pi * rng.random())
-    opath = out / "circle_orbit.csv"
-    write_csv(opath, ("step", "x", "y", "dx", "dy"), orbit_rows)
-    report.artifacts.append(opath.name)
-    pgm = out / "circle_mode1.pgm"
-    write_pgm(_mode_raster(dd, mode1), pgm)
-    report.artifacts.append(pgm.name)
+    write_csv(report.path("circle_orbit.csv"), ("step", "x", "y", "dx", "dy"),
+              orbit_rows)
+    write_pgm(_mode_raster(dd, mode1), report.path("circle_mode1.pgm"))
 
 
 def _mode_raster(dd, mode):
@@ -330,10 +316,10 @@ def _mode_raster(dd, mode):
     return grid.T[::-1]  # image rows top to bottom
 
 
-def stadium_window(report: RunReport, out: Path, domain, dd, A, center_k):
+def stadium_window(report: RunReport, domain, dd, A, center_k):
     """Stadium modes with k within 1 of center_k: adds the Weyl-count and
     score checks, suffixed with the tag k<center_k> ("k15"), and writes the
-    mode table and the top-scoring modes into out. Returns the modes."""
+    mode table and the top-scoring modes as artifacts. Returns the modes."""
     tag = f"k{center_k:.0f}"
     modes = bq.eigenmodes_window(dd, A, domain, center_k)
     pred = bq.weyl_window_count(domain, center_k)
@@ -343,15 +329,12 @@ def stadium_window(report: RunReport, out: Path, domain, dd, A, center_k):
     bb = np.array([bq.bouncing_ball_score(m, domain) for m in modes])
     sc = np.array([bq.scar_score(m, domain) for m in modes])
     rows = [(m.k, m.residual, b, s) for m, b, s in zip(modes, bb, sc)]
-    path = out / f"stadium_modes_{tag}.csv"
-    write_csv(path, ("k", "residual", "bouncing_ball_ratio", "scar_ratio"), rows)
-    report.artifacts.append(path.name)
-    jl = out / f"stadium_modes_{tag}.jsonl"
-    with open(jl, "w") as f:
+    write_csv(report.path(f"stadium_modes_{tag}.csv"),
+              ("k", "residual", "bouncing_ball_ratio", "scar_ratio"), rows)
+    with open(report.path(f"stadium_modes_{tag}.jsonl"), "w") as f:
         for m, b, s in zip(modes, bb, sc):
             f.write(json.dumps({"k": m.k, "residual": m.residual,
                                 "bouncing_ball": b, "scar": s}) + "\n")
-    report.artifacts.append(jl.name)
     p90 = float(np.quantile(sc, 0.9))
     report.add(f"bouncing_ball_max_gt_1.5_{tag}", bb.max() > 1.5, float(bb.max()))
     report.add(f"scar_max_above_p90_{tag}", sc.max() > p90, float(sc.max()),
@@ -362,18 +345,16 @@ def stadium_window(report: RunReport, out: Path, domain, dd, A, center_k):
                0.8 <= np.median(sc) <= 1.2, float(np.median(sc)))
     for arr, name in ((bb, "bouncing_ball"), (sc, "scar")):
         mode = modes[int(np.argmax(arr))]
-        pgm = out / f"stadium_{name}_{tag}.pgm"
-        write_pgm(_mode_raster(dd, mode), pgm)
-        report.artifacts.append(pgm.name)
+        write_pgm(_mode_raster(dd, mode), report.path(f"stadium_{name}_{tag}.pgm"))
     return modes
 
 
-def run_billiard_stadium(cfg: ExperimentConfig, out: Path, report: RunReport):
+def run_billiard_stadium(cfg: ExperimentConfig, report: RunReport):
     domain = StadiumDomain(half_length=1.0, radius=1.0)
     dd = bq.discretize_stadium(domain, cfg.h)
     A = bq.build_laplacian(dd)
-    modes15 = stadium_window(report, out, domain, dd, A, 15.0)
-    modes30 = stadium_window(report, out, domain, dd, A, 30.0)
+    modes15 = stadium_window(report, domain, dd, A, 15.0)
+    modes30 = stadium_window(report, domain, dd, A, 30.0)
     left = lambda x, y: x < 0
     v15 = bq.qe_spatial_variance(modes15, left)
     v30 = bq.qe_spatial_variance(modes30, left)
@@ -416,15 +397,13 @@ def ergodic_study(report: RunReport, angle: float):
     return coverage_rows, [(i, *row) for i, row in enumerate(states[:2001])]
 
 
-def run_ergodic_orbit(cfg: ExperimentConfig, out: Path, report: RunReport):
+def run_ergodic_orbit(cfg: ExperimentConfig, report: RunReport):
     rng = np.random.default_rng(cfg.seed)
     coverage_rows, orbit_rows = ergodic_study(report, 2 * np.pi * rng.random())
-    cpath = out / "coverage_counts.csv"
-    write_csv(cpath, ("ix", "iy", "count", "inside"), coverage_rows)
-    report.artifacts.append(cpath.name)
-    opath = out / "ergodic_orbit.csv"
-    write_csv(opath, ("step", "x", "y", "dx", "dy"), orbit_rows)
-    report.artifacts.append(opath.name)
+    write_csv(report.path("coverage_counts.csv"), ("ix", "iy", "count", "inside"),
+              coverage_rows)
+    write_csv(report.path("ergodic_orbit.csv"), ("step", "x", "y", "dx", "dy"),
+              orbit_rows)
 
 
 _SUITES = {
@@ -440,11 +419,13 @@ _SUITES = {
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     cfg = cfg.validated()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report = RunReport(experiment=cfg.experiment)
+    report = RunReport(cfg.experiment, Path(cfg.out_dir))
+    try:
+        report.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {cfg.out_dir}: {exc.strerror}") from exc
     t0 = time.perf_counter()
-    _SUITES[cfg.experiment](cfg, out, report)
+    _SUITES[cfg.experiment](cfg, report)
     report.wall_time = time.perf_counter() - t0
-    report.write(out)
+    report.write()
     return report

@@ -6,6 +6,7 @@ inputs, asserts on the checks that code reports, and prints exactly one
 PASS/FAIL line.
 """
 
+import json
 import math
 
 import pytest
@@ -150,11 +151,10 @@ def test_criterion_7_circle_billiard():
 
 def test_criterion_8_stadium_phenomenology(tmp_path):
     domain = StadiumDomain(half_length=1.0, radius=1.0)
-    report = ex.RunReport("stadium")
+    report = ex.RunReport("stadium", tmp_path)
     for h, center_k in ((0.01, 15.0), (0.005, 39.0)):
         dd = bq.discretize_stadium(domain, h)
-        ex.stadium_window(report, tmp_path, domain, dd, bq.build_laplacian(dd),
-                          center_k)
+        ex.stadium_window(report, domain, dd, bq.build_laplacian(dd), center_k)
     ok, detail = _checks(report)
     _report(8, "stadium mode phenomenology at k~39 (and reduced k~15)", ok, detail)
     assert ok
@@ -185,8 +185,13 @@ def test_criterion_10_determinism(tmp_path):
             ex.run_experiment(ExperimentConfig(experiment=name, out_dir=str(out), **size))
             listings.append({p.name: p.read_bytes() for p in out.iterdir()
                              if p.suffix in (".csv", ".pgm", ".jsonl")})
+            # report.json lists exactly the other files the run wrote
+            listed = json.loads((out / "report.json").read_text())["artifacts"]
+            same &= sorted(listed) == sorted(p.name for p in out.iterdir()
+                                             if p.name != "report.json")
         same &= bool(listings[0]) and listings[0] == listings[1]
         compared += [f"{name}/{f}" for f in sorted(listings[0])]
-    _report(10, "equal-seed runs produce identical CSV, PGM and JSONL artifacts",
+    _report(10, "equal-seed runs produce identical CSV, PGM and JSONL artifacts, "
+            "each run's report.json listing exactly the files it wrote",
             same, f"compared {compared}")
     assert same

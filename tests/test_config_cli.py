@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from semiclass_lab import experiments
 from semiclass_lab.catmap import DEFAULT_MAP
 from semiclass_lab.cli import build_parser, main
 from semiclass_lab.config import EXPERIMENTS, ExperimentConfig, parse_config
@@ -61,6 +64,7 @@ def test_validated_rejects_bad_values():
 
 def test_experiment_list_stable():
     assert "egorov" in EXPERIMENTS and len(EXPERIMENTS) == 7
+    assert tuple(experiments._SUITES) == EXPERIMENTS
 
 
 def test_parser_flags():
@@ -112,6 +116,21 @@ def test_main_reports_suite_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("args", [
+    ["--experiment", "egorov", "--out", "{file}"],
+    ["--experiment", "egorov,qe-catmap", "--out", "{file}"],
+    ["--config", "{missing}"]])
+def test_main_rejects_unusable_paths(tmp_path, capsys, args):
+    """An output path that is a file (for one suite the run's directory, for
+    two the parent of theirs) and a missing config file are configuration
+    errors, not crashes."""
+    paths = {"file": tmp_path / "file", "missing": tmp_path / "missing.cfg"}
+    paths["file"].write_text("")
+    rc = main([arg.format(**paths) for arg in args] + ["--N", "32"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("h", ["nan", "inf"])
 def test_main_rejects_non_finite_spacing(tmp_path, capsys, h):
     rc = main(["--experiment", "billiard-circle", "--h", h, "--out", str(tmp_path)])
@@ -130,3 +149,7 @@ def test_main_dump_state_writes_containers(tmp_path):
     psi, kind = read_state(tmp_path / "scar-construction" / "scarred_state_N209.bin")
     assert kind == KIND_STATE and psi.shape == (209,)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+    for suite, name in (("egorov", "propagator.bin"),
+                        ("scar-construction", "scarred_state_N209.bin")):
+        report = json.loads((tmp_path / suite / "report.json").read_text())
+        assert name in report["artifacts"]
