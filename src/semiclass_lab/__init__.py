@@ -24,10 +24,10 @@ from .measures import (HusimiGrid, ModelMeasure, WignerCoefficients, ball_mass,
 from .entropy import (EntropyEstimate, SampleCloud, atom_cloud,
                       entropy_bound_check, ks_entropy_estimate, mixture_cloud,
                       model_entropy, uniform_cloud)
-from .billiard_quantum import (BilliardMode, DiscreteDomain, bouncing_ball_score,
+from .billiard_quantum import (BilliardMode, DiscreteDomain, bouncing_ball_scores,
                                build_laplacian, discretize_stadium,
                                eigenmodes_near, eigenmodes_window,
-                               position_measure, qe_spatial_variance, scar_score)
+                               qe_spatial_variance, region_masses, scar_scores)
 from .config import EXPERIMENTS, ExperimentConfig, parse_config
 from .experiments import RunReport, run_experiment
 from . import errors

@@ -11,7 +11,9 @@ in each of the four x/y parity classes, on about a quarter of the unknowns.
 Each class solve is shift-invert Lanczos (eigsh) applying one sparse LU
 factor of the shifted class operator, factored under the multiple
 minimum-degree ordering of its symmetric pattern, which fills in less
-than the COLAMD ordering eigsh would otherwise pick.
+than the COLAMD ordering eigsh would otherwise pick. A mode is kept as its
+class vector; its region masses are read in class space, and only a
+caller that reads its wavefunction lifts it to the grid.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import GeometryError, NumericalError, UnderResolved
 
 ALPHA_MIN = 1e-3
 WINDOW_HALFWIDTH = 1.0  # eigenmodes_window keeps |k - center_k| <= this
-SCAR_TUBE_FRACTION = 0.1  # scar_score: tube half-width over the cap radius
+SCAR_TUBE_FRACTION = 0.1  # scar_scores: tube half-width over the cap radius
 
 
 @dataclass
@@ -119,15 +121,22 @@ def build_laplacian(dd: DiscreteDomain) -> sp.csr_matrix:
 
 @dataclass
 class BilliardMode:
-    """One Dirichlet eigenmode on the discrete interior."""
+    """One Dirichlet eigenmode, held in its x/y parity class: the unit
+    vector v in the class basis Q (interior cells x class size) of the grid
+    dd. Every mode of a class shares its Q and dd."""
 
     eigenvalue: float
     k: float
-    wavefunction: np.ndarray  # real values on interior cells, sum psi^2 h^2 = 1
-    x: np.ndarray
-    y: np.ndarray
-    spacing: float
-    residual: float
+    residual: float  # ||B v - lambda v||, B = Q^T A Q the class operator
+    v: np.ndarray
+    Q: sp.csc_matrix
+    dd: DiscreteDomain
+
+    @property
+    def wavefunction(self) -> np.ndarray:
+        """The mode lifted to the interior cells, sum psi^2 h^2 = 1."""
+        u = self.Q @ self.v
+        return u / (np.linalg.norm(u) * self.dd.spacing)
 
 
 def _parity_bases(dd: DiscreteDomain) -> list:
@@ -175,16 +184,15 @@ def _parity_modes(dd: DiscreteDomain, A, target_k: float, count: int, keep) -> l
     """Shift-invert eigsh of B = Q^T A Q in each parity class, from a fixed
     start vector, for its min(count, class size - 2) eigenvalues nearest
     sigma = target_k^2. Each class's B - sigma I is factored once, with the
-    MMD ordering, and eigsh applies that factor as its OPinv; the factor
-    lives only for the class's call. keep(w, cls), given every eigenvalue
-    and its class, picks the indices to lift to the grid as Q v, normalize
-    to sum psi^2 h^2 = 1 and give residuals against A; only the picked
-    eigenvectors outlive the solves."""
+    MMD ordering, and eigsh applies that factor as its OPinv. keep(w), given
+    one class's eigenvalues, picks the indices to return as modes, class by
+    class; each keeps its class vector v and its residual against B, which
+    equals the lifted mode's residual against A because A Q = Q B. Only the
+    kept class vectors outlive their class's solve."""
     if target_k * dd.spacing >= 0.5:
         raise UnderResolved("target_k h >= 0.5: grid cannot resolve the wavelength")
-    bases = _parity_bases(dd)
-    ws, Vs = [], []
-    for Q in bases:
+    modes = []
+    for Q in _parity_bases(dd):
         n = Q.shape[1]
         if n < 3:
             raise UnderResolved(f"a parity class has only {n} cells")
@@ -196,24 +204,12 @@ def _parity_modes(dd: DiscreteDomain, A, target_k: float, count: int, keep) -> l
                               OPinv=_shift_inverse(B, target_k**2))
         except spla.ArpackNoConvergence as exc:
             raise NumericalError(f"shift-invert eigensolver failed: {exc}") from exc
-        ws.append(w)
-        Vs.append(V)
-    w = np.concatenate(ws)
-    cls = np.repeat(np.arange(len(ws)), [len(c) for c in ws])
-    col = np.concatenate([np.arange(len(c)) for c in ws])
-    picked = [(j, Vs[cls[j]][:, col[j]].copy()) for j in keep(w, cls)]
-    del V, Vs
-    h = dd.spacing
-    x, y = dd.interior_points()
-    modes = []
-    for j, v in picked:
-        u = bases[cls[j]] @ v
-        psi = u / (np.linalg.norm(u) * h)
-        lam = float(w[j])
-        resid = float(np.linalg.norm(A @ psi - lam * psi) / np.linalg.norm(psi))
-        modes.append(BilliardMode(eigenvalue=lam, k=math.sqrt(lam),
-                                  wavefunction=psi, x=x, y=y, spacing=h,
-                                  residual=resid))
+        for j in keep(w):
+            lam, v = float(w[j]), V[:, j].copy()
+            modes.append(BilliardMode(eigenvalue=lam, k=math.sqrt(lam),
+                                      residual=float(np.linalg.norm(B @ v - lam * v)),
+                                      v=v, Q=Q, dd=dd))
+        del w, V
     return modes
 
 
@@ -222,8 +218,8 @@ def eigenmodes_near(dd: DiscreteDomain, A: sp.csr_matrix, target_k: float,
     """count eigenmodes with eigenvalues nearest target_k^2, sorted by
     |k - target_k|: the count nearest of each parity class, then the count
     nearest of those."""
-    return _parity_modes(dd, A, target_k, count, lambda w, cls: np.argsort(
-        np.abs(np.sqrt(w) - target_k), kind="stable")[:count])
+    modes = _parity_modes(dd, A, target_k, count, lambda w: range(len(w)))
+    return sorted(modes, key=lambda m: abs(m.k - target_k))[:count]
 
 
 def weyl_window_count(domain: StadiumDomain, center_k: float) -> float:
@@ -238,57 +234,61 @@ def eigenmodes_window(dd: DiscreteDomain, A: sp.csr_matrix, domain: StadiumDomai
     """All modes with |k - center_k| <= WINDOW_HALFWIDTH, sorted by k.
 
     The total request, padded over the Weyl-law count of domain, is split
-    evenly over the parity classes: ceil(n_req / 4) modes per class. If
-    even the farthest mode returned in some class lies inside the window,
-    that class may be cut short, and NumericalError is raised.
+    evenly over the parity classes: ceil(n_req / 4) modes per class. The
+    window's far edge (center_k + W)^2, W = WINDOW_HALFWIDTH, lies
+    2 center_k W + W^2 from sigma = center_k^2. A class holds all its window
+    modes only if its farthest returned eigenvalue lies beyond that
+    distance; if one does not, NumericalError is raised.
     """
     pred = weyl_window_count(domain, center_k)
     per_class = math.ceil((int(pred * 1.6) + 10) / 4)
+    W = WINDOW_HALFWIDTH
 
-    def inside(w, cls):
-        near = np.abs(np.sqrt(w) - center_k) <= WINDOW_HALFWIDTH
-        if any(near[cls == c].all() for c in range(4)):
+    def inside(w):
+        if np.abs(w - center_k**2).max() <= 2 * center_k * W + W**2:
             raise NumericalError(
-                f"every mode requested near k = {center_k} in some parity "
-                "class lies in the window; it may be incomplete")
-        return np.flatnonzero(near)
+                f"some parity class returned no mode beyond the window near "
+                f"k = {center_k}; the window may be incomplete")
+        return np.flatnonzero(np.abs(np.sqrt(w) - center_k) <= W)
     return sorted(_parity_modes(dd, A, center_k, per_class, inside),
                   key=lambda m: m.k)
 
 
-def position_measure(mode: BilliardMode, region) -> float:
-    """Probability mass sum region(x, y) psi^2 h^2; region is a vectorized
-    indicator or [0, 1] weight."""
-    vals = np.asarray(region(mode.x, mode.y), float)
-    return float((vals * mode.wavefunction**2).sum() * mode.spacing**2)
+def region_masses(modes, region):
+    """Each mode's probability mass sum region(x, y) psi^2 h^2, and the
+    region's discrete area fraction (its share of the interior cells), for
+    modes on one grid; region is a vectorized indicator or [0, 1] weight.
+
+    Each cell lies in one mirror orbit, so Q has at most one nonzero per
+    row and psi_i^2 h^2 = Q_ir^2 v_r^2: the mass is (W^T f) . v^2, with
+    W = Q∘Q and f the region on the interior cells. It is exact for any
+    region, and W^T f is formed once per class."""
+    f = np.asarray(region(*modes[0].dd.interior_points()), float)
+    bases = {id(m.Q): m.Q for m in modes}
+    weights = {key: Q.power(2).T @ f for key, Q in bases.items()}
+    return np.array([weights[id(m.Q)] @ m.v**2 for m in modes]), float(f.mean())
 
 
-def _area_fraction(mode: BilliardMode, region) -> float:
-    """Discrete area fraction of region: its share of the mode's cells."""
-    return float(np.mean(np.asarray(region(mode.x, mode.y), float)))
-
-
-def scar_score(mode: BilliardMode, domain: StadiumDomain) -> float:
-    """Mass in the tube |y| <= SCAR_TUBE_FRACTION * r around the horizontal
-    orbit over the tube's discrete area fraction."""
+def scar_scores(modes, domain: StadiumDomain) -> np.ndarray:
+    """Each mode's mass in the tube |y| <= SCAR_TUBE_FRACTION * r around the
+    horizontal orbit over the tube's discrete area fraction."""
     w = SCAR_TUBE_FRACTION * domain.radius
-    tube = lambda x, y: np.abs(y) <= w
-    return position_measure(mode, tube) / _area_fraction(mode, tube)
+    masses, frac = region_masses(modes, lambda x, y: np.abs(y) <= w)
+    return masses / frac
 
 
-def bouncing_ball_score(mode: BilliardMode, domain: StadiumDomain) -> float:
-    """Mass in the central rectangle |x| <= a over its discrete area
-    fraction."""
+def bouncing_ball_scores(modes, domain: StadiumDomain) -> np.ndarray:
+    """Each mode's mass in the central rectangle |x| <= a over its discrete
+    area fraction."""
     a = domain.half_length
-    rect = lambda x, y: np.abs(x) <= a
-    return position_measure(mode, rect) / _area_fraction(mode, rect)
+    masses, frac = region_masses(modes, lambda x, y: np.abs(x) <= a)
+    return masses / frac
 
 
 def qe_spatial_variance(modes, region) -> float:
-    """Variance over the window of position_measure about the region's
-    discrete area fraction."""
+    """Variance over the window of the modes' region masses about the
+    region's discrete area fraction."""
     if len(modes) < 10:
         raise ValueError("need at least 10 modes in the window")
-    frac = _area_fraction(modes[0], region)
-    masses = np.array([position_measure(m, region) for m in modes])
+    masses, frac = region_masses(modes, region)
     return float(np.mean((masses - frac) ** 2))

@@ -319,15 +319,16 @@ def _mode_raster(dd, mode):
 def stadium_window(report: RunReport, domain, dd, A, center_k):
     """Stadium modes with k within 1 of center_k: adds the Weyl-count and
     score checks, suffixed with the tag k<center_k> ("k15"), and writes the
-    mode table and the top-scoring modes as artifacts. Returns the modes."""
+    mode table and the top-scoring modes as artifacts. Returns the modes and
+    the two modes drawn."""
     tag = f"k{center_k:.0f}"
     modes = bq.eigenmodes_window(dd, A, domain, center_k)
     pred = bq.weyl_window_count(domain, center_k)
     report.add(f"weyl_count_within_15pct_{tag}",
                abs(len(modes) - pred) <= 0.15 * pred, len(modes),
                f"Weyl prediction {pred:.1f}")
-    bb = np.array([bq.bouncing_ball_score(m, domain) for m in modes])
-    sc = np.array([bq.scar_score(m, domain) for m in modes])
+    bb = bq.bouncing_ball_scores(modes, domain)
+    sc = bq.scar_scores(modes, domain)
     rows = [(m.k, m.residual, b, s) for m, b, s in zip(modes, bb, sc)]
     write_csv(report.path(f"stadium_modes_{tag}.csv"),
               ("k", "residual", "bouncing_ball_ratio", "scar_ratio"), rows)
@@ -335,26 +336,23 @@ def stadium_window(report: RunReport, domain, dd, A, center_k):
         for m, b, s in zip(modes, bb, sc):
             f.write(json.dumps({"k": m.k, "residual": m.residual,
                                 "bouncing_ball": b, "scar": s}) + "\n")
-    p90 = float(np.quantile(sc, 0.9))
     report.add(f"bouncing_ball_max_gt_1.5_{tag}", bb.max() > 1.5, float(bb.max()))
-    report.add(f"scar_max_above_p90_{tag}", sc.max() > p90, float(sc.max()),
-               f"p90 {p90:.3f}")
     report.add(f"median_bb_in_0.8_1.2_{tag}",
                0.8 <= np.median(bb) <= 1.2, float(np.median(bb)))
     report.add(f"median_scar_in_0.8_1.2_{tag}",
                0.8 <= np.median(sc) <= 1.2, float(np.median(sc)))
-    for arr, name in ((bb, "bouncing_ball"), (sc, "scar")):
-        mode = modes[int(np.argmax(arr))]
+    drawn = [modes[int(np.argmax(arr))] for arr in (bb, sc)]
+    for mode, name in zip(drawn, ("bouncing_ball", "scar")):
         write_pgm(_mode_raster(dd, mode), report.path(f"stadium_{name}_{tag}.pgm"))
-    return modes
+    return modes, drawn
 
 
 def run_billiard_stadium(cfg: ExperimentConfig, report: RunReport):
     domain = StadiumDomain(half_length=1.0, radius=1.0)
     dd = bq.discretize_stadium(domain, cfg.h)
     A = bq.build_laplacian(dd)
-    modes15 = stadium_window(report, domain, dd, A, 15.0)
-    modes30 = stadium_window(report, domain, dd, A, 30.0)
+    modes15, drawn15 = stadium_window(report, domain, dd, A, 15.0)
+    modes30, drawn30 = stadium_window(report, domain, dd, A, 30.0)
     left = lambda x, y: x < 0
     v15 = bq.qe_spatial_variance(modes15, left)
     v30 = bq.qe_spatial_variance(modes30, left)
@@ -368,13 +366,13 @@ def run_billiard_stadium(cfg: ExperimentConfig, report: RunReport):
     s30 = bq.qe_spatial_variance(modes30, strip)
     report.add("central_strip_variance_decays", s30 < s15, s30,
                f"variance at k~15: {s15:.3e}")
-    # each window mode is lifted from one x/y parity class, so its mass
-    # mirrors exactly; a wrong mirror index or sign in a class basis breaks
-    # that by far more than 1e-9 (an x-mirror index one cell off reads 0.87,
-    # a wrong sign on the doubly mirrored cell in the x-odd classes 1.4e-3)
-    asym = max(abs(bq.position_measure(m, left)
-                   - bq.position_measure(m, lambda x, y: x > 0))
-               for m in modes15 + modes30)
+    # each drawn mode is lifted from one x/y parity class, so its mass
+    # mirrors exactly unless a class basis misplaces a mirror cell; read in
+    # class space the two halves weigh the same by construction, so the
+    # check reads the lifted modes
+    x, _ = dd.interior_points()
+    asym = max(abs(np.sign(x) @ m.wavefunction**2) * cfg.h**2
+               for m in drawn15 + drawn30)
     report.add("left_right_mass_symmetric_lt_1e-9", asym < 1e-9, asym)
 
 

@@ -13,11 +13,12 @@ import scipy.special
 
 from semiclass_lab import experiments
 from semiclass_lab.billiard import StadiumDomain
-from semiclass_lab.billiard_quantum import (DiscreteDomain, bouncing_ball_score,
+from semiclass_lab.billiard_quantum import (BilliardMode, DiscreteDomain,
+                                            _parity_bases, bouncing_ball_scores,
                                             build_laplacian, discretize_stadium,
                                             eigenmodes_near, eigenmodes_window,
-                                            position_measure, qe_spatial_variance,
-                                            scar_score, weyl_window_count)
+                                            qe_spatial_variance, region_masses,
+                                            scar_scores, weyl_window_count)
 from semiclass_lab.errors import GeometryError, NumericalError, UnderResolved
 
 CIRCLE = StadiumDomain(half_length=0.0, radius=1.0)
@@ -142,31 +143,32 @@ def test_modes_pairwise_orthogonal():
     assert np.abs(gram - np.diag(np.diag(gram))).max() < 1e-8
 
 
-def test_position_measure_additive_and_total():
+def test_region_masses_additive_and_total():
     dd = discretize_stadium(STADIUM, 0.05)
     A = build_laplacian(dd)
-    mode = eigenmodes_near(dd, A, 5.0, 1)[0]
-    whole = position_measure(mode, lambda x, y: np.ones_like(x))
-    left = position_measure(mode, lambda x, y: x < 0)
-    right = position_measure(mode, lambda x, y: x >= 0)
-    assert whole == pytest.approx(1.0, abs=1e-10)
-    assert left + right == pytest.approx(whole, abs=1e-12)
-    assert 0 <= left <= 1
+    modes = eigenmodes_near(dd, A, 5.0, 4)
+    whole, frac = region_masses(modes, lambda x, y: np.ones_like(x))
+    left, _ = region_masses(modes, lambda x, y: x < 0)
+    right, _ = region_masses(modes, lambda x, y: x >= 0)
+    assert frac == 1.0
+    assert np.allclose(whole, 1.0, rtol=0, atol=1e-10)
+    assert np.allclose(left + right, whole, rtol=0, atol=1e-12)
+    assert np.all((0 <= left) & (left <= 1))
 
 
 def test_scores_on_synthetic_uniform_mode():
-    h = 0.01
-    dd = discretize_stadium(STADIUM, h)
-    A = build_laplacian(dd)
-    mode = eigenmodes_near(dd, A, 5.0, 1)[0]
-    uniform = np.full_like(mode.wavefunction,
-                           1.0 / np.sqrt(len(mode.wavefunction) * h**2))
-    flat = type(mode)(eigenvalue=mode.eigenvalue, k=mode.k, wavefunction=uniform,
-                      x=mode.x, y=mode.y, spacing=mode.spacing, residual=0.0)
+    """The flat state lies in the even-even class, as v = Q^T 1 / |Q^T 1|."""
+    dd = discretize_stadium(STADIUM, 0.01)
+    Q = _parity_bases(dd)[0]
+    v = Q.T @ np.ones(dd.n_interior)
+    flat = BilliardMode(eigenvalue=0.0, k=0.0, residual=0.0,
+                        v=v / np.linalg.norm(v), Q=Q, dd=dd)
+    assert np.allclose(flat.wavefunction, 1.0 / np.sqrt(dd.n_interior * 0.01**2),
+                       rtol=1e-12, atol=0)
     # both diagnostics divide by their region's share of the cells, so a
     # flat state scores 1 up to rounding
-    assert scar_score(flat, STADIUM) == pytest.approx(1.0, abs=1e-12)
-    assert bouncing_ball_score(flat, STADIUM) == pytest.approx(1.0, abs=1e-12)
+    assert scar_scores([flat], STADIUM)[0] == pytest.approx(1.0, abs=1e-12)
+    assert bouncing_ball_scores([flat], STADIUM)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_window_count_near_weyl():
@@ -233,6 +235,58 @@ def test_window_modes_have_exact_parity(window_k10):
     assert len(classes) == 4
 
 
+def test_window_modes_store_class_vectors(window_k10):
+    """A window mode keeps only its class vector, whose length is its class
+    size, about a quarter of the interior cells; it is lifted on demand."""
+    dd, _, modes = window_k10
+    for m in modes:
+        arrays = [a for a in vars(m).values() if isinstance(a, np.ndarray)]
+        assert [a.shape for a in arrays] == [(m.Q.shape[1],)]
+        assert m.Q.shape == (dd.n_interior, len(m.v))
+        assert len(m.v) < dd.n_interior / 3
+        assert m.wavefunction.shape == (dd.n_interior,)
+
+
+_REGIONS = {
+    "tube": lambda x, y: np.abs(y) <= 0.1,
+    "rectangle": lambda x, y: np.abs(x) <= 1.0,
+    "strip": lambda x, y: np.abs(x) <= 0.5,
+    "left": lambda x, y: x < 0,
+}
+
+
+@pytest.mark.parametrize("region", _REGIONS)
+def test_class_space_masses_match_lifted_grid(window_k10, region):
+    """Region masses read in class space equal sum f psi^2 h^2 on the lifted
+    modes, and the region's area fraction is its share of the cells."""
+    dd, _, modes = window_k10
+    f = np.asarray(_REGIONS[region](*dd.interior_points()), float)
+    lifted = np.array([(f * m.wavefunction**2).sum() * dd.spacing**2 for m in modes])
+    masses, frac = region_masses(modes, _REGIONS[region])
+    assert frac == f.mean()
+    assert np.abs(masses - lifted).max() < 1e-12
+
+
+def test_class_space_scores_match_lifted_grid(window_k10):
+    dd, _, modes = window_k10
+    for scores, region in ((scar_scores, "tube"), (bouncing_ball_scores, "rectangle")):
+        f = np.asarray(_REGIONS[region](*dd.interior_points()), float)
+        lifted = np.array([(f * m.wavefunction**2).sum() * dd.spacing**2
+                           for m in modes]) / f.mean()
+        assert np.abs(scores(modes, STADIUM) - lifted).max() < 1e-12
+
+
+def test_residual_on_class_operator_matches_lifted(window_k10):
+    """||B v - lambda v|| on the class operator equals the lifted mode's
+    ||A psi - lambda psi|| / ||psi|| up to rounding, since A Q = Q B."""
+    _, A, modes = window_k10
+    for m in modes:
+        psi = m.wavefunction
+        lifted = np.linalg.norm(A @ psi - m.eigenvalue * psi) / np.linalg.norm(psi)
+        assert abs(m.residual - lifted) < 1e-10
+        assert m.residual < 1e-8
+
+
 def test_window_needs_mirror_grid():
     """A grid shifted by h/2 does not mirror about the axes, so it has no
     parity classes to split a solve into."""
@@ -249,18 +303,23 @@ def test_window_needs_mirror_grid():
 
 
 def test_window_completeness_guard():
-    """A Weyl count taken from a smaller domain (a disc of radius 0.3)
-    requests 11 modes where the stadium has about 23: every mode returned
-    lies in the window, so the window cannot be trusted to be complete.
-    A disc of radius 0.9 requests 6 modes per class, and the stadium's
-    window at k=10 holds 7, 5, 5 and 4 modes in its four classes: only
-    the first class is cut short, and that alone must stop the window."""
+    """A class holds all its window modes only if its farthest returned
+    eigenvalue lies beyond the window's far edge, more than 2k + 1 from
+    sigma = k^2. A Weyl count taken from a smaller domain requests too few
+    modes. A disc of radius 0.3 requests 11 where the stadium's window at
+    k=10 has about 23, and every mode returned lies in the window. A disc of
+    radius 0.9 requests 6 per class, and the window holds 7, 5, 5 and 4 in
+    its four classes: only the first class is cut short, and that alone must
+    stop the window. At k=10.5 the unit disc requests 7 per class; two
+    classes return a mode below the window, but their farthest mode lies
+    21.6 and 21.5 from sigma, inside 2k + 1 = 22, so a mode just inside the
+    upper edge could be missing, and that too must stop the window."""
     dd = discretize_stadium(STADIUM, 0.02)
     A = build_laplacian(dd)
-    for radius in (0.3, 0.9):
+    for radius, k in ((0.3, 10.0), (0.9, 10.0), (1.0, 10.5)):
         small = StadiumDomain(half_length=0.0, radius=radius)
-        with pytest.raises(NumericalError):
-            eigenmodes_window(dd, A, small, 10.0)
+        with pytest.raises(NumericalError, match="beyond the window"):
+            eigenmodes_window(dd, A, small, k)
 
 
 def test_window_factors_each_class_once(monkeypatch):
