@@ -81,7 +81,7 @@ def billiard_flow(domain: StadiumDomain, s: BilliardState, n_bounces: int):
     a, r = domain.half_length, domain.radius
     sqrt, hypot = math.sqrt, math.hypot
     x, y, dx, dy = s.x, s.y, s.dx, s.dy
-    buf = array("d", bytes(8 * 4 * (n_bounces + 1)))
+    buf = array("d", [0.0]) * (4 * (n_bounces + 1))
     buf[0], buf[1], buf[2], buf[3] = x, y, dx, dy
     j = 4
     for i in range(n_bounces):

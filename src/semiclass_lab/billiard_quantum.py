@@ -79,19 +79,22 @@ def discretize_stadium(domain, h: float) -> DiscreteDomain:
 
 
 def build_laplacian(dd: DiscreteDomain) -> sp.csr_matrix:
-    """Sparse symmetric positive-definite -Laplacian on the interior cells."""
+    """Sparse symmetric positive-definite -Laplacian on the interior cells.
+
+    Every interior cell's four neighbours must lie on the grid, so the
+    interior may not touch the grid's first or last row or column
+    (discretize_stadium pads by two cells); GeometryError otherwise."""
     h = dd.spacing
     mask, phi = dd.mask, dd.phi
-    nx, ny = mask.shape
+    if mask[[0, -1]].any() or mask[:, [0, -1]].any():
+        raise GeometryError("the interior touches the edge of the grid")
     idx = dd.cell_index()
     ii, jj = np.nonzero(mask)
     n = len(ii)
     rows, cols, vals, terms = [], [], [], []
     for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         ni, nj = ii + di, jj + dj
-        inb = (ni >= 0) & (ni < nx) & (nj >= 0) & (nj < ny)
-        nbr = np.zeros(n, bool)
-        nbr[inb] = mask[ni[inb], nj[inb]]
+        nbr = mask[ni, nj]
         # interior neighbor: standard off-diagonal coupling
         rows.append(np.flatnonzero(nbr))
         cols.append(idx[ni[nbr], nj[nbr]])
@@ -101,10 +104,7 @@ def build_laplacian(dd: DiscreteDomain) -> sp.csr_matrix:
         # distance sits at fraction alpha of the grid step
         bnd = ~nbr
         pb = phi[ii[bnd], jj[bnd]]
-        nio, njo = ni[bnd], nj[bnd]
-        ok = (nio >= 0) & (nio < nx) & (njo >= 0) & (njo < ny)
-        pn = np.full(bnd.sum(), np.inf)
-        pn[ok] = phi[nio[ok], njo[ok]]
+        pn = phi[ni[bnd], nj[bnd]]
         alpha = np.clip(pb / (pb - pn), ALPHA_MIN, 1.0)
         term[bnd] = 1.0 / (alpha * h**2)
         terms.append(term)

@@ -81,21 +81,18 @@ def model_entropy(measure: ModelMeasure, m: CatMap) -> float:
 
 
 def _cell_index(points: np.ndarray, eps: float):
-    """Bucket points into an n x n grid of torus cells, n = int(1/eps) - 1,
-    each cell wider than eps. Returns near(center): the ascending indices
-    of the points in the 3 x 3 cells around center's, wrapped mod n, which
-    hold every point within eps of center. With fewer than 3 cells per axis
-    the neighbourhood would repeat cells, so near returns every index.
+    """Bucket points into an n x n grid of torus cells, n = int(1/eps) - 1
+    but at least 1, each cell wider than eps. Returns near(center): the
+    ascending indices of the points in the 3 x 3 cells around center's,
+    wrapped mod n, which hold every point within eps of center; a cell that
+    the wrap repeats is read once.
 
     The width exceeds eps by at least eps^2 (or 2^-40 under the cap), far
     above the few ulps by which a rounded x * n can misplace a point, so a
     point lands at most one cell from the center's whenever its computed
     distance is below eps.
     """
-    n = min(int(1 / eps) - 1, MAX_CELLS_PER_AXIS)
-    if n < 3:
-        everything = np.arange(len(points))
-        return lambda center: everything
+    n = max(1, min(int(1 / eps) - 1, MAX_CELLS_PER_AXIS))
 
     def cell(p):  # x = 1.0 lands in cell 0
         return np.floor(np.asarray(p, float) * n).astype(np.int64) % n
@@ -108,7 +105,7 @@ def _cell_index(points: np.ndarray, eps: float):
 
     def near(center):
         i, j = cell(center)
-        wanted = (((i + shifts) % n)[:, None] * n + (j + shifts) % n).ravel()
+        wanted = np.unique(((i + shifts) % n)[:, None] * n + (j + shifts) % n)
         lo = np.searchsorted(keys, wanted, "left")
         hi = np.searchsorted(keys, wanted, "right")
         return np.sort(np.concatenate([order[a:b] for a, b in zip(lo, hi)]))

@@ -319,8 +319,7 @@ def _mode_raster(dd, mode):
 def stadium_window(report: RunReport, domain, dd, A, center_k):
     """Stadium modes with k within 1 of center_k: adds the Weyl-count and
     score checks, suffixed with the tag k<center_k> ("k15"), and writes the
-    mode table and the top-scoring modes as artifacts. Returns the modes and
-    the two modes drawn."""
+    mode table and the top-scoring modes as artifacts. Returns the modes."""
     tag = f"k{center_k:.0f}"
     modes = bq.eigenmodes_window(dd, A, domain, center_k)
     pred = bq.weyl_window_count(domain, center_k)
@@ -341,18 +340,18 @@ def stadium_window(report: RunReport, domain, dd, A, center_k):
                0.8 <= np.median(bb) <= 1.2, float(np.median(bb)))
     report.add(f"median_scar_in_0.8_1.2_{tag}",
                0.8 <= np.median(sc) <= 1.2, float(np.median(sc)))
-    drawn = [modes[int(np.argmax(arr))] for arr in (bb, sc)]
-    for mode, name in zip(drawn, ("bouncing_ball", "scar")):
-        write_pgm(_mode_raster(dd, mode), report.path(f"stadium_{name}_{tag}.pgm"))
-    return modes, drawn
+    for arr, name in ((bb, "bouncing_ball"), (sc, "scar")):
+        write_pgm(_mode_raster(dd, modes[int(np.argmax(arr))]),
+                  report.path(f"stadium_{name}_{tag}.pgm"))
+    return modes
 
 
 def run_billiard_stadium(cfg: ExperimentConfig, report: RunReport):
     domain = StadiumDomain(half_length=1.0, radius=1.0)
     dd = bq.discretize_stadium(domain, cfg.h)
     A = bq.build_laplacian(dd)
-    modes15, drawn15 = stadium_window(report, domain, dd, A, 15.0)
-    modes30, drawn30 = stadium_window(report, domain, dd, A, 30.0)
+    modes15 = stadium_window(report, domain, dd, A, 15.0)
+    modes30 = stadium_window(report, domain, dd, A, 30.0)
     left = lambda x, y: x < 0
     v15 = bq.qe_spatial_variance(modes15, left)
     v30 = bq.qe_spatial_variance(modes30, left)
@@ -366,14 +365,6 @@ def run_billiard_stadium(cfg: ExperimentConfig, report: RunReport):
     s30 = bq.qe_spatial_variance(modes30, strip)
     report.add("central_strip_variance_decays", s30 < s15, s30,
                f"variance at k~15: {s15:.3e}")
-    # each drawn mode is lifted from one x/y parity class, so its mass
-    # mirrors exactly unless a class basis misplaces a mirror cell; read in
-    # class space the two halves weigh the same by construction, so the
-    # check reads the lifted modes
-    x, _ = dd.interior_points()
-    asym = max(abs(np.sign(x) @ m.wavefunction**2) * cfg.h**2
-               for m in drawn15 + drawn30)
-    report.add("left_right_mass_symmetric_lt_1e-9", asym < 1e-9, asym)
 
 
 def ergodic_study(report: RunReport, angle: float):

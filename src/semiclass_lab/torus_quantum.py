@@ -88,9 +88,12 @@ def _translation(N: int, n):
 
 def translation_apply(n, psi: np.ndarray) -> np.ndarray:
     """T_N(n) psi without forming the matrix, for a vector or a block of
-    columns: a row gather, scaled row by row (hence the transposes)."""
+    columns: the rows are gathered into one new buffer and scaled in place,
+    row by row."""
     cols, phase = _translation(len(psi), n)
-    return (phase * psi[cols].T).T
+    g = psi[cols].astype(complex, copy=False)
+    np.multiply(phase.reshape((-1,) + (1,) * (psi.ndim - 1)), g, out=g)
+    return g
 
 
 # Index map between observable frequencies and translation labels: the
@@ -109,13 +112,11 @@ def weyl_quantize(N: int, A: TrigObservable) -> np.ndarray:
 def op_apply(A: TrigObservable, psi: np.ndarray) -> np.ndarray:
     """Op_N(A) psi, for a vector or a block of columns, using translation
     actions only: each coefficient touches one entry per row. Each term is
-    gathered into one buffer and scaled in place, by the phase and then by
-    c; that operand order fixes the last bits of the result."""
+    a translation_apply, scaled in place by c; scaling by the phase and
+    then by c fixes the last bits of the result."""
     out = np.zeros_like(psi, dtype=complex)
     for m, c in A.coefficients.items():
-        cols, phase = _translation(len(psi), _freq_to_label(m))
-        g = psi[cols].astype(complex, copy=False)
-        np.multiply(phase.reshape((-1,) + (1,) * (psi.ndim - 1)), g, out=g)
+        g = translation_apply(_freq_to_label(m), psi)
         np.multiply(c, g, out=g)
         out += g
     return out

@@ -61,6 +61,19 @@ def test_laplacian_exactly_symmetric():
     assert abs(A - A.T).max() == 0.0
 
 
+def test_laplacian_needs_a_margin_around_the_interior():
+    """The stadium grid with its outer three rows and columns cut off: the
+    interior reaches the grid's edge, where a cell has a neighbour off the
+    grid."""
+    dd = discretize_stadium(STADIUM, 0.05)
+    cut = (slice(3, -3), slice(3, -3))
+    edged = DiscreteDomain(spacing=dd.spacing, xs=dd.xs[3:-3], ys=dd.ys[3:-3],
+                           mask=dd.mask[cut], phi=dd.phi[cut])
+    assert edged.mask[[0, -1]].any() and edged.mask[:, [0, -1]].any()
+    with pytest.raises(GeometryError, match="edge of the grid"):
+        build_laplacian(edged)
+
+
 def _mirror(dd, axis):
     """Interior cell index -> index of its image under x -> -x (axis 0) or
     y -> -y (axis 1)."""

@@ -121,7 +121,7 @@ def test_nested_ball_masses_ties_at_the_edge():
             assert mass == float(cloud.weights[d < eps].sum())
 
 
-@pytest.mark.parametrize("eps", [0.05, 0.1, 0.15, 0.25])
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.15, 0.25, 0.3, 0.45])
 def test_cell_index_on_cell_boundaries_and_the_seam(eps):
     # coordinates on every multiple of 1/n (the cell boundaries) and of eps
     # (points eps apart), one ulp to either side of each, and the seam pair
