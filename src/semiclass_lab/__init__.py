@@ -18,7 +18,7 @@ from .torus_quantum import (TrigObservable, cat_propagator, coherent_state,
 from .spectral import (EigenDecomposition, QuantumPeriod, diagonalize,
                        degeneracy_clusters, quantum_period, scarred_state,
                        short_period_dimensions)
-from .measures import (HusimiGrid, ModelMeasure, WignerCoefficients, ball_mass,
+from .measures import (HusimiGrid, ModelMeasure, ball_mass, eigenbasis_elements,
                        husimi, qe_variance, weak_star_distance,
                        wigner_coefficients)
 from .entropy import (EntropyEstimate, SampleCloud, atom_cloud,

@@ -75,9 +75,12 @@ def parse_config(path=None, overrides=None) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if path is not None:
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"config file {path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path}: not UTF-8 text "
+                              f"(byte {exc.start}: {exc.reason})") from exc
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:

@@ -165,9 +165,9 @@ def ks_entropy_estimate(m: CatMap, cloud: SampleCloud, T: int, eps: float,
     per center gives the masses for every t.
 
     The cloud is bucketed once per call into an n x n torus grid, n =
-    int(1/eps) - 1 (full scans below 3 cells per axis), and each center's
-    t = 0 ball is measured only among the points of its 3 x 3 neighbour
-    cells. Each distinct point of the ball is stepped once, however many
+    max(1, min(int(1/eps) - 1, MAX_CELLS_PER_AXIS)) at every eps, and each
+    center's t = 0 ball is measured only among the points of its 3 x 3
+    neighbour cells, each distinct cell read once. Each distinct point of the ball is stepped once, however many
     copies the cloud holds. Both leave every mass bit-identical to a
     full-cloud `bowen_distance_cloud` scan (see `_nested_ball_masses`).
     """

@@ -23,10 +23,10 @@ from .config import ExperimentConfig
 from .entropy import (atom_cloud, entropy_bound_check, ks_entropy_estimate,
                       mixture_cloud, model_entropy, uniform_cloud)
 from .errors import ConfigError
-from .measures import (ModelMeasure, ball_mass, eigenbasis_elements, husimi,
-                       qe_variance, weak_star_distance, wigner_coefficients)
-from .serialization import (KIND_OPERATOR, KIND_STATE, write_csv, write_pgm,
-                            write_state)
+from .measures import (WEAK_STAR_K, ModelMeasure, ball_mass,
+                       eigenbasis_elements, husimi, qe_variance,
+                       weak_star_distance, wigner_coefficients)
+from .serialization import write_csv, write_pgm, write_state
 from .spectral import (diagonalize, degeneracy_clusters, quantum_period,
                        scarred_state, short_period_dimensions)
 from .torus_quantum import (TrigObservable, cat_propagator, egorov_defect,
@@ -102,7 +102,7 @@ def run_egorov(cfg: ExperimentConfig, report: RunReport):
     worst = float(defects.max())
     report.add("max_egorov_defect_lt_1e-9", worst < 1e-9, worst)
     if cfg.dump_state:
-        write_state(report.path("propagator.bin"), U, kind=KIND_OPERATOR)
+        write_state(report.path("propagator.bin"), U)
 
 
 def qe_study(report: RunReport, m, A: TrigObservable, N: int):
@@ -116,7 +116,7 @@ def qe_study(report: RunReport, m, A: TrigObservable, N: int):
         mus = eigenbasis_elements(dec, A)
         avg_defect = abs(mus.mean() - A.mean)
         report.add(f"basis_average_identity_N{n}", avg_defect < 1e-10, avg_defect)
-        variances[n] = qe_variance(dec, A)
+        variances[n] = qe_variance(mus, A.mean)
         rows.append((n, variances[n], avg_defect))
         if n == N:
             dec_N = dec
@@ -160,7 +160,7 @@ def scar_study(report: RunReport, m, dims):
         psi = scarred_state(T_half, U, qp)
         g = husimi(psi)
         mass = ball_mass(g, TorusPoint(0.0, 0.0), 0.1)
-        w = wigner_coefficients(psi, 8)
+        w = wigner_coefficients(psi, WEAK_STAR_K)
         d_mix = weak_star_distance(w, mixture)
         d_atom = weak_star_distance(w, origin)
         d_leb = weak_star_distance(w, lebesgue)
@@ -186,7 +186,7 @@ def run_scar_construction(cfg: ExperimentConfig, report: RunReport):
         N, psi, g = last
         write_pgm(g.values, report.path(f"husimi_scar_N{N}.pgm"))
         if cfg.dump_state:
-            write_state(report.path(f"scarred_state_N{N}.bin"), psi, kind=KIND_STATE)
+            write_state(report.path(f"scarred_state_N{N}.bin"), psi)
 
 
 def entropy_oracles(report: RunReport, m, seed: int):

@@ -28,28 +28,17 @@ def matrix_element(psi: np.ndarray, A: TrigObservable) -> float:
     return float(val.real)
 
 
-@dataclass
-class WignerCoefficients:
-    """Fourier coefficients of the Wigner measure up to |m1|, |m2| <= cutoff."""
-
-    coefficients: dict
-    cutoff: int
-
-    def __call__(self, m) -> complex:
-        return self.coefficients[(int(m[0]), int(m[1]))]
-
-
-def wigner_coefficients(psi: np.ndarray, cutoff: int) -> WignerCoefficients:
-    """Coefficient at frequency m is mu_psi of exp(2 pi i (m1 x + m2 xi))."""
+def wigner_coefficients(psi: np.ndarray, cutoff: int) -> np.ndarray:
+    """Fourier coefficients of the Wigner measure on the frequency grid
+    |m1|, |m2| <= cutoff: a (2 cutoff + 1) x (2 cutoff + 1) complex array
+    whose entry [m1 + cutoff, m2 + cutoff] is mu_psi of
+    exp(2 pi i (m1 x + m2 xi))."""
     N = len(psi)
     if cutoff >= N / 2:
         raise AliasingError(f"cutoff {cutoff} reaches the Nyquist limit N/2 = {N / 2}")
-    coeffs = {}
-    for m1 in range(-cutoff, cutoff + 1):
-        for m2 in range(-cutoff, cutoff + 1):
-            coeffs[(m1, m2)] = complex(
-                np.vdot(psi, translation_apply(_freq_to_label((m1, m2)), psi)))
-    return WignerCoefficients(coefficients=coeffs, cutoff=cutoff)
+    freqs = range(-cutoff, cutoff + 1)
+    return np.array([[np.vdot(psi, translation_apply(_freq_to_label((m1, m2)), psi))
+                      for m2 in freqs] for m1 in freqs])
 
 
 @dataclass
@@ -63,18 +52,11 @@ class HusimiGrid:
     G: int
 
 
-def default_grid_size(N: int) -> int:
-    """Grid matched to the hbar-scale cell size."""
-    return max(8, math.ceil(2 * math.sqrt(N)))
-
-
-def husimi(psi: np.ndarray, G: int | None = None) -> HusimiGrid:
-    """Coherent-state overlaps |<cs(i/G, k/G), psi>|^2, normalized to sum 1:
-    one block of G states and one matrix-vector product per row i."""
-    if G is None:
-        G = default_grid_size(len(psi))
-    if G < 8:
-        raise ValueError("grid size G must be >= 8")
+def husimi(psi: np.ndarray) -> HusimiGrid:
+    """Coherent-state overlaps |<cs(i/G, k/G), psi>|^2, normalized to sum 1,
+    on the grid G = max(8, ceil(2 sqrt(N))) matched to the hbar-scale cell
+    size: one block of G states and one matrix-vector product per row i."""
+    G = max(8, math.ceil(2 * math.sqrt(len(psi))))
     H = np.empty((G, G))
     xi0 = np.arange(G) / G
     for i in range(G):
@@ -105,11 +87,10 @@ def eigenbasis_elements(dec: EigenDecomposition, A: TrigObservable) -> np.ndarra
     return np.array([np.vdot(V[:, n], W[:, n]).real for n in range(V.shape[1])])
 
 
-def qe_variance(dec: EigenDecomposition, A: TrigObservable) -> float:
-    """(1/N) sum_n |mu_{v_n}(A) - mean(A)|^2 over the full eigenbasis, read
-    from eigenbasis_elements."""
-    diag = eigenbasis_elements(dec, A)
-    return float(np.mean(np.abs(diag - A.mean) ** 2))
+def qe_variance(elements: np.ndarray, mean: float) -> float:
+    """(1/N) sum_n |mu_{v_n}(A) - mean(A)|^2 over a full eigenbasis, from
+    its elements mu_{v_n}(A) as eigenbasis_elements returns them."""
+    return float(np.mean(np.abs(elements - mean) ** 2))
 
 
 @dataclass(frozen=True)
@@ -139,24 +120,27 @@ class ModelMeasure:
     def mixture(cls, weight, points):
         return cls(tuple(points), float(weight))
 
-    def fourier(self, m) -> complex:
-        """Fourier coefficient at integer frequency m = (m1, m2)."""
-        m1, m2 = int(m[0]), int(m[1])
-        lebesgue = 1.0 + 0.0j if (m1, m2) == (0, 0) else 0.0 + 0.0j
+    def fourier(self, cutoff: int) -> np.ndarray:
+        """Fourier coefficients on the frequency grid |m1|, |m2| <= cutoff,
+        laid out as wigner_coefficients lays them out."""
+        lebesgue = np.zeros((2 * cutoff + 1, 2 * cutoff + 1), complex)
+        lebesgue[cutoff, cutoff] = 1.0
         if not self.orbit:
             return lebesgue
-        vals = [np.exp(2j * np.pi * (m1 * p.x + m2 * p.xi)) for p in self.orbit]
-        return self.weight * complex(np.mean(vals)) + (1.0 - self.weight) * lebesgue
+        m = np.arange(-cutoff, cutoff + 1)
+        x, xi = np.array([(p.x, p.xi) for p in self.orbit]).T
+        atom = np.exp(2j * np.pi * (m[:, None, None] * x + m[None, :, None] * xi))
+        return self.weight * atom.mean(axis=-1) + (1.0 - self.weight) * lebesgue
 
 
-def weak_star_distance(w: WignerCoefficients, model: ModelMeasure) -> float:
-    """Max over 0 < max(|m1|, |m2|) <= WEAK_STAR_K of |w(m) - model(m)|."""
-    if WEAK_STAR_K > w.cutoff:
-        raise ValueError(f"WEAK_STAR_K exceeds the available cutoff {w.cutoff}")
-    worst = 0.0
-    for m1 in range(-WEAK_STAR_K, WEAK_STAR_K + 1):
-        for m2 in range(-WEAK_STAR_K, WEAK_STAR_K + 1):
-            if (m1, m2) == (0, 0):
-                continue
-            worst = max(worst, abs(w((m1, m2)) - model.fourier((m1, m2))))
-    return worst
+def weak_star_distance(w: np.ndarray, model: ModelMeasure) -> float:
+    """Max over 0 < max(|m1|, |m2|) <= WEAK_STAR_K of |w(m) - model(m)|, w
+    laid out as wigner_coefficients lays it out."""
+    cutoff = w.shape[0] // 2
+    if WEAK_STAR_K > cutoff:
+        raise ValueError(f"WEAK_STAR_K exceeds the available cutoff {cutoff}")
+    K = WEAK_STAR_K
+    block = slice(cutoff - K, cutoff + K + 1)
+    gap = np.abs(w[block, block] - model.fourier(K))
+    gap[K, K] = 0.0
+    return float(gap.max())

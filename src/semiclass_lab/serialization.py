@@ -47,23 +47,20 @@ def write_csv(path, header, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_state(path, array, kind: bytes = KIND_STATE) -> None:
+def write_state(path, array) -> None:
     """Binary container: magic, kind byte, uint32 N little-endian, then
-    row-major little-endian complex doubles (N entries for a state, N^2 for
-    an operator)."""
-    array = np.ascontiguousarray(array, dtype=np.complex128)
-    if kind == KIND_STATE:
-        if array.ndim != 1:
-            raise ValueError("state container expects a 1-D array")
-        N = array.shape[0]
-    elif kind == KIND_OPERATOR:
-        if array.ndim != 2 or array.shape[0] != array.shape[1]:
-            raise ValueError("operator container expects a square matrix")
-        N = array.shape[0]
+    row-major little-endian complex doubles. A 1-D array of N entries is a
+    state, a square N x N array an operator."""
+    array = np.asarray(array, dtype=np.complex128)
+    if array.ndim == 1:
+        kind = KIND_STATE
+    elif array.ndim == 2 and array.shape[0] == array.shape[1]:
+        kind = KIND_OPERATOR
     else:
-        raise ValueError(f"unknown container kind {kind!r}")
+        raise ValueError(f"array of shape {array.shape} is neither a state "
+                         "nor a square operator")
     with open(path, "wb") as f:
-        f.write(MAGIC + kind + struct.pack("<I", N))
+        f.write(MAGIC + kind + struct.pack("<I", array.shape[0]))
         f.write(array.astype("<c16").tobytes())
 
 
@@ -72,6 +69,9 @@ def read_state(path):
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError("bad magic; not a state container")
+    if len(raw) < 9:
+        raise ValueError(f"container of {len(raw)} bytes is cut inside its "
+                         "9-byte header")
     kind = raw[4:5]
     (N,) = struct.unpack("<I", raw[5:9])
     shape = {KIND_STATE: (N,), KIND_OPERATOR: (N, N)}.get(kind)

@@ -119,13 +119,16 @@ def test_main_reports_suite_error(tmp_path, capsys):
 @pytest.mark.parametrize("args", [
     ["--experiment", "egorov", "--out", "{file}"],
     ["--experiment", "egorov,qe-catmap", "--out", "{file}"],
-    ["--config", "{missing}"]])
+    ["--config", "{missing}"],
+    ["--config", "{binary}"]])
 def test_main_rejects_unusable_paths(tmp_path, capsys, args):
     """An output path that is a file (for one suite the run's directory, for
-    two the parent of theirs) and a missing config file are configuration
-    errors, not crashes."""
-    paths = {"file": tmp_path / "file", "missing": tmp_path / "missing.cfg"}
+    two the parent of theirs), a missing config file and one that is not
+    UTF-8 text are configuration errors, not crashes."""
+    paths = {"file": tmp_path / "file", "missing": tmp_path / "missing.cfg",
+             "binary": tmp_path / "binary.cfg"}
     paths["file"].write_text("")
+    paths["binary"].write_bytes(b"N = 64\n\xff\n")
     rc = main([arg.format(**paths) for arg in args] + ["--N", "32"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -68,11 +68,11 @@ def test_matrix_element_real_and_linear(seed):
 def test_wigner_normalization_and_symmetry():
     psi = _random_state(32, 5)
     w = wigner_coefficients(psi, 6)
-    assert w((0, 0)) == pytest.approx(1.0, abs=1e-12)
-    for m1 in range(-6, 7):
-        for m2 in range(-6, 7):
-            assert abs(w((m1, m2))) <= 1 + 1e-12
-            assert w((-m1, -m2)) == pytest.approx(np.conj(w((m1, m2))), abs=1e-12)
+    assert w.shape == (13, 13)
+    assert w[6, 6] == pytest.approx(1.0, abs=1e-12)
+    assert (np.abs(w) <= 1 + 1e-12).all()
+    # entry [m1 + 6, m2 + 6] against [-m1 + 6, -m2 + 6]
+    assert np.abs(w[::-1, ::-1] - w.conj()).max() <= 1e-12
 
 
 def test_wigner_aliasing_guard():
@@ -85,34 +85,26 @@ def test_position_basis_vector_delocalized_in_momentum():
     e[3] = 1.0
     w = wigner_coefficients(e, 2)
     # pure position state: the position-frequency coefficient has modulus 1
-    assert abs(w((1, 0))) == pytest.approx(1.0, abs=1e-12)
+    assert abs(w[1 + 2, 0 + 2]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eigenbasis_average_wigner_vanishes():
     """Averaging over a full eigenbasis gives (1/N) tr T(m) = 0 off zero."""
     dec = diagonalize(cat_propagator(30, M))
-    acc = {}
-    for n in range(30):
-        w = wigner_coefficients(dec.eigenvectors[:, n], 3)
-        for m, c in w.coefficients.items():
-            acc[m] = acc.get(m, 0) + c / 30
-    for m, c in acc.items():
-        if m != (0, 0):
-            assert abs(c) < 1e-12
+    acc = sum(wigner_coefficients(dec.eigenvectors[:, n], 3) / 30
+              for n in range(30))
+    acc[3, 3] = 0.0  # frequency (0, 0)
+    assert (np.abs(acc) < 1e-12).all()
 
 
 def test_husimi_peak_and_mass():
-    psi = coherent_state(128, TorusPoint(0.5, 0.5))
-    g = husimi(psi, 64)
+    psi = coherent_state(256, TorusPoint(0.5, 0.5))
+    g = husimi(psi)
+    assert g.G == 32  # 2 sqrt(256), so (1/2, 1/2) is a grid point
     assert g.values.sum() == pytest.approx(1.0, abs=1e-12)
     assert (g.values >= 0).all()
     i, k = np.unravel_index(np.argmax(g.values), g.values.shape)
-    assert (i / 64, k / 64) == (0.5, 0.5)
-
-
-def test_husimi_grid_size_guard():
-    with pytest.raises(ValueError):
-        husimi(_random_state(16), 4)
+    assert (i / g.G, k / g.G) == (0.5, 0.5)
 
 
 def test_ball_mass_uniform_and_monotone():
@@ -130,18 +122,21 @@ def test_ball_mass_uniform_and_monotone():
 def test_coherent_ball_mass_concentrated():
     N = 128
     psi = coherent_state(N, TorusPoint(0.25, 0.75))
-    g = husimi(psi, 48)
+    g = husimi(psi)
     assert ball_mass(g, TorusPoint(0.25, 0.75), 3 / np.sqrt(N)) >= 0.95
 
 
 def test_qe_variance_trivial_cases():
     dec = diagonalize(cat_propagator(64, M))
+
+    def variance(A):
+        return qe_variance(eigenbasis_elements(dec, A), A.mean)
+
     const = TrigObservable({(0, 0): 3.0})
-    assert qe_variance(dec, const) < 1e-20
+    assert variance(const) < 1e-20
     A = TrigObservable.cosine((1, 1))
     shifted = TrigObservable({(1, 1): 1.0, (-1, -1): 1.0, (0, 0): 2.5})
-    assert qe_variance(dec, shifted) == pytest.approx(
-        qe_variance(dec, A), abs=1e-12)
+    assert variance(shifted) == pytest.approx(variance(A), abs=1e-12)
 
 
 def test_eigenbasis_elements_equal_matrix_element():
@@ -172,28 +167,29 @@ def test_eigenstate_measures_invariant():
 
 
 def test_model_measure_coefficients():
+    def at(model, m1, m2, cutoff=5):  # the coefficient at frequency (m1, m2)
+        f = model.fourier(cutoff)
+        assert f.shape == (2 * cutoff + 1, 2 * cutoff + 1)
+        return f[m1 + cutoff, m2 + cutoff]
+
     leb = ModelMeasure.lebesgue()
-    assert leb.fourier((0, 0)) == 1.0
-    assert leb.fourier((2, -1)) == 0.0
+    assert at(leb, 0, 0) == 1.0
+    assert at(leb, 2, -1) == 0.0
     atom = ModelMeasure.periodic_orbit([TorusPoint(0, 0)])
-    assert atom.fourier((3, 5)) == pytest.approx(1.0)
+    assert at(atom, 3, 5) == pytest.approx(1.0)
     half = ModelMeasure.mixture(0.5, [TorusPoint(0, 0)])
-    assert half.fourier((3, 5)) == pytest.approx(0.5)
-    assert half.fourier((0, 0)) == pytest.approx(1.0)
+    assert at(half, 3, 5) == pytest.approx(0.5)
+    assert at(half, 0, 0) == pytest.approx(1.0)
     orbit = ModelMeasure.periodic_orbit([TorusPoint(0, 0.5), TorusPoint(0.5, 0)])
-    assert orbit.fourier((1, 1)) == pytest.approx(-1.0)
+    assert at(orbit, 1, 1) == pytest.approx(-1.0)
 
 
 def test_weak_star_distance_eigenbasis_average():
     dec = diagonalize(cat_propagator(30, M))
     # mixed-state analog through explicit averaging of coefficients
-    acc = {}
-    for n in range(30):
-        w = wigner_coefficients(dec.eigenvectors[:, n], 8)
-        for m, c in w.coefficients.items():
-            acc[m] = acc.get(m, 0) + c / 30
-    w.coefficients = acc
-    assert weak_star_distance(w, ModelMeasure.lebesgue()) < 1e-12
+    acc = sum(wigner_coefficients(dec.eigenvectors[:, n], 8) / 30
+              for n in range(30))
+    assert weak_star_distance(acc, ModelMeasure.lebesgue()) < 1e-12
 
 
 def test_weak_star_requires_cutoff():

@@ -54,19 +54,17 @@ def test_operator_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     U = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     p = tmp_path / "o.bin"
-    write_state(p, U, kind=KIND_OPERATOR)
+    write_state(p, U)
     back, kind = read_state(p)
     assert kind == KIND_OPERATOR
     assert np.array_equal(back, U)
 
 
 def test_container_shape_validation(tmp_path):
-    with pytest.raises(ValueError):
-        write_state(tmp_path / "a.bin", np.zeros((2, 3)), kind=KIND_OPERATOR)
-    with pytest.raises(ValueError):
-        write_state(tmp_path / "b.bin", np.zeros((2, 2)), kind=KIND_STATE)
-    with pytest.raises(ValueError):
-        write_state(tmp_path / "c.bin", np.zeros(2), kind=b"X")
+    """Only a 1-D array (a state) or a square 2-D one (an operator) has a kind."""
+    for i, array in enumerate((np.zeros(()), np.zeros((2, 3)), np.zeros((2, 2, 2)))):
+        with pytest.raises(ValueError):
+            write_state(tmp_path / f"{i}.bin", array)
 
 
 def test_read_state_bad_magic(tmp_path):
@@ -79,10 +77,14 @@ def test_read_state_bad_magic(tmp_path):
 @pytest.mark.parametrize("kind, array", [(KIND_STATE, np.ones(16)),
                                          (KIND_OPERATOR, np.ones((4, 4)))])
 def test_read_state_rejects_wrong_payload_length(tmp_path, kind, array):
+    """A payload cut short or overlong, or a file cut inside the 9-byte
+    header after its magic, is a ValueError."""
     p = tmp_path / "t.bin"
-    write_state(p, array, kind=kind)
+    write_state(p, array)
     raw = p.read_bytes()
-    for bad in (raw[:-32], raw + bytes(16)):
+    assert raw[4:5] == kind
+    for bad in (raw[:-32], raw + bytes(16), b"SCLB", b"SCLBS", b"SCLBS\x01\x00",
+                raw[:8]):
         p.write_bytes(bad)
-        with pytest.raises(ValueError, match="payload"):
+        with pytest.raises(ValueError, match="payload|header"):
             read_state(p)

@@ -296,7 +296,7 @@ def test_propagator_covariance_moves_coherent_state():
     U = cat_propagator(N, M)
     psi = U @ coherent_state(N, rho)
     target = TorusPoint(*(M.matrix() @ rho.as_array()))
-    g = husimi(psi, 32)
+    g = husimi(psi)
     lam = 2 + np.sqrt(3)
     mass = ball_mass(g, target, min(0.49, 5 * lam / np.sqrt(N)))
     assert mass >= 0.5
