@@ -11,9 +11,12 @@ in each of the four x/y parity classes, on about a quarter of the unknowns.
 Each class solve is shift-invert Lanczos (eigsh) applying one sparse LU
 factor of the shifted class operator, factored under the multiple
 minimum-degree ordering of its symmetric pattern, which fills in less
-than the COLAMD ordering eigsh would otherwise pick. A mode is kept as its
-class vector; its region masses are read in class space, and only a
-caller that reads its wavefunction lifts it to the grid.
+than the COLAMD ordering eigsh would otherwise pick. Each class is asked
+for its own number of modes: a window asks for the class's two-term Weyl
+estimate plus a margin, and asks again for twice as many, on the same
+factor, while the class's farthest mode does not reach past the window.
+A mode is kept as its class vector; its region masses are read in class
+space, and only a caller that reads its wavefunction lifts it to the grid.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .billiard import StadiumDomain
 from .errors import GeometryError, NumericalError, UnderResolved
 
 ALPHA_MIN = 1e-3
+PARITY_CLASSES = ((1, 1), (1, -1), (-1, 1), (-1, -1))  # (sx, sy), in solve order
 WINDOW_HALFWIDTH = 1.0  # eigenmodes_window keeps |k - center_k| <= this
 SCAR_TUBE_FRACTION = 0.1  # scar_scores: tube half-width over the cap radius
 
@@ -141,7 +145,8 @@ class BilliardMode:
 
 def _parity_bases(dd: DiscreteDomain) -> list:
     """Orthonormal bases Q (interior cells x class size) of the four
-    classes (sx, sy) of functions with f(-x, y) = sx f and f(x, -y) = sy f.
+    classes (sx, sy) of PARITY_CLASSES, in its order: the functions with
+    f(-x, y) = sx f and f(x, -y) = sy f.
 
     Column r is the signed sum over the mirror orbit of the r-th cell with
     x >= 0 and y >= 0, normalized; on a mirror line the orbit folds onto
@@ -157,13 +162,12 @@ def _parity_bases(dd: DiscreteDomain) -> list:
                             idx[qi, ny - 1 - qj], idx[nx - 1 - qi, ny - 1 - qj]])
     reps = np.tile(np.arange(len(qi)), 4)
     bases = []
-    for sx in (1, -1):
-        for sy in (1, -1):
-            signs = np.repeat([1.0, sx, sy, sx * sy], len(qi))
-            Q = sp.csc_matrix((signs, (orbit, reps)), shape=(dd.n_interior, len(qi)))
-            Q.eliminate_zeros()
-            Q = Q[:, np.diff(Q.indptr) > 0]
-            bases.append(Q @ sp.diags(1.0 / np.sqrt(Q.power(2).sum(axis=0).A1)))
+    for sx, sy in PARITY_CLASSES:
+        signs = np.repeat([1.0, sx, sy, sx * sy], len(qi))
+        Q = sp.csc_matrix((signs, (orbit, reps)), shape=(dd.n_interior, len(qi)))
+        Q.eliminate_zeros()
+        Q = Q[:, np.diff(Q.indptr) > 0]
+        bases.append(Q @ sp.diags(1.0 / np.sqrt(Q.power(2).sum(axis=0).A1)))
     return bases
 
 
@@ -180,32 +184,57 @@ def _shift_inverse(B, sigma: float) -> spla.LinearOperator:
     return spla.LinearOperator((n, n), lu.solve, dtype=B.dtype)
 
 
-def _parity_modes(dd: DiscreteDomain, A, target_k: float, count: int, keep) -> list:
-    """Shift-invert eigsh of B = Q^T A Q in each parity class, from a fixed
-    start vector, for its min(count, class size - 2) eigenvalues nearest
-    sigma = target_k^2. Each class's B - sigma I is factored once, with the
-    MMD ordering, and eigsh applies that factor as its OPinv. keep(w), given
-    one class's eigenvalues, picks the indices to return as modes, class by
-    class; each keeps its class vector v and its residual against B, which
-    equals the lifted mode's residual against A because A Q = Q B. Only the
-    kept class vectors outlive their class's solve."""
+def _class_eigs(B, sigma: float, count: int, keep):
+    """The eigenpairs of B that keep picks from a shift-invert eigsh for
+    the count eigenvalues nearest sigma, started from a fixed vector. B -
+    sigma I is factored once, with the MMD ordering, and eigsh applies that
+    factor as its OPinv; the factor lives only for this call. keep(w) returns
+    the indices to keep, or None if the class may hold more modes than were
+    asked for: then this attempt's w and V are dropped and eigsh asks again
+    for twice as many, up to the class size - 2, after which NumericalError
+    is raised."""
+    n = B.shape[0]
+    v0 = np.full(n, 1.0 / math.sqrt(n))  # fixed start vector for determinism
+    OPinv = _shift_inverse(B, sigma)
+    while True:
+        try:
+            w, V = spla.eigsh(B, k=count, sigma=sigma, which="LM", v0=v0,
+                              OPinv=OPinv)
+        except spla.ArpackNoConvergence as exc:
+            raise NumericalError(f"shift-invert eigensolver failed: {exc}") from exc
+        picked = keep(w)
+        if picked is not None:
+            return w[picked], V[:, picked]
+        if count == n - 2:
+            raise NumericalError(
+                f"a parity class of {n} cells returned no mode beyond the window "
+                f"near sigma = {sigma}, even at {count} modes")
+        del w, V
+        count = min(2 * count, n - 2)
+
+
+def _parity_modes(dd: DiscreteDomain, A, target_k: float, requests, keep) -> list:
+    """Eigenmodes of B = Q^T A Q in each parity class, nearest sigma =
+    target_k^2: requests[i] modes, at most the class size - 2, from class
+    PARITY_CLASSES[i], whose solve (_class_eigs) asks again while keep(w)
+    returns None; a request of 0 skips the class and factors nothing for it.
+    keep(w), given one class's eigenvalues, picks the indices to return as
+    modes, class by class; each keeps its class vector v and its residual
+    against B, which equals the lifted mode's residual against A because
+    A Q = Q B. Only the kept class vectors outlive their class's solve."""
     if target_k * dd.spacing >= 0.5:
         raise UnderResolved("target_k h >= 0.5: grid cannot resolve the wavelength")
     modes = []
-    for Q in _parity_bases(dd):
+    for Q, count in zip(_parity_bases(dd), requests):
+        if count == 0:
+            continue
         n = Q.shape[1]
         if n < 3:
             raise UnderResolved(f"a parity class has only {n} cells")
-        v0 = np.full(n, 1.0 / math.sqrt(n))  # fixed start vector for determinism
         B = (Q.T @ A @ Q).tocsr()
-        try:
-            w, V = spla.eigsh(B, k=min(count, n - 2), sigma=target_k**2,
-                              which="LM", v0=v0,
-                              OPinv=_shift_inverse(B, target_k**2))
-        except spla.ArpackNoConvergence as exc:
-            raise NumericalError(f"shift-invert eigensolver failed: {exc}") from exc
-        for j in keep(w):
-            lam, v = float(w[j]), V[:, j].copy()
+        w, V = _class_eigs(B, target_k**2, min(count, n - 2), keep)
+        for lam, v in zip(w.tolist(), V.T):
+            v = v.copy()
             modes.append(BilliardMode(eigenvalue=lam, k=math.sqrt(lam),
                                       residual=float(np.linalg.norm(B @ v - lam * v)),
                                       v=v, Q=Q, dd=dd))
@@ -214,11 +243,14 @@ def _parity_modes(dd: DiscreteDomain, A, target_k: float, count: int, keep) -> l
 
 
 def eigenmodes_near(dd: DiscreteDomain, A: sp.csr_matrix, target_k: float,
-                    count: int) -> list:
+                    count: int, parity=None) -> list:
     """count eigenmodes with eigenvalues nearest target_k^2, sorted by
-    |k - target_k|: the count nearest of each parity class, then the count
-    nearest of those."""
-    modes = _parity_modes(dd, A, target_k, count, lambda w: range(len(w)))
+    |k - target_k|: the count nearest of each parity class, or of the class
+    parity = (sx, sy) alone, then the count nearest of those."""
+    if parity not in (None, *PARITY_CLASSES):
+        raise ValueError(f"parity must be one of {PARITY_CLASSES}, not {parity}")
+    requests = [count if parity in (None, cls) else 0 for cls in PARITY_CLASSES]
+    modes = _parity_modes(dd, A, target_k, requests, lambda w: slice(None))
     return sorted(modes, key=lambda m: abs(m.k - target_k))[:count]
 
 
@@ -233,24 +265,34 @@ def eigenmodes_window(dd: DiscreteDomain, A: sp.csr_matrix, domain: StadiumDomai
                       center_k: float) -> list:
     """All modes with |k - center_k| <= WINDOW_HALFWIDTH, sorted by k.
 
-    The total request, padded over the Weyl-law count of domain, is split
-    evenly over the parity classes: ceil(n_req / 4) modes per class. The
-    window's far edge (center_k + W)^2, W = WINDOW_HALFWIDTH, lies
-    2 center_k W + W^2 from sigma = center_k^2. A class holds all its window
-    modes only if its farthest returned eigenvalue lies beyond that
-    distance; if one does not, NumericalError is raised.
+    The window's far edge (center_k + W)^2, W = WINDOW_HALFWIDTH, lies
+    R = 2 center_k W + W^2 from sigma = center_k^2. Each parity class
+    (sx, sy) is asked for its own two-term Weyl estimate of the modes
+    within R of sigma, plus a margin. The class lives on the quarter domain
+    (area |Omega| / 4), whose outer wall a + pi r / 2 is Dirichlet and whose
+    mirror lines x = 0 (length r) and y = 0 (length a + r) are Neumann for
+    an even sign and Dirichlet for an odd one (Ivrii's mixed law). A class
+    holds all its window modes only if its farthest returned eigenvalue lies
+    beyond R; if one does not, that class asks again for twice as many.
     """
-    pred = weyl_window_count(domain, center_k)
-    per_class = math.ceil((int(pred * 1.6) + 10) / 4)
     W = WINDOW_HALFWIDTH
+    reach = 2 * center_k * W + W**2
+    k_lo = math.sqrt(max(center_k**2 - reach, 0.0))
+    k_hi = math.sqrt(center_k**2 + reach)
+    a, r = domain.half_length, domain.radius
+
+    def request(sx, sy):
+        edge = -(a + math.pi * r / 2) + sx * r + sy * (a + r)  # Neumann - Dirichlet
+        estimate = (domain.area / 4 * (k_hi**2 - k_lo**2)
+                    + edge * (k_hi - k_lo)) / (4 * math.pi)
+        return max(math.ceil(estimate), 0) + 3  # margin of 3 over the estimate
 
     def inside(w):
-        if np.abs(w - center_k**2).max() <= 2 * center_k * W + W**2:
-            raise NumericalError(
-                f"some parity class returned no mode beyond the window near "
-                f"k = {center_k}; the window may be incomplete")
+        if np.abs(w - center_k**2).max() <= reach:
+            return None  # the window may go on beyond these modes
         return np.flatnonzero(np.abs(np.sqrt(w) - center_k) <= W)
-    return sorted(_parity_modes(dd, A, center_k, per_class, inside),
+    return sorted(_parity_modes(dd, A, center_k,
+                                [request(*cls) for cls in PARITY_CLASSES], inside),
                   key=lambda m: m.k)
 
 

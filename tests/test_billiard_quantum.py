@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,7 +15,8 @@ import scipy.special
 from semiclass_lab import experiments
 from semiclass_lab.billiard import StadiumDomain
 from semiclass_lab.billiard_quantum import (BilliardMode, DiscreteDomain,
-                                            _parity_bases, bouncing_ball_scores,
+                                            _parity_bases, _parity_modes,
+                                            bouncing_ball_scores,
                                             build_laplacian, discretize_stadium,
                                             eigenmodes_near, eigenmodes_window,
                                             qe_spatial_variance, region_masses,
@@ -22,6 +24,7 @@ from semiclass_lab.billiard_quantum import (BilliardMode, DiscreteDomain,
 from semiclass_lab.errors import GeometryError, NumericalError, UnderResolved
 
 CIRCLE = StadiumDomain(half_length=0.0, radius=1.0)
+BESSEL_J0, BESSEL_J1 = experiments.BESSEL_J0_ZERO, experiments.BESSEL_J1_ZERO
 STADIUM = StadiumDomain(half_length=1.0, radius=1.0)
 
 
@@ -315,45 +318,135 @@ def test_window_needs_mirror_grid():
         eigenmodes_near(shifted, A, 5.0, 1)
 
 
-def test_window_completeness_guard():
+def _solver_log(monkeypatch):
+    """Record every factor (its ordering, and its size as the class size)
+    and every eigsh call (class size, request k, whether an OPinv was
+    passed) of the solves, holding no reference to either."""
+    log = SimpleNamespace(factors=[], solves=[])
+    splu, eigsh = spla.splu, spla.eigsh
+
+    def counted_splu(M, **kwargs):
+        log.factors.append((kwargs.get("permc_spec"), M.shape[0]))
+        return splu(M, **kwargs)
+
+    def counted_eigsh(B, **kwargs):
+        log.solves.append((B.shape[0], kwargs["k"], kwargs.get("OPinv") is not None))
+        return eigsh(B, **kwargs)
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    monkeypatch.setattr(spla, "eigsh", counted_eigsh)
+    return log
+
+
+def test_window_completeness_guard(monkeypatch):
     """A class holds all its window modes only if its farthest returned
     eigenvalue lies beyond the window's far edge, more than 2k + 1 from
-    sigma = k^2. A Weyl count taken from a smaller domain requests too few
-    modes. A disc of radius 0.3 requests 11 where the stadium's window at
-    k=10 has about 23, and every mode returned lies in the window. A disc of
-    radius 0.9 requests 6 per class, and the window holds 7, 5, 5 and 4 in
-    its four classes: only the first class is cut short, and that alone must
-    stop the window. At k=10.5 the unit disc requests 7 per class; two
-    classes return a mode below the window, but their farthest mode lies
-    21.6 and 21.5 from sigma, inside 2k + 1 = 22, so a mode just inside the
-    upper edge could be missing, and that too must stop the window."""
+    sigma = k^2; a class that falls short asks again for twice as many, on
+    its one factor. A Weyl estimate taken from a smaller domain requests
+    too few: discs of radius 0.3 and 0.9 at k=10, whose requests fall
+    short in all four classes and in three, and the unit disc at k=10.5,
+    where classes return a mode below the window but their farthest mode
+    lies inside 2k + 1 = 22 of sigma, so that a mode just inside the upper
+    edge could be missing. Each must still return the stadium's own
+    window."""
     dd = discretize_stadium(STADIUM, 0.02)
     A = build_laplacian(dd)
+    own = {k: [m.k for m in eigenmodes_window(dd, A, STADIUM, k)] for k in (10.0, 10.5)}
+    log = _solver_log(monkeypatch)
     for radius, k in ((0.3, 10.0), (0.9, 10.0), (1.0, 10.5)):
+        log.factors.clear()
+        log.solves.clear()
         small = StadiumDomain(half_length=0.0, radius=radius)
-        with pytest.raises(NumericalError, match="beyond the window"):
-            eigenmodes_window(dd, A, small, k)
+        ks = [m.k for m in eigenmodes_window(dd, A, small, k)]
+        assert len(ks) == len(own[k])
+        assert np.abs(np.subtract(ks, own[k])).max() < 1e-10
+        requests = {}  # each class's successive requests, keyed by class size
+        for n, request, _ in log.solves:
+            requests.setdefault(n, []).append(request)
+        assert [n for _, n in log.factors] == list(requests)  # one factor per class
+        assert any(len(r) > 1 for r in requests.values())
+        for r in requests.values():
+            assert r == [r[0] * 2**i for i in range(len(r))]
+
+
+def test_class_short_at_its_largest_request_raises(monkeypatch):
+    """A class asks again, doubling its request, until it reaches the class
+    size - 2; if keep still asks for more there, NumericalError is raised."""
+    dd = discretize_stadium(CIRCLE, 0.2)
+    A = build_laplacian(dd)
+    n = _parity_bases(dd)[0].shape[1]
+    log = _solver_log(monkeypatch)
+    with pytest.raises(NumericalError, match="no mode beyond the window"):
+        _parity_modes(dd, A, 2.0, [3, 0, 0, 0], lambda w: None)
+    requests = [k for _, k, _ in log.solves]
+    assert requests[:-1] == [3 * 2**i for i in range(len(requests) - 1)]
+    assert requests[-1] == n - 2
+    assert len(log.factors) == 1
+
+
+def test_one_factor_alive_at_a_time(monkeypatch):
+    """Each class's factor is freed before the next class is factored, also
+    when a class asks eigsh again on its factor (the radius 0.9 disc's
+    Weyl estimate falls short in three classes at k=10)."""
+    alive, at_build = set(), []
+    splu = spla.splu
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            return self.lu.solve(b)
+
+    def tracked_splu(M, **kwargs):
+        at_build.append(len(alive))
+        factor = Factor(splu(M, **kwargs))
+        alive.add(len(at_build))
+        weakref.finalize(factor, alive.discard, len(at_build))
+        return factor
+    log = _solver_log(monkeypatch)
+    monkeypatch.setattr(spla, "splu", tracked_splu)
+    dd = discretize_stadium(STADIUM, 0.02)
+    eigenmodes_window(dd, build_laplacian(dd), StadiumDomain(half_length=0.0, radius=0.9),
+                      10.0)
+    assert len(log.solves) > 4
+    assert at_build == [0, 0, 0, 0]
+    assert not alive
 
 
 def test_window_factors_each_class_once(monkeypatch):
     """Each parity class is factored once, under the MMD ordering, and
-    eigsh applies that factor instead of factoring the class itself."""
-    factors, solves = [], []
-    splu, eigsh = spla.splu, spla.eigsh
-
-    def counted_splu(M, **kwargs):
-        factors.append(kwargs.get("permc_spec"))
-        return splu(M, **kwargs)
-
-    def counted_eigsh(B, **kwargs):
-        solves.append(kwargs.get("OPinv"))
-        return eigsh(B, **kwargs)
-    monkeypatch.setattr(spla, "splu", counted_splu)
-    monkeypatch.setattr(spla, "eigsh", counted_eigsh)
+    eigsh applies that factor instead of factoring the class itself. At
+    these suite-like windows each class's Weyl estimate plus its margin
+    reaches past the window at the first request: one eigsh call per
+    class."""
+    log = _solver_log(monkeypatch)
     dd = discretize_stadium(STADIUM, 0.02)
-    eigenmodes_window(dd, build_laplacian(dd), STADIUM, 10.0)
-    assert factors == ["MMD_AT_PLUS_A"] * 4
-    assert len(solves) == 4 and all(op is not None for op in solves)
+    A = build_laplacian(dd)
+    for center_k, requests in ((10.0, [10, 9, 9, 9]), (8.0, [8, 8, 8, 7]),
+                               (15.0, [12, 12, 12, 11]), (19.5, [15, 14, 15, 14])):
+        log.factors.clear()
+        log.solves.clear()
+        eigenmodes_window(dd, A, STADIUM, center_k)
+        assert [spec for spec, _ in log.factors] == ["MMD_AT_PLUS_A"] * 4
+        assert [k for _, k, _ in log.solves] == requests
+        assert all(has_opinv for _, _, has_opinv in log.solves)
+
+
+@pytest.mark.parametrize("target, parity", [(BESSEL_J0, (1, 1)), (BESSEL_J1, (1, -1))])
+def test_near_solves_only_the_named_class(monkeypatch, target, parity):
+    """With parity = (sx, sy), one class is factored and solved, and its
+    mode is the four-class pick of the circle's J0 or J1 mode."""
+    dd = discretize_stadium(CIRCLE, 0.04)
+    A = build_laplacian(dd)
+    picked = eigenmodes_near(dd, A, target, 1)[0]
+    log = _solver_log(monkeypatch)
+    mode = eigenmodes_near(dd, A, target, 1, parity=parity)[0]
+    assert len(log.factors) == 1 and len(log.solves) == 1
+    assert abs(mode.k - picked.k) < 1e-12
+    for axis, sign in enumerate(parity):
+        assert np.array_equal(mode.wavefunction[_mirror(dd, axis)], sign * mode.wavefunction)
+    with pytest.raises(ValueError):
+        eigenmodes_near(dd, A, target, 1, parity=(1, 0))
 
 
 def test_singular_shift_is_numerical_error(monkeypatch):
