@@ -136,9 +136,8 @@ def quantum_period(m: CatMap, P_max: int, U: np.ndarray):
     if P_max < 1:
         raise ValueError("P_max must be >= 1")
     N = len(U)
-    Up = np.eye(N, dtype=complex)
     for P in range(1, P_max + 1):
-        Up = Up @ U
+        Up = U if P == 1 else Up @ U
         z = Up[0, 0]
         if (abs(abs(z) - 1.0) < PERIOD_TOL
                 and np.abs(Up - z * np.eye(N)).max() < PERIOD_TOL):

@@ -137,11 +137,19 @@ def _coherent_rows(N: int, x0: float, xi0: np.ndarray) -> np.ndarray:
     base = np.rint(j / N - x0).astype(int)
     # five translates: every omitted one has |dx| >= 2.5, so its weight
     # exp(-pi N dx^2) is below e^-37 (about 1e-16) once pi N 2.5^2 > 37,
-    # that is for N >= 2
+    # that is for N >= 2. Of the five only the nearest is significant
+    # (the others weigh at most exp(-pi N / 4)), and at large N most of
+    # their weights underflow to 0.0; a term of weight 0.0 adds only +-0,
+    # so its complex exponential is skipped without moving a bit. With no
+    # weight 0.0 the whole row is taken: a masked add is slower there
     for k in (-2, -1, 0, 1, 2):
         m = base + k
         dx = j / N - x0 - m
-        psi += np.exp(-np.pi * N * dx**2) * np.exp(2j * np.pi * N * xi0[:, None] * (j / N - m))
+        w = np.exp(-np.pi * N * dx**2)
+        cols = w != 0
+        if cols.all():
+            cols = slice(None)
+        psi[:, cols] += w[cols] * np.exp(2j * np.pi * N * xi0[:, None] * (j / N - m)[cols])
     # a vector norm per row, as for a single state: norm(psi, axis=1) sums
     # in another order and moves the last bits
     for row in psi:
@@ -241,20 +249,58 @@ def _norm_bound(X: np.ndarray) -> float:
     return float(np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()))
 
 
+def _commutator_defect(Ut: np.ndarray, left, right) -> float:
+    """_norm_bound of sum_l c_l T(n_l) Ut - Ut (sum_r c_r T(n_r))*, for lists
+    of (label n, coefficient c) and a complex Ut, read from Ut alone one
+    block of rows at a time.
+
+    A left term is a row gather of the block, scaled by the row phase and
+    then by c and added onto zeros, as op_apply does. A right term is a
+    column roll of the same rows, scaled by conj(phase) and then conj(c):
+    conjugation distributes exactly over complex products and sums, so it
+    equals op_apply on Ut* conjugate-transposed to the last bit. The norm
+    is taken once on the whole difference, so that its column sums add in
+    the same order."""
+    N = len(Ut)
+    B = min(N, 32)  # rows per block: each B x N buffer is 256 kB at N = 512
+    gathered, lhs, rhs = np.empty((3, B, N), complex)
+    D = np.empty((N, N), complex)
+    left = [(*_translation(N, n), c) for n, c in left]
+    right = [(*_translation(N, n), c) for n, c in right]
+    right = [(cols[0], phase.conj(), np.conj(c)) for cols, phase, c in right]
+    for r0 in range(0, N, B):
+        rows = slice(r0, min(r0 + B, N))
+        b = rows.stop - r0
+        g, L, R = gathered[:b], lhs[:b], rhs[:b]
+        L.fill(0)
+        for cols, phase, c in left:
+            # mode="clip" writes into g directly; "raise" would buffer it
+            np.take(Ut, cols[rows], axis=0, out=g, mode="clip")
+            np.multiply(phase[rows, None], g, out=g)
+            np.multiply(c, g, out=g)
+            L += g
+        block = Ut[rows]
+        R.fill(0)
+        for s, phase, c in right:
+            g[:, :N - s] = block[:, s:]
+            g[:, N - s:] = block[:, :s]
+            np.multiply(phase, g, out=g)
+            np.multiply(c, g, out=g)
+            R += g
+        np.subtract(L, R, out=D[rows])
+    return _norm_bound(D)
+
+
 def intertwining_defect(U: np.ndarray, m: CatMap) -> float:
     """Max defect of U T(n) U* = T(An) over INTERTWINING_LABELS, read as
     ||T(An) U - U T(n)|| (unitary invariance) through _norm_bound, an upper
-    bound on the operator norm. Both products are row gathers: T(An) on the
-    columns of U, and T(-n) = T(n)* on those of U*, built C-contiguous so
-    that each gathered row is contiguous."""
+    bound on the operator norm: _commutator_defect with the one left term
+    T(An) and the one right term T(-n)* = T(n)."""
     A = index_action(m)
-    U_adj = np.ascontiguousarray(U.conj().T)
-    worst = 0.0
-    for n in INTERTWINING_LABELS:
-        lhs = translation_apply(A @ np.asarray(n, np.int64), U)
-        rhs = translation_apply((-n[0], -n[1]), U_adj).conj().T
-        worst = max(worst, _norm_bound(lhs - rhs))
-    return worst
+    U = np.asarray(U, complex)
+    return max(_commutator_defect(U, [(A @ np.asarray(n, np.int64), 1.0)],
+                                  [((-n[0], -n[1]), 1.0)])
+               for n in INTERTWINING_LABELS)
 
 
 def egorov_defect(U: np.ndarray, m: CatMap, observables, T: int) -> np.ndarray:
@@ -262,22 +308,23 @@ def egorov_defect(U: np.ndarray, m: CatMap, observables, T: int) -> np.ndarray:
     t = 1..T, as an array [len(observables), T], where U is the propagator
     of m. Each value is _norm_bound, an upper bound on the operator norm,
     so zero to roundoff for linear maps (exact correspondence). The norm is
-    read as ||Op(A) U^t - U^t Op(A o M^t)|| (unitary invariance), and both
-    products are op_apply gathers, on the columns of U^t and of its
-    adjoint (built C-contiguous, so each gathered row is contiguous): the
-    one dense product is U^t itself."""
+    read as ||Op(A) U^t - U^t Op(A o M^t)|| (unitary invariance) by
+    _commutator_defect, from U^t alone: the one dense product is U^t
+    itself, formed into one of two reused buffers."""
     defects = np.empty((len(observables), T))
     mat = m.matrix(object)
     mat_t = np.eye(2, dtype=object)
-    Ut = np.eye(len(U), dtype=complex)
+    Ut = U.astype(complex)
+    spare = np.empty_like(Ut)
     for t in range(T):
-        Ut = Ut @ U
+        if t:
+            np.matmul(Ut, U, out=spare)
+            Ut, spare = spare, Ut
         mat_t = mat_t @ mat
-        Ut_adj = np.ascontiguousarray(Ut.conj().T)
         for i, A in enumerate(observables):
-            evolved = op_apply(A, Ut)
-            classical = op_apply(A.compose_with(mat_t), Ut_adj).conj().T
-            defects[i, t] = _norm_bound(evolved - classical)
+            terms = [[(_freq_to_label(k), c) for k, c in B.coefficients.items()]
+                     for B in (A, A.compose_with(mat_t))]
+            defects[i, t] = _commutator_defect(Ut, *terms)
     return defects
 
 

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from semiclass_lab.catmap import CatMap, DEFAULT_MAP, TorusPoint
 from semiclass_lab.errors import InvalidObservable, QuantizationConditionError
-from semiclass_lab.torus_quantum import (TrigObservable, _norm_bound,
-                                         _theta_group_word,
+from semiclass_lab.torus_quantum import (INTERTWINING_LABELS, TrigObservable,
+                                         _norm_bound, _theta_group_word,
                                          cat_propagator, coherent_state,
                                          egorov_defect, index_action,
                                          intertwining_defect, is_quantizable,
@@ -286,6 +286,81 @@ def test_egorov_mixed_mode():
     assert (defects < 1e-9).all()
     # a unitary that does not quantize the map fails the correspondence
     assert egorov_defect(np.eye(64), M, observables, 1).min() > 0.5
+
+
+def egorov_defect_reference(U, m, observables, T):
+    """egorov_defect as op_apply gathers on the columns of U^t and of its
+    adjoint, U^t formed from the identity: (Op(A) U^t) - (Op(A o M^t) U^t*)*."""
+    defects = np.empty((len(observables), T))
+    mat = m.matrix(object)
+    mat_t = np.eye(2, dtype=object)
+    Ut = np.eye(len(U), dtype=complex)
+    for t in range(T):
+        Ut = Ut @ U
+        mat_t = mat_t @ mat
+        Ut_adj = np.ascontiguousarray(Ut.conj().T)
+        for i, A in enumerate(observables):
+            evolved = op_apply(A, Ut)
+            classical = op_apply(A.compose_with(mat_t), Ut_adj).conj().T
+            defects[i, t] = _norm_bound(evolved - classical)
+    return defects
+
+
+def intertwining_defect_reference(U, m):
+    """intertwining_defect as translation gathers: T(An) U - (T(-n) U*)*."""
+    A = index_action(m)
+    U_adj = np.ascontiguousarray(U.conj().T)
+    return max(_norm_bound(translation_apply(A @ np.asarray(n, np.int64), U)
+                           - translation_apply((-n[0], -n[1]), U_adj).conj().T)
+               for n in INTERTWINING_LABELS)
+
+
+# 26 cosines of amplitude 0.37 (the zero mode, every mode with |m1|, |m2|
+# <= 3 up to sign, and a far label) and one sine
+EQUALITY_OBSERVABLES = (
+    [TrigObservable.cosine(m, 0.37) for m in
+     [(0, 0)] + [(m1, m2) for m1 in range(4) for m2 in range(-3, 4)
+                 if (m1, m2) > (0, 0)] + [(7, -5)]]
+    + [TrigObservable({(2, -3): -1j, (-2, 3): 1j})])
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 61, 64, 128, 509, 512])
+def test_defects_match_reference_bit_for_bit(N):
+    """Both defects read from U^t alone, by blocks of rows, equal the gathers
+    on U^t and its adjoint to the last bit, for the propagator and for the
+    identity, which quantizes no map. At N >= 509 three observables (zero
+    mode, far label, sine) and one step keep the test short."""
+    observables, T = ((EQUALITY_OBSERVABLES, 3) if N < 509 else
+                      (EQUALITY_OBSERVABLES[:1] + EQUALITY_OBSERVABLES[-2:], 1))
+    for U in (cat_propagator(N, M), np.eye(N)):
+        for t in (0, T):
+            assert np.array_equal(egorov_defect(U, M, observables, t),
+                                  egorov_defect_reference(U, M, observables, t))
+        assert intertwining_defect(U, M) == intertwining_defect_reference(U, M)
+
+
+def test_egorov_gate_fails_for_kicked_map():
+    """Negative control of criterion 1: the kicked propagator U diag(exp(-2
+    pi i N V(j/N))), V = (eps / 4 pi^2) cos 2 pi x, does not intertwine the
+    linear pullback A o M^t: the defect reads 1.8e-4 here."""
+    N, eps = 64, 1e-6
+    V = eps / (4 * np.pi**2) * np.cos(2 * np.pi * np.arange(N) / N)
+    U = cat_propagator(N, M) * np.exp(-2j * np.pi * N * V)
+    observables = [TrigObservable.cosine(m) for m in
+                   ((1, 0), (0, 1), (1, 1), (2, 1), (3, 3))]
+    defects = egorov_defect(U, M, observables, 3)
+    assert defects.max() > 1e-9
+    assert np.array_equal(defects, egorov_defect_reference(U, M, observables, 3))
+
+
+def test_intertwining_gate_fails_for_flipped_column():
+    """Negative control of criterion 2: flipping the sign of one column of
+    the propagator breaks U T(n) U* = T(An)."""
+    U = cat_propagator(64, M)
+    U[:, 5] *= -1
+    defect = intertwining_defect(U, M)
+    assert defect > 1e-10
+    assert defect == intertwining_defect_reference(U, M)
 
 
 def test_propagator_covariance_moves_coherent_state():
