@@ -23,7 +23,7 @@ from .measures import (HusimiGrid, ModelMeasure, ball_mass, eigenbasis_elements,
                        wigner_coefficients)
 from .entropy import (EntropyEstimate, SampleCloud, atom_cloud,
                       entropy_bound_check, ks_entropy_estimate, mixture_cloud,
-                      model_entropy, uniform_cloud)
+                      uniform_cloud)
 from .billiard_quantum import (BilliardMode, DiscreteDomain, bouncing_ball_scores,
                                build_laplacian, discretize_stadium,
                                eigenmodes_near, eigenmodes_window,

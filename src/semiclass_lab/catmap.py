@@ -71,10 +71,21 @@ def cat_lyapunov(m: CatMap) -> LyapunovData:
     return LyapunovData(lambda_plus=lam)
 
 
+def reduce_mod1(y: np.ndarray) -> np.ndarray:
+    """y mod 1 in place, as y - floor(y), which has the bits of numpy's
+    `y % 1.0` for every double at a fraction of its cost: for y >= 0 both
+    are exact; for negative non-integer y, numpy rounds fmod(y, 1) + 1 once
+    and the subtraction rounds the same exact value once; integers and -0.0
+    give +0.0 and inf and NaN give NaN both ways."""
+    y -= np.floor(y)
+    return y
+
+
 def torus_distance_array(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Vectorized torus distance from each row of pts to the single point q."""
-    d = np.abs(np.asarray(pts, float) - np.asarray(q, float)) % 1.0
-    d = np.minimum(d, 1.0 - d)
+    d = np.subtract(np.asarray(pts, float), np.asarray(q, float))
+    reduce_mod1(np.abs(d, out=d))
+    np.minimum(d, 1.0 - d, out=d)
     return np.hypot(d[..., 0], d[..., 1])
 
 
@@ -85,7 +96,7 @@ def step_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     any larger cloud."""
     if len(rows) == 1:
         return step_rows(np.repeat(rows, 2, axis=0), mat)[:1]
-    return (rows @ mat.T) % 1.0
+    return reduce_mod1(rows @ mat.T)
 
 
 def bowen_distance_cloud(m: CatMap, center, pts: np.ndarray, T: int) -> np.ndarray:
@@ -103,11 +114,11 @@ def bowen_distance_cloud(m: CatMap, center, pts: np.ndarray, T: int) -> np.ndarr
     cur, cc = pts, c
     for _ in range(fwd):
         cur = step_rows(cur, mat)
-        cc = (mat @ cc) % 1.0
+        cc = reduce_mod1(mat @ cc)
         np.maximum(dmax, torus_distance_array(cur, cc), out=dmax)
     cur, cc = pts, c
     for _ in range(back):
         cur = step_rows(cur, inv)
-        cc = (inv @ cc) % 1.0
+        cc = reduce_mod1(inv @ cc)
         np.maximum(dmax, torus_distance_array(cur, cc), out=dmax)
     return dmax

@@ -1,6 +1,6 @@
-"""Kolmogorov-Sinai entropy: exact values for model measures, the Brin-Katok
-Bowen-ball estimator on sampled clouds, and the inequality checks relating
-entropy, the Lyapunov exponent, and scar weights."""
+"""Kolmogorov-Sinai entropy: the Brin-Katok Bowen-ball estimator on sampled
+clouds, and the inequality checks relating entropy, the Lyapunov exponent,
+and scar weights."""
 
 from __future__ import annotations
 
@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catmap import CatMap, cat_lyapunov, step_rows, torus_distance_array
+from .catmap import (CatMap, cat_lyapunov, reduce_mod1, step_rows,
+                     torus_distance_array)
 from .errors import UnderResolved
-from .measures import ModelMeasure
 
 MIN_BALL_POINTS = 5  # samples a Bowen ball needs to enter the entropy slope
 BOUND_TOL = 1e-12  # slack of the entropy and scar-weight bound checks
@@ -26,10 +26,10 @@ class SampleCloud:
     weights: np.ndarray  # nonnegative, summing to 1
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, float)
+        self.points = np.array(self.points, float, order="C")
         if not np.isfinite(self.points).all():
             raise ValueError("points must be finite")
-        self.points = self.points % 1.0
+        reduce_mod1(self.points)
         self.weights = np.asarray(self.weights, float)
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise ValueError("points must be an (n, 2) array")
@@ -74,80 +74,107 @@ class EntropyEstimate:
     empty_ball_count: int = 0
 
 
-def model_entropy(measure: ModelMeasure, m: CatMap) -> float:
-    """Exact KS entropy: 0 on the periodic-orbit atom, lambda_plus on
-    Lebesgue (measure of maximal entropy), so (1 - weight) lambda_plus."""
-    return (1.0 - measure.weight) * cat_lyapunov(m).lambda_plus
-
-
 def _cell_index(points: np.ndarray, eps: float):
-    """Bucket points into an n x n grid of torus cells, n = int(1/eps) - 1
-    but at least 1, each cell wider than eps. Returns near(center): the
-    ascending indices of the points in the 3 x 3 cells around center's,
-    wrapped mod n, which hold every point within eps of center; a cell that
-    the wrap repeats is read once.
+    """Bucket points into an n x n grid of torus cells, n = int(3/eps) - 1
+    but at least 1, each cell wider than eps/3. Returns ball(center): the
+    ascending indices of the points whose `torus_distance_array` to center
+    is below eps, found among the points of the 7 x 7 cells around
+    center's, wrapped mod n, each cell that the wrap repeats read once.
 
-    The width exceeds eps by at least eps^2 (or 2^-40 under the cap), far
-    above the few ulps by which a rounded x * n can misplace a point, so a
-    point lands at most one cell from the center's whenever its computed
-    distance is below eps.
+    The width exceeds eps/3 by at least eps^2/9 (or 2^-40 under the cap),
+    far above the few ulps by which a rounded x * n can misplace a point,
+    so a point lands at most three cells from the center's whenever its
+    computed distance is below eps. Distances are elementwise, so each has
+    the bits of a whole-cloud scan.
     """
-    n = max(1, min(int(1 / eps) - 1, MAX_CELLS_PER_AXIS))
+    n = max(1, min(int(3 / eps) - 1, MAX_CELLS_PER_AXIS))
 
     def cell(p):  # x = 1.0 lands in cell 0
         return np.floor(np.asarray(p, float) * n).astype(np.int64) % n
 
     ij = cell(points)
     keys = ij[:, 0] * n + ij[:, 1]
-    order = np.argsort(keys)
+    # numpy sorts keys of 16 bits or fewer (n <= 256) stably by radix; the
+    # order within a cell is immaterial, as each ball is sorted by index
+    order = np.argsort(keys.astype(np.min_scalar_type(n * n - 1)), kind="stable")
     keys = keys[order]
-    shifts = np.array([-1, 0, 1])
+    # np.take and np.compress gather rows many times faster than indexing
+    sorted_points = np.take(points, order, axis=0)
+    shifts = np.arange(-3, 4)
 
-    def near(center):
+    def ball(center):
         i, j = cell(center)
         wanted = np.unique(((i + shifts) % n)[:, None] * n + (j + shifts) % n)
         lo = np.searchsorted(keys, wanted, "left")
         hi = np.searchsorted(keys, wanted, "right")
-        return np.sort(np.concatenate([order[a:b] for a, b in zip(lo, hi)]))
+        # adjacent cells are adjacent runs of the sorted keys: read each
+        # run of them as one slice
+        first = np.flatnonzero(np.r_[True, lo[1:] != hi[:-1]])
+        last = np.r_[first[1:], len(lo)] - 1
+        spans = [slice(a, b) for a, b in zip(lo[first], hi[last])]
+        d = torus_distance_array(np.concatenate([sorted_points[s] for s in spans]),
+                                 center)
+        return np.sort(np.concatenate([order[s] for s in spans])[d < eps])
 
-    return near
+    return ball
+
+
+def _group_starts(v: np.ndarray):
+    """Where each run of equal entries of v starts, and each entry's run."""
+    starts = np.ones(len(v), bool)
+    starts[1:] = v[1:] != v[:-1]
+    return starts, np.cumsum(starts) - 1
+
+
+def _distinct_rows(xy: np.ndarray):
+    """Group the rows xy, each (x, xi) viewed as one complex number: returns
+    one row per group and each row's group. Runs of equal adjacent rows
+    (copies adjacent in the cloud) form one group each; their heads are
+    then sorted on x, and a new group starts wherever (x, xi) differs from
+    the head before. Each group holds copies of one point only; a copy that
+    neither pass places beside its twins only forms a group of its own."""
+    starts, run = _group_starts(xy)
+    heads = xy[starts]
+    by_x = np.argsort(heads.real)
+    heads = heads[by_x]
+    starts, group = _group_starts(heads)
+    which = np.empty(len(heads), np.intp)
+    which[by_x] = group
+    return heads[starts].view(float).reshape(-1, 2), which[run]
 
 
 def _nested_ball_masses(m: CatMap, cloud: SampleCloud, center, T: int,
-                        eps: float, near: np.ndarray) -> dict:
+                        eps: float, ball: np.ndarray) -> dict:
     """Mass of the Bowen ball B_t(center, eps) for every even t in [2, T].
 
-    `near` holds the ascending indices of every point that can lie within
-    eps of center (see `_cell_index`); the t = 0 ball is measured among
-    them with `torus_distance_array`, whose arithmetic is elementwise, so
-    each distance has the bits of a whole-cloud scan. Each even t adds one
-    forward and one backward step to the window, so B_{t+2} is B_t minus
-    the points whose new step lands eps or more away. Copies of one point
-    share every step, so only the distinct survivors are stepped, by the
-    `step_rows` that `bowen_distance_cloud` steps with, and each mass sums
-    the weights of every copy of a live point in ascending index order.
-    Those are the weights and the order of the full scan, so every mass
-    equals `cloud.weights[bowen_distance_cloud(...) < eps].sum()` to the bit.
+    `ball` holds the ascending indices of the points within eps of center,
+    the t = 0 ball (see `_cell_index`). Each even t adds one forward and one
+    backward step to the window, so B_{t+2} is B_t minus the points whose
+    new step lands eps or more away. Copies of one point share every step,
+    so one row per group of `_distinct_rows` is stepped, by the `step_rows`
+    that `bowen_distance_cloud` steps with; a copy left in a group of its
+    own is stepped again, to the same bits. Each mass sums the weights of
+    every copy of a live point in ascending index order. Those are the
+    weights and the order of the full scan, so every mass equals
+    `cloud.weights[bowen_distance_cloud(...) < eps].sum()` to the bit.
     """
     mat = m.matrix().astype(float)
     inv = m.inverse_matrix().astype(float)
     fc = bc = np.asarray(center, float)
-    inside = near[torus_distance_array(cloud.points[near], fc) < eps]
-    # rows viewed as complex numbers sort and compare as (x, xi) pairs
-    distinct, which = np.unique(cloud.points[inside].view(complex).ravel(),
-                                return_inverse=True)
-    fwd = bwd = distinct.view(float).reshape(-1, 2)
+    fwd, which = _distinct_rows(cloud.points.view(complex).ravel()[ball])
+    bwd = fwd
     rows = np.arange(len(fwd))
     live = np.ones(len(fwd), bool)
     masses = {}
     for t in range(2, T + 1, 2):
-        fwd, fc = step_rows(fwd, mat), (mat @ fc) % 1.0
-        bwd, bc = step_rows(bwd, inv), (inv @ bc) % 1.0
+        fwd, fc = step_rows(fwd, mat), reduce_mod1(mat @ fc)
+        bwd, bc = step_rows(bwd, inv), reduce_mod1(inv @ bc)
         keep = ((torus_distance_array(fwd, fc) < eps)
                 & (torus_distance_array(bwd, bc) < eps))
         live[rows[~keep]] = False
-        rows, fwd, bwd = rows[keep], fwd[keep], bwd[keep]
-        masses[t] = float(cloud.weights[inside[live[which]]].sum())
+        rows = rows[keep]
+        fwd, bwd = np.compress(keep, fwd, axis=0), np.compress(keep, bwd, axis=0)
+        masses[t] = float(cloud.weights[ball[live[which]]].sum())
     return masses
 
 
@@ -165,11 +192,12 @@ def ks_entropy_estimate(m: CatMap, cloud: SampleCloud, T: int, eps: float,
     per center gives the masses for every t.
 
     The cloud is bucketed once per call into an n x n torus grid, n =
-    max(1, min(int(1/eps) - 1, MAX_CELLS_PER_AXIS)) at every eps, and each
-    center's t = 0 ball is measured only among the points of its 3 x 3
-    neighbour cells, each distinct cell read once. Each distinct point of the ball is stepped once, however many
-    copies the cloud holds. Both leave every mass bit-identical to a
-    full-cloud `bowen_distance_cloud` scan (see `_nested_ball_masses`).
+    max(1, min(int(3/eps) - 1, MAX_CELLS_PER_AXIS)) at every eps, and each
+    center's t = 0 ball is measured only among the points of its 7 x 7
+    neighbour cells, each distinct cell read once. Each distinct point of
+    the ball is stepped once, however many copies the cloud holds. Both
+    leave every mass bit-identical to a full-cloud `bowen_distance_cloud`
+    scan (see `_cell_index` and `_nested_ball_masses`).
     """
     if n_centers < 10:
         raise ValueError("n_centers must be >= 10")
@@ -181,13 +209,13 @@ def ks_entropy_estimate(m: CatMap, cloud: SampleCloud, T: int, eps: float,
         raise ValueError("eps must be > 0")
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(cloud), size=n_centers, p=cloud.weights)
-    near = _cell_index(cloud.points, eps)
+    ball = _cell_index(cloud.points, eps)
     floor = MIN_BALL_POINTS / len(cloud)
     values = []
     empty = 0
     for ci in idx:
         center = cloud.points[ci]
-        masses = _nested_ball_masses(m, cloud, center, T, eps, near(center))
+        masses = _nested_ball_masses(m, cloud, center, T, eps, ball(center))
         usable = [t for t, mu in masses.items() if mu >= floor]
         t1 = max(usable, default=0)
         if t1 <= 2:

@@ -16,12 +16,12 @@ from semiclass_lab import experiments as ex
 from semiclass_lab.billiard import StadiumDomain
 from semiclass_lab.catmap import DEFAULT_MAP, TorusPoint, cat_lyapunov
 from semiclass_lab.config import ExperimentConfig
-from semiclass_lab.entropy import model_entropy
 from semiclass_lab.measures import ModelMeasure
 from semiclass_lab.spectral import short_period_dimensions
 from semiclass_lab.torus_quantum import (TrigObservable, cat_propagator,
                                          egorov_defect, intertwining_defect,
                                          unitarity_defect)
+from test_entropy import model_entropy
 
 M = DEFAULT_MAP
 LAM = cat_lyapunov(M).lambda_plus

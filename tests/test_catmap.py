@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiclass_lab.catmap import (CatMap, DEFAULT_MAP, TorusPoint,
-                                  bowen_distance_cloud, cat_lyapunov)
+                                  bowen_distance_cloud, cat_lyapunov,
+                                  reduce_mod1, torus_distance_array)
 
 M = DEFAULT_MAP
 
@@ -54,6 +55,32 @@ def test_torus_point_rejects_non_finite(bad):
         TorusPoint(bad, 0.0)
     with pytest.raises(ValueError, match="finite"):
         TorusPoint(0.25, bad)
+
+
+def test_floor_reduction_has_the_bits_of_mod_one():
+    rng = np.random.default_rng(12)
+    k = np.arange(-6.0, 7.0)
+    x = np.concatenate([
+        rng.uniform(-5, 5, 200_000),  # what step_rows reduces, both ways
+        -np.logspace(-320, -1, 400), [-1e-30, -2.0**-54, -5e-324],
+        k, np.nextafter(k, -np.inf), np.nextafter(k, np.inf),
+        [0.0, -0.0, np.inf, -np.inf, np.nan]])
+    with np.errstate(invalid="ignore"):
+        want = x % 1.0
+        got = reduce_mod1(x.copy())
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got[np.flatnonzero(x == -1e-30)] == 1.0  # rounds up, as % does
+
+
+def test_torus_distance_array_equals_the_mod_one_formula():
+    rng = np.random.default_rng(13)
+    pts = rng.uniform(-3, 5, (100_000, 2))  # unreduced on purpose
+    for q in rng.uniform(-3, 5, (5, 2)):
+        d = np.abs(pts - q) % 1.0
+        d = np.minimum(d, 1.0 - d)
+        former = np.hypot(d[:, 0], d[:, 1])
+        assert np.array_equal(torus_distance_array(pts, q).view(np.int64),
+                              former.view(np.int64))
 
 
 def test_rejects_non_unimodular():

@@ -1,4 +1,6 @@
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,16 +9,23 @@ from hypothesis import strategies as st
 from semiclass_lab.catmap import (DEFAULT_MAP, CatMap, TorusPoint,
                                   bowen_distance_cloud, cat_lyapunov, step_rows,
                                   torus_distance_array)
-from semiclass_lab.entropy import (SampleCloud, _cell_index,
+from semiclass_lab import entropy
+from semiclass_lab.entropy import (SampleCloud, _cell_index, _distinct_rows,
                                    _nested_ball_masses, atom_cloud,
                                    entropy_bound_check, ks_entropy_estimate,
-                                   mixture_cloud, model_entropy, uniform_cloud)
+                                   mixture_cloud, uniform_cloud)
 from semiclass_lab.errors import UnderResolved
 from semiclass_lab.measures import ModelMeasure
 
 M = DEFAULT_MAP
 LAM = cat_lyapunov(M).lambda_plus
 ORIGIN = [TorusPoint(0.0, 0.0)]
+
+
+def model_entropy(measure: ModelMeasure, m: CatMap) -> float:
+    """Exact KS entropy: 0 on the periodic-orbit atom, lambda_plus on
+    Lebesgue (measure of maximal entropy), so (1 - weight) lambda_plus."""
+    return (1.0 - measure.weight) * cat_lyapunov(m).lambda_plus
 
 
 def test_model_entropy_exact_values():
@@ -88,9 +97,14 @@ def _test_cloud(kind, n, seed, alpha):
 @example(kind="uniform", n=200, seed=1, alpha=0.5, center=7, T=8,
          eps=1e-6, m=DEFAULT_MAP)  # only the center survives
 @example(kind="mixture", n=300, seed=2, alpha=0.5, center=0, T=8,
-         eps=0.1, m=DEFAULT_MAP)  # indexed, on a point with 300 copies
+         eps=0.1, m=DEFAULT_MAP)  # 7 x 7 of 29 x 29 cells, on a point with
+                                  # 100 copies, none adjacent to another
 @example(kind="mixture", n=300, seed=2, alpha=0.5, center=0, T=8,
-         eps=0.3, m=DEFAULT_MAP)  # full scan, on a point with 300 copies
+         eps=0.3, m=DEFAULT_MAP)  # 7 x 7 of 9 x 9 cells, the same point
+@example(kind="mixture", n=300, seed=3, alpha=0.5, center=0, T=8,
+         eps=0.3, m=DEFAULT_MAP)  # a point with 300 adjacent copies
+@example(kind="mixture", n=300, seed=2, alpha=0.5, center=0, T=8,
+         eps=0.45, m=DEFAULT_MAP)  # all 5 x 5 cells, each read once
 @settings(max_examples=200, deadline=None)
 def test_nested_ball_masses_equal_full_scans(kind, n, seed, alpha, center, T,
                                              eps, m):
@@ -98,8 +112,8 @@ def test_nested_ball_masses_equal_full_scans(kind, n, seed, alpha, center, T,
     if isinstance(center, int):
         center = cloud.points[center % len(cloud)]
     center = np.asarray(center, float)
-    near = _cell_index(cloud.points, eps)  # as ks_entropy_estimate builds it
-    masses = _nested_ball_masses(m, cloud, center, T, eps, near(center))
+    ball = _cell_index(cloud.points, eps)  # as ks_entropy_estimate builds it
+    masses = _nested_ball_masses(m, cloud, center, T, eps, ball(center))
     assert list(masses) == list(range(2, T + 1, 2))
     for t, mass in masses.items():
         d = bowen_distance_cloud(m, center, cloud.points, t)
@@ -114,36 +128,75 @@ def test_nested_ball_masses_ties_at_the_edge():
     pts = np.stack(np.meshgrid(g, g), -1).reshape(-1, 2)
     cloud = SampleCloud(points=pts, weights=np.full(len(pts), 1 / len(pts)))
     for eps in np.unique(np.hypot(*pts[:40].T))[1:]:
-        near = _cell_index(pts, eps)
-        masses = _nested_ball_masses(M, cloud, pts[17], 6, eps, near(pts[17]))
+        ball = _cell_index(pts, eps)
+        masses = _nested_ball_masses(M, cloud, pts[17], 6, eps, ball(pts[17]))
         for t, mass in masses.items():
             d = bowen_distance_cloud(M, pts[17], pts, t)
             assert mass == float(cloud.weights[d < eps].sum())
 
 
-@pytest.mark.parametrize("eps", [0.05, 0.1, 0.15, 0.25, 0.3, 0.45])
-def test_cell_index_on_cell_boundaries_and_the_seam(eps):
-    # coordinates on every multiple of 1/n (the cell boundaries) and of eps
-    # (points eps apart), one ulp to either side of each, and the seam pair
-    # 0 and 1 - 2**-53, which lie 2**-53 apart on the torus
-    n = int(1 / eps) - 1
-    k = np.concatenate([np.arange(n + 1) / n, np.arange(n + 2) * eps])
+def _boundary_points(eps):
+    """Coordinates on every multiple of 1/n (the cell boundaries of
+    `_cell_index`, n = int(3/eps) - 1 but at least 1) and of eps (points eps
+    apart), one ulp to either side of each, and the seam pair 0 and
+    1 - 2**-53, which lie 2**-53 apart on the torus; each paired with 0,
+    0.5 and 1 - 2**-53 as the other coordinate."""
+    n = max(1, int(3 / eps) - 1)
+    k = np.concatenate([np.arange(n + 1) / n, np.arange(int(1 / eps) + 2) * eps])
     v = np.unique(np.concatenate([k, np.nextafter(k, -1), np.nextafter(k, 2),
                                   [0.0, 1 - 2.0**-53]]).clip(0, 1 - 2.0**-53))
     w = np.array([0.0, 0.5, 1 - 2.0**-53])
-    pts = np.concatenate([np.stack(np.meshgrid(v, w), -1).reshape(-1, 2),
-                          np.stack(np.meshgrid(w, v), -1).reshape(-1, 2)])
-    near = _cell_index(pts, eps)
+    return np.concatenate([np.stack(np.meshgrid(v, w), -1).reshape(-1, 2),
+                           np.stack(np.meshgrid(w, v), -1).reshape(-1, 2)])
+
+
+# 0.45, 0.6 and 0.75 leave 5, 4 and 3 cells per axis, so the 7 x 7
+# neighbourhood wraps onto cells it already holds
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.15, 0.25, 0.3, 0.45, 0.6, 0.75])
+def test_cell_index_on_cell_boundaries_and_the_seam(eps):
+    pts = _boundary_points(eps)
+    ball = _cell_index(pts, eps)
     for c in pts:
-        ball = np.flatnonzero(torus_distance_array(pts, c) < eps)
-        nb = near(c)
-        assert np.array_equal(nb[torus_distance_array(pts[nb], c) < eps], ball)
+        assert np.array_equal(ball(c),
+                              np.flatnonzero(torus_distance_array(pts, c) < eps))
     cloud = SampleCloud(points=pts, weights=np.full(len(pts), 1 / len(pts)))
     for c in pts[::7]:
-        masses = _nested_ball_masses(M, cloud, c, 4, eps, near(c))
+        masses = _nested_ball_masses(M, cloud, c, 4, eps, ball(c))
         for t, mass in masses.items():
             d = bowen_distance_cloud(M, c, pts, t)
             assert mass == float(cloud.weights[d < eps].sum())
+
+
+def _five_by_five_cell_index():
+    """`_cell_index` with its neighbourhood narrowed to 5 x 5 cells, on the
+    same cells a third of eps wide."""
+    source = inspect.getsource(entropy._cell_index)
+    assert source.count("np.arange(-3, 4)") == 1
+    namespace = dict(vars(entropy))
+    exec(source.replace("np.arange(-3, 4)", "np.arange(-2, 3)"), namespace)
+    return namespace["_cell_index"]
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.15, 0.3])
+def test_cell_boundary_points_catch_a_narrow_neighbourhood(eps):
+    # a point within eps can lie three cells from the center's; the boundary
+    # points hold such pairs, so a 5 x 5 read must miss one of them
+    pts = _boundary_points(eps)
+    narrow = _five_by_five_cell_index()(pts, eps)
+    assert any(len(narrow(c)) < np.count_nonzero(torus_distance_array(pts, c) < eps)
+               for c in pts)
+
+
+def test_distinct_rows_group_copies_only():
+    rng = np.random.default_rng(4)
+    base = rng.random((6, 2))
+    base[1, 0] = base[0, 0]  # two points that share x
+    pts = base[rng.integers(0, 6, 500)]
+    pts[100:140] = base[2]  # a run of adjacent copies
+    rows, which = _distinct_rows(pts.view(complex).ravel())
+    assert np.array_equal(rows[which], pts)  # a group holds copies of one point
+    for k in range(2, 6):  # a point whose x is its own forms one group
+        assert len(np.unique(which[(pts == base[k]).all(axis=1)])) == 1
 
 
 def test_lone_row_steps_as_in_whole_cloud():
@@ -171,9 +224,9 @@ def test_ks_estimate_uniform_near_lyapunov():
     assert est.n_centers_used >= 20
 
 
-# estimates on a half-atom cloud, indexed (eps 0.1) and by full scans
-# (eps 0.3, where about 70k distinct rows survive t = 0 and are stepped as
-# one product)
+# estimates on a half-atom cloud at eps 0.1 and 0.3 (7 x 7 of 29 x 29 and of
+# 9 x 9 cells; at 0.3 about 70k distinct rows survive t = 0 and are stepped
+# as one product)
 THREADED_ESTIMATES = """
 from semiclass_lab import (DEFAULT_MAP, TorusPoint, atom_cloud,
                            ks_entropy_estimate, mixture_cloud, uniform_cloud)
