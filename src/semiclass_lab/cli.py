@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel", action="store_true",
                    help="run multiple suites as parallel processes")
     p.add_argument("--dump-state", action="store_true",
-                   help="also write binary state/operator containers")
+                   help="also write the propagator and scarred state as .npy files")
     p.add_argument("--N", type=int, help="Hilbert space dimension")
     p.add_argument("--h", type=float, help="billiard grid spacing")
     return p

@@ -26,7 +26,7 @@ from .errors import ConfigError
 from .measures import (WEAK_STAR_K, ModelMeasure, ball_mass,
                        eigenbasis_elements, husimi, qe_variance,
                        weak_star_distance, wigner_coefficients)
-from .serialization import write_csv, write_pgm, write_state
+from .serialization import write_csv, write_pgm
 from .spectral import (diagonalize, degeneracy_clusters, quantum_period,
                        scarred_state, short_period_dimensions)
 from .torus_quantum import (TrigObservable, cat_propagator, egorov_defect,
@@ -86,23 +86,30 @@ def _observable_modes():
     return [((m1, m2), TrigObservable.cosine((m1, m2))) for m1, m2 in freqs]
 
 
-def run_egorov(cfg: ExperimentConfig, report: RunReport):
-    m = cfg.cat_map()
-    U = cat_propagator(cfg.N, m)
+def egorov_study(report: RunReport, m, N: int, observables):
+    """Exact Egorov at dimension N: adds the unitarity, intertwining and
+    worst Egorov-defect checks over observables and t = 1..5. Returns the
+    propagator and the (observable, t) defect array."""
+    U = cat_propagator(N, m)
     unitarity = unitarity_defect(U)
     report.add("unitarity_defect_lt_1e-10", unitarity < 1e-10, unitarity)
     inter = intertwining_defect(U, m)
     report.add("intertwining_defect_lt_1e-10", inter < 1e-10, inter)
+    defects = egorov_defect(U, m, observables, 5)
+    worst = float(defects.max())
+    report.add("max_egorov_defect_lt_1e-9", worst < 1e-9, worst)
+    return U, defects
+
+
+def run_egorov(cfg: ExperimentConfig, report: RunReport):
     modes = _observable_modes()
-    defects = egorov_defect(U, m, [A for _, A in modes], 5)
+    U, defects = egorov_study(report, cfg.cat_map(), cfg.N, [A for _, A in modes])
     rows = [(cfg.N, m1, m2, t, d)
             for ((m1, m2), _), row in zip(modes, defects.tolist())
             for t, d in enumerate(row, 1)]
     write_csv(report.path("egorov_defects.csv"), ("N", "m1", "m2", "t", "defect"), rows)
-    worst = float(defects.max())
-    report.add("max_egorov_defect_lt_1e-9", worst < 1e-9, worst)
     if cfg.dump_state:
-        write_state(report.path("propagator.bin"), U)
+        np.save(report.path("propagator.npy"), U)
 
 
 def qe_study(report: RunReport, m, A: TrigObservable, N: int):
@@ -186,7 +193,7 @@ def run_scar_construction(cfg: ExperimentConfig, report: RunReport):
         N, psi, g = last
         write_pgm(g.values, report.path(f"husimi_scar_N{N}.pgm"))
         if cfg.dump_state:
-            write_state(report.path(f"scarred_state_N{N}.bin"), psi)
+            np.save(report.path(f"scarred_state_N{N}.npy"), psi)
 
 
 def entropy_oracles(report: RunReport, m, seed: int):

@@ -8,7 +8,6 @@ from semiclass_lab.catmap import DEFAULT_MAP
 from semiclass_lab.cli import build_parser, main
 from semiclass_lab.config import EXPERIMENTS, ExperimentConfig, parse_config
 from semiclass_lab.errors import ConfigError
-from semiclass_lab.serialization import KIND_OPERATOR, KIND_STATE, read_state
 from semiclass_lab.torus_quantum import cat_propagator
 
 
@@ -142,17 +141,19 @@ def test_main_rejects_non_finite_spacing(tmp_path, capsys, h):
 
 
 def test_main_dump_state_writes_containers(tmp_path):
-    """--dump-state writes the N=64 propagator and the last scarred state."""
+    """--dump-state writes the N=64 propagator and the last scarred state as
+    .npy files that np.load reads without pickling."""
     rc = main(["--experiment", "egorov,scar-construction", "--N", "64",
                "--dump-state", "--out", str(tmp_path)])
     assert rc == 0
-    U, kind = read_state(tmp_path / "egorov" / "propagator.bin")
-    assert kind == KIND_OPERATOR
+    U = np.load(tmp_path / "egorov" / "propagator.npy", allow_pickle=False)
+    assert U.dtype == np.complex128 and U.shape == (64, 64)
     assert np.array_equal(U, cat_propagator(64, DEFAULT_MAP))
-    psi, kind = read_state(tmp_path / "scar-construction" / "scarred_state_N209.bin")
-    assert kind == KIND_STATE and psi.shape == (209,)
+    psi = np.load(tmp_path / "scar-construction" / "scarred_state_N209.npy",
+                  allow_pickle=False)
+    assert psi.dtype == np.complex128 and psi.shape == (209,)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
-    for suite, name in (("egorov", "propagator.bin"),
-                        ("scar-construction", "scarred_state_N209.bin")):
+    for suite, name in (("egorov", "propagator.npy"),
+                        ("scar-construction", "scarred_state_N209.npy")):
         report = json.loads((tmp_path / suite / "report.json").read_text())
         assert name in report["artifacts"]

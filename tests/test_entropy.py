@@ -15,31 +15,10 @@ from semiclass_lab.entropy import (SampleCloud, _cell_index, _distinct_rows,
                                    entropy_bound_check, ks_entropy_estimate,
                                    mixture_cloud, uniform_cloud)
 from semiclass_lab.errors import UnderResolved
-from semiclass_lab.measures import ModelMeasure
 
 M = DEFAULT_MAP
 LAM = cat_lyapunov(M).lambda_plus
 ORIGIN = [TorusPoint(0.0, 0.0)]
-
-
-def model_entropy(measure: ModelMeasure, m: CatMap) -> float:
-    """Exact KS entropy: 0 on the periodic-orbit atom, lambda_plus on
-    Lebesgue (measure of maximal entropy), so (1 - weight) lambda_plus."""
-    return (1.0 - measure.weight) * cat_lyapunov(m).lambda_plus
-
-
-def test_model_entropy_exact_values():
-    assert model_entropy(ModelMeasure.lebesgue(), M) == pytest.approx(LAM)
-    assert model_entropy(ModelMeasure.periodic_orbit(ORIGIN), M) == 0.0
-    mix = ModelMeasure.mixture(0.5, ORIGIN)
-    assert model_entropy(mix, M) == pytest.approx(LAM / 2)
-
-
-@given(st.floats(0.0, 1.0))
-@settings(max_examples=30, deadline=None)
-def test_model_entropy_affine(alpha):
-    mix = ModelMeasure.mixture(alpha, ORIGIN)
-    assert model_entropy(mix, M) == pytest.approx((1 - alpha) * LAM, abs=1e-12)
 
 
 def test_cloud_validation():
