@@ -11,10 +11,11 @@ in each of the four x/y parity classes, on about a quarter of the unknowns.
 Each class solve is shift-invert Lanczos (eigsh) applying one sparse LU
 factor of the shifted class operator, factored under the multiple
 minimum-degree ordering of its symmetric pattern, which fills in less
-than the COLAMD ordering eigsh would otherwise pick. Each class is asked
-for its own number of modes: a window asks for the class's two-term Weyl
-estimate plus a margin, and asks again for twice as many, on the same
-factor, while the class's farthest mode does not reach past the window.
+than the COLAMD ordering eigsh would otherwise pick. Each class is solved
+on its own, for a number of modes and an optional reach: while every
+returned eigenvalue lies within reach of the shift, the class asks again
+for twice as many, on the same factor. A window asks each class for its
+two-term Weyl estimate plus a margin, with the reach of its far edge.
 A mode is kept as its class vector; its region masses are read in class
 space, and only a caller that reads its wavefunction lifts it to the grid.
 """
@@ -184,15 +185,15 @@ def _shift_inverse(B, sigma: float) -> spla.LinearOperator:
     return spla.LinearOperator((n, n), lu.solve, dtype=B.dtype)
 
 
-def _class_eigs(B, sigma: float, count: int, keep):
-    """The eigenpairs of B that keep picks from a shift-invert eigsh for
-    the count eigenvalues nearest sigma, started from a fixed vector. B -
-    sigma I is factored once, with the MMD ordering, and eigsh applies that
-    factor as its OPinv; the factor lives only for this call. keep(w) returns
-    the indices to keep, or None if the class may hold more modes than were
-    asked for: then this attempt's w and V are dropped and eigsh asks again
-    for twice as many, up to the class size - 2, after which NumericalError
-    is raised."""
+def _class_eigs(B, sigma: float, count: int, reach=None):
+    """Eigenpairs (w, V) of B from a shift-invert eigsh for the count
+    eigenvalues nearest sigma, started from a fixed vector. B - sigma I is
+    factored once, with the MMD ordering, and eigsh applies that factor as
+    its OPinv; the factor lives only for this call. While every returned
+    eigenvalue lies within reach of sigma, B may hold more eigenvalues
+    within reach than were asked for: then that attempt is dropped and eigsh
+    asks again for twice as many, up to the size of B - 2, after which
+    NumericalError is raised. With reach None it never asks again."""
     n = B.shape[0]
     v0 = np.full(n, 1.0 / math.sqrt(n))  # fixed start vector for determinism
     OPinv = _shift_inverse(B, sigma)
@@ -202,43 +203,39 @@ def _class_eigs(B, sigma: float, count: int, keep):
                               OPinv=OPinv)
         except spla.ArpackNoConvergence as exc:
             raise NumericalError(f"shift-invert eigensolver failed: {exc}") from exc
-        picked = keep(w)
-        if picked is not None:
-            return w[picked], V[:, picked]
+        if reach is None or np.abs(w - sigma).max() > reach:
+            return w, V
         if count == n - 2:
             raise NumericalError(
-                f"a parity class of {n} cells returned no mode beyond the window "
-                f"near sigma = {sigma}, even at {count} modes")
+                f"a parity class of {n} cells returned no mode beyond reach "
+                f"{reach} of sigma = {sigma}, even at {count} modes")
         del w, V
         count = min(2 * count, n - 2)
 
 
-def _parity_modes(dd: DiscreteDomain, A, target_k: float, requests, keep) -> list:
-    """Eigenmodes of B = Q^T A Q in each parity class, nearest sigma =
-    target_k^2: requests[i] modes, at most the class size - 2, from class
-    PARITY_CLASSES[i], whose solve (_class_eigs) asks again while keep(w)
-    returns None; a request of 0 skips the class and factors nothing for it.
-    keep(w), given one class's eigenvalues, picks the indices to return as
-    modes, class by class; each keeps its class vector v and its residual
-    against B, which equals the lifted mode's residual against A because
-    A Q = Q B. Only the kept class vectors outlive their class's solve."""
+def _class_modes(dd: DiscreteDomain, A, Q, target_k: float, count: int,
+                 reach=None, halfwidth: float = math.inf) -> list:
+    """The eigenmodes of B = Q^T A Q, the class with basis Q (one of
+    _parity_bases(dd)), nearest sigma = target_k^2: _class_eigs(B, sigma,
+    count, reach), with count at most the class size - 2, and of those the
+    ones with |k - target_k| <= halfwidth. Each keeps its class vector v and
+    its residual against B, which equals the lifted mode's residual against
+    A because A Q = Q B. Only the kept class vectors outlive the solve."""
     if target_k * dd.spacing >= 0.5:
         raise UnderResolved("target_k h >= 0.5: grid cannot resolve the wavelength")
+    n = Q.shape[1]
+    if n < 3:
+        raise UnderResolved(f"a parity class has only {n} cells")
+    B = (Q.T @ A @ Q).tocsr()
+    w, V = _class_eigs(B, target_k**2, min(count, n - 2), reach)
+    inside = np.abs(np.sqrt(w) - target_k) <= halfwidth
+    w, V = w[inside], V[:, inside]
     modes = []
-    for Q, count in zip(_parity_bases(dd), requests):
-        if count == 0:
-            continue
-        n = Q.shape[1]
-        if n < 3:
-            raise UnderResolved(f"a parity class has only {n} cells")
-        B = (Q.T @ A @ Q).tocsr()
-        w, V = _class_eigs(B, target_k**2, min(count, n - 2), keep)
-        for lam, v in zip(w.tolist(), V.T):
-            v = v.copy()
-            modes.append(BilliardMode(eigenvalue=lam, k=math.sqrt(lam),
-                                      residual=float(np.linalg.norm(B @ v - lam * v)),
-                                      v=v, Q=Q, dd=dd))
-        del w, V
+    for lam, v in zip(w.tolist(), V.T):
+        v = v.copy()
+        modes.append(BilliardMode(eigenvalue=lam, k=math.sqrt(lam),
+                                  residual=float(np.linalg.norm(B @ v - lam * v)),
+                                  v=v, Q=Q, dd=dd))
     return modes
 
 
@@ -249,8 +246,9 @@ def eigenmodes_near(dd: DiscreteDomain, A: sp.csr_matrix, target_k: float,
     parity = (sx, sy) alone, then the count nearest of those."""
     if parity not in (None, *PARITY_CLASSES):
         raise ValueError(f"parity must be one of {PARITY_CLASSES}, not {parity}")
-    requests = [count if parity in (None, cls) else 0 for cls in PARITY_CLASSES]
-    modes = _parity_modes(dd, A, target_k, requests, lambda w: slice(None))
+    modes = [mode for cls, Q in zip(PARITY_CLASSES, _parity_bases(dd))
+             if parity in (None, cls)
+             for mode in _class_modes(dd, A, Q, target_k, count)]
     return sorted(modes, key=lambda m: abs(m.k - target_k))[:count]
 
 
@@ -273,7 +271,8 @@ def eigenmodes_window(dd: DiscreteDomain, A: sp.csr_matrix, domain: StadiumDomai
     mirror lines x = 0 (length r) and y = 0 (length a + r) are Neumann for
     an even sign and Dirichlet for an odd one (Ivrii's mixed law). A class
     holds all its window modes only if its farthest returned eigenvalue lies
-    beyond R; if one does not, that class asks again for twice as many.
+    beyond R, so each class is solved with reach R: a class that falls
+    short asks again for twice as many. Only its window modes are built.
     """
     W = WINDOW_HALFWIDTH
     reach = 2 * center_k * W + W**2
@@ -286,14 +285,9 @@ def eigenmodes_window(dd: DiscreteDomain, A: sp.csr_matrix, domain: StadiumDomai
         estimate = (domain.area / 4 * (k_hi**2 - k_lo**2)
                     + edge * (k_hi - k_lo)) / (4 * math.pi)
         return max(math.ceil(estimate), 0) + 3  # margin of 3 over the estimate
-
-    def inside(w):
-        if np.abs(w - center_k**2).max() <= reach:
-            return None  # the window may go on beyond these modes
-        return np.flatnonzero(np.abs(np.sqrt(w) - center_k) <= W)
-    return sorted(_parity_modes(dd, A, center_k,
-                                [request(*cls) for cls in PARITY_CLASSES], inside),
-                  key=lambda m: m.k)
+    modes = [mode for cls, Q in zip(PARITY_CLASSES, _parity_bases(dd))
+             for mode in _class_modes(dd, A, Q, center_k, request(*cls), reach, W)]
+    return sorted(modes, key=lambda m: m.k)
 
 
 def region_masses(modes, region):

@@ -54,11 +54,11 @@ _KEY_ALIASES = {"out": "out_dir"}
 def _coerce(key: str, raw: str):
     t = _FIELD_TYPES[key]
     try:
-        if t in ("int", int):
+        if t == "int":
             return int(raw)
-        if t in ("float", float):
+        if t == "float":
             return float(raw)
-        if t in ("bool", bool):
+        if t == "bool":
             if raw.lower() in ("1", "true", "yes"):
                 return True
             if raw.lower() in ("0", "false", "no"):

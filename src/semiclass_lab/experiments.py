@@ -358,14 +358,6 @@ def run_billiard_stadium(cfg: ExperimentConfig, report: RunReport):
     A = bq.build_laplacian(dd)
     modes15 = stadium_window(report, domain, dd, A, 15.0)
     modes30 = stadium_window(report, domain, dd, A, 30.0)
-    left = lambda x, y: x < 0
-    v15 = bq.qe_spatial_variance(modes15, left)
-    v30 = bq.qe_spatial_variance(modes30, left)
-    report.add("left_half_variance_decays", v30 < v15, v30,
-               f"variance at k~15: {v15:.3e}")
-    # x -> -x pins mode n's left-half mass at (1 - c_n)/2, c_n its mass on
-    # the grid column x = 0 that neither half counts, so the check above
-    # reads the QE variance of c_n; the central strip is not pinned at all
     strip = lambda x, y: np.abs(x) <= domain.half_length / 2
     s15 = bq.qe_spatial_variance(modes15, strip)
     s30 = bq.qe_spatial_variance(modes30, strip)

@@ -16,8 +16,8 @@ import numpy as np
 from .catmap import TorusPoint
 from .errors import AliasingError
 from .spectral import EigenDecomposition
-from .torus_quantum import (TrigObservable, _freq_to_label, _coherent_rows,
-                            op_apply, translation_apply)
+from .torus_quantum import (TrigObservable, _coherent_rows, op_apply,
+                            translation_apply)
 
 WEAK_STAR_K = 8  # weak_star_distance: frequencies 0 < max(|m1|, |m2|) <= this
 
@@ -37,7 +37,7 @@ def wigner_coefficients(psi: np.ndarray, cutoff: int) -> np.ndarray:
     if cutoff >= N / 2:
         raise AliasingError(f"cutoff {cutoff} reaches the Nyquist limit N/2 = {N / 2}")
     freqs = range(-cutoff, cutoff + 1)
-    return np.array([[np.vdot(psi, translation_apply(_freq_to_label((m1, m2)), psi))
+    return np.array([[np.vdot(psi, translation_apply((m1, m2), psi))
                       for m2 in freqs] for m1 in freqs])
 
 

@@ -2,9 +2,10 @@
 
 The Hilbert space is C^N in the position basis j/N: a state is a length-N
 array and an operator an N x N one, and functions given either read N from
-its first axis. Phase-space translations T_N(n) generate the Weyl algebra
+its first axis. The translation T[m] quantizes exp(2*pi*i (m1 x + m2 xi)),
+and the translations generate the Weyl algebra
 
-    T(m) T(n) = exp(i*pi*(m1*n2 - m2*n1)/N) T(m + n),
+    T[m] T[n] = exp(-i*pi*(m1*n2 - m2*n1)/N) T[m + n],
 
 a real trigonometric polynomial quantizes to a Hermitian combination of
 translations, and a hyperbolic toral automorphism satisfying the parity
@@ -20,7 +21,7 @@ from .catmap import CatMap, TorusPoint
 from .errors import InvalidObservable, QuantizationConditionError
 
 REALITY_TOL = 1e-12  # TrigObservable: |c_{-m} - conj(c_m)| allowed
-INTERTWINING_LABELS = ((1, 0), (0, 1), (1, 1))  # checked by intertwining_defect
+INTERTWINING_FREQUENCIES = ((0, 1), (1, 0), (1, 1))  # checked by intertwining_defect
 
 
 class TrigObservable:
@@ -70,42 +71,37 @@ class TrigObservable:
         return TrigObservable(out)
 
 
-def _translation(N: int, n):
-    """Row j of T_N(n) holds phase[j] in column cols[j]:
+def _translation(N: int, m):
+    """Row j of T[m], the quantization of exp(2 pi i (m1 x + m2 xi)), holds
+    phase[j] in column cols[j]:
 
-    (T(n) psi)_j = exp(i pi n1 n2 / N) exp(2 pi i n2 j / N) psi_{(j + n1) mod N}.
+    (T[m] psi)_j = exp(i pi m1 m2 / N) exp(2 pi i m1 j / N) psi_{(j + m2) mod N}.
 
-    Both exponents are reduced in integers first (n1 n2 mod 2N, n2 j mod N),
-    so the phase keeps full precision for labels far larger than N, such as
-    those of A o M^t.
+    Both exponents are reduced in integers first (m1 m2 mod 2N, m1 j mod N),
+    so the phase keeps full precision for frequencies far larger than N,
+    such as those of A o M^t.
     """
-    n1, n2 = int(n[0]), int(n[1])
+    m1, m2 = int(m[0]), int(m[1])
     j = np.arange(N)
-    phase = (np.exp(1j * np.pi * (n1 * n2 % (2 * N)) / N)
-             * np.exp(2j * np.pi * (n2 % N * j % N) / N))
-    return (j + n1) % N, phase
+    phase = (np.exp(1j * np.pi * (m1 * m2 % (2 * N)) / N)
+             * np.exp(2j * np.pi * (m1 % N * j % N) / N))
+    return (j + m2) % N, phase
 
 
-def translation_apply(n, psi: np.ndarray) -> np.ndarray:
-    """T_N(n) psi without forming the matrix, for a vector or a block of
+def translation_apply(m, psi: np.ndarray) -> np.ndarray:
+    """T[m] psi without forming the matrix, for a vector or a block of
     columns: the rows are gathered into one new buffer and scaled in place,
     row by row."""
-    cols, phase = _translation(len(psi), n)
+    cols, phase = _translation(len(psi), m)
     g = psi[cols].astype(complex, copy=False)
     np.multiply(phase.reshape((-1,) + (1,) * (psi.ndim - 1)), g, out=g)
     return g
 
 
-# Index map between observable frequencies and translation labels: the
-# quantization of exp(2 pi i (m1 x + m2 xi)) is T_N((m2, m1)).
-def _freq_to_label(m):
-    return (int(m[1]), int(m[0]))
-
-
 def weyl_quantize(N: int, A: TrigObservable) -> np.ndarray:
-    """Hermitian operator Op_N(A) = sum_m c_m T_N of the matching translation
-    as a dense matrix: op_apply on the identity. The suites never form it;
-    it is the reference the matrix-free path is tested against."""
+    """Hermitian operator Op_N(A) = sum_m c_m T[m] as a dense matrix:
+    op_apply on the identity. The suites never form it; it is the reference
+    the matrix-free path is tested against."""
     return op_apply(A, np.eye(N, dtype=complex))
 
 
@@ -116,7 +112,7 @@ def op_apply(A: TrigObservable, psi: np.ndarray) -> np.ndarray:
     then by c fixes the last bits of the result."""
     out = np.zeros_like(psi, dtype=complex)
     for m, c in A.coefficients.items():
-        g = translation_apply(_freq_to_label(m), psi)
+        g = translation_apply(m, psi)
         np.multiply(c, g, out=g)
         out += g
     return out
@@ -158,8 +154,8 @@ def _coherent_rows(N: int, x0: float, xi0: np.ndarray) -> np.ndarray:
 
 
 def index_action(m: CatMap) -> np.ndarray:
-    """Action of the quantized map on translation labels: U T(n) U* = T(An)
-    with A = D M D, D = diag(-1, 1)."""
+    """The matrix D M D, D = diag(-1, 1), whose theta-group word
+    (_theta_group_word) cat_propagator applies as metaplectic generators."""
     return np.array([[m.a, -m.b], [-m.c, m.d]], dtype=np.int64)
 
 
@@ -210,11 +206,10 @@ def cat_propagator(N: int, m: CatMap) -> np.ndarray:
 
     A product of metaplectic generators applied in place to the identity:
     each J is a unitary FFT along the rows, each G_c a column scaling by the
-    chirp exp(-i pi c j^2 / N) reduced mod 2N in integers, so U T_N(n) U* =
-    T_N(A n) holds to roundoff with A = index_action(m). The global phase
-    makes the (0, 0) entry real positive when significant, else the first
-    entry of the first row whose modulus is at least (1 - 1e-9) times the
-    row's largest.
+    chirp exp(-i pi c j^2 / N) reduced mod 2N in integers, so U T[f] U* =
+    T[M^-T f] holds to roundoff. The global phase makes the (0, 0) entry
+    real positive when significant, else the first entry of the first row
+    whose modulus is at least (1 - 1e-9) times the row's largest.
     """
     if N < 1:
         raise ValueError("dimension N must be >= 1")
@@ -250,8 +245,8 @@ def _norm_bound(X: np.ndarray) -> float:
 
 
 def _commutator_defect(Ut: np.ndarray, left, right) -> float:
-    """_norm_bound of sum_l c_l T(n_l) Ut - Ut (sum_r c_r T(n_r))*, for lists
-    of (label n, coefficient c) and a complex Ut, read from Ut alone one
+    """_norm_bound of sum_l c_l T[m_l] Ut - Ut (sum_r c_r T[m_r])*, for lists
+    of (frequency m, coefficient c) and a complex Ut, read from Ut alone one
     block of rows at a time.
 
     A left term is a row gather of the block, scaled by the row phase and
@@ -265,8 +260,8 @@ def _commutator_defect(Ut: np.ndarray, left, right) -> float:
     B = min(N, 32)  # rows per block: each B x N buffer is 256 kB at N = 512
     gathered, lhs, rhs = np.empty((3, B, N), complex)
     D = np.empty((N, N), complex)
-    left = [(*_translation(N, n), c) for n, c in left]
-    right = [(*_translation(N, n), c) for n, c in right]
+    left = [(*_translation(N, m), c) for m, c in left]
+    right = [(*_translation(N, m), c) for m, c in right]
     right = [(cols[0], phase.conj(), np.conj(c)) for cols, phase, c in right]
     for r0 in range(0, N, B):
         rows = slice(r0, min(r0 + B, N))
@@ -292,15 +287,15 @@ def _commutator_defect(Ut: np.ndarray, left, right) -> float:
 
 
 def intertwining_defect(U: np.ndarray, m: CatMap) -> float:
-    """Max defect of U T(n) U* = T(An) over INTERTWINING_LABELS, read as
-    ||T(An) U - U T(n)|| (unitary invariance) through _norm_bound, an upper
-    bound on the operator norm: _commutator_defect with the one left term
-    T(An) and the one right term T(-n)* = T(n)."""
-    A = index_action(m)
+    """Max defect of U T[f] U* = T[M^-T f] over INTERTWINING_FREQUENCIES,
+    read as ||T[M^-T f] U - U T[f]|| (unitary invariance) through
+    _norm_bound, an upper bound on the operator norm: _commutator_defect
+    with the one left term T[M^-T f] and the one right term T[-f]* = T[f]."""
+    A = m.inverse_matrix().T
     U = np.asarray(U, complex)
-    return max(_commutator_defect(U, [(A @ np.asarray(n, np.int64), 1.0)],
-                                  [((-n[0], -n[1]), 1.0)])
-               for n in INTERTWINING_LABELS)
+    return max(_commutator_defect(U, [(A @ np.asarray(f, np.int64), 1.0)],
+                                  [((-f[0], -f[1]), 1.0)])
+               for f in INTERTWINING_FREQUENCIES)
 
 
 def egorov_defect(U: np.ndarray, m: CatMap, observables, T: int) -> np.ndarray:
@@ -322,9 +317,8 @@ def egorov_defect(U: np.ndarray, m: CatMap, observables, T: int) -> np.ndarray:
             Ut, spare = spare, Ut
         mat_t = mat_t @ mat
         for i, A in enumerate(observables):
-            terms = [[(_freq_to_label(k), c) for k, c in B.coefficients.items()]
-                     for B in (A, A.compose_with(mat_t))]
-            defects[i, t] = _commutator_defect(Ut, *terms)
+            defects[i, t] = _commutator_defect(
+                Ut, A.coefficients.items(), A.compose_with(mat_t).coefficients.items())
     return defects
 
 

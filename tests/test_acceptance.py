@@ -177,12 +177,16 @@ SMALL_RUNS = (("egorov", {"N": 128}), ("qe-catmap", {"N": 128}),
 
 def test_criterion_10_determinism(tmp_path):
     same = True
-    compared = []
+    compared, failed = [], []
     for name, size in SMALL_RUNS:
         listings = []
         for tag in ("a", "b"):
             out = tmp_path / name / tag
-            ex.run_experiment(ExperimentConfig(experiment=name, out_dir=str(out), **size))
+            report = ex.run_experiment(ExperimentConfig(experiment=name, out_dir=str(out),
+                                                        **size))
+            # every check of the run, also those a suite runner adds
+            # outside its studies
+            failed += [f"{name}/{c.name}" for c in report.checks if not c.passed]
             listings.append({p.name: p.read_bytes() for p in out.iterdir()
                              if p.suffix in (".csv", ".pgm", ".jsonl")})
             # report.json lists exactly the other files the run wrote
@@ -191,7 +195,8 @@ def test_criterion_10_determinism(tmp_path):
                                              if p.name != "report.json")
         same &= bool(listings[0]) and listings[0] == listings[1]
         compared += [f"{name}/{f}" for f in sorted(listings[0])]
-    _report(10, "equal-seed runs produce identical CSV, PGM and JSONL artifacts, "
-            "each run's report.json listing exactly the files it wrote",
-            same, f"compared {compared}")
-    assert same
+    ok = same and not failed
+    _report(10, "equal-seed runs pass every check and produce identical CSV, PGM "
+            "and JSONL artifacts, each run's report.json listing exactly the "
+            "files it wrote", ok, f"compared {compared}; failed checks {failed}")
+    assert ok

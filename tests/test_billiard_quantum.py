@@ -15,7 +15,7 @@ import scipy.special
 from semiclass_lab import experiments
 from semiclass_lab.billiard import StadiumDomain
 from semiclass_lab.billiard_quantum import (BilliardMode, DiscreteDomain,
-                                            _parity_bases, _parity_modes,
+                                            _class_modes, _parity_bases,
                                             bouncing_ball_scores,
                                             build_laplacian, discretize_stadium,
                                             eigenmodes_near, eigenmodes_window,
@@ -370,13 +370,16 @@ def test_window_completeness_guard(monkeypatch):
 
 def test_class_short_at_its_largest_request_raises(monkeypatch):
     """A class asks again, doubling its request, until it reaches the class
-    size - 2; if keep still asks for more there, NumericalError is raised."""
+    size - 2; if every eigenvalue still lies within reach of sigma there,
+    NumericalError is raised. No eigenvalue lies farther than an infinite
+    reach."""
     dd = discretize_stadium(CIRCLE, 0.2)
     A = build_laplacian(dd)
-    n = _parity_bases(dd)[0].shape[1]
+    Q = _parity_bases(dd)[0]
+    n = Q.shape[1]
     log = _solver_log(monkeypatch)
-    with pytest.raises(NumericalError, match="no mode beyond the window"):
-        _parity_modes(dd, A, 2.0, [3, 0, 0, 0], lambda w: None)
+    with pytest.raises(NumericalError, match="no mode beyond reach"):
+        _class_modes(dd, A, Q, 2.0, 3, math.inf)
     requests = [k for _, k, _ in log.solves]
     assert requests[:-1] == [3 * 2**i for i in range(len(requests) - 1)]
     assert requests[-1] == n - 2

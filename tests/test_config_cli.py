@@ -27,6 +27,19 @@ def test_parse_config_file(tmp_path):
     assert cfg.out_dir == "results"
 
 
+def test_parse_config_float_and_bool_keys(tmp_path):
+    """Keys are coerced by their field's annotation, which postponed
+    annotations hold as the strings 'int', 'float' and 'bool'."""
+    p = tmp_path / "run.cfg"
+    p.write_text("h = 0.02\ndump_state = yes\n")
+    cfg = parse_config(p)
+    assert cfg.h == 0.02 and type(cfg.h) is float
+    assert cfg.dump_state is True
+    p.write_text("dump_state = maybe\n")
+    with pytest.raises(ConfigError, match="dump_state"):
+        parse_config(p)
+
+
 def test_parse_config_strictness(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("frobnicate = 1\n")

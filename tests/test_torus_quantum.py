@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from semiclass_lab.catmap import CatMap, DEFAULT_MAP, TorusPoint
 from semiclass_lab.errors import InvalidObservable, QuantizationConditionError
-from semiclass_lab.torus_quantum import (INTERTWINING_LABELS, TrigObservable,
+from semiclass_lab.torus_quantum import (INTERTWINING_FREQUENCIES, TrigObservable,
                                          _norm_bound, _theta_group_word,
                                          cat_propagator, coherent_state,
                                          egorov_defect, index_action,
@@ -17,19 +17,49 @@ M = DEFAULT_MAP
 MAPS = (M, CatMap(1, 2, 2, 5), CatMap(3, 2, 4, 3))  # quantizable, hyperbolic
 
 
-def translation_op(N: int, n) -> np.ndarray:
-    """Weyl-Heisenberg translation T_N(n) as a dense unitary matrix."""
-    return translation_apply(n, np.eye(N, dtype=complex))
+def translation_op(N: int, m) -> np.ndarray:
+    """Weyl-Heisenberg translation T[m], the quantization of
+    exp(2 pi i (m1 x + m2 xi)), as a dense unitary matrix."""
+    return translation_apply(m, np.eye(N, dtype=complex))
 
 
 def test_translation_identity():
     assert np.allclose(translation_op(7, (0, 0)), np.eye(7))
 
 
+def translation_apply_by_label(n, psi: np.ndarray) -> np.ndarray:
+    """translation_apply in label form: (T(n) psi)_j =
+    exp(i pi n1 n2 / N) exp(2 pi i n2 j / N) psi_{(j + n1) mod N}, where
+    exp(2 pi i (m1 x + m2 xi)) quantizes to the label n = (m2, m1)."""
+    N = len(psi)
+    n1, n2 = int(n[0]), int(n[1])
+    j = np.arange(N)
+    phase = (np.exp(1j * np.pi * (n1 * n2 % (2 * N)) / N)
+             * np.exp(2j * np.pi * (n2 % N * j % N) / N))
+    g = psi[(j + n1) % N].astype(complex, copy=False)
+    np.multiply(phase.reshape((-1,) + (1,) * (psi.ndim - 1)), g, out=g)
+    return g
+
+
+@pytest.mark.parametrize("N", [1, 7, 64, 512])
+def test_translation_matches_label_form_bit_for_bit(N):
+    """T[m] is the label-form translation at the swapped index (m2, m1),
+    to the last bit, also for frequencies many times N."""
+    rng = np.random.default_rng(N)
+    freqs = [(0, 0), (1, 0), (0, 1), (-1, 1), (3 * N + 5, -2 * N - 1),
+             (-7 * N - 3, 11 * N + 2), (10**6 + 3, -(10**5) - 7)]
+    for shape in (N, (N, 3)):
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for m1, m2 in freqs:
+            assert np.array_equal(translation_apply((m1, m2), psi),
+                                  translation_apply_by_label((m2, m1), psi))
+
+
 def test_weyl_commutation_example_n4():
-    """T(m) T(n) = exp(i pi sigma/N) T(m+n) with sigma = 1 at N = 4."""
-    Tm = translation_op(4, (1, 0))
-    Tn = translation_op(4, (0, 1))
+    """T[m] T[n] = exp(-i pi sigma/N) T[m+n] with sigma = m1 n2 - m2 n1 = -1
+    at N = 4."""
+    Tm = translation_op(4, (0, 1))
+    Tn = translation_op(4, (1, 0))
     Tmn = translation_op(4, (1, 1))
     scalar = (Tm @ Tn) @ np.linalg.inv(Tmn)
     assert np.allclose(scalar, np.exp(1j * np.pi / 4) * np.eye(4))
@@ -41,7 +71,7 @@ def test_weyl_commutation_example_n4():
 def test_weyl_commutation_relation(N, m1, m2, n1, n2):
     sigma = m1 * n2 - m2 * n1
     lhs = translation_op(N, (m1, m2)) @ translation_op(N, (n1, n2))
-    rhs = np.exp(1j * np.pi * sigma / N) * translation_op(N, (m1 + n1, m2 + n2))
+    rhs = np.exp(-1j * np.pi * sigma / N) * translation_op(N, (m1 + n1, m2 + n2))
     assert np.abs(lhs - rhs).max() < 1e-13
 
 
@@ -53,10 +83,10 @@ def test_translation_adjoint(N, n1, n2):
     assert np.abs(T.conj().T @ T - np.eye(N)).max() < 1e-13
 
 
-label = st.tuples(st.integers(-200, 200), st.integers(-200, 200))
+freq = st.tuples(st.integers(-200, 200), st.integers(-200, 200))
 
 
-@given(st.integers(1, 128), label, label, st.integers(0, 2**32 - 1))
+@given(st.integers(1, 128), freq, freq, st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_matrix_free_matches_dense(N, n, m, seed):
     rng = np.random.default_rng(seed)
@@ -77,8 +107,8 @@ def test_matrix_free_matches_dense(N, n, m, seed):
 def op_apply_reference(A: TrigObservable, psi: np.ndarray) -> np.ndarray:
     """Op_N(A) psi as a sum of whole translated copies, one per coefficient."""
     out = np.zeros_like(psi, dtype=complex)
-    for (m1, m2), c in A.coefficients.items():
-        out += c * translation_apply((m2, m1), psi)
+    for m, c in A.coefficients.items():
+        out += c * translation_apply(m, psi)
     return out
 
 
@@ -100,8 +130,8 @@ def test_quantize_is_sum_of_translations(N):
     land on the same entries, and the sum is exact."""
     A = TrigObservable({(0, 1): 1.0, (0, -1): 1.0, (1, 1): 0.4, (-1, -1): 0.4})
     dense = np.zeros((N, N), complex)
-    for (m1, m2), c in A.coefficients.items():
-        dense += c * translation_op(N, (m2, m1))
+    for m, c in A.coefficients.items():
+        dense += c * translation_op(N, m)
     assert np.array_equal(weyl_quantize(N, A), dense)
 
 
@@ -256,7 +286,7 @@ def test_shear_composite_intertwines():
 
 @pytest.mark.parametrize("N", [8, 64])
 def test_intertwining_defect_fails_without_propagator(N):
-    """The identity does not quantize the map: ||T(An) - T(n)|| is near 2."""
+    """The identity does not quantize the map: ||T[M^-T f] - T[f]|| is near 2."""
     assert intertwining_defect(np.eye(N), M) > 0.5
 
 
@@ -307,16 +337,16 @@ def egorov_defect_reference(U, m, observables, T):
 
 
 def intertwining_defect_reference(U, m):
-    """intertwining_defect as translation gathers: T(An) U - (T(-n) U*)*."""
-    A = index_action(m)
+    """intertwining_defect as translation gathers: T[M^-T f] U - (T[-f] U*)*."""
+    A = m.inverse_matrix().T
     U_adj = np.ascontiguousarray(U.conj().T)
-    return max(_norm_bound(translation_apply(A @ np.asarray(n, np.int64), U)
-                           - translation_apply((-n[0], -n[1]), U_adj).conj().T)
-               for n in INTERTWINING_LABELS)
+    return max(_norm_bound(translation_apply(A @ np.asarray(f, np.int64), U)
+                           - translation_apply((-f[0], -f[1]), U_adj).conj().T)
+               for f in INTERTWINING_FREQUENCIES)
 
 
 # 26 cosines of amplitude 0.37 (the zero mode, every mode with |m1|, |m2|
-# <= 3 up to sign, and a far label) and one sine
+# <= 3 up to sign, and a far frequency) and one sine
 EQUALITY_OBSERVABLES = (
     [TrigObservable.cosine(m, 0.37) for m in
      [(0, 0)] + [(m1, m2) for m1 in range(4) for m2 in range(-3, 4)
@@ -329,7 +359,7 @@ def test_defects_match_reference_bit_for_bit(N):
     """Both defects read from U^t alone, by blocks of rows, equal the gathers
     on U^t and its adjoint to the last bit, for the propagator and for the
     identity, which quantizes no map. At N >= 509 three observables (zero
-    mode, far label, sine) and one step keep the test short."""
+    mode, far frequency, sine) and one step keep the test short."""
     observables, T = ((EQUALITY_OBSERVABLES, 3) if N < 509 else
                       (EQUALITY_OBSERVABLES[:1] + EQUALITY_OBSERVABLES[-2:], 1))
     for U in (cat_propagator(N, M), np.eye(N)):
@@ -355,7 +385,7 @@ def test_egorov_gate_fails_for_kicked_map():
 
 def test_intertwining_gate_fails_for_flipped_column():
     """Negative control of criterion 2: flipping the sign of one column of
-    the propagator breaks U T(n) U* = T(An)."""
+    the propagator breaks U T[f] U* = T[M^-T f]."""
     U = cat_propagator(64, M)
     U[:, 5] *= -1
     defect = intertwining_defect(U, M)
@@ -402,7 +432,7 @@ def test_egorov_same_at_one_and_two_blas_threads(at_one_and_two_threads):
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_egorov_exact_at_small_N(N):
-    """The labels of A o M^t grow like 4^t while N is tiny: the translation
+    """The frequencies of A o M^t grow like 4^t while N is tiny: the translation
     phases reduce them mod 2N in integers, so no precision is lost."""
     observables = [TrigObservable.cosine(m) for m in
                    ((1, 0), (0, 1), (1, 1), (2, 1), (3, 3))]
