@@ -1,8 +1,10 @@
 """Spectral analysis of the quantum propagator.
 
-Eigenphases and eigenvectors, degeneracy clusters, the quantum period
-(smallest P with U^P proportional to the identity), and time-averaged
-scarred quasi-eigenstates built on the fixed point at the origin.
+Eigenphases and eigenvectors, each parity block diagonalized by a
+Hermitian eigensolve of its Cayley transform; degeneracy clusters; the
+quantum period (smallest P with U^P proportional to the identity); and
+time-averaged scarred quasi-eigenstates built on the fixed point at the
+origin.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .catmap import CatMap, TorusPoint, cat_lyapunov
 from .errors import DegenerateConstruction, NumericalError
@@ -24,7 +25,9 @@ SHORT_PERIOD_FACTOR = 3.0  # short periods: P <= SHORT_PERIOD_FACTOR log N / lam
 
 @dataclass
 class EigenDecomposition:
-    """Eigenphases in [0, 2pi) sorted ascending, eigenvectors as columns."""
+    """Eigenphases sorted ascending in [-DEGENERACY_TOL, 2pi - DEGENERACY_TOL),
+    so that a cluster at phase 0 is not split across the 0/2pi cut and
+    stays at the head; eigenvectors as columns."""
 
     eigenphases: np.ndarray
     eigenvectors: np.ndarray
@@ -36,17 +39,56 @@ class QuantumPeriod:
     global_phase: float
 
 
+def _canonical_phase(phase):
+    """A phase in (-pi, pi], as np.angle returns it, moved into
+    [-DEGENERACY_TOL, 2pi - DEGENERACY_TOL)."""
+    return np.where(phase < -DEGENERACY_TOL, phase + 2 * np.pi, phase)
+
+
+def _unitary_eigenvectors(B: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvectors of a unitary B, as those of the Hermitian
+    part of i X, where X = (I + R)^-1 (I - R) = 2 Y - I, Y = (I + R)^-1, is
+    the Cayley transform of R = e^{-i alpha} B. That part is i (Y - Y*).
+
+    An eigenphase theta of B becomes the eigenvalue tan((theta - alpha)/2)
+    of i X, so the pole -e^{i alpha} must keep clear of the spectrum. The
+    values +-arccos c over the eigenvalues c of (B + B*)/2 hold every
+    eigenphase; the pole sits in the middle of their widest gap, which is
+    at least pi/n wide, so every eigenphase lies at least pi/(2n) from it
+    and cond(I + R) is at most about 4n/pi. X comes from the inverse, not
+    from solve(I + R, I - R): the solve adds an error (I + R)^-1 dA that no
+    nearby B explains, and at N = 512 it made the eigenvectors up to 7
+    times less accurate.
+    """
+    n = len(B)
+    if n == 0:
+        return np.zeros((0, 0), dtype=complex)
+    c = np.linalg.eigvalsh((B + B.conj().T) / 2)
+    t = np.arccos(np.clip(c, -1.0, 1.0))
+    points = np.sort(np.concatenate([t, 2 * np.pi - t]))
+    gaps = np.diff(points, append=points[0] + 2 * np.pi)
+    k = np.argmax(gaps)
+    alpha = points[k] + gaps[k] / 2 - np.pi
+    Y = np.linalg.inv(np.eye(n) + np.exp(-1j * alpha) * B)
+    return np.linalg.eigh(1j * (Y - Y.conj().T))[1]
+
+
 def diagonalize(U: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a unitary matrix that commutes with the parity
     R: psi_j -> psi_{-j mod N}, with orthonormal eigenvectors.
 
     U is folded by index into its even and odd blocks Q^T U Q, on the fixed
-    points j = 0 and N/2 and the pairs (e_j +- e_{N-j})/sqrt(2), and each
-    block's complex Schur form, diagonal for normal matrices, gives its
-    eigenvectors. So every eigenvector has a definite parity, and where the
-    spectrum is simple within each class (the cat map at power-of-two N)
-    the basis is unique up to phases. A U that does not commute with R is
-    refused.
+    points j = 0 and N/2 and the pairs (e_j +- e_{N-j})/sqrt(2). Each
+    block's eigenvectors come from a Hermitian eigensolve of its Cayley
+    transform (_unitary_eigenvectors), and each eigenphase is the angle of
+    the vector's Rayleigh quotient v* B v. So every eigenvector has a
+    definite parity, and where the spectrum is simple within each class
+    (the cat map at power-of-two N) the basis is unique up to phases.
+
+    U must be unitary and commute with R, else it is refused. The residual
+    ||B Z - Z e^{i theta}|| and the orthogonality defect ||Z* Z - I|| are
+    read on each block: Q is orthogonal, and the parity guard bounds the
+    off-diagonal blocks of Q^T U Q, which the fold drops.
     """
     N = U.shape[0]
     if unitarity_defect(U) > RESIDUAL_TOL:
@@ -67,9 +109,21 @@ def diagonalize(U: np.ndarray) -> EigenDecomposition:
     odd_cols = s * (U[:, lo] - U[:, hi])
     even = np.concatenate([even_cols[fixed], s * (even_cols[lo] + even_cols[hi])])
     odd = s * (odd_cols[lo] - odd_cols[hi])
-    Te, Ze = scipy.linalg.schur(even, output="complex")
-    To, Zo = scipy.linalg.schur(odd, output="complex")
-    phases = np.angle(np.concatenate([np.diag(Te), np.diag(To)])) % (2 * np.pi)
+    phases, Zs = [], []
+    for B in (even, odd):
+        Z = _unitary_eigenvectors(B)
+        BZ = B @ Z
+        theta = np.angle(np.einsum("ij,ij->j", Z.conj(), BZ))
+        resid = np.abs(BZ - Z * np.exp(1j * theta)).max(initial=0.0)
+        ortho = np.abs(Z.conj().T @ Z - np.eye(len(Z))).max(initial=0.0)
+        if resid > RESIDUAL_TOL or ortho > RESIDUAL_TOL:
+            raise NumericalError(
+                f"eigensolver residual {resid:.2e}, orthogonality defect {ortho:.2e}"
+            )
+        phases.append(theta)
+        Zs.append(Z)
+    phases = _canonical_phase(np.concatenate(phases))
+    Ze, Zo = Zs
     # lift Q Z into one basis, even vectors first
     ne = len(fixed) + len(lo)
     V = np.zeros((N, N), dtype=complex)
@@ -78,15 +132,7 @@ def diagonalize(U: np.ndarray) -> EigenDecomposition:
     V[lo, ne:] = s * Zo
     V[hi, ne:] = -V[lo, ne:]
     order = np.argsort(phases, kind="stable")
-    phases = phases[order]
-    V = V[:, order]
-    resid = np.abs(U @ V - V * np.exp(1j * phases)).max()
-    ortho = np.abs(V.conj().T @ V - np.eye(N)).max()
-    if resid > RESIDUAL_TOL or ortho > RESIDUAL_TOL:
-        raise NumericalError(
-            f"eigensolver residual {resid:.2e}, orthogonality defect {ortho:.2e}"
-        )
-    return EigenDecomposition(eigenphases=phases, eigenvectors=V)
+    return EigenDecomposition(eigenphases=phases[order], eigenvectors=V[:, order])
 
 
 def degeneracy_clusters(dec: EigenDecomposition,
@@ -108,7 +154,7 @@ def degeneracy_clusters(dec: EigenDecomposition,
         pieces[0] = np.concatenate([pieces[-1], pieces[0]])
         pieces.pop()
     pieces.sort(key=lambda idx: ph[idx[0]])
-    return [(float(np.angle(np.exp(1j * ph[idx]).mean()) % (2 * np.pi)), idx)
+    return [(float(_canonical_phase(np.angle(np.exp(1j * ph[idx]).mean()))), idx)
             for idx in pieces]
 
 
