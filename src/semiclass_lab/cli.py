@@ -1,8 +1,12 @@
 """Command-line experiment orchestrator.
 
+A list of suites runs one suite after another, each into its own
+subdirectory of --out. Exit codes: 0 if every check passed, 1 if one
+failed, 2 on a configuration, package or out-of-memory error.
+
 Usage:
     semiclass-lab --experiment egorov --out results/egorov
-    semiclass-lab --experiment egorov,qe-catmap --parallel --out results
+    semiclass-lab --experiment egorov,qe-catmap --out results
     semiclass-lab --config run.cfg --seed 3
 
 The SEMICLASS_LAB_THREADS environment variable caps BLAS thread counts.
@@ -16,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,8 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", help="output directory (default: current)")
     p.add_argument("--seed", type=int, help="random seed (default 0)")
-    p.add_argument("--parallel", action="store_true",
-                   help="run multiple suites as parallel processes")
     p.add_argument("--dump-state", action="store_true",
                    help="also write the propagator and scarred state as .npy files")
     p.add_argument("--N", type=int, help="Hilbert space dimension")
@@ -57,7 +58,7 @@ def _configs_from_args(args) -> list:
         raise SemiclassError("no experiment given (use --experiment or a config file)")
     if len(set(names)) < len(names):
         raise ConfigError(f"a suite is listed twice in {args.experiment!r}; "
-                          "its runs would write the same files")
+                          "its second run would overwrite the first's files")
     configs = []
     for name in names:
         cfg = replace(base, experiment=name)
@@ -70,14 +71,12 @@ def _configs_from_args(args) -> list:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        configs = _configs_from_args(args)
-        if args.parallel and len(configs) > 1:
-            with ProcessPoolExecutor(max_workers=len(configs)) as pool:
-                reports = list(pool.map(run_experiment, configs))
-        else:
-            reports = [run_experiment(cfg) for cfg in configs]
+        reports = [run_experiment(cfg) for cfg in _configs_from_args(args)]
     except SemiclassError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     all_ok = True
     for report in reports:

@@ -8,9 +8,9 @@ from pathlib import Path
 
 from .catmap import CatMap
 from .errors import ConfigError
+from .experiments import _SUITES
 
-EXPERIMENTS = ("egorov", "qe-catmap", "scar-construction", "entropy-sweep",
-               "billiard-circle", "billiard-stadium", "ergodic-orbit")
+EXPERIMENTS = tuple(_SUITES)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from . import billiard_quantum as bq
 from .billiard import (BilliardState, StadiumDomain, billiard_flow,
                        circle_angular_momentum, coverage_grid, ergodic_average)
 from .catmap import TorusPoint, cat_lyapunov
-from .config import ExperimentConfig
 from .entropy import (atom_cloud, entropy_bound_check, ks_entropy_estimate,
                       mixture_cloud, uniform_cloud)
 from .errors import ConfigError
@@ -31,6 +31,9 @@ from .spectral import (diagonalize, degeneracy_clusters, quantum_period,
                        scarred_state, short_period_dimensions)
 from .torus_quantum import (TrigObservable, cat_propagator, egorov_defect,
                             intertwining_defect, unitarity_defect)
+
+if TYPE_CHECKING:  # config derives its suite list from _SUITES
+    from .config import ExperimentConfig
 
 # first zeros of J0 and J1, the repr of scipy.special.jn_zeros(n, 1)[0]; read
 # as constants so that importing the package does not load scipy.special
@@ -49,7 +52,7 @@ class Check:
 @dataclass
 class RunReport:
     experiment: str
-    out: Path | None = None  # the run's directory; a report without one writes no file
+    out: Path | None = None  # the run's directory, which a study that writes needs
     checks: list = field(default_factory=list)
     wall_time: float = 0.0
     artifacts: list = field(default_factory=list)
@@ -151,16 +154,20 @@ def run_qe_catmap(cfg: ExperimentConfig, report: RunReport):
               ("N", "variance", "basis_average_defect"), rows)
 
 
-def scar_study(report: RunReport, m, dims):
-    """Half-scarred states on the fixed point at each (N, P) of dims: adds
-    the ball-mass and closest-measure checks per N. Returns the CSV rows
-    and (N, state, Husimi grid) of the last N, or None if dims is empty."""
+def scar_study(report: RunReport, m, n_max: int):
+    """Half-scarred states on the fixed point at the first four short-period
+    dimensions in [50, n_max]: adds the check that at least three exist,
+    then the ball-mass and closest-measure checks per N. Returns the CSV
+    rows and (N, state, Husimi grid) of the last N, or None if none exists."""
+    dims = short_period_dimensions(m, 50, n_max)
+    report.add("short_period_dims_found_ge_3", len(dims) >= 3, len(dims),
+               f"dims: {dims[:6]}")
     origin = ModelMeasure.periodic_orbit([TorusPoint(0.0, 0.0)])
     mixture = ModelMeasure.mixture(0.5, origin.orbit)
     lebesgue = ModelMeasure.lebesgue()
     rows = []
     last = None
-    for N, P in dims:
+    for N, P in dims[:4]:
         U = cat_propagator(N, m)
         qp = quantum_period(m, P + 1, U)
         T_half = max(1, qp.P // 2)
@@ -182,11 +189,7 @@ def scar_study(report: RunReport, m, dims):
 
 
 def run_scar_construction(cfg: ExperimentConfig, report: RunReport):
-    m = cfg.cat_map()
-    dims = short_period_dimensions(m, 50, max(cfg.N, 250))
-    report.add("short_period_dims_found_ge_3", len(dims) >= 3, len(dims),
-               f"dims: {dims[:6]}")
-    rows, last = scar_study(report, m, dims[:4])
+    rows, last = scar_study(report, cfg.cat_map(), max(cfg.N, 250))
     write_csv(report.path("scarred_states.csv"), ("N", "P", "T_half", "ball_mass",
               "d_mixture", "d_atom", "d_lebesgue"), rows)
     if last is not None:
@@ -194,33 +197,6 @@ def run_scar_construction(cfg: ExperimentConfig, report: RunReport):
         write_pgm(g.values, report.path(f"husimi_scar_N{N}.pgm"))
         if cfg.dump_state:
             np.save(report.path(f"scarred_state_N{N}.npy"), psi)
-
-
-def entropy_oracles(report: RunReport, m, seed: int):
-    """KS-entropy estimates on 1e6-point Lebesgue and half-atom clouds and
-    a pure atom: adds one tolerance check per cloud. Returns the CSV rows."""
-    lam = cat_lyapunov(m).lambda_plus
-    n = 1_000_000
-    uni = uniform_cloud(n, seed=seed)
-    atom = atom_cloud([TorusPoint(0.0, 0.0)], 200)
-    mix = mixture_cloud(0.5, atom_cloud([TorusPoint(0.0, 0.0)], n // 2),
-                        uniform_cloud(n // 2, seed=seed + 1))
-    T, eps = 8, 0.1
-    est_u = ks_entropy_estimate(m, uni, T, eps, 10, seed=seed)
-    est_a = ks_entropy_estimate(m, atom, T, eps, 10, seed=seed)
-    est_m = ks_entropy_estimate(m, mix, T, eps, 20, seed=seed)
-    rows = [(label, T, eps, est.value,
-             est.standard_error, est.empty_ball_count, model)
-            for label, est, model in (("uniform", est_u, lam),
-                                      ("atom", est_a, 0.0),
-                                      ("mixture", est_m, lam / 2))]
-    report.add("estimate_uniform_within_15pct",
-               abs(est_u.value - lam) <= 0.15 * lam, est_u.value)
-    report.add("estimate_atom_within_0.05",
-               abs(est_a.value) <= 0.05, est_a.value)
-    report.add("estimate_mixture_within_20pct",
-               abs(est_m.value - lam / 2) <= 0.20 * (lam / 2), est_m.value)
-    return rows
 
 
 def entropy_bounds(report: RunReport, m):
@@ -252,21 +228,41 @@ def run_entropy_sweep(cfg: ExperimentConfig, report: RunReport):
             est = ks_entropy_estimate(m, sweep_cloud, T, eps, 10, seed=cfg.seed)
             rows.append(("uniform-200k", T, eps, est.value, est.standard_error,
                          est.empty_ball_count, lam))
-    rows += entropy_oracles(report, m, cfg.seed)
+
+    # oracles on 1e6-point Lebesgue and half-atom clouds and a pure atom
+    n = 1_000_000
+    uni = uniform_cloud(n, seed=cfg.seed)
+    atom = atom_cloud([TorusPoint(0.0, 0.0)], 200)
+    mix = mixture_cloud(0.5, atom_cloud([TorusPoint(0.0, 0.0)], n // 2),
+                        uniform_cloud(n // 2, seed=cfg.seed + 1))
+    T, eps = 8, 0.1
+    est_u = ks_entropy_estimate(m, uni, T, eps, 10, seed=cfg.seed)
+    est_a = ks_entropy_estimate(m, atom, T, eps, 10, seed=cfg.seed)
+    est_m = ks_entropy_estimate(m, mix, T, eps, 20, seed=cfg.seed)
+    rows += [(label, T, eps, est.value,
+              est.standard_error, est.empty_ball_count, model)
+             for label, est, model in (("uniform", est_u, lam),
+                                       ("atom", est_a, 0.0),
+                                       ("mixture", est_m, lam / 2))]
+    report.add("estimate_uniform_within_15pct",
+               abs(est_u.value - lam) <= 0.15 * lam, est_u.value)
+    report.add("estimate_atom_within_0.05",
+               abs(est_a.value) <= 0.05, est_a.value)
+    report.add("estimate_mixture_within_20pct",
+               abs(est_m.value - lam / 2) <= 0.20 * (lam / 2), est_m.value)
     write_csv(report.path("entropy_estimates.csv"), ("cloud", "T", "eps", "estimate",
               "stderr", "empty_ball_count", "model_value"), rows)
     bounds = entropy_bounds(report, m)
     report.path("entropy_bounds.json").write_text(json.dumps(bounds, indent=2) + "\n")
 
 
-def circle_convergence(report: RunReport, h: float):
-    """Unit-disc eigenvalues at spacings 4h, 2h and h: adds the k1 and k2
-    accuracy checks at h and the convergence-order check. Each mode is
-    solved in its own parity class: the J0 mode in the even class (1, 1),
-    the J1 mode ~ sin(theta) in (1, -1). Returns the CSV rows, the finest
-    grid and its ground mode."""
+def run_billiard_circle(cfg: ExperimentConfig, report: RunReport):
+    # unit-disc eigenvalues at spacings 4h, 2h and h, each mode solved in its
+    # own parity class: the J0 mode in the even class (1, 1), the J1 mode
+    # ~ sin(theta) in (1, -1)
     circle = StadiumDomain(half_length=0.0, radius=1.0)
     j0, j1 = BESSEL_J0_ZERO, BESSEL_J1_ZERO
+    h = cfg.h
     spacings = [4 * h, 2 * h, h]
     rows = []
     k1 = {}
@@ -287,38 +283,27 @@ def circle_convergence(report: RunReport, h: float):
     report.add("convergence_order_in_window",
                1.7 <= order1 <= 2.3 and 1.7 <= order2 <= 2.3,
                order2, f"orders {order1:.2f}, {order2:.2f}")
-    return rows, dd, mode1
-
-
-def angular_momentum_drift(report: RunReport, angle: float):
-    """Angular-momentum drift check over 1e5 bounces in the unit disc from
-    (0.31, -0.12) in direction angle. Returns the first 1000 states."""
-    disc = StadiumDomain(half_length=0.0, radius=1.0)
-    s = BilliardState(0.31, -0.12, math.cos(angle), math.sin(angle))
-    L0 = circle_angular_momentum(s)
-    states = billiard_flow(disc, s, 100_000)
-    x, y, dx, dy = states[1:].T
-    drift = float(np.abs(x * dy - y * dx - L0).max())
-    report.add("angular_momentum_drift_lt_1e-9", drift < 1e-9, drift)
-    return [(i, *row) for i, row in enumerate(states[:1000])]
-
-
-def run_billiard_circle(cfg: ExperimentConfig, report: RunReport):
-    rows, dd, mode1 = circle_convergence(report, cfg.h)
     write_csv(report.path("circle_eigenvalues.csv"), ("h", "k1", "k1_exact", "rel_err"),
               rows)
 
-    # classical regularity: angular momentum conservation over many bounces
+    # classical regularity: angular momentum conservation over 1e5 bounces
+    # from (0.31, -0.12) in a direction drawn from the seed
     rng = np.random.default_rng(cfg.seed)
-    orbit_rows = angular_momentum_drift(report, 2 * np.pi * rng.random())
+    angle = 2 * np.pi * rng.random()
+    start = BilliardState(0.31, -0.12, math.cos(angle), math.sin(angle))
+    L0 = circle_angular_momentum(start)
+    states = billiard_flow(circle, start, 100_000)
+    x, y, dx, dy = states[1:].T
+    drift = float(np.abs(x * dy - y * dx - L0).max())
+    report.add("angular_momentum_drift_lt_1e-9", drift < 1e-9, drift)
     write_csv(report.path("circle_orbit.csv"), ("step", "x", "y", "dx", "dy"),
-              orbit_rows)
-    write_pgm(_mode_raster(dd, mode1), report.path("circle_mode1.pgm"))
+              [(i, *row) for i, row in enumerate(states[:1000])])
+    write_pgm(_mode_raster(mode1), report.path("circle_mode1.pgm"))
 
 
-def _mode_raster(dd, mode):
-    grid = np.zeros(dd.mask.shape)
-    grid[dd.mask] = mode.wavefunction**2
+def _mode_raster(mode):
+    grid = np.zeros(mode.dd.mask.shape)
+    grid[mode.dd.mask] = mode.wavefunction**2
     return grid.T[::-1]  # image rows top to bottom
 
 
@@ -347,7 +332,7 @@ def stadium_window(report: RunReport, domain, dd, A, center_k):
     report.add(f"median_scar_in_0.8_1.2_{tag}",
                0.8 <= np.median(sc) <= 1.2, float(np.median(sc)))
     for arr, name in ((bb, "bouncing_ball"), (sc, "scar")):
-        write_pgm(_mode_raster(dd, modes[int(np.argmax(arr))]),
+        write_pgm(_mode_raster(modes[int(np.argmax(arr))]),
                   report.path(f"stadium_{name}_{tag}.pgm"))
     return modes
 
@@ -365,11 +350,12 @@ def run_billiard_stadium(cfg: ExperimentConfig, report: RunReport):
                f"variance at k~15: {s15:.3e}")
 
 
-def ergodic_study(report: RunReport, angle: float):
-    """Stadium orbit of 1e6 bounces from (0.137, -0.041) in direction angle:
-    adds the left-half time-average check over all of it and the
-    cell-coverage check over its first 1e5 bounces. Returns the coverage
-    rows and the first 2000 bounces."""
+def run_ergodic_orbit(cfg: ExperimentConfig, report: RunReport):
+    # stadium orbit of 1e6 bounces from (0.137, -0.041) in a direction drawn
+    # from the seed: the left-half time average over all of it and the cell
+    # coverage of its first 1e5 bounces
+    rng = np.random.default_rng(cfg.seed)
+    angle = 2 * np.pi * rng.random()
     domain = StadiumDomain(half_length=1.0, radius=1.0)
     start = BilliardState(0.137, -0.041, math.cos(angle), math.sin(angle))
     states = billiard_flow(domain, start, 1_000_000)
@@ -379,18 +365,11 @@ def ergodic_study(report: RunReport, angle: float):
     covered = bool((counts[inside] > 0).all())
     report.add("all_interior_cells_visited", covered,
                float((counts[inside] > 0).sum()), f"of {int(inside.sum())} cells")
-    coverage_rows = [(i, j, int(counts[i, j]), bool(inside[i, j]))
-                     for i in range(counts.shape[0]) for j in range(counts.shape[1])]
-    return coverage_rows, [(i, *row) for i, row in enumerate(states[:2001])]
-
-
-def run_ergodic_orbit(cfg: ExperimentConfig, report: RunReport):
-    rng = np.random.default_rng(cfg.seed)
-    coverage_rows, orbit_rows = ergodic_study(report, 2 * np.pi * rng.random())
     write_csv(report.path("coverage_counts.csv"), ("ix", "iy", "count", "inside"),
-              coverage_rows)
+              [(i, j, int(counts[i, j]), bool(inside[i, j]))
+               for i in range(counts.shape[0]) for j in range(counts.shape[1])])
     write_csv(report.path("ergodic_orbit.csv"), ("step", "x", "y", "dx", "dy"),
-              orbit_rows)
+              [(i, *row) for i, row in enumerate(states[:2001])])
 
 
 _SUITES = {

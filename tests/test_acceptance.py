@@ -1,8 +1,9 @@
 """End-to-end acceptance tests for the headline numerical claims.
 
-Each criterion runs the study code the suites run (the study functions of
-`semiclass_lab.experiments`) at its own inputs, asserts on the checks that
-code reports, and prints exactly one PASS/FAIL line.
+Each criterion runs a suite of `semiclass_lab.experiments` at seed 0, or the
+study code the suites run (its study functions) where the criterion needs
+inputs the suite does not take, asserts on the checks that code reports, and
+prints exactly one PASS/FAIL line.
 """
 
 import json
@@ -15,7 +16,6 @@ from semiclass_lab import experiments as ex
 from semiclass_lab.billiard import StadiumDomain
 from semiclass_lab.catmap import DEFAULT_MAP, cat_lyapunov
 from semiclass_lab.config import ExperimentConfig
-from semiclass_lab.spectral import short_period_dimensions
 from semiclass_lab.torus_quantum import TrigObservable
 
 M = DEFAULT_MAP
@@ -25,6 +25,12 @@ DIMS = (64, 128, 256, 512)
 
 def _report(num, name, passed, detail):
     print(f"\n[criterion {num:2d}] {'PASS' if passed else 'FAIL'} {name}: {detail}")
+
+
+def _suite(name, tmp_path, **size):
+    """The suite's report at seed 0, run into tmp_path."""
+    return ex.run_experiment(ExperimentConfig(experiment=name, out_dir=str(tmp_path),
+                                              **size))
 
 
 def _checks(report):
@@ -108,10 +114,9 @@ def test_criterion_3_qe_basis_average_and_variance():
 
 
 def test_criterion_4_half_scar_construction():
-    dims = short_period_dimensions(M, 50, 250)
-    assert [N for N, _ in dims] == [56, 195, 209]
     report = ex.RunReport("scar")
-    rows, _ = ex.scar_study(report, M, dims)
+    rows, _ = ex.scar_study(report, M, 250)
+    assert [N for N, *_ in rows] == [56, 195, 209]
     for N, P, *_ in rows:
         assert P <= 3 * math.log(N) / LAM
     ok, detail = _checks(report)
@@ -119,11 +124,10 @@ def test_criterion_4_half_scar_construction():
     assert ok
 
 
-def test_criterion_5_entropy_oracles():
-    report = ex.RunReport("entropy")
-    ex.entropy_oracles(report, M, 0)
+def test_criterion_5_entropy_oracles(tmp_path):
+    report = _suite("entropy-sweep", tmp_path)
     ok, detail = _checks(report)
-    _report(5, "entropy oracles, 1e6 samples, T=8, eps=0.1", ok,
+    _report(5, "entropy sweep, oracles at 1e6 samples, T=8, eps=0.1", ok,
             f"lambda {LAM:.4f}; {detail}")
     assert ok
 
@@ -140,10 +144,8 @@ def test_criterion_6_scar_weight_bound():
     assert ok
 
 
-def test_criterion_7_circle_billiard():
-    report = ex.RunReport("circle")
-    ex.circle_convergence(report, 0.01)  # spacings 0.04, 0.02, 0.01
-    ex.angular_momentum_drift(report, 0.7)
+def test_criterion_7_circle_billiard(tmp_path):
+    report = _suite("billiard-circle", tmp_path)  # spacings 0.04, 0.02, 0.01
     ok, detail = _checks(report)
     _report(7, "circle billiard: k1, convergence order, L conservation", ok, detail)
     assert ok
@@ -160,9 +162,8 @@ def test_criterion_8_stadium_phenomenology(tmp_path):
     assert ok
 
 
-def test_criterion_9_stadium_classical_ergodicity():
-    report = ex.RunReport("ergodic")
-    ex.ergodic_study(report, 0.83)
+def test_criterion_9_stadium_classical_ergodicity(tmp_path):
+    report = _suite("ergodic-orbit", tmp_path)
     ok, detail = _checks(report)
     _report(9, "stadium ergodicity: left-half fraction and cell coverage", ok, detail)
     assert ok
@@ -182,8 +183,7 @@ def test_criterion_10_determinism(tmp_path):
         listings = []
         for tag in ("a", "b"):
             out = tmp_path / name / tag
-            report = ex.run_experiment(ExperimentConfig(experiment=name, out_dir=str(out),
-                                                        **size))
+            report = _suite(name, out, **size)
             # every check of the run, also those a suite runner adds
             # outside its studies
             failed += [f"{name}/{c.name}" for c in report.checks if not c.passed]

@@ -127,7 +127,7 @@ def test_mode_normalization():
 
 
 def test_bessel_zero_constants_are_scipy_values():
-    """circle_convergence's constants hold jn_zeros' values to the bit."""
+    """The billiard-circle suite's constants hold jn_zeros' values to the bit."""
     assert experiments.BESSEL_J0_ZERO == scipy.special.jn_zeros(0, 1)[0]
     assert experiments.BESSEL_J1_ZERO == scipy.special.jn_zeros(1, 1)[0]
 

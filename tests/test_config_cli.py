@@ -7,7 +7,7 @@ from semiclass_lab import experiments
 from semiclass_lab.catmap import DEFAULT_MAP
 from semiclass_lab.cli import build_parser, main
 from semiclass_lab.config import EXPERIMENTS, ExperimentConfig, parse_config
-from semiclass_lab.errors import ConfigError
+from semiclass_lab.errors import ConfigError, NumericalError
 from semiclass_lab.torus_quantum import cat_propagator
 
 
@@ -76,7 +76,6 @@ def test_validated_rejects_bad_values():
 
 def test_experiment_list_stable():
     assert "egorov" in EXPERIMENTS and len(EXPERIMENTS) == 7
-    assert tuple(experiments._SUITES) == EXPERIMENTS
 
 
 def test_parser_flags():
@@ -104,16 +103,23 @@ def test_main_runs_suite_and_is_deterministic(tmp_path, capsys):
 
 
 def test_main_multi_suite_subdirs(tmp_path):
+    """A list writes each suite into its own subdirectory the same CSV
+    bytes as that suite run alone."""
     rc = main(["--experiment", "egorov, qe-catmap", "--N", "32",
-               "--out", str(tmp_path)])
+               "--out", str(tmp_path / "list")])
     assert rc == 0
-    assert (tmp_path / "egorov" / "egorov_defects.csv").exists()
-    assert (tmp_path / "qe-catmap" / "qe_variance.csv").exists()
+    for suite in ("egorov", "qe-catmap"):
+        assert main(["--experiment", suite, "--N", "32",
+                     "--out", str(tmp_path / "alone" / suite)]) == 0
+        csvs = [sorted((p.name, p.read_bytes())
+                       for p in (tmp_path / run / suite).glob("*.csv"))
+                for run in ("list", "alone")]
+        assert csvs[0] and csvs[0] == csvs[1]
 
 
 def test_main_rejects_duplicate_suite(tmp_path, capsys):
-    """Two runs of one suite would write the same files at once."""
-    rc = main(["--experiment", "egorov,qe-catmap, egorov", "--parallel",
+    """A second run of one suite would overwrite the first's files."""
+    rc = main(["--experiment", "egorov,qe-catmap, egorov",
                "--N", "32", "--out", str(tmp_path)])
     assert rc == 2
     assert "listed twice" in capsys.readouterr().err
@@ -126,6 +132,35 @@ def test_main_reports_suite_error(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _passing_suite(cfg, report):
+    report.add("passes", True, 1.0)
+
+
+def _failing_suite(cfg, report):
+    report.add("passes", True, 1.0)
+    report.add("fails", False, 0.0)
+
+
+def _raising_suite(exc):
+    def suite(cfg, report):
+        raise exc
+    return suite
+
+
+@pytest.mark.parametrize("suite, code", [
+    (_passing_suite, 0),
+    (_failing_suite, 1),
+    (_raising_suite(NumericalError("solver did not converge")), 2),
+    (_raising_suite(MemoryError("Unable to allocate 7.5 PiB")), 2)])
+def test_main_exit_codes(tmp_path, capsys, monkeypatch, suite, code):
+    """0 if every check passed, 1 if one failed, 2 for a package error and
+    for an allocation the host cannot serve, each without a traceback."""
+    monkeypatch.setitem(experiments._SUITES, "egorov", suite)
+    assert main(["--experiment", "egorov", "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") if code == 2 else err == ""
 
 
 @pytest.mark.parametrize("args", [
