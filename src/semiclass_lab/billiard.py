@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from struct import Struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ GRAZING_TOL = 1e-10
 _T_MIN = 1e-12  # minimal advance, rejects the departure point itself
 COVERAGE_SAMPLE_STEP = 0.04  # chord sampling of coverage_grid
 COVERAGE_CELLS = (32, 16)  # coverage_grid cells along x and y
+_STATE = Struct("4d")  # one state x, y, dx, dy as native doubles, 32 bytes
 
 
 @dataclass(frozen=True)
@@ -72,48 +74,59 @@ def billiard_flow(domain: StadiumDomain, s: BilliardState, n_bounces: int):
     the wall the chord flies toward if it meets that wall within |x| <= a,
     else the far intersection with the cap circle on the side where it
     meets the wall's line (on the side of dx for chords parallel to the
-    walls). Each bounce is written into one flat preallocated buffer. A
-    GrazingError carries the index of the bounce that raised it."""
+    walls). Each bounce's state is packed into one flat preallocated
+    buffer of doubles. A GrazingError carries the index of the bounce that
+    raised it."""
     if n_bounces < 1:
         raise ValueError("n_bounces must be >= 1")
     if not domain.signed_distance(s.x, s.y) <= 1e-12:  # NaN fails too
         raise ValueError("start state must lie in the domain or on its boundary")
     a, r = domain.half_length, domain.radius
     sqrt, hypot = math.sqrt, math.hypot
+    # loop invariants as locals: the loop runs a million times per orbit
+    walls, amax, r2 = a > 0, a + 1e-12, r * r
+    tmin, gtol = _T_MIN, GRAZING_TOL
+    put = _STATE.pack_into
     x, y, dx, dy = s.x, s.y, s.dx, s.dy
     buf = array("d", [0.0]) * (4 * (n_bounces + 1))
-    buf[0], buf[1], buf[2], buf[3] = x, y, dx, dy
-    j = 4
-    for i in range(n_bounces):
-        if a > 0 and abs(dy) > 1e-15:
-            ny = 1.0 if dy > 0 else -1.0
-            t = (ny * r - y) / dy
+    put(buf, 0, x, y, dx, dy)
+    # off: byte offset of the state after bounce off // 32 - 1
+    for off in range(32, 32 * (n_bounces + 1), 32):
+        if walls and (dy > 1e-15 or dy < -1e-15):
+            yw = r if dy > 0 else -r
+            t = (yw - y) / dy
             xh = x + t * dx
-            on_wall = t > _T_MIN and abs(xh) <= a + 1e-12
+            if t > tmin and -amax <= xh <= amax:
+                # the wall normal is (0, +-1), so the reflection is exact:
+                # dn = |dy|, and (dx, dy) becomes (dx, -dy)
+                if -gtol < dy < gtol:
+                    raise GrazingError("tangential collision within grazing "
+                                       "tolerance", bounce_index=off // 32 - 1)
+                nrm = hypot(dx, dy)
+                x, y = xh, yw
+                dx, dy = dx / nrm, -dy / nrm
+                put(buf, off, x, y, dx, dy)
+                continue
             xc = a if xh > 0 else -a
         else:
-            on_wall = False
             xc = a if dx > 0 or a == 0 else -a  # the circle's one centre is a
-        if on_wall:
-            yh, nx = ny * r, 0.0
-        else:
-            px, py = x - xc, y
-            bq = px * dx + py * dy
-            disc = bq * bq - (px * px + py * py - r * r)
-            if disc <= 0 or (t := -bq + sqrt(disc)) <= _T_MIN:
-                raise GrazingError("no forward boundary intersection found",
-                                   bounce_index=i)
-            xh, yh = x + t * dx, y + t * dy
-            nx, ny = (xh - xc) / r, yh / r
+        px = x - xc
+        bq = px * dx + y * dy
+        disc = bq * bq - (px * px + y * y - r2)
+        if disc <= 0 or (t := -bq + sqrt(disc)) <= tmin:
+            raise GrazingError("no forward boundary intersection found",
+                               bounce_index=off // 32 - 1)
+        xh, yh = x + t * dx, y + t * dy
+        nx, ny = (xh - xc) / r, yh / r
         dn = dx * nx + dy * ny
-        if abs(dn) < GRAZING_TOL:
+        if -gtol < dn < gtol:
             raise GrazingError("tangential collision within grazing tolerance",
-                               bounce_index=i)
+                               bounce_index=off // 32 - 1)
         rx, ry = dx - 2.0 * dn * nx, dy - 2.0 * dn * ny
         nrm = hypot(rx, ry)
-        x, y, dx, dy = xh, yh, rx / nrm, ry / nrm
-        buf[j], buf[j + 1], buf[j + 2], buf[j + 3] = x, y, dx, dy
-        j += 4
+        x, y = xh, yh
+        dx, dy = rx / nrm, ry / nrm
+        put(buf, off, x, y, dx, dy)
     return np.frombuffer(buf).reshape(n_bounces + 1, 4)
 
 

@@ -18,19 +18,25 @@ for twice as many, on the same factor. A window asks each class for its
 two-term Weyl estimate plus a margin, with the reach of its far edge.
 A mode is kept as its class vector; its region masses are read in class
 space, and only a caller that reads its wavefunction lifts it to the grid.
+scipy is imported inside the functions that build or solve a sparse
+matrix, so that importing the package, and every suite that solves no
+billiard eigenproblem, never pays for loading it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .billiard import StadiumDomain
 from .errors import GeometryError, NumericalError, UnderResolved
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 ALPHA_MIN = 1e-3
 PARITY_CLASSES = ((1, 1), (1, -1), (-1, 1), (-1, -1))  # (sx, sy), in solve order
@@ -89,6 +95,8 @@ def build_laplacian(dd: DiscreteDomain) -> sp.csr_matrix:
     Every interior cell's four neighbours must lie on the grid, so the
     interior may not touch the grid's first or last row or column
     (discretize_stadium pads by two cells); GeometryError otherwise."""
+    import scipy.sparse as sp
+
     h = dd.spacing
     mask, phi = dd.mask, dd.phi
     if mask[[0, -1]].any() or mask[:, [0, -1]].any():
@@ -152,6 +160,8 @@ def _parity_bases(dd: DiscreteDomain) -> list:
     Column r is the signed sum over the mirror orbit of the r-th cell with
     x >= 0 and y >= 0, normalized; on a mirror line the orbit folds onto
     itself, so its terms add for an even sign and cancel for an odd one."""
+    import scipy.sparse as sp
+
     if not (np.array_equal(dd.xs, -dd.xs[::-1])
             and np.array_equal(dd.ys, -dd.ys[::-1])):
         raise GeometryError("parity classes need a grid mirrored about both axes")
@@ -175,6 +185,9 @@ def _parity_bases(dd: DiscreteDomain) -> list:
 def _shift_inverse(B, sigma: float) -> spla.LinearOperator:
     """(B - sigma I)^-1 applied through one sparse LU factor, its columns
     ordered by multiple minimum degree on the symmetric pattern of B."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = B.shape[0]
     try:
         lu = spla.splu((B - sigma * sp.identity(n)).tocsc(),
@@ -189,18 +202,22 @@ def _class_eigs(B, sigma: float, count: int, reach=None):
     """Eigenpairs (w, V) of B from a shift-invert eigsh for the count
     eigenvalues nearest sigma, started from a fixed vector. B - sigma I is
     factored once, with the MMD ordering, and eigsh applies that factor as
-    its OPinv; the factor lives only for this call. While every returned
+    its OPinv; the factor lives only for this call. ARPACK stops at a
+    relative tolerance of 1e-8 on the Ritz values, which leaves residuals
+    near 1e-9 at worst (the stadium suite checks them). While every returned
     eigenvalue lies within reach of sigma, B may hold more eigenvalues
     within reach than were asked for: then that attempt is dropped and eigsh
     asks again for twice as many, up to the size of B - 2, after which
     NumericalError is raised. With reach None it never asks again."""
+    import scipy.sparse.linalg as spla
+
     n = B.shape[0]
     v0 = np.full(n, 1.0 / math.sqrt(n))  # fixed start vector for determinism
     OPinv = _shift_inverse(B, sigma)
     while True:
         try:
             w, V = spla.eigsh(B, k=count, sigma=sigma, which="LM", v0=v0,
-                              OPinv=OPinv)
+                              OPinv=OPinv, tol=1e-8)
         except spla.ArpackNoConvergence as exc:
             raise NumericalError(f"shift-invert eigensolver failed: {exc}") from exc
         if reach is None or np.abs(w - sigma).max() > reach:

@@ -1,8 +1,9 @@
 """Command-line experiment orchestrator.
 
 A list of suites runs one suite after another, each into its own
-subdirectory of --out. Exit codes: 0 if every check passed, 1 if one
-failed, 2 on a configuration, package or out-of-memory error.
+subdirectory of --out, and each suite's checks are printed as it ends.
+Exit codes: 0 if every check passed, 1 if one failed, 2 on a
+configuration, package or out-of-memory error.
 
 Usage:
     semiclass-lab --experiment egorov --out results/egorov
@@ -68,26 +69,32 @@ def _configs_from_args(args) -> list:
     return configs
 
 
+def _print_report(report) -> None:
+    for check in report.checks:
+        status = "PASS" if check.passed else "FAIL"
+        print(f"[{report.experiment}] {status} {check.name} = {check.value:.6g}"
+              + (f" ({check.detail})" if check.detail else ""))
+    print(f"[{report.experiment}] "
+          + ("all checks passed" if report.passed else "CHECKS FAILED")
+          + f" in {report.wall_time:.1f}s", flush=True)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    all_ok = True
     try:
-        reports = [run_experiment(cfg) for cfg in _configs_from_args(args)]
+        # each suite's lines are printed as it ends, so a later suite that
+        # stops the list leaves the earlier ones' verdicts on record
+        for cfg in _configs_from_args(args):
+            report = run_experiment(cfg)
+            _print_report(report)
+            all_ok &= report.passed
     except SemiclassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
-    all_ok = True
-    for report in reports:
-        for check in report.checks:
-            status = "PASS" if check.passed else "FAIL"
-            print(f"[{report.experiment}] {status} {check.name} = {check.value:.6g}"
-                  + (f" ({check.detail})" if check.detail else ""))
-        all_ok &= report.passed
-        print(f"[{report.experiment}] "
-              + ("all checks passed" if report.passed else "CHECKS FAILED")
-              + f" in {report.wall_time:.1f}s")
     return 0 if all_ok else 1
 
 

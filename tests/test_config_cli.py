@@ -134,6 +134,19 @@ def test_main_reports_suite_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_main_prints_finished_suites_before_an_error(tmp_path, capsys):
+    """A suite that stops a list leaves the checks of the suites before it
+    printed: egorov's lines, then billiard-circle's error, and exit code 2."""
+    rc = main(["--experiment", "egorov,billiard-circle", "--N", "32",
+               "--h", "0.2", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    lines = captured.out.splitlines()
+    assert lines and all(line.startswith("[egorov] ") for line in lines)
+    assert lines[-1].startswith("[egorov] all checks passed")
+    assert captured.err.startswith("error: ")
+
+
 def _passing_suite(cfg, report):
     report.add("passes", True, 1.0)
 
