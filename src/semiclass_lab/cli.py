@@ -3,7 +3,7 @@
 A list of suites runs one suite after another, each into its own
 subdirectory of --out, and each suite's checks are printed as it ends.
 Exit codes: 0 if every check passed, 1 if one failed, 2 on a
-configuration, package or out-of-memory error.
+configuration, package, file-system or out-of-memory error.
 
 Usage:
     semiclass-lab --experiment egorov --out results/egorov
@@ -89,7 +89,7 @@ def main(argv=None) -> int:
             report = run_experiment(cfg)
             _print_report(report)
             all_ok &= report.passed
-    except SemiclassError as exc:
+    except (SemiclassError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

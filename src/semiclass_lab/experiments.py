@@ -140,8 +140,9 @@ def qe_study(report: RunReport, m, A: TrigObservable, N: int):
 def run_qe_catmap(cfg: ExperimentConfig, report: RunReport):
     # the mixed mode 2 cos(2 pi (x + xi)): for axis-aligned modes the
     # eigenspace-diagonal part of the quantized observable vanishes
-    # identically when N is a power of two, so the variance trend is only
-    # visible on generic frequencies
+    # identically when N is a power of two. This mode's variance is no
+    # generic trend either: N var = 4 exactly at N = 64, 128 and 512, the
+    # cat map's arithmetic values (ROADMAP item 5; Kurlberg & Rudnick)
     A = TrigObservable.cosine((1, 1))
     rows, dec = qe_study(report, cfg.cat_map(), A, cfg.N)
     N = cfg.N

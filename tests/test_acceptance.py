@@ -1,12 +1,12 @@
 """End-to-end acceptance tests for the headline numerical claims.
 
-Each criterion runs a suite of `semiclass_lab.experiments` at seed 0, or the
-study code the suites run (its study functions) where the criterion needs
-inputs the suite does not take, asserts on the checks that code reports, and
-prints exactly one PASS/FAIL line.
+Each criterion reads a suite's report from the `suites` fixture, which runs
+every suite of `semiclass_lab.experiments` once at seed 0, or runs the study
+code the suites run (its study functions) where the criterion needs inputs
+the suite does not take, asserts on the checks that code reports, and prints
+exactly one PASS/FAIL line.
 """
 
-import json
 import math
 
 import pytest
@@ -15,7 +15,7 @@ from semiclass_lab import billiard_quantum as bq
 from semiclass_lab import experiments as ex
 from semiclass_lab.billiard import StadiumDomain
 from semiclass_lab.catmap import DEFAULT_MAP, cat_lyapunov
-from semiclass_lab.config import ExperimentConfig
+from semiclass_lab.config import EXPERIMENTS, ExperimentConfig
 from semiclass_lab.torus_quantum import TrigObservable
 
 M = DEFAULT_MAP
@@ -27,10 +27,14 @@ def _report(num, name, passed, detail):
     print(f"\n[criterion {num:2d}] {'PASS' if passed else 'FAIL'} {name}: {detail}")
 
 
-def _suite(name, tmp_path, **size):
-    """The suite's report at seed 0, run into tmp_path."""
-    return ex.run_experiment(ExperimentConfig(experiment=name, out_dir=str(tmp_path),
-                                              **size))
+@pytest.fixture(scope="module")
+def suites(fresh_runs, tmp_path_factory):
+    """Every suite's report at seed 0, run once in this process at the
+    criteria's sizes; fresh_runs' interpreters run the same alongside."""
+    out = tmp_path_factory.mktemp("suites")
+    return {name: ex.run_experiment(ExperimentConfig(
+        experiment=name, out_dir=str(out / name), **fresh_runs.size))
+        for name in fresh_runs.suites}
 
 
 def _checks(report):
@@ -124,9 +128,8 @@ def test_criterion_4_half_scar_construction():
     assert ok
 
 
-def test_criterion_5_entropy_oracles(tmp_path):
-    report = _suite("entropy-sweep", tmp_path)
-    ok, detail = _checks(report)
+def test_criterion_5_entropy_oracles(suites):
+    ok, detail = _checks(suites["entropy-sweep"])
     _report(5, "entropy sweep, oracles at 1e6 samples, T=8, eps=0.1", ok,
             f"lambda {LAM:.4f}; {detail}")
     assert ok
@@ -144,59 +147,51 @@ def test_criterion_6_scar_weight_bound():
     assert ok
 
 
-def test_criterion_7_circle_billiard(tmp_path):
-    report = _suite("billiard-circle", tmp_path)  # spacings 0.04, 0.02, 0.01
-    ok, detail = _checks(report)
+def test_criterion_7_circle_billiard(suites):
+    ok, detail = _checks(suites["billiard-circle"])  # spacings 0.04, 0.02, 0.01
     _report(7, "circle billiard: k1, convergence order, L conservation", ok, detail)
     assert ok
 
 
-def test_criterion_8_stadium_phenomenology(tmp_path):
-    domain = StadiumDomain(half_length=1.0, radius=1.0)
+def test_criterion_8_stadium_phenomenology(suites, tmp_path):
+    """The five k~15 checks of the stadium suite's run at h=0.01, and the
+    k~39 window solved here at h=0.005."""
     report = ex.RunReport("stadium", tmp_path)
-    for h, center_k in ((0.01, 15.0), (0.005, 39.0)):
-        dd = bq.discretize_stadium(domain, h)
-        ex.stadium_window(report, domain, dd, bq.build_laplacian(dd), center_k)
+    report.checks = [c for c in suites["billiard-stadium"].checks
+                     if c.name.endswith("_k15")]
+    assert len(report.checks) == 5
+    domain = StadiumDomain(half_length=1.0, radius=1.0)
+    dd = bq.discretize_stadium(domain, 0.005)
+    ex.stadium_window(report, domain, dd, bq.build_laplacian(dd), 39.0)
     ok, detail = _checks(report)
     _report(8, "stadium mode phenomenology at k~39 (and reduced k~15)", ok, detail)
     assert ok
 
 
-def test_criterion_9_stadium_classical_ergodicity(tmp_path):
-    report = _suite("ergodic-orbit", tmp_path)
-    ok, detail = _checks(report)
+def test_criterion_9_stadium_classical_ergodicity(suites):
+    ok, detail = _checks(suites["ergodic-orbit"])
     _report(9, "stadium ergodicity: left-half fraction and cell coverage", ok, detail)
     assert ok
 
 
-# suites at reduced sizes, each run in well under a second, and the stadium
-# at its default h=0.01 (about 4 s a run)
-SMALL_RUNS = (("egorov", {"N": 128}), ("qe-catmap", {"N": 128}),
-              ("scar-construction", {"N": 64}), ("billiard-circle", {"h": 0.04}),
-              ("billiard-stadium", {}))
-
-
-def test_criterion_10_determinism(tmp_path):
-    same = True
-    compared, failed = [], []
-    for name, size in SMALL_RUNS:
-        listings = []
-        for tag in ("a", "b"):
-            out = tmp_path / name / tag
-            report = _suite(name, out, **size)
-            # every check of the run, also those a suite runner adds
-            # outside its studies
-            failed += [f"{name}/{c.name}" for c in report.checks if not c.passed]
-            listings.append({p.name: p.read_bytes() for p in out.iterdir()
-                             if p.suffix in (".csv", ".pgm", ".jsonl")})
-            # report.json lists exactly the other files the run wrote
-            listed = json.loads((out / "report.json").read_text())["artifacts"]
-            same &= sorted(listed) == sorted(p.name for p in out.iterdir()
-                                             if p.name != "report.json")
-        same &= bool(listings[0]) and listings[0] == listings[1]
-        compared += [f"{name}/{f}" for f in sorted(listings[0])]
-    ok = same and not failed
-    _report(10, "equal-seed runs pass every check and produce identical CSV, PGM "
-            "and JSONL artifacts, each run's report.json listing exactly the "
-            "files it wrote", ok, f"compared {compared}; failed checks {failed}")
+def test_criterion_10_determinism(suites, fresh_runs):
+    """The in-process run against the twin's run in a fresh interpreter:
+    every file of each suite byte for byte, and each report.json's checks
+    and artifacts, which list exactly the other files of the run."""
+    failed = [f"{name}/{c.name}" for name, report in suites.items()
+              for c in report.checks if not c.passed]
+    compared, differ = [], []
+    for name, report in suites.items():
+        files = fresh_runs.files(report.out)
+        listed = sorted(files["report.json"]["artifacts"])
+        if listed != sorted(set(files) - {"report.json"}) or \
+                files != fresh_runs.twin.files(name):
+            differ.append(name)
+        compared += [f"{name}/{f}" for f in listed]
+    ok = (set(suites) == set(EXPERIMENTS) and all(r.checks for r in suites.values())
+          and not differ and not failed)
+    _report(10, "equal-seed runs in this process and in a fresh one pass every "
+            "check and write identical files, each report.json listing "
+            "exactly the files its run wrote", ok,
+            f"compared {compared}; differing {differ}; failed checks {failed}")
     assert ok

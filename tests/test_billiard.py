@@ -334,28 +334,9 @@ def test_bounce_count_must_be_positive(n_bounces):
             run(len(states))
 
 
-# ergodic_average on four 1e5-chord synthetic orbits, then the digest of
-# every CSV and PGM file billiard-circle writes at h = 0.04
-THREADED_BILLIARD = """
-import hashlib, tempfile
-from pathlib import Path
-import numpy as np
-from semiclass_lab.billiard import ergodic_average
-from semiclass_lab.config import ExperimentConfig
-from semiclass_lab.experiments import run_experiment
-for seed in range(4):
-    states = np.random.default_rng(seed).uniform(-1.0, 1.0, (100_001, 5))
-    print(repr(ergodic_average(states, 100_000)))
-with tempfile.TemporaryDirectory() as out:
-    run_experiment(ExperimentConfig(experiment="billiard-circle", h=0.04,
-                                    out_dir=out).validated())
-    for p in sorted(Path(out).iterdir()):
-        if p.suffix in (".csv", ".pgm"):
-            print(p.name, hashlib.sha256(p.read_bytes()).hexdigest())
-"""
-
-
-def test_billiard_same_at_one_and_two_blas_threads(at_one_and_two_threads):
-    one, two = at_one_and_two_threads(THREADED_BILLIARD)
-    assert len(one.splitlines()) == 7  # four averages and three files
-    assert one == two
+def test_billiard_same_at_one_and_two_blas_threads(fresh_runs):
+    """billiard-circle and ergodic-orbit (whose left-half average reaches
+    report.json only as a check value) write the same files at both thread
+    counts."""
+    for name in ("billiard-circle", "ergodic-orbit"):
+        assert fresh_runs.other.files(name) == fresh_runs.twin.files(name)

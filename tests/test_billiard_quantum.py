@@ -1,10 +1,6 @@
-import json
 import math
-import os
-import subprocess
-import sys
 import weakref
-from pathlib import Path
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -133,48 +129,18 @@ def test_bessel_zero_constants_are_scipy_values():
     assert experiments.BESSEL_J1_ZERO == scipy.special.jn_zeros(1, 1)[0]
 
 
-# import the package, run the five suites that solve no sparse eigenproblem
-# (at criterion 10's small sizes where a suite takes one), then billiard-circle;
-# print the scipy modules loaded after each step
-_SCIPY_FREE_SUITES = """
-import json, sys, tempfile
-import semiclass_lab
-from semiclass_lab.config import ExperimentConfig
-from semiclass_lab.experiments import run_experiment
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-loaded = [scipy_modules()]
-with tempfile.TemporaryDirectory() as out:
-    for name, size in (("egorov", {"N": 128}), ("qe-catmap", {"N": 128}),
-                       ("scar-construction", {"N": 64}), ("entropy-sweep", {}),
-                       ("ergodic-orbit", {})):
-        report = run_experiment(ExperimentConfig(experiment=name, out_dir=out, **size))
-        assert report.checks, name
-    loaded.append(scipy_modules())
-    run_experiment(ExperimentConfig(experiment="billiard-circle", out_dir=out, h=0.04))
-    loaded.append(scipy_modules())
-print(json.dumps(loaded))
-"""
-
-
-def test_torus_and_orbit_suites_leave_scipy_unloaded():
+def test_torus_and_orbit_suites_leave_scipy_unloaded(fresh_runs):
     """Only the billiard eigen-solves import scipy: neither the package
     import nor the egorov, qe-catmap, scar-construction, entropy-sweep and
-    ergodic-orbit suites load any scipy module. The billiard-circle run
-    that follows loads scipy.sparse.linalg, which shows that the probe
-    sees a lazy import."""
-    src = str(Path(experiments.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_SUITES], env=env,
-                         check=True, capture_output=True, text=True,
-                         timeout=300).stdout
-    after_import, after_suites, after_circle = json.loads(out)
-    assert after_import == []
-    assert after_suites == []
-    assert "scipy.sparse.linalg" in after_circle
+    ergodic-orbit suites, which the twin interpreter runs first, load any
+    scipy module. Its billiard-circle run that follows loads
+    scipy.sparse.linalg, which shows that the probe sees a lazy import."""
+    loaded = fresh_runs.twin.loaded()
+    scipy_free = ["import", "egorov", "qe-catmap", "scar-construction",
+                  "entropy-sweep", "ergodic-orbit"]
+    assert list(loaded)[:7] == scipy_free + ["billiard-circle"]
+    assert [loaded[step] for step in scipy_free] == [[]] * 6
+    assert "scipy.sparse.linalg" in loaded["billiard-circle"]
 
 
 def test_circle_ground_mode_matches_bessel_zero():
@@ -222,10 +188,15 @@ def test_scores_on_synthetic_uniform_mode():
     assert bouncing_ball_scores([flat], STADIUM)[0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_window_count_near_weyl():
+@pytest.fixture(scope="module")
+def window_k10():
     dd = discretize_stadium(STADIUM, 0.02)
     A = build_laplacian(dd)
-    modes = eigenmodes_window(dd, A, STADIUM, 10.0)
+    return dd, A, eigenmodes_window(dd, A, STADIUM, 10.0)
+
+
+def test_window_count_near_weyl(window_k10):
+    modes = window_k10[2]
     pred = STADIUM.area / (4 * np.pi) * (11.0**2 - 9.0**2)
     assert abs(len(modes) - pred) <= 0.3 * pred + 3
     ks = [m.k for m in modes]
@@ -233,11 +204,22 @@ def test_window_count_near_weyl():
     assert ks == sorted(ks)
 
 
-@pytest.fixture(scope="module")
-def window_k10():
-    dd = discretize_stadium(STADIUM, 0.02)
-    A = build_laplacian(dd)
-    return dd, A, eigenmodes_window(dd, A, STADIUM, 10.0)
+def test_bouncing_ball_check_rejects_noise(window_k10):
+    """Noise control for the stadium suite's score checks: each mode's v
+    replaced by a seeded random unit vector of its class. The modes' largest
+    bouncing-ball score passes the suite's > 1.5 (1.694), and noise fails
+    it (1.025 to 1.060 at seeds 0 to 2). The median checks cannot tell the
+    two apart: noise passes their [0.8, 1.2], with bouncing-ball medians of
+    0.996 to 1.000 and scar medians of 0.934 to 1.001."""
+    modes = window_k10[2]
+    assert bouncing_ball_scores(modes, STADIUM).max() > 1.5
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        noise = []
+        for m in modes:
+            v = rng.standard_normal(len(m.v))
+            noise.append(replace(m, v=v / np.linalg.norm(v)))
+        assert bouncing_ball_scores(noise, STADIUM).max() <= 1.5
 
 
 def _full_solve(A, target_k, count):

@@ -166,10 +166,12 @@ def _raising_suite(exc):
     (_passing_suite, 0),
     (_failing_suite, 1),
     (_raising_suite(NumericalError("solver did not converge")), 2),
-    (_raising_suite(MemoryError("Unable to allocate 7.5 PiB")), 2)])
+    (_raising_suite(MemoryError("Unable to allocate 7.5 PiB")), 2),
+    (_raising_suite(PermissionError(13, "Permission denied")), 2)])
 def test_main_exit_codes(tmp_path, capsys, monkeypatch, suite, code):
-    """0 if every check passed, 1 if one failed, 2 for a package error and
-    for an allocation the host cannot serve, each without a traceback."""
+    """0 if every check passed, 1 if one failed, 2 for a package error, for
+    an allocation the host cannot serve and for a file that cannot be
+    written, each without a traceback."""
     monkeypatch.setitem(experiments._SUITES, "egorov", suite)
     assert main(["--experiment", "egorov", "--out", str(tmp_path)]) == code
     err = capsys.readouterr().err
@@ -192,6 +194,16 @@ def test_main_rejects_unusable_paths(tmp_path, capsys, args):
     rc = main([arg.format(**paths) for arg in args] + ["--N", "32"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_main_reports_unwritable_artifact(tmp_path, capsys):
+    """A directory in the place of an artifact is a file-system error, not
+    a failed check."""
+    (tmp_path / "egorov_defects.csv").mkdir()
+    rc = main(["--experiment", "egorov", "--N", "32", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "egorov_defects.csv" in err
 
 
 @pytest.mark.parametrize("h", ["nan", "inf"])

@@ -203,23 +203,12 @@ def test_ks_estimate_uniform_near_lyapunov():
     assert est.n_centers_used >= 20
 
 
-# estimates on a half-atom cloud at eps 0.1 and 0.3 (7 x 7 of 29 x 29 and of
-# 9 x 9 cells; at 0.3 about 70k distinct rows survive t = 0 and are stepped
-# as one product)
-THREADED_ESTIMATES = """
-from semiclass_lab import (DEFAULT_MAP, TorusPoint, atom_cloud,
-                           ks_entropy_estimate, mixture_cloud, uniform_cloud)
-mix = mixture_cloud(0.5, atom_cloud([TorusPoint(0.0, 0.0)], 50_000),
-                    uniform_cloud(250_000, seed=1))
-for eps in (0.1, 0.3):
-    print(repr(ks_entropy_estimate(DEFAULT_MAP, mix, 8, eps, 20, seed=0)))
-"""
-
-
-def test_ks_estimate_same_at_one_and_two_blas_threads(at_one_and_two_threads):
-    one, two = at_one_and_two_threads(THREADED_ESTIMATES)
-    assert one.count("EntropyEstimate(") == 2
-    assert one == two  # repr round-trips every float field
+def test_ks_estimate_same_at_one_and_two_blas_threads(fresh_runs):
+    """entropy-sweep's estimates on its 200k and 1e6-point clouds are the
+    same at both thread counts: the CSV, and the check values to the last
+    bit."""
+    name = "entropy-sweep"
+    assert fresh_runs.other.files(name) == fresh_runs.twin.files(name)
 
 
 def test_ks_estimate_atom_is_zero():

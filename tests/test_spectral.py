@@ -260,31 +260,16 @@ def test_phase_zero_cluster_stays_at_the_head():
     assert abs(clusters[0][0]) < 1e-15
 
 
-THREADED_QE = """
-import tempfile
-from pathlib import Path
-from semiclass_lab.config import ExperimentConfig
-from semiclass_lab.experiments import run_experiment
-with tempfile.TemporaryDirectory() as out:
-    report = run_experiment(ExperimentConfig(experiment="qe-catmap", N=128,
-                                             out_dir=out).validated())
-    for c in report.checks:
-        print(c.name, c.passed)
-    rows = (Path(out) / "qe_variance.csv").read_text().splitlines()[1:]
-    for row in rows:
-        N, variance, _ = row.split(",")
-        print(N, variance)
-"""
+def test_qe_variance_same_at_one_and_two_blas_threads(fresh_runs):
+    """Within each parity class the spectrum is simple at N=128, so the
+    eigenbasis is unique up to phases and qe-catmap writes the same files
+    and check values at both thread counts, eigenphases.csv included."""
+    assert fresh_runs.other.files("qe-catmap") == fresh_runs.twin.files("qe-catmap")
 
 
-def test_qe_variance_same_at_one_and_two_blas_threads(at_one_and_two_threads):
-    """Within each parity class the spectrum is simple, so the eigenbasis
-    is unique up to phases and the variance reads it the same way at any
-    thread count. The basis-average defect and eigenphases.csv are left
-    out: they differ at rounding level."""
-    one, two = at_one_and_two_threads(THREADED_QE)
-    assert len(one.splitlines()) == 5  # three checks and two variances
-    assert one == two
+def test_scarred_states_same_at_one_and_two_blas_threads(fresh_runs):
+    name = "scar-construction"
+    assert fresh_runs.other.files(name) == fresh_runs.twin.files(name)
 
 
 def test_quantum_period_n1():

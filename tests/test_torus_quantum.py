@@ -407,27 +407,11 @@ def test_propagator_covariance_moves_coherent_state():
     assert mass >= 0.5
 
 
-# the egorov suite's three check values and the digest of its CSV at
-# N = 128, where an SVD 2-norm of the same defects differs in its last bits
-# between one and two BLAS threads
-THREADED_EGOROV = """
-import hashlib, tempfile
-from pathlib import Path
-from semiclass_lab.config import ExperimentConfig
-from semiclass_lab.experiments import run_experiment
-with tempfile.TemporaryDirectory() as out:
-    report = run_experiment(ExperimentConfig(experiment="egorov", N=128,
-                                             out_dir=out).validated())
-    for c in report.checks:
-        print(c.name, repr(c.value))
-    print(hashlib.sha256((Path(out) / "egorov_defects.csv").read_bytes()).hexdigest())
-"""
-
-
-def test_egorov_same_at_one_and_two_blas_threads(at_one_and_two_threads):
-    one, two = at_one_and_two_threads(THREADED_EGOROV)
-    assert len(one.splitlines()) == 4  # three checks and one file
-    assert one == two
+def test_egorov_same_at_one_and_two_blas_threads(fresh_runs):
+    """The egorov suite at N=128, where an SVD 2-norm of the same defects
+    differs in its last bits between one and two BLAS threads, writes the
+    same CSV and check values at both."""
+    assert fresh_runs.other.files("egorov") == fresh_runs.twin.files("egorov")
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
