@@ -1,112 +1,33 @@
 """Pin BLAS to one thread for the test run, unless SEMICLASS_LAB_THREADS is
-already set. The package applies the pin when it is imported, and only if
-numpy is not loaded yet; test modules import numpy first, so the package is
-imported here, before any of them.
-
-The fresh_runs fixture holds the runs of every suite in fresh interpreters,
-which the determinism, thread-count and scipy-import tests read."""
+already set, by writing its count over the BLAS thread variables before
+any test module imports numpy. The fresh_runs fixture holds the suites' runs
+in fresh interpreters, which the determinism and thread-count tests read."""
 
 import os
+from types import SimpleNamespace
 
-os.environ.setdefault("SEMICLASS_LAB_THREADS", "1")
+import pytest
 
-import json  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
-from types import SimpleNamespace  # noqa: E402
+THREADS = os.environ.get("SEMICLASS_LAB_THREADS") or "1"
+os.environ.update(dict.fromkeys(("SEMICLASS_LAB_THREADS", "OMP_NUM_THREADS",
+                                 "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), THREADS))
 
-import pytest  # noqa: E402
-
-import semiclass_lab  # noqa: E402
-
-# every suite at the acceptance criteria's sizes, the five that solve no
-# sparse eigenproblem first, so that the scipy probe reads them before a
-# billiard suite imports scipy
-SUITES = ("egorov", "qe-catmap", "scar-construction", "entropy-sweep",
-          "ergodic-orbit", "billiard-circle", "billiard-stadium")
-SIZE = {"N": 128}
-
-# argv: the output directory, the size as JSON, then the suites to run at
-# seed 0, each into its own subdirectory; prints the scipy modules loaded
-# after the package import and after each suite
-_RUN_SUITES = """
-import json, sys
-import semiclass_lab
-from semiclass_lab.config import ExperimentConfig
-from semiclass_lab.experiments import run_experiment
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-out, size, names = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3:]
-loaded = {"import": scipy_modules()}
-for name in names:
-    run_experiment(ExperimentConfig(experiment=name, out_dir=f"{out}/{name}", **size))
-    loaded[name] = scipy_modules()
-print(json.dumps(loaded))
-"""
-
-
-def suite_files(out: Path) -> dict:
-    """The files of one suite run by name: report.json parsed, without its
-    wall time, and every other file as bytes."""
-    files = {p.name: p.read_bytes() for p in out.iterdir()}
-    files["report.json"] = json.loads(files["report.json"])
-    del files["report.json"]["wall_time_s"]
-    return files
-
-
-class FreshRun:
-    """The named suites, run in the background by a fresh interpreter (a
-    thread count takes effect only before numpy is imported) at
-    SEMICLASS_LAB_THREADS=threads, or in this process's environment."""
-
-    def __init__(self, out: Path, names, threads=None):
-        self.out, self._loaded = out, None
-        env = dict(os.environ)
-        if threads is not None:
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                env.pop(var, None)
-            env["SEMICLASS_LAB_THREADS"] = threads
-        src = str(Path(semiclass_lab.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        self.proc = subprocess.Popen(
-            [sys.executable, "-c", _RUN_SUITES, str(out), json.dumps(SIZE), *names],
-            env=env, stdout=subprocess.PIPE, text=True)
-
-    def loaded(self) -> dict:
-        """Waits for the run; the scipy modules loaded after the package
-        import ("import") and after each suite, in run order."""
-        if self._loaded is None:
-            stdout = self.proc.communicate(timeout=600)[0]
-            assert self.proc.returncode == 0
-            self._loaded = json.loads(stdout)
-        return self._loaded
-
-    def files(self, name) -> dict:
-        """Waits for the run; suite_files of suite name."""
-        self.loaded()
-        return suite_files(self.out / name)
+from suite_runs import SUITES, FreshRun  # noqa: E402
 
 
 @pytest.fixture(scope="session")
 def fresh_runs(tmp_path_factory):
     """Two fresh interpreters, started at the first request and running
-    alongside the tests. The twin runs SUITES at this process's BLAS thread
-    count; the other runs them at the other count (2 when the tests run at
-    1), all but billiard-stadium, whose JSONL scores move in their last bits
-    with the thread count until ROADMAP item 2 pins them; item 2 then adds
-    it to the other run. SUITES, SIZE and suite_files ride along as suites,
-    size and files, for the in-process run they are compared with."""
-    other = "2" if os.environ["SEMICLASS_LAB_THREADS"] == "1" else "1"
+    alongside the tests: the twin runs SUITES at this process's thread
+    count, the other at the other count (2 when the tests run at 1) runs all
+    but billiard-stadium, whose JSONL scores move in their last bits with
+    the thread count until ROADMAP item 2 pins them and adds it here."""
+    other = "2" if THREADS == "1" else "1"
     runs = SimpleNamespace(
-        suites=SUITES, size=SIZE, files=suite_files,
-        twin=FreshRun(tmp_path_factory.mktemp("twin"), SUITES),
+        twin=FreshRun(tmp_path_factory.mktemp("twin"), SUITES, THREADS),
         other=FreshRun(tmp_path_factory.mktemp(f"threads{other}"),
                        SUITES[:-1], other))
     yield runs
     for run in (runs.twin, runs.other):
-        if run.proc.poll() is None:
-            run.proc.kill()
+        run.proc.kill()
         run.proc.communicate()

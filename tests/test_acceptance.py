@@ -17,6 +17,7 @@ from semiclass_lab.billiard import StadiumDomain
 from semiclass_lab.catmap import DEFAULT_MAP, cat_lyapunov
 from semiclass_lab.config import EXPERIMENTS, ExperimentConfig
 from semiclass_lab.torus_quantum import TrigObservable
+from suite_runs import SIZE, SUITES, suite_files
 
 M = DEFAULT_MAP
 LAM = cat_lyapunov(M).lambda_plus
@@ -28,13 +29,15 @@ def _report(num, name, passed, detail):
 
 
 @pytest.fixture(scope="module")
-def suites(fresh_runs, tmp_path_factory):
+def suites(request, tmp_path_factory):
     """Every suite's report at seed 0, run once in this process at the
-    criteria's sizes; fresh_runs' interpreters run the same alongside."""
+    criteria's sizes. When a selected test reads fresh_runs, its
+    interpreters start first, to run the same alongside."""
+    if any("fresh_runs" in item.fixturenames for item in request.session.items):
+        request.getfixturevalue("fresh_runs")
     out = tmp_path_factory.mktemp("suites")
     return {name: ex.run_experiment(ExperimentConfig(
-        experiment=name, out_dir=str(out / name), **fresh_runs.size))
-        for name in fresh_runs.suites}
+        experiment=name, out_dir=str(out / name), **SIZE)) for name in SUITES}
 
 
 def _checks(report):
@@ -182,7 +185,7 @@ def test_criterion_10_determinism(suites, fresh_runs):
               for c in report.checks if not c.passed]
     compared, differ = [], []
     for name, report in suites.items():
-        files = fresh_runs.files(report.out)
+        files = suite_files(report.out)
         listed = sorted(files["report.json"]["artifacts"])
         if listed != sorted(set(files) - {"report.json"}) or \
                 files != fresh_runs.twin.files(name):

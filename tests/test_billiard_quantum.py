@@ -135,7 +135,7 @@ def test_torus_and_orbit_suites_leave_scipy_unloaded(fresh_runs):
     ergodic-orbit suites, which the twin interpreter runs first, load any
     scipy module. Its billiard-circle run that follows loads
     scipy.sparse.linalg, which shows that the probe sees a lazy import."""
-    loaded = fresh_runs.twin.loaded()
+    loaded = fresh_runs.twin.printed()["loaded"]
     scipy_free = ["import", "egorov", "qe-catmap", "scar-construction",
                   "entropy-sweep", "ergodic-orbit"]
     assert list(loaded)[:7] == scipy_free + ["billiard-circle"]
@@ -215,10 +215,8 @@ def test_bouncing_ball_check_rejects_noise(window_k10):
     assert bouncing_ball_scores(modes, STADIUM).max() > 1.5
     for seed in range(3):
         rng = np.random.default_rng(seed)
-        noise = []
-        for m in modes:
-            v = rng.standard_normal(len(m.v))
-            noise.append(replace(m, v=v / np.linalg.norm(v)))
+        vs = [rng.standard_normal(len(m.v)) for m in modes]
+        noise = [replace(m, v=v / np.linalg.norm(v)) for m, v in zip(modes, vs)]
         assert bouncing_ball_scores(noise, STADIUM).max() <= 1.5
 
 

@@ -169,9 +169,8 @@ def _raising_suite(exc):
     (_raising_suite(MemoryError("Unable to allocate 7.5 PiB")), 2),
     (_raising_suite(PermissionError(13, "Permission denied")), 2)])
 def test_main_exit_codes(tmp_path, capsys, monkeypatch, suite, code):
-    """0 if every check passed, 1 if one failed, 2 for a package error, for
-    an allocation the host cannot serve and for a file that cannot be
-    written, each without a traceback."""
+    """0 if every check passed, 1 if one failed, 2 for a package error, an
+    allocation the host cannot serve or an unwritable file, without traceback."""
     monkeypatch.setitem(experiments._SUITES, "egorov", suite)
     assert main(["--experiment", "egorov", "--out", str(tmp_path)]) == code
     err = capsys.readouterr().err
@@ -182,28 +181,20 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch, suite, code):
     ["--experiment", "egorov", "--out", "{file}"],
     ["--experiment", "egorov,qe-catmap", "--out", "{file}"],
     ["--config", "{missing}"],
-    ["--config", "{binary}"]])
+    ["--config", "{binary}"],
+    ["--experiment", "egorov", "--out", "{taken}"]])
 def test_main_rejects_unusable_paths(tmp_path, capsys, args):
     """An output path that is a file (for one suite the run's directory, for
-    two the parent of theirs), a missing config file and one that is not
-    UTF-8 text are configuration errors, not crashes."""
+    two the parent of theirs), a missing or non-UTF-8 config file and a
+    directory in an artifact's place are errors, not crashes or failed checks."""
     paths = {"file": tmp_path / "file", "missing": tmp_path / "missing.cfg",
-             "binary": tmp_path / "binary.cfg"}
+             "binary": tmp_path / "binary.cfg", "taken": tmp_path / "taken"}
     paths["file"].write_text("")
     paths["binary"].write_bytes(b"N = 64\n\xff\n")
+    (paths["taken"] / "egorov_defects.csv").mkdir(parents=True)
     rc = main([arg.format(**paths) for arg in args] + ["--N", "32"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
-
-
-def test_main_reports_unwritable_artifact(tmp_path, capsys):
-    """A directory in the place of an artifact is a file-system error, not
-    a failed check."""
-    (tmp_path / "egorov_defects.csv").mkdir()
-    rc = main(["--experiment", "egorov", "--N", "32", "--out", str(tmp_path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "egorov_defects.csv" in err
 
 
 @pytest.mark.parametrize("h", ["nan", "inf"])

@@ -204,11 +204,14 @@ def test_ks_estimate_uniform_near_lyapunov():
 
 
 def test_ks_estimate_same_at_one_and_two_blas_threads(fresh_runs):
-    """entropy-sweep's estimates on its 200k and 1e6-point clouds are the
-    same at both thread counts: the CSV, and the check values to the last
-    bit."""
+    """Estimates are the same at both thread counts, to the last bit:
+    entropy-sweep's (its CSV and check values), and the fresh runs' two on a
+    half-atom cloud, one stepping a product that OpenBLAS threads."""
     name = "entropy-sweep"
     assert fresh_runs.other.files(name) == fresh_runs.twin.files(name)
+    one = fresh_runs.twin.printed()["half_atom"]
+    assert [r.startswith("EntropyEstimate(") for r in one] == [True, True]
+    assert fresh_runs.other.printed()["half_atom"] == one
 
 
 def test_ks_estimate_atom_is_zero():
