@@ -12,7 +12,8 @@ if _threads:
 
 from .catmap import CatMap, DEFAULT_MAP, LyapunovData, TorusPoint, cat_lyapunov
 from .billiard import (BilliardState, StadiumDomain, billiard_flow,
-                       circle_angular_momentum, coverage_grid, ergodic_average)
+                       circle_angular_momentum, coverage_grid, ergodic_average,
+                       orbit_blocks)
 from .torus_quantum import (TrigObservable, cat_propagator, coherent_state,
                             egorov_defect)
 from .spectral import (EigenDecomposition, QuantumPeriod, diagonalize,

@@ -135,6 +135,25 @@ def circle_angular_momentum(s: BilliardState) -> float:
     return s.x * s.dy - s.y * s.dx
 
 
+def orbit_blocks(domain: StadiumDomain, s: BilliardState, lengths):
+    """The orbit of billiard_flow(domain, s, sum(lengths)) as consecutive
+    billiard_flow blocks, one of each length in lengths. Each block starts
+    from the previous block's last state, which it repeats as its first
+    row, so its rows equal those of the one call bit for bit. A
+    GrazingError carries the bounce's index in the whole orbit."""
+    done = 0
+    for n in lengths:
+        try:
+            states = billiard_flow(domain, s, n)
+        except GrazingError as exc:
+            raise GrazingError(exc.args[0],
+                               bounce_index=done + exc.bounce_index) from exc
+        yield states
+        # Python floats: numpy scalars would slow every step of the next loop
+        s = BilliardState(*states[-1].tolist())
+        done += n
+
+
 def _chord_ends(states: np.ndarray, n_bounces: int):
     """Start and end points (n_bounces, 2) of the orbit's first n_bounces
     chords."""
@@ -144,20 +163,36 @@ def _chord_ends(states: np.ndarray, n_bounces: int):
     return pts[:-1], pts[1:]
 
 
-def ergodic_average(states: np.ndarray, n_bounces: int) -> float:
-    """Exact fraction of the arc length of the orbit's first n_bounces
-    chords that lies in x < 0; a chord crossing x = 0 splits at the chord
-    parameter x0 / (x0 - x1)."""
-    p0, p1 = _chord_ends(states, n_bounces)
-    lengths = np.hypot(*(p1 - p0).T)
-    x0, x1 = p0[:, 0], p1[:, 0]
-    left = (x0 < 0).astype(float)
-    cross = (x0 < 0) != (x1 < 0)
-    s = x0[cross] / (x0[cross] - x1[cross])
-    left[cross] = np.where(x0[cross] < 0, s, 1.0 - s)
-    # numpy's own sum, not a BLAS dot, whose split over threads would make
-    # the last bits depend on the thread count
-    return float((left * lengths).sum() / lengths.sum())
+def ergodic_average(blocks, n_bounces: int) -> float:
+    """Exact fraction of the arc length of an orbit of n_bounces chords that
+    lies in x < 0, the orbit given as consecutive blocks of states (those of
+    orbit_blocks), which must hold n_bounces chords in all. A chord crossing
+    x = 0 splits at the chord parameter x0 / (x0 - x1). Only one block is
+    read at a time: each chord's length and its length in x < 0 go into two
+    n_bounces-long arrays, 16 bytes per chord."""
+    if n_bounces < 1:
+        raise ValueError("n_bounces must be >= 1")
+    lengths, weighted = np.empty(n_bounces), np.empty(n_bounces)
+    done = 0
+    for states in blocks:
+        n = len(states) - 1
+        if done + n > n_bounces:
+            raise ValueError(f"the blocks hold more than n_bounces={n_bounces} chords")
+        p0, p1 = states[:-1, :2], states[1:, :2]
+        chunk = slice(done, done + n)
+        lengths[chunk] = np.hypot(*(p1 - p0).T)
+        x0, x1 = p0[:, 0], p1[:, 0]
+        left = (x0 < 0).astype(float)
+        cross = (x0 < 0) != (x1 < 0)
+        s = x0[cross] / (x0[cross] - x1[cross])
+        left[cross] = np.where(x0[cross] < 0, s, 1.0 - s)
+        np.multiply(left, lengths[chunk], out=weighted[chunk])
+        done += n
+    if done < n_bounces:
+        raise ValueError(f"the blocks hold {done} chords, not n_bounces={n_bounces}")
+    # numpy's own pairwise sums over whole arrays, not a BLAS dot, whose
+    # split over threads would make the last bits depend on the thread count
+    return float(weighted.sum() / lengths.sum())
 
 
 def coverage_grid(domain: StadiumDomain, states: np.ndarray, n_bounces: int):

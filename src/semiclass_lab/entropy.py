@@ -102,9 +102,15 @@ def _cell_index(points: np.ndarray, eps: float):
     sorted_points = np.take(points, order, axis=0)
     shifts = np.arange(-3, 4)
 
+    def near(c):
+        """The distinct cells (c + shifts) mod n of one axis, ascending."""
+        return np.array(sorted({(c + s) % n for s in shifts}))
+
     def ball(center):
         i, j = cell(center)
-        wanted = np.unique(((i + shifts) % n)[:, None] * n + (j + shifts) % n)
+        # the row-major products of two ascending lists ascend: the sorted
+        # distinct keys, without np.unique, which imports numpy.ma
+        wanted = (near(i)[:, None] * n + near(j)).ravel()
         lo = np.searchsorted(keys, wanted, "left")
         hi = np.searchsorted(keys, wanted, "right")
         # adjacent cells are adjacent runs of the sorted keys: read each

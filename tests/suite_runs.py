@@ -1,10 +1,10 @@
 """The suites at the acceptance criteria's sizes, and their runner in a fresh
 interpreter, where a BLAS thread count can still take effect: run as a script,
 `suite_runs.py OUT SUITE...` runs the suites at seed 0, each into its own
-subdirectory of OUT. It prints as JSON the scipy modules loaded after the
-package import and after each suite, and the reprs of two estimates on a
-half-atom cloud; at eps 0.3 about 70k distinct rows survive t = 0 and are
-stepped as one product, large enough for OpenBLAS to thread."""
+subdirectory of OUT. It prints as JSON the scipy and numpy.ma modules loaded
+after the package import and after each suite, and the reprs of two
+estimates on a half-atom cloud; at eps 0.3 about 70k distinct rows survive
+t = 0 and are stepped as one product, large enough for OpenBLAS to thread."""
 
 import json
 import os
@@ -24,16 +24,19 @@ SUITES = ("egorov", "qe-catmap", "scar-construction", "entropy-sweep",
 SIZE = {"N": 128}
 
 
-def _scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def _lazy_modules():
+    """The loaded modules of scipy, and of numpy.ma, which numpy loads only
+    on first use."""
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])
 
 
 def _main(out, *names):
-    loaded = {"import": _scipy_modules()}
+    loaded = {"import": _lazy_modules()}
     for name in names:
         run_experiment(ExperimentConfig(experiment=name, out_dir=f"{out}/{name}",
                                         **SIZE))
-        loaded[name] = _scipy_modules()
+        loaded[name] = _lazy_modules()
     mix = mixture_cloud(0.5, atom_cloud([TorusPoint(0.0, 0.0)], 50_000),
                         uniform_cloud(250_000, seed=1))
     half_atom = [repr(ks_entropy_estimate(DEFAULT_MAP, mix, 8, eps, 20, seed=0))
@@ -65,8 +68,9 @@ class FreshRun:
                                      env=env, stdout=subprocess.PIPE, text=True)
 
     def printed(self) -> dict:
-        """Waits for the run; the scipy modules it "loaded" ("import", then
-        each suite in run order) and its "half_atom" estimates."""
+        """Waits for the run; the scipy and numpy.ma modules it "loaded"
+        ("import", then each suite in run order) and its "half_atom"
+        estimates."""
         if self._printed is None:
             stdout = self.proc.communicate(timeout=600)[0]
             assert self.proc.returncode == 0

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semiclass_lab import billiard
 from semiclass_lab.billiard import (_T_MIN, COVERAGE_CELLS, COVERAGE_SAMPLE_STEP,
                                     GRAZING_TOL, BilliardState, StadiumDomain,
                                     billiard_flow, circle_angular_momentum,
-                                    coverage_grid, ergodic_average)
+                                    coverage_grid, ergodic_average, orbit_blocks)
 from semiclass_lab.errors import GrazingError
 
 CIRCLE = StadiumDomain(half_length=0.0, radius=1.0)
@@ -245,14 +246,14 @@ def test_ergodic_average_whole_domain():
     of x = 0 and spends all or none of its length in the left half."""
     for x, frac in ((-0.5, 1.0), (0.5, 0.0)):
         states = billiard_flow(STADIUM, BilliardState(x, 0.0, 0.0, 1.0), 200)
-        assert ergodic_average(states, 200) == frac
+        assert ergodic_average([states], 200) == frac
 
 
 def test_axis_orbit_left_half_fraction_exact():
     """From (-1, 0) along the axis the chords run 3 then 4, 4, 4, 4 long,
     with 1 then 2 of each in x < 0."""
     states = billiard_flow(STADIUM, BilliardState(-1.0, 0.0, 1.0, 0.0), 5)
-    assert ergodic_average(states, 5) == 9 / 19
+    assert ergodic_average([states], 5) == 9 / 19
 
 
 def test_left_half_fraction_matches_sampling():
@@ -264,7 +265,7 @@ def test_left_half_fraction_matches_sampling():
     xs = p0[:, :1] + frac * (p1[:, :1] - p0[:, :1])  # (chords, samples)
     lengths = np.hypot(*(p1 - p0).T)
     sampled = ((xs < 0).mean(axis=1) @ lengths) / lengths.sum()
-    assert abs(ergodic_average(states, 2000) - sampled) < 1e-4
+    assert abs(ergodic_average([states], 2000) - sampled) < 1e-4
 
 
 def test_caustic_excludes_inner_disc():
@@ -283,7 +284,103 @@ def test_caustic_excludes_inner_disc():
 def test_left_half_fraction_short():
     s = BilliardState(0.137, -0.041, math.cos(0.83), math.sin(0.83))
     states = billiard_flow(STADIUM, s, 50_000)
-    assert abs(ergodic_average(states, 50_000) - 0.5) < 0.05
+    assert abs(ergodic_average([states], 50_000) - 0.5) < 0.05
+
+
+def _one_array_average(states):
+    """The left-half fraction of all chords of one states array, computed
+    on the whole array at once: ergodic_average's former body, the
+    reference for its block by block form."""
+    p0, p1 = states[:-1, :2], states[1:, :2]
+    lengths = np.hypot(*(p1 - p0).T)
+    x0, x1 = p0[:, 0], p1[:, 0]
+    left = (x0 < 0).astype(float)
+    cross = (x0 < 0) != (x1 < 0)
+    s = x0[cross] / (x0[cross] - x1[cross])
+    left[cross] = np.where(x0[cross] < 0, s, 1.0 - s)
+    return float((left * lengths).sum() / lengths.sum())
+
+
+def _joined(blocks):
+    """One states array from consecutive blocks, each block's first row,
+    the previous block's last, dropped."""
+    return np.concatenate([blocks[0]] + [b[1:] for b in blocks[1:]])
+
+
+@pytest.fixture(scope="module")
+def blocks_1e5():
+    """10^5 stadium bounces from the ergodic-orbit suite's start, at an
+    angle of their own, as ten blocks of 10^4."""
+    s = BilliardState(0.137, -0.041, math.cos(0.83), math.sin(0.83))
+    return list(orbit_blocks(STADIUM, s, [10_000] * 10))
+
+
+@pytest.mark.parametrize("domain, s", [
+    (STADIUM, BilliardState(0.137, -0.041, math.cos(0.83), math.sin(0.83))),
+    (CIRCLE, BilliardState(0.31, -0.12, math.cos(0.7), math.sin(0.7))),
+])
+def test_orbit_blocks_join_to_one_call(domain, s):
+    """Seven blocks of uneven lengths hold the rows of one 20,000-bounce
+    call bit for bit, each block starting on its predecessor's last row."""
+    lengths = (1, 2999, 5000, 17, 4000, 4000, 3983)
+    blocks = list(orbit_blocks(domain, s, lengths))
+    assert [len(b) - 1 for b in blocks] == list(lengths)
+    for before, after in zip(blocks, blocks[1:]):
+        assert np.array_equal(before[-1], after[0])
+    assert np.array_equal(_joined(blocks), billiard_flow(domain, s, sum(lengths)))
+
+
+def test_grazing_in_a_later_block_carries_its_orbit_index(monkeypatch):
+    """A second block that starts tangentially on the circle grazes at its
+    own first bounce, which is bounce 3 of the orbit."""
+    flow, starts = billiard.billiard_flow, []
+
+    def second_start_grazes(domain, s, n_bounces):
+        starts.append(s)
+        if len(starts) == 2:
+            s = BilliardState(1.0, 0.0, 0.0, 1.0)
+        return flow(domain, s, n_bounces)
+
+    monkeypatch.setattr(billiard, "billiard_flow", second_start_grazes)
+    blocks = orbit_blocks(CIRCLE, BilliardState(0.31, -0.12, 0.6, 0.8), [3, 5])
+    assert len(next(blocks)) == 4
+    with pytest.raises(GrazingError) as exc:
+        next(blocks)
+    assert exc.value.bounce_index == 3
+
+
+def test_block_average_matches_one_array_reference(blocks_1e5):
+    """Block by block, the left-half fraction of 10^5 chords keeps the bits
+    of the whole-array computation: the same elementwise values, summed
+    pairwise over the same whole arrays."""
+    want = _one_array_average(_joined(blocks_1e5))
+    assert ergodic_average(blocks_1e5, 100_000) == want
+    assert ergodic_average([_joined(blocks_1e5)], 100_000) == want
+
+
+def test_block_average_holds_one_block_at_a_time(blocks_1e5):
+    """The average's traced peak over 10^5 chords in blocks of 10^4 stays
+    below its two 8-byte arrays per chord plus 64 bytes per chord of one
+    block, 2.24 MB; the whole-array reference's temporaries reach about
+    28 bytes per chord, 2.8 MB."""
+    tracemalloc.start()
+    try:
+        ergodic_average(blocks_1e5, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 100_000 + 64 * 10_000
+
+
+@pytest.mark.parametrize("n_bounces", [19, 21])
+def test_blocks_must_hold_n_bounces_chords(n_bounces):
+    """Two blocks of 10 chords each are refused for 19 chords (one block
+    too many) and for 21 (too few)."""
+    s = BilliardState(0.2, 0.3, math.cos(2.1), math.sin(2.1))
+    blocks = list(orbit_blocks(STADIUM, s, [10, 10]))
+    assert ergodic_average(blocks, 20) == _one_array_average(_joined(blocks))
+    with pytest.raises(ValueError, match="n_bounces"):
+        ergodic_average(blocks, n_bounces)
 
 
 def test_coverage_grid_shape_and_visits():
@@ -324,11 +421,11 @@ def test_bounce_count_must_be_positive(n_bounces):
     s = BilliardState(0.2, 0.3, math.cos(2.1), math.sin(2.1))
     states = billiard_flow(STADIUM, s, 20)
     for run in (lambda n: billiard_flow(STADIUM, s, n),
-                lambda n: ergodic_average(states, n),
+                lambda n: ergodic_average([states], n),
                 lambda n: coverage_grid(STADIUM, states, n)):
         with pytest.raises(ValueError, match="n_bounces"):
             run(n_bounces)
-    for run in (lambda n: ergodic_average(states, n),
+    for run in (lambda n: ergodic_average([states], n),
                 lambda n: coverage_grid(STADIUM, states, n)):
         with pytest.raises(ValueError, match="n_bounces"):
             run(len(states))

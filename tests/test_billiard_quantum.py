@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -11,8 +12,9 @@ import scipy.special
 
 from semiclass_lab import experiments
 from semiclass_lab.billiard import StadiumDomain
-from semiclass_lab.billiard_quantum import (BilliardMode, DiscreteDomain,
-                                            _class_modes, _parity_bases,
+from semiclass_lab.billiard_quantum import (ALPHA_MIN, BilliardMode,
+                                            DiscreteDomain, _class_modes,
+                                            _parity_bases,
                                             bouncing_ball_scores,
                                             build_laplacian, discretize_stadium,
                                             eigenmodes_near, eigenmodes_window,
@@ -74,6 +76,77 @@ def test_laplacian_needs_a_margin_around_the_interior():
         build_laplacian(edged)
 
 
+def _shifted_grid(h=0.05):
+    """The stadium grid at spacing h shifted by h/2 along both axes."""
+    dd = discretize_stadium(STADIUM, h)
+    xs, ys = dd.xs + h / 2, dd.ys + h / 2
+    phi = STADIUM.signed_distance(*np.meshgrid(xs, ys, indexing="ij"))
+    return DiscreteDomain(spacing=h, xs=xs, ys=ys, mask=phi < 0, phi=phi)
+
+
+def _coo_laplacian(dd):
+    """build_laplacian's former assembly, the reference for its direct CSR
+    form: coordinate triplets, one direction at a time, converted by
+    scipy."""
+    h = dd.spacing
+    mask, phi = dd.mask, dd.phi
+    idx = dd.cell_index()
+    ii, jj = np.nonzero(mask)
+    n = len(ii)
+    rows, cols, vals, terms = [], [], [], []
+    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        ni, nj = ii + di, jj + dj
+        nbr = mask[ni, nj]
+        rows.append(np.flatnonzero(nbr))
+        cols.append(idx[ni[nbr], nj[nbr]])
+        vals.append(np.full(nbr.sum(), -1.0 / h**2))
+        term = np.full(n, 1.0 / h**2)
+        bnd = ~nbr
+        pb = phi[ii[bnd], jj[bnd]]
+        pn = phi[ni[bnd], nj[bnd]]
+        alpha = np.clip(pb / (pb - pn), ALPHA_MIN, 1.0)
+        term[bnd] = 1.0 / (alpha * h**2)
+        terms.append(term)
+    rows.append(np.arange(n))
+    cols.append(np.arange(n))
+    vals.append((terms[0] + terms[1]) + (terms[2] + terms[3]))
+    return sp.csr_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
+
+
+@pytest.mark.parametrize("grid", [
+    lambda: discretize_stadium(STADIUM, 0.02),
+    lambda: discretize_stadium(CIRCLE, 0.04),
+    _shifted_grid,
+], ids=["stadium-h0.02", "circle-h0.04", "shifted-h0.05"])
+def test_laplacian_csr_matches_coo_reference(grid):
+    """The direct CSR arrays equal those scipy builds from the triplets,
+    array for array and dtype for dtype, in canonical form."""
+    dd = grid()
+    A, want = build_laplacian(dd), _coo_laplacian(dd)
+    assert A.format == "csr" and A.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        got, ref = getattr(A, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert A.indices.dtype == np.int32
+    assert A.has_canonical_format and want.has_canonical_format
+
+
+def test_laplacian_assembly_peak_memory():
+    """The CSR assembly's traced peak on the circle at h=0.01 (31,397
+    unknowns) stays under 300 bytes per unknown; it reads about 155, and
+    the coordinate-format assembly about 420."""
+    dd = discretize_stadium(CIRCLE, 0.01)
+    tracemalloc.start()
+    try:
+        build_laplacian(dd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * dd.n_interior
+
+
 def _mirror(dd, axis):
     """Interior cell index -> index of its image under x -> -x (axis 0) or
     y -> -y (axis 1)."""
@@ -133,8 +206,9 @@ def test_torus_and_orbit_suites_leave_scipy_unloaded(fresh_runs):
     """Only the billiard eigen-solves import scipy: neither the package
     import nor the egorov, qe-catmap, scar-construction, entropy-sweep and
     ergodic-orbit suites, which the twin interpreter runs first, load any
-    scipy module. Its billiard-circle run that follows loads
-    scipy.sparse.linalg, which shows that the probe sees a lazy import."""
+    scipy module, nor numpy.ma (np.unique, for one, imports it). Its
+    billiard-circle run that follows loads scipy.sparse.linalg, which shows
+    that the probe sees a lazy import."""
     loaded = fresh_runs.twin.printed()["loaded"]
     scipy_free = ["import", "egorov", "qe-catmap", "scar-construction",
                   "entropy-sweep", "ergodic-orbit"]
@@ -321,11 +395,7 @@ def test_residual_on_class_operator_matches_lifted(window_k10):
 def test_window_needs_mirror_grid():
     """A grid shifted by h/2 does not mirror about the axes, so it has no
     parity classes to split a solve into."""
-    h = 0.05
-    dd = discretize_stadium(STADIUM, h)
-    xs, ys = dd.xs + h / 2, dd.ys + h / 2
-    phi = STADIUM.signed_distance(*np.meshgrid(xs, ys, indexing="ij"))
-    shifted = DiscreteDomain(spacing=h, xs=xs, ys=ys, mask=phi < 0, phi=phi)
+    shifted = _shifted_grid()
     A = build_laplacian(shifted)
     with pytest.raises(GeometryError):
         eigenmodes_window(shifted, A, STADIUM, 5.0)
