@@ -24,7 +24,7 @@ from .billiard import (BilliardState, StadiumDomain, billiard_flow,
 from .catmap import TorusPoint, cat_lyapunov
 from .entropy import (atom_cloud, entropy_bound_check, ks_entropy_estimate,
                       mixture_cloud, uniform_cloud)
-from .errors import ConfigError
+from .errors import AliasingError, ConfigError
 from .measures import (WEAK_STAR_K, ModelMeasure, ball_mass,
                        eigenbasis_elements, husimi, qe_variance,
                        weak_star_distance, wigner_coefficients)
@@ -120,10 +120,13 @@ def run_egorov(cfg: ExperimentConfig, report: RunReport):
 def qe_study(report: RunReport, m, A: TrigObservable, N: int):
     """QE study of A at dimensions 64 and N: adds the basis-average identity
     check per dimension and, if N > 64, the variance-decay check. Returns
-    the CSV rows and the eigendecomposition at N."""
+    the CSV rows and the eigendecomposition at N. AliasingError if a nonzero
+    frequency f of A is (0, 0) mod n: tr T[f] = +-n breaks the identity."""
     variances = {}
     rows = []
     for n in sorted({64, N}):
+        if any(f != (0, 0) and f[0] % n == f[1] % n == 0 for f in A.coefficients):
+            raise AliasingError(f"a nonzero frequency of A is (0, 0) mod N={n}")
         dec = diagonalize(cat_propagator(n, m))
         mus = eigenbasis_elements(dec, A)
         avg_defect = abs(mus.mean() - A.mean)

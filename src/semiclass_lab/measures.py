@@ -16,7 +16,7 @@ import numpy as np
 from .catmap import TorusPoint
 from .errors import AliasingError
 from .spectral import EigenDecomposition
-from .torus_quantum import (TrigObservable, _coherent_rows, op_apply,
+from .torus_quantum import (TrigObservable, gaussian_translates, op_apply,
                             translation_apply)
 
 WEAK_STAR_K = 8  # weak_star_distance: frequencies 0 < max(|m1|, |m2|) <= this
@@ -53,14 +53,26 @@ class HusimiGrid:
 
 
 def husimi(psi: np.ndarray) -> HusimiGrid:
-    """Coherent-state overlaps |<cs(i/G, k/G), psi>|^2, normalized to sum 1,
-    on the grid G = max(8, ceil(2 sqrt(N))) matched to the hbar-scale cell
-    size: one block of G states and one matrix-vector product per row i."""
-    G = max(8, math.ceil(2 * math.sqrt(len(psi))))
+    """|<cs(i/G, k/G), psi>|^2 / |cs|^2 normalized to sum 1, on the grid
+    G = max(8, ceil(2 sqrt(N))) matched to the hbar-scale cell size. Row i
+    is one length-G DFT of w psi over the gaussian_translates at x0 = i/G,
+    binned by (j - N m) mod G; the norms group the 25 translate pairs by
+    their difference. At N = 1, (1/2, 1/2) is a zero of the coherent state."""
+    N = len(psi)
+    if N < 2:
+        raise ValueError("husimi needs N >= 2")
+    G = max(8, math.ceil(2 * math.sqrt(N)))
+    d = np.arange(-4, 5)
+    cos = np.cos(2 * np.pi * (np.arange(G)[:, None] * N * d % G) / G)
     H = np.empty((G, G))
-    xi0 = np.arange(G) / G
     for i in range(G):
-        H[i] = np.abs(_coherent_rows(len(psi), i / G, xi0).conj() @ psi) ** 2
+        m, w = gaussian_translates(N, i / G)
+        r = ((np.arange(N) - N * m) % G).ravel()
+        wpsi = (w * psi).ravel()
+        b = np.bincount(r, wpsi.real, G) + 1j * np.bincount(r, wpsi.imag, G)
+        pairs = np.einsum("sj,tj->st", w, w)
+        norms = np.einsum("kd,d->k", cos, [np.trace(pairs, s) for s in d])
+        H[i] = np.abs(np.fft.fft(b)) ** 2 / norms
     H /= H.sum()
     return HusimiGrid(values=H, G=G)
 

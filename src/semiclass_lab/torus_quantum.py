@@ -118,39 +118,24 @@ def op_apply(A: TrigObservable, psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def coherent_state(N: int, center: TorusPoint) -> np.ndarray:
-    """Normalized periodized Gaussian wave packet centered at (x0, xi0)."""
-    return _coherent_rows(N, center.x, np.array([center.xi]))[0]
-
-
-def _coherent_rows(N: int, x0: float, xi0: np.ndarray) -> np.ndarray:
-    """The coherent states at (x0, xi0[r]) as the rows of a (len(xi0), N)
-    block: the rows share x0, so the Gaussian weights are computed once."""
+def gaussian_translates(N: int, x0: float):
+    """The periodized Gaussian at x0 as its five nearest translates: the
+    shifts m = rint(j/N - x0) + k, k = -2..2, and the weights
+    exp(-pi N (j/N - x0 - m)^2), each a (5, N) array. Every omitted
+    translate weighs below e^-37 (about 1e-16) once N >= 2."""
     if N < 1:
         raise ValueError("dimension N must be >= 1")
     j = np.arange(N)
-    psi = np.zeros((len(xi0), N), complex)
-    base = np.rint(j / N - x0).astype(int)
-    # five translates: every omitted one has |dx| >= 2.5, so its weight
-    # exp(-pi N dx^2) is below e^-37 (about 1e-16) once pi N 2.5^2 > 37,
-    # that is for N >= 2. Of the five only the nearest is significant
-    # (the others weigh at most exp(-pi N / 4)), and at large N most of
-    # their weights underflow to 0.0; a term of weight 0.0 adds only +-0,
-    # so its complex exponential is skipped without moving a bit. With no
-    # weight 0.0 the whole row is taken: a masked add is slower there
-    for k in (-2, -1, 0, 1, 2):
-        m = base + k
-        dx = j / N - x0 - m
-        w = np.exp(-np.pi * N * dx**2)
-        cols = w != 0
-        if cols.all():
-            cols = slice(None)
-        psi[:, cols] += w[cols] * np.exp(2j * np.pi * N * xi0[:, None] * (j / N - m)[cols])
-    # a vector norm per row, as for a single state: norm(psi, axis=1) sums
-    # in another order and moves the last bits
-    for row in psi:
-        row /= np.linalg.norm(row)
-    return psi
+    m = np.rint(j / N - x0).astype(int) + np.arange(-2, 3)[:, None]
+    return m, np.exp(-np.pi * N * (j / N - x0 - m) ** 2)
+
+
+def coherent_state(N: int, center: TorusPoint) -> np.ndarray:
+    """Normalized periodized Gaussian wave packet centered at (x0, xi0): its
+    gaussian_translates at x0, each times e^{2 pi i N xi0 (j/N - m)}."""
+    m, w = gaussian_translates(N, center.x)
+    psi = sum(w * np.exp(2j * np.pi * N * center.xi * (np.arange(N) / N - m)))
+    return psi / np.linalg.norm(psi)
 
 
 def index_action(m: CatMap) -> np.ndarray:

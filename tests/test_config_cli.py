@@ -7,8 +7,8 @@ from semiclass_lab import experiments
 from semiclass_lab.catmap import DEFAULT_MAP
 from semiclass_lab.cli import build_parser, main
 from semiclass_lab.config import EXPERIMENTS, ExperimentConfig, parse_config
-from semiclass_lab.errors import ConfigError, NumericalError
-from semiclass_lab.torus_quantum import cat_propagator
+from semiclass_lab.errors import AliasingError, ConfigError, NumericalError
+from semiclass_lab.torus_quantum import TrigObservable, cat_propagator
 
 
 def test_defaults():
@@ -175,6 +175,24 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch, suite, code):
     assert main(["--experiment", "egorov", "--out", str(tmp_path)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") if code == 2 else err == ""
+
+
+@pytest.mark.parametrize("N, code", [(1, 2), (2, 0), (3, 0)])
+def test_qe_catmap_rejects_aliased_frequency(tmp_path, capsys, N, code):
+    """At N = 1 the frequency (1, 1) of qe-catmap's 2 cos(2 pi (x + xi)) is
+    (0, 0) mod N, so tr Op(A)/N = -2 while A.mean = 0: an AliasingError,
+    not a failed basis_average_identity_N1."""
+    args = ["--experiment", "qe-catmap", "--N", str(N), "--out", str(tmp_path)]
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: a nonzero frequency") if code == 2 else err == ""
+
+
+def test_qe_study_rejects_frequency_zero_mod_n():
+    """(3, 6) is (0, 0) mod 3: aliasing is caught at any N, not only N = 1."""
+    with pytest.raises(AliasingError, match="mod N=3"):
+        experiments.qe_study(experiments.RunReport("qe"), DEFAULT_MAP,
+                             TrigObservable.cosine((3, 6)), 3)
 
 
 @pytest.mark.parametrize("args", [

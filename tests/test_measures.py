@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,33 +111,55 @@ def test_husimi_peak_and_mass():
 
 
 def husimi_reference(psi):
-    """husimi with every coherent state summed over all five Gaussian
-    translates, each weight exponentiated whether or not it underflows."""
+    """husimi from G blocks of G dense coherent states, each summed over all
+    five Gaussian translates with every phase k (j - N m) / G reduced mod G
+    in integers, normalized by its vector norm."""
     N = len(psi)
     G = max(8, math.ceil(2 * math.sqrt(N)))
     j = np.arange(N)
-    xi0 = np.arange(G) / G
+    k = np.arange(G)[:, None]
     H = np.empty((G, G))
     for i in range(G):
         x0 = i / G
         rows = np.zeros((G, N), complex)
         base = np.rint(j / N - x0).astype(int)
-        for k in (-2, -1, 0, 1, 2):
-            m = base + k
-            dx = j / N - x0 - m
-            rows += np.exp(-np.pi * N * dx**2) * np.exp(2j * np.pi * N * xi0[:, None] * (j / N - m))
-        for row in rows:
-            row /= np.linalg.norm(row)
+        for t in (-2, -1, 0, 1, 2):
+            m = base + t
+            w = np.exp(-np.pi * N * (j / N - x0 - m) ** 2)
+            rows += w * np.exp(2j * np.pi * (k * (j - N * m) % G) / G)
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
         H[i] = np.abs(rows.conj() @ psi) ** 2
     return H / H.sum()
 
 
-@pytest.mark.parametrize("N", [1, 2, 56, 195, 260, 512])
-def test_husimi_matches_five_translates_bit_for_bit(N):
-    """Skipping the translates whose Gaussian weight is exactly 0.0 moves no
-    bit: N = 1 and 2 skip none, the scar dimensions some, N = 512 most."""
+@pytest.mark.parametrize("N", [2, 7, 56, 195, 260, 512])
+def test_husimi_matches_integer_phase_reference(N):
+    """The binned DFT rows agree with the dense integer-phase grid to 1e-14
+    of its maximum (about 1e-15 measured); dense phases 2 pi N xi0 (j/N - m)
+    reduced in floats miss it by up to 8.6e-14 at N = 260."""
     psi = _random_state(N, seed=N)
-    assert np.array_equal(husimi(psi).values, husimi_reference(psi))
+    ref = husimi_reference(psi)
+    assert np.abs(husimi(psi).values - ref).max() <= 1e-14 * ref.max()
+
+
+def test_husimi_rejects_n1():
+    """At N = 1 the grid point (1/2, 1/2) is the zero of the coherent-state
+    family, and its five-translate norm is rounding noise."""
+    with pytest.raises(ValueError, match="N >= 2"):
+        husimi(np.ones(1, complex))
+
+
+def test_husimi_working_set_is_one_row():
+    """Rows are built one at a time: at N = 1,024 (G = 64) the traced peak
+    stays below 1 MiB, where G x N blocks of coherent states took 4.1 MiB."""
+    psi = _random_state(1024)
+    tracemalloc.start()
+    try:
+        husimi(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_ball_mass_uniform_and_monotone():
