@@ -71,9 +71,7 @@ def _configs_from_args(args) -> list:
 
 def _print_report(report) -> None:
     for check in report.checks:
-        status = "PASS" if check.passed else "FAIL"
-        print(f"[{report.experiment}] {status} {check.name} = {check.value:.6g}"
-              + (f" ({check.detail})" if check.detail else ""))
+        print(f"[{report.experiment}] {'PASS' if check.passed else 'FAIL'} {check}")
     print(f"[{report.experiment}] "
           + ("all checks passed" if report.passed else "CHECKS FAILED")
           + f" in {report.wall_time:.1f}s", flush=True)

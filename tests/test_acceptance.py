@@ -4,10 +4,14 @@ Each criterion reads a suite's report from the `suites` fixture, which runs
 every suite of `semiclass_lab.experiments` once at seed 0, or runs the study
 code the suites run (its study functions) where the criterion needs inputs
 the suite does not take, asserts on the checks that code reports, and prints
-exactly one PASS/FAIL line.
+exactly one PASS/FAIL line. The last test pins each suite's check names and
+the relation each single-bound check carries.
 """
 
+import json
 import math
+import operator
+from dataclasses import asdict
 
 import pytest
 
@@ -42,9 +46,7 @@ def suites(request, tmp_path_factory):
 
 def _checks(report):
     """Whether the report holds checks and all of them passed, and a summary."""
-    detail = "; ".join(f"{c.name} {c.value:.4g}" + (f" ({c.detail})" if c.detail else "")
-                       for c in report.checks)
-    return bool(report.checks) and report.passed, detail
+    return bool(report.checks) and report.passed, "; ".join(map(str, report.checks))
 
 
 def _modes_up_to_3():
@@ -72,15 +74,15 @@ def egorov_report():
 
 
 def _worst(report, name):
-    """Whether every check called name passed, and their largest value."""
+    """Whether every check called name passed, and the one of largest value."""
     checks = [c for c in report.checks if c.name == name]
-    return all(c.passed for c in checks), max(c.value for c in checks)
+    return all(c.passed for c in checks), max(checks, key=lambda c: c.value)
 
 
 def test_criterion_1_exact_egorov(egorov_report):
     ok, worst = _worst(egorov_report, "max_egorov_defect_lt_1e-9")
     _report(1, "exact Egorov, all modes |m|<=3, t<=5, N<=512", ok,
-            f"max defect {worst:.3e} < 1e-9 (upper bound on the operator norm)")
+            f"worst {worst}; an upper bound on the operator norm")
     assert ok
 
 
@@ -89,8 +91,7 @@ def test_criterion_2_unitarity_and_intertwining(egorov_report):
     ok_i, worst_i = _worst(egorov_report, "intertwining_defect_lt_1e-10")
     ok = ok_u and ok_i
     _report(2, "propagator unitarity and intertwining, N<=512", ok,
-            f"unitarity {worst_u:.3e}, intertwining {worst_i:.3e} < 1e-10 "
-            "(upper bounds on the operator norm)")
+            f"worst {worst_u}; worst {worst_i}; upper bounds on the operator norm")
     assert ok
 
 
@@ -99,15 +100,11 @@ def test_criterion_3_qe_basis_average_and_variance():
     A = TrigObservable.cosine((1, 0))  # 2 cos(2 pi x)
     rows, _ = ex.qe_study(report, M, A, 512)
     variances = {N: var for N, var, _ in rows}
-    worst_avg = max(avg for _, _, avg in rows)
     checks = {c.name: c.passed for c in report.checks}
     avg_ok = checks["basis_average_identity_N64"] and checks["basis_average_identity_N512"]
     var_ok = checks["variance_decays_with_N"]
     ok = avg_ok and var_ok
-    _report(3, "QE basis-average identity and variance decay", ok,
-            f"basis-average defect {worst_avg:.3e} < 1e-10; "
-            f"var(512) {variances[512]:.3e} "
-            f"{'<' if var_ok else '>='} var(64) {variances[64]:.3e}")
+    _report(3, "QE basis-average identity and variance decay", ok, _checks(report)[1])
     assert avg_ok
     if not var_ok:
         pytest.xfail(
@@ -127,7 +124,7 @@ def test_criterion_4_half_scar_construction():
     for N, P, *_ in rows:
         assert P <= 3 * math.log(N) / LAM
     ok, detail = _checks(report)
-    _report(4, "half-scar ball mass in [0.35, 0.60], mixture closest", ok, detail)
+    _report(4, "half-scar ball mass in its window, mixture closest", ok, detail)
     assert ok
 
 
@@ -198,3 +195,52 @@ def test_criterion_10_determinism(suites, fresh_runs):
             "exactly the files its run wrote", ok,
             f"compared {compared}; differing {differ}; failed checks {failed}")
     assert ok
+
+
+# each suite's checks at SIZE, in order; a renamed check fails here
+CHECK_NAMES = {
+    "egorov": ["unitarity_defect_lt_1e-10", "intertwining_defect_lt_1e-10",
+               "max_egorov_defect_lt_1e-9"],
+    "qe-catmap": ["basis_average_identity_N64", "basis_average_identity_N128",
+                  "variance_decays_with_N"],
+    "scar-construction": ["short_period_dims_found_ge_3",
+                          "ball_mass_in_window_N56", "mixture_closest_N56",
+                          "ball_mass_in_window_N195", "mixture_closest_N195",
+                          "ball_mass_in_window_N209", "mixture_closest_N209"],
+    "entropy-sweep": ["estimate_uniform_within_15pct", "estimate_atom_within_0.05",
+                      "estimate_mixture_within_20pct", "bound_accepts_alpha_le_half",
+                      "bound_rejects_alpha_above_half"],
+    "ergodic-orbit": ["left_half_fraction_within_0.02", "all_interior_cells_visited"],
+    "billiard-circle": ["k1_within_1pct", "k2_within_1pct",
+                        "convergence_order_in_window",
+                        "angular_momentum_drift_lt_1e-9"],
+    "billiard-stadium": ["weyl_count_within_15pct_k15", "max_residual_lt_1e-8_k15",
+                         "bouncing_ball_max_gt_1.5_k15", "median_bb_in_0.8_1.2_k15",
+                         "median_scar_in_0.8_1.2_k15",
+                         "weyl_count_within_15pct_k30", "max_residual_lt_1e-8_k30",
+                         "bouncing_ball_max_gt_1.5_k30", "median_bb_in_0.8_1.2_k30",
+                         "median_scar_in_0.8_1.2_k30",
+                         "central_strip_variance_decays"],
+}
+# the checks whose verdict is not one value against one bound
+COMPOUND = {"convergence_order_in_window", "bound_accepts_alpha_le_half",
+            "bound_rejects_alpha_above_half"}
+RELATIONS = {"lt": operator.lt, "gt": operator.gt, "ge": operator.ge,
+             "within": lambda value, b: b[0] <= value <= b[1]}
+
+
+def test_every_single_bound_check_carries_its_relation(suites):
+    """Each suite's check names at SIZE; every check but the three compound
+    ones carries its bound, its verdict is that relation applied to its
+    value, and report.json holds the same fields."""
+    assert {name: [c.name for c in r.checks]
+            for name, r in suites.items()} == CHECK_NAMES
+    for report in suites.values():
+        written = json.loads((report.out / "report.json").read_text())["checks"]
+        assert written == [asdict(c) for c in report.checks]
+        for c in report.checks:
+            if c.name in COMPOUND:
+                assert c.bound is None and c.margin is None
+                continue
+            (rel, b), = c.bound.items()
+            assert c.passed == RELATIONS[rel](c.value, b), c

@@ -5,7 +5,7 @@ import pytest
 
 from semiclass_lab import experiments
 from semiclass_lab.catmap import DEFAULT_MAP
-from semiclass_lab.cli import build_parser, main
+from semiclass_lab.cli import _print_report, build_parser, main
 from semiclass_lab.config import EXPERIMENTS, ExperimentConfig, parse_config
 from semiclass_lab.errors import AliasingError, ConfigError, NumericalError
 from semiclass_lab.torus_quantum import TrigObservable, cat_propagator
@@ -145,6 +145,17 @@ def test_main_prints_finished_suites_before_an_error(tmp_path, capsys):
     assert lines and all(line.startswith("[egorov] ") for line in lines)
     assert lines[-1].startswith("[egorov] all checks passed")
     assert captured.err.startswith("error: ")
+
+
+def test_print_report_shows_relation_and_margin(capsys):
+    report = experiments.RunReport("suite", wall_time=1.5)
+    report.check("holds", 0.25, lt=1.0)
+    report.check("breaks", 2.0, within=(0.5, 1.5))
+    _print_report(report)
+    assert capsys.readouterr().out.splitlines() == [
+        "[suite] PASS holds = 0.25 < 1 (margin 0.75)",
+        "[suite] FAIL breaks = 2 in [0.5, 1.5] (margin -0.5)",
+        "[suite] CHECKS FAILED in 1.5s"]
 
 
 def _passing_suite(cfg, report):
