@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .billiard import StadiumDomain
 from .errors import GeometryError, NumericalError, UnderResolved
 
@@ -255,15 +256,16 @@ def _class_modes(dd: DiscreteDomain, A, Q, target_k: float, count: int,
     if n < 3:
         raise UnderResolved(f"a parity class has only {n} cells")
     B = (Q.T @ A @ Q).tocsr()
-    w, V = _class_eigs(B, target_k**2, min(count, n - 2), reach)
-    inside = np.abs(np.sqrt(w) - target_k) <= halfwidth
-    w, V = w[inside], V[:, inside]
-    modes = []
-    for lam, v in zip(w.tolist(), V.T):
-        v = v.copy()
-        modes.append(BilliardMode(eigenvalue=lam, k=math.sqrt(lam),
-                                  residual=float(np.linalg.norm(B @ v - lam * v)),
-                                  v=v, Q=Q, dd=dd))
+    with one_blas_thread():
+        w, V = _class_eigs(B, target_k**2, min(count, n - 2), reach)
+        inside = np.abs(np.sqrt(w) - target_k) <= halfwidth
+        w, V = w[inside], V[:, inside]
+        modes = []
+        for lam, v in zip(w.tolist(), V.T):
+            v = v.copy()
+            modes.append(BilliardMode(eigenvalue=lam, k=math.sqrt(lam),
+                                      residual=float(np.linalg.norm(B @ v - lam * v)),
+                                      v=v, Q=Q, dd=dd))
     return modes
 
 
@@ -330,7 +332,8 @@ def region_masses(modes, region):
     f = np.asarray(region(*modes[0].dd.interior_points()), float)
     bases = {id(m.Q): m.Q for m in modes}
     weights = {key: Q.power(2).T @ f for key, Q in bases.items()}
-    return np.array([weights[id(m.Q)] @ m.v**2 for m in modes]), float(f.mean())
+    with one_blas_thread():
+        return np.array([weights[id(m.Q)] @ m.v**2 for m in modes]), float(f.mean())
 
 
 def scar_scores(modes, domain: StadiumDomain) -> np.ndarray:

@@ -306,9 +306,8 @@ def run_billiard_circle(cfg: ExperimentConfig, report: RunReport):
     report.check("k1_within_1pct", abs(k1[h] - j0) / j0, lt=0.01)
     mode2 = bq.eigenmodes_near(dd, A, j1, 1, parity=(1, -1))[0]
     report.check("k2_within_1pct", abs(mode2.k - j1) / j1, lt=0.01)
-    report.add("convergence_order_in_window",
-               1.7 <= order1 <= 2.3 and 1.7 <= order2 <= 2.3,
-               order2, f"orders {order1:.2f}, {order2:.2f}")
+    report.check("convergence_order_4h_2h_in_1.7_2.3", order1, within=(1.7, 2.3))
+    report.check("convergence_order_2h_h_in_1.7_2.3", order2, within=(1.7, 2.3))
     write_csv(report.path("circle_eigenvalues.csv"), ("h", "k1", "k1_exact", "rel_err"),
               rows)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .catmap import CatMap, TorusPoint, cat_lyapunov
 from .errors import DegenerateConstruction, NumericalError
 from .torus_quantum import coherent_state, unitarity_defect
@@ -111,11 +112,12 @@ def diagonalize(U: np.ndarray) -> EigenDecomposition:
     odd = s * (odd_cols[lo] - odd_cols[hi])
     phases, Zs = [], []
     for B in (even, odd):
-        Z = _unitary_eigenvectors(B)
-        BZ = B @ Z
-        theta = np.angle(np.einsum("ij,ij->j", Z.conj(), BZ))
-        resid = np.abs(BZ - Z * np.exp(1j * theta)).max(initial=0.0)
-        ortho = np.abs(Z.conj().T @ Z - np.eye(len(Z))).max(initial=0.0)
+        with one_blas_thread():
+            Z = _unitary_eigenvectors(B)
+            BZ = B @ Z
+            theta = np.angle(np.einsum("ij,ij->j", Z.conj(), BZ))
+            resid = np.abs(BZ - Z * np.exp(1j * theta)).max(initial=0.0)
+            ortho = np.abs(Z.conj().T @ Z - np.eye(len(Z))).max(initial=0.0)
         if resid > RESIDUAL_TOL or ortho > RESIDUAL_TOL:
             raise NumericalError(
                 f"eigensolver residual {resid:.2e}, orthogonality defect {ortho:.2e}"

@@ -2,9 +2,7 @@
 interpreter, where a BLAS thread count can still take effect: run as a script,
 `suite_runs.py OUT SUITE...` runs the suites at seed 0, each into its own
 subdirectory of OUT. It prints as JSON the scipy and numpy.ma modules loaded
-after the package import and after each suite, and the reprs of two
-estimates on a half-atom cloud; at eps 0.3 about 70k distinct rows survive
-t = 0 and are stepped as one product, large enough for OpenBLAS to thread."""
+after the package import and after each suite, and half_atom_estimates()."""
 
 import json
 import os
@@ -31,17 +29,23 @@ def _lazy_modules():
                   if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])
 
 
+def half_atom_estimates() -> list:
+    """The reprs of two estimates on a 3e5-point half-atom cloud; at eps 0.3
+    about 70k distinct rows survive t = 0 and are stepped as one product,
+    large enough for OpenBLAS to thread."""
+    mix = mixture_cloud(0.5, atom_cloud([TorusPoint(0.0, 0.0)], 50_000),
+                        uniform_cloud(250_000, seed=1))
+    return [repr(ks_entropy_estimate(DEFAULT_MAP, mix, 8, eps, 20, seed=0))
+            for eps in (0.1, 0.3)]
+
+
 def _main(out, *names):
     loaded = {"import": _lazy_modules()}
     for name in names:
         run_experiment(ExperimentConfig(experiment=name, out_dir=f"{out}/{name}",
                                         **SIZE))
         loaded[name] = _lazy_modules()
-    mix = mixture_cloud(0.5, atom_cloud([TorusPoint(0.0, 0.0)], 50_000),
-                        uniform_cloud(250_000, seed=1))
-    half_atom = [repr(ks_entropy_estimate(DEFAULT_MAP, mix, 8, eps, 20, seed=0))
-                 for eps in (0.1, 0.3)]
-    print(json.dumps({"loaded": loaded, "half_atom": half_atom}))
+    print(json.dumps({"loaded": loaded, "half_atom": half_atom_estimates()}))
 
 
 def suite_files(out: Path) -> dict:
@@ -54,17 +58,17 @@ def suite_files(out: Path) -> dict:
 
 
 class FreshRun:
-    """The named suites, run in the background by this file as a script, with
+    """SUITES, run in the background by this file as a script, with
     SEMICLASS_LAB_THREADS and the BLAS thread variables set to threads."""
 
-    def __init__(self, out: Path, names, threads: str):
+    def __init__(self, out: Path, threads: str):
         self.out, self._printed = out, None
         env = dict(os.environ, **dict.fromkeys((
             "SEMICLASS_LAB_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
             "MKL_NUM_THREADS"), threads))
         src = str(Path(semiclass_lab.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        self.proc = subprocess.Popen([sys.executable, __file__, str(out), *names],
+        self.proc = subprocess.Popen([sys.executable, __file__, str(out), *SUITES],
                                      env=env, stdout=subprocess.PIPE, text=True)
 
     def printed(self) -> dict:

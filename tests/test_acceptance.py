@@ -35,10 +35,10 @@ def _report(num, name, passed, detail):
 @pytest.fixture(scope="module")
 def suites(request, tmp_path_factory):
     """Every suite's report at seed 0, run once in this process at the
-    criteria's sizes. When a selected test reads fresh_runs, its
-    interpreters start first, to run the same alongside."""
-    if any("fresh_runs" in item.fixturenames for item in request.session.items):
-        request.getfixturevalue("fresh_runs")
+    criteria's sizes. When a selected test reads fresh_run, its
+    interpreter starts first, to run the same alongside."""
+    if any("fresh_run" in item.fixturenames for item in request.session.items):
+        request.getfixturevalue("fresh_run")
     out = tmp_path_factory.mktemp("suites")
     return {name: ex.run_experiment(ExperimentConfig(
         experiment=name, out_dir=str(out / name), **SIZE)) for name in SUITES}
@@ -117,11 +117,12 @@ def test_criterion_3_qe_basis_average_and_variance():
         )
 
 
-def test_criterion_4_half_scar_construction():
-    report = ex.RunReport("scar")
-    rows, _ = ex.scar_study(report, M, 250)
-    assert [N for N, *_ in rows] == [56, 195, 209]
-    for N, P, *_ in rows:
+def test_criterion_4_half_scar_construction(suites):
+    report = suites["scar-construction"]  # at N=128 it searches N <= 250
+    lines = (report.out / "scarred_states.csv").read_text().splitlines()
+    rows = [tuple(map(int, line.split(",")[:2])) for line in lines[1:]]  # N, P
+    assert [N for N, _ in rows] == [56, 195, 209]
+    for N, P in rows:
         assert P <= 3 * math.log(N) / LAM
     ok, detail = _checks(report)
     _report(4, "half-scar ball mass in its window, mixture closest", ok, detail)
@@ -174,10 +175,10 @@ def test_criterion_9_stadium_classical_ergodicity(suites):
     assert ok
 
 
-def test_criterion_10_determinism(suites, fresh_runs):
-    """The in-process run against the twin's run in a fresh interpreter:
-    every file of each suite byte for byte, and each report.json's checks
-    and artifacts, which list exactly the other files of the run."""
+def test_criterion_10_determinism(suites, fresh_run):
+    """The in-process run against a fresh interpreter's at the other BLAS
+    thread count: every file of each suite byte for byte, and each
+    report.json's checks and artifacts, which list exactly its other files."""
     failed = [f"{name}/{c.name}" for name, report in suites.items()
               for c in report.checks if not c.passed]
     compared, differ = [], []
@@ -185,12 +186,12 @@ def test_criterion_10_determinism(suites, fresh_runs):
         files = suite_files(report.out)
         listed = sorted(files["report.json"]["artifacts"])
         if listed != sorted(set(files) - {"report.json"}) or \
-                files != fresh_runs.twin.files(name):
+                files != fresh_run.files(name):
             differ.append(name)
         compared += [f"{name}/{f}" for f in listed]
     ok = (set(suites) == set(EXPERIMENTS) and all(r.checks for r in suites.values())
           and not differ and not failed)
-    _report(10, "equal-seed runs in this process and in a fresh one pass every "
+    _report(10, "equal-seed runs at one and at two BLAS threads pass every "
             "check and write identical files, each report.json listing "
             "exactly the files its run wrote", ok,
             f"compared {compared}; differing {differ}; failed checks {failed}")
@@ -212,7 +213,8 @@ CHECK_NAMES = {
                       "bound_rejects_alpha_above_half"],
     "ergodic-orbit": ["left_half_fraction_within_0.02", "all_interior_cells_visited"],
     "billiard-circle": ["k1_within_1pct", "k2_within_1pct",
-                        "convergence_order_in_window",
+                        "convergence_order_4h_2h_in_1.7_2.3",
+                        "convergence_order_2h_h_in_1.7_2.3",
                         "angular_momentum_drift_lt_1e-9"],
     "billiard-stadium": ["weyl_count_within_15pct_k15", "max_residual_lt_1e-8_k15",
                          "bouncing_ball_max_gt_1.5_k15", "median_bb_in_0.8_1.2_k15",
@@ -223,14 +225,13 @@ CHECK_NAMES = {
                          "central_strip_variance_decays"],
 }
 # the checks whose verdict is not one value against one bound
-COMPOUND = {"convergence_order_in_window", "bound_accepts_alpha_le_half",
-            "bound_rejects_alpha_above_half"}
+COMPOUND = {"bound_accepts_alpha_le_half", "bound_rejects_alpha_above_half"}
 RELATIONS = {"lt": operator.lt, "gt": operator.gt, "ge": operator.ge,
              "within": lambda value, b: b[0] <= value <= b[1]}
 
 
 def test_every_single_bound_check_carries_its_relation(suites):
-    """Each suite's check names at SIZE; every check but the three compound
+    """Each suite's check names at SIZE; every check but the two compound
     ones carries its bound, its verdict is that relation applied to its
     value, and report.json holds the same fields."""
     assert {name: [c.name for c in r.checks]

@@ -429,11 +429,3 @@ def test_bounce_count_must_be_positive(n_bounces):
                 lambda n: coverage_grid(STADIUM, states, n)):
         with pytest.raises(ValueError, match="n_bounces"):
             run(len(states))
-
-
-def test_billiard_same_at_one_and_two_blas_threads(fresh_runs):
-    """billiard-circle and ergodic-orbit (whose left-half average reaches
-    report.json only as a check value) write the same files at both thread
-    counts."""
-    for name in ("billiard-circle", "ergodic-orbit"):
-        assert fresh_runs.other.files(name) == fresh_runs.twin.files(name)

@@ -202,14 +202,15 @@ def test_bessel_zero_constants_are_scipy_values():
     assert experiments.BESSEL_J1_ZERO == scipy.special.jn_zeros(1, 1)[0]
 
 
-def test_torus_and_orbit_suites_leave_scipy_unloaded(fresh_runs):
+def test_torus_and_orbit_suites_leave_scipy_unloaded(fresh_run):
     """Only the billiard eigen-solves import scipy: neither the package
     import nor the egorov, qe-catmap, scar-construction, entropy-sweep and
-    ergodic-orbit suites, which the twin interpreter runs first, load any
-    scipy module, nor numpy.ma (np.unique, for one, imports it). Its
+    ergodic-orbit suites, which the fresh interpreter runs first, load any
+    scipy module, nor numpy.ma (np.unique, for one, imports it), though
+    qe-catmap and scar-construction enter the one-thread BLAS pin. The
     billiard-circle run that follows loads scipy.sparse.linalg, which shows
     that the probe sees a lazy import."""
-    loaded = fresh_runs.twin.printed()["loaded"]
+    loaded = fresh_run.printed()["loaded"]
     scipy_free = ["import", "egorov", "qe-catmap", "scar-construction",
                   "entropy-sweep", "ergodic-orbit"]
     assert list(loaded)[:7] == scipy_free + ["billiard-circle"]

@@ -15,6 +15,7 @@ from semiclass_lab.entropy import (SampleCloud, _cell_index, _distinct_rows,
                                    entropy_bound_check, ks_entropy_estimate,
                                    mixture_cloud, uniform_cloud)
 from semiclass_lab.errors import UnderResolved
+from suite_runs import half_atom_estimates
 
 M = DEFAULT_MAP
 LAM = cat_lyapunov(M).lambda_plus
@@ -203,15 +204,13 @@ def test_ks_estimate_uniform_near_lyapunov():
     assert est.n_centers_used >= 20
 
 
-def test_ks_estimate_same_at_one_and_two_blas_threads(fresh_runs):
-    """Estimates are the same at both thread counts, to the last bit:
-    entropy-sweep's (its CSV and check values), and the fresh runs' two on a
-    half-atom cloud, one stepping a product that OpenBLAS threads."""
-    name = "entropy-sweep"
-    assert fresh_runs.other.files(name) == fresh_runs.twin.files(name)
-    one = fresh_runs.twin.printed()["half_atom"]
-    assert [r.startswith("EntropyEstimate(") for r in one] == [True, True]
-    assert fresh_runs.other.printed()["half_atom"] == one
+def test_ks_estimate_same_at_one_and_two_blas_threads(fresh_run):
+    """Two estimates on a half-atom cloud, one stepping a product that
+    OpenBLAS threads, are the same to the last bit in this process and in
+    the fresh run at the other thread count."""
+    here = half_atom_estimates()
+    assert [r.startswith("EntropyEstimate(") for r in here] == [True, True]
+    assert fresh_run.printed()["half_atom"] == here
 
 
 def test_ks_estimate_atom_is_zero():

@@ -260,18 +260,6 @@ def test_phase_zero_cluster_stays_at_the_head():
     assert abs(clusters[0][0]) < 1e-15
 
 
-def test_qe_variance_same_at_one_and_two_blas_threads(fresh_runs):
-    """Within each parity class the spectrum is simple at N=128, so the
-    eigenbasis is unique up to phases and qe-catmap writes the same files
-    and check values at both thread counts, eigenphases.csv included."""
-    assert fresh_runs.other.files("qe-catmap") == fresh_runs.twin.files("qe-catmap")
-
-
-def test_scarred_states_same_at_one_and_two_blas_threads(fresh_runs):
-    name = "scar-construction"
-    assert fresh_runs.other.files(name) == fresh_runs.twin.files(name)
-
-
 def test_quantum_period_n1():
     qp = quantum_period(M, 5, cat_propagator(1, M))
     assert qp is not None and qp.P == 1
