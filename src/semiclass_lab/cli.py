@@ -10,11 +10,14 @@ Usage:
     semiclass-lab --experiment egorov,qe-catmap --out results
     semiclass-lab --config run.cfg --seed 3
 
-The SEMICLASS_LAB_THREADS environment variable caps BLAS thread counts.
-Importing the package copies it into OMP_NUM_THREADS, OPENBLAS_NUM_THREADS
-and MKL_NUM_THREADS where those are unset, so it takes effect only if it is
-set before numpy is first imported in the process; set later, it is
-silently ignored.
+The SEMICLASS_LAB_THREADS environment variable sets the BLAS thread count
+everywhere but in the three pinned regions (the billiard class solves,
+region_masses' dot products and the cat-map parity blocks of diagonalize),
+which run at one OpenBLAS thread so that every artifact is the same at any
+count. Importing the package copies it into OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS and MKL_NUM_THREADS where those are unset, so it takes
+effect only if it is set before numpy is first imported in the process; set
+later, it is silently ignored.
 """
 
 from __future__ import annotations

@@ -1,16 +1,18 @@
-"""Pin BLAS to one thread for the test run, unless SEMICLASS_LAB_THREADS is
-already set, by writing its count over the BLAS thread variables before
-any test module imports numpy. The fresh_run fixture holds all seven
-suites' run in a fresh interpreter at the other thread count, which the
-determinism and thread-count tests read."""
+"""Run the tests at one BLAS thread, unless SEMICLASS_LAB_THREADS is already
+set: before any test module imports numpy, set SEMICLASS_LAB_THREADS and
+remove the BLAS thread variables, so that importing the package sets them
+from it and a BLAS variable left in the shell cannot change the count. The
+fresh_run fixture holds all seven suites' run in a fresh interpreter at the
+other thread count, which the determinism and thread-count tests read."""
 
 import os
 
 import pytest
 
 THREADS = os.environ.get("SEMICLASS_LAB_THREADS") or "1"
-os.environ.update(dict.fromkeys(("SEMICLASS_LAB_THREADS", "OMP_NUM_THREADS",
-                                 "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), THREADS))
+os.environ["SEMICLASS_LAB_THREADS"] = THREADS
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.pop(var, None)
 
 from suite_runs import FreshRun  # noqa: E402
 

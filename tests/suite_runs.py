@@ -1,8 +1,9 @@
-"""The suites at the acceptance criteria's sizes, and their runner in a fresh
-interpreter, where a BLAS thread count can still take effect: run as a script,
-`suite_runs.py OUT SUITE...` runs the suites at seed 0, each into its own
-subdirectory of OUT. It prints as JSON the scipy and numpy.ma modules loaded
-after the package import and after each suite, and half_atom_estimates()."""
+"""The suites as the command line runs them at its defaults, and their runner
+in a fresh interpreter, where a BLAS thread count can still take effect: run
+as a script, `suite_runs.py OUT SUITE...` runs the suites at seed 0, each into
+its own subdirectory of OUT. It prints as JSON the scipy and numpy.ma modules
+loaded after the package import and after each suite, the BLAS thread counts
+after the last suite, and half_atom_estimates()."""
 
 import json
 import os
@@ -14,12 +15,12 @@ import semiclass_lab
 from semiclass_lab import (DEFAULT_MAP, ExperimentConfig, TorusPoint, atom_cloud,
                            ks_entropy_estimate, mixture_cloud, run_experiment,
                            uniform_cloud)
+from semiclass_lab._blas import _threads
 
 # every suite, the five that solve no sparse eigenproblem first, so that the
 # scipy probe reads them before a billiard suite imports scipy
 SUITES = ("egorov", "qe-catmap", "scar-construction", "entropy-sweep",
           "ergodic-orbit", "billiard-circle", "billiard-stadium")
-SIZE = {"N": 128}
 
 
 def _lazy_modules():
@@ -27,6 +28,13 @@ def _lazy_modules():
     on first use."""
     return sorted(m for m in sys.modules
                   if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])
+
+
+def blas_threads() -> dict:
+    """The thread count of numpy's and of scipy's bundled OpenBLAS, of each
+    package that is loaded and whose library _blas finds."""
+    return {p: _threads(p)[0]() for p in ("numpy", "scipy")
+            if p in sys.modules and _threads(p)}
 
 
 def half_atom_estimates() -> list:
@@ -42,10 +50,10 @@ def half_atom_estimates() -> list:
 def _main(out, *names):
     loaded = {"import": _lazy_modules()}
     for name in names:
-        run_experiment(ExperimentConfig(experiment=name, out_dir=f"{out}/{name}",
-                                        **SIZE))
+        run_experiment(ExperimentConfig(experiment=name, out_dir=f"{out}/{name}"))
         loaded[name] = _lazy_modules()
-    print(json.dumps({"loaded": loaded, "half_atom": half_atom_estimates()}))
+    print(json.dumps({"loaded": loaded, "threads": blas_threads(),
+                      "half_atom": half_atom_estimates()}))
 
 
 def suite_files(out: Path) -> dict:
@@ -59,13 +67,14 @@ def suite_files(out: Path) -> dict:
 
 class FreshRun:
     """SUITES, run in the background by this file as a script, with
-    SEMICLASS_LAB_THREADS and the BLAS thread variables set to threads."""
+    SEMICLASS_LAB_THREADS set to threads and the BLAS thread variables
+    removed, so that the package sets them from it."""
 
     def __init__(self, out: Path, threads: str):
-        self.out, self._printed = out, None
-        env = dict(os.environ, **dict.fromkeys((
-            "SEMICLASS_LAB_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS"), threads))
+        self.out, self.threads, self._printed = out, threads, None
+        env = {k: v for k, v in os.environ.items() if k not in
+               ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["SEMICLASS_LAB_THREADS"] = threads
         src = str(Path(semiclass_lab.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         self.proc = subprocess.Popen([sys.executable, __file__, str(out), *SUITES],
@@ -73,8 +82,8 @@ class FreshRun:
 
     def printed(self) -> dict:
         """Waits for the run; the scipy and numpy.ma modules it "loaded"
-        ("import", then each suite in run order) and its "half_atom"
-        estimates."""
+        ("import", then each suite in run order), its BLAS "threads" and its
+        "half_atom" estimates."""
         if self._printed is None:
             stdout = self.proc.communicate(timeout=600)[0]
             assert self.proc.returncode == 0

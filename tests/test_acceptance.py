@@ -11,6 +11,7 @@ the relation each single-bound check carries.
 import json
 import math
 import operator
+import os
 from dataclasses import asdict
 
 import pytest
@@ -21,7 +22,7 @@ from semiclass_lab.billiard import StadiumDomain
 from semiclass_lab.catmap import DEFAULT_MAP, cat_lyapunov
 from semiclass_lab.config import EXPERIMENTS, ExperimentConfig
 from semiclass_lab.torus_quantum import TrigObservable
-from suite_runs import SIZE, SUITES, suite_files
+from suite_runs import SUITES, blas_threads, suite_files
 
 M = DEFAULT_MAP
 LAM = cat_lyapunov(M).lambda_plus
@@ -35,13 +36,13 @@ def _report(num, name, passed, detail):
 @pytest.fixture(scope="module")
 def suites(request, tmp_path_factory):
     """Every suite's report at seed 0, run once in this process at the
-    criteria's sizes. When a selected test reads fresh_run, its
+    command line's defaults. When a selected test reads fresh_run, its
     interpreter starts first, to run the same alongside."""
     if any("fresh_run" in item.fixturenames for item in request.session.items):
         request.getfixturevalue("fresh_run")
     out = tmp_path_factory.mktemp("suites")
     return {name: ex.run_experiment(ExperimentConfig(
-        experiment=name, out_dir=str(out / name), **SIZE)) for name in SUITES}
+        experiment=name, out_dir=str(out / name))) for name in SUITES}
 
 
 def _checks(report):
@@ -118,10 +119,10 @@ def test_criterion_3_qe_basis_average_and_variance():
 
 
 def test_criterion_4_half_scar_construction(suites):
-    report = suites["scar-construction"]  # at N=128 it searches N <= 250
+    report = suites["scar-construction"]
     lines = (report.out / "scarred_states.csv").read_text().splitlines()
     rows = [tuple(map(int, line.split(",")[:2])) for line in lines[1:]]  # N, P
-    assert [N for N, _ in rows] == [56, 195, 209]
+    assert [N for N, _ in rows] == [56, 195, 209, 260]
     for N, P in rows:
         assert P <= 3 * math.log(N) / LAM
     ok, detail = _checks(report)
@@ -178,7 +179,9 @@ def test_criterion_9_stadium_classical_ergodicity(suites):
 def test_criterion_10_determinism(suites, fresh_run):
     """The in-process run against a fresh interpreter's at the other BLAS
     thread count: every file of each suite byte for byte, and each
-    report.json's checks and artifacts, which list exactly its other files."""
+    report.json's checks and artifacts, which list exactly its other files.
+    Each bundled OpenBLAS that _blas finds reads this process's count here
+    and the other count there."""
     failed = [f"{name}/{c.name}" for name, report in suites.items()
               for c in report.checks if not c.passed]
     compared, differ = [], []
@@ -189,25 +192,30 @@ def test_criterion_10_determinism(suites, fresh_run):
                 files != fresh_run.files(name):
             differ.append(name)
         compared += [f"{name}/{f}" for f in listed]
+    here, there = blas_threads(), fresh_run.printed()["threads"]
+    counted = (here == dict.fromkeys(here, int(os.environ["SEMICLASS_LAB_THREADS"]))
+               and there == dict.fromkeys(here, int(fresh_run.threads)))
     ok = (set(suites) == set(EXPERIMENTS) and all(r.checks for r in suites.values())
-          and not differ and not failed)
+          and not differ and not failed and counted)
     _report(10, "equal-seed runs at one and at two BLAS threads pass every "
             "check and write identical files, each report.json listing "
             "exactly the files its run wrote", ok,
-            f"compared {compared}; differing {differ}; failed checks {failed}")
+            f"BLAS threads {here} here, {there} there; compared {compared}; "
+            f"differing {differ}; failed checks {failed}")
     assert ok
 
 
-# each suite's checks at SIZE, in order; a renamed check fails here
+# each suite's checks at the CLI defaults, in order; a renamed check fails here
 CHECK_NAMES = {
     "egorov": ["unitarity_defect_lt_1e-10", "intertwining_defect_lt_1e-10",
                "max_egorov_defect_lt_1e-9"],
-    "qe-catmap": ["basis_average_identity_N64", "basis_average_identity_N128",
+    "qe-catmap": ["basis_average_identity_N64", "basis_average_identity_N512",
                   "variance_decays_with_N"],
     "scar-construction": ["short_period_dims_found_ge_3",
                           "ball_mass_in_window_N56", "mixture_closest_N56",
                           "ball_mass_in_window_N195", "mixture_closest_N195",
-                          "ball_mass_in_window_N209", "mixture_closest_N209"],
+                          "ball_mass_in_window_N209", "mixture_closest_N209",
+                          "ball_mass_in_window_N260", "mixture_closest_N260"],
     "entropy-sweep": ["estimate_uniform_within_15pct", "estimate_atom_within_0.05",
                       "estimate_mixture_within_20pct", "bound_accepts_alpha_le_half",
                       "bound_rejects_alpha_above_half"],
@@ -231,9 +239,9 @@ RELATIONS = {"lt": operator.lt, "gt": operator.gt, "ge": operator.ge,
 
 
 def test_every_single_bound_check_carries_its_relation(suites):
-    """Each suite's check names at SIZE; every check but the two compound
-    ones carries its bound, its verdict is that relation applied to its
-    value, and report.json holds the same fields."""
+    """Each suite's check names at the defaults; every check but the two
+    compound ones carries its bound, its verdict is that relation applied to
+    its value, and report.json holds the same fields."""
     assert {name: [c.name for c in r.checks]
             for name, r in suites.items()} == CHECK_NAMES
     for report in suites.values():
