@@ -8,7 +8,7 @@ _threads = _os.environ.get("SEMICLASS_LAB_THREADS")
 if _threads:
     # must land before the first numpy import to take effect in BLAS
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
+        _os.environ[_var] = _threads  # over any value the shell set
 
 from .catmap import CatMap, DEFAULT_MAP, LyapunovData, TorusPoint, cat_lyapunov
 from .billiard import (BilliardState, StadiumDomain, billiard_flow,

@@ -14,10 +14,9 @@ The SEMICLASS_LAB_THREADS environment variable sets the BLAS thread count
 everywhere but in the three pinned regions (the billiard class solves,
 region_masses' dot products and the cat-map parity blocks of diagonalize),
 which run at one OpenBLAS thread so that every artifact is the same at any
-count. Importing the package copies it into OMP_NUM_THREADS,
-OPENBLAS_NUM_THREADS and MKL_NUM_THREADS where those are unset, so it takes
-effect only if it is set before numpy is first imported in the process; set
-later, it is silently ignored.
+count. Importing the package sets OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
+MKL_NUM_THREADS to it, so it takes effect only if it is set before numpy is
+first imported in the process; set later, it is silently ignored.
 """
 
 from __future__ import annotations
@@ -56,12 +55,12 @@ def _configs_from_args(args) -> list:
     if args.dump_state:
         overrides["dump_state"] = True
     base = parse_config(args.config, overrides)
-    names = [name.strip() for name in args.experiment.split(",")] \
-        if args.experiment else ([base.experiment] if base.experiment else [])
+    listed = args.experiment or base.experiment
+    names = [name.strip() for name in listed.split(",")] if listed else []
     if not names:
         raise SemiclassError("no experiment given (use --experiment or a config file)")
     if len(set(names)) < len(names):
-        raise ConfigError(f"a suite is listed twice in {args.experiment!r}; "
+        raise ConfigError(f"a suite is listed twice in {listed!r}; "
                           "its second run would overwrite the first's files")
     configs = []
     for name in names:

@@ -394,14 +394,15 @@ def run_ergodic_orbit(cfg: ExperimentConfig, report: RunReport):
               [(i, *row) for i, row in enumerate(states[:2001])])
 
 
+# the five suites that load no scipy first, then the two billiard suites
 _SUITES = {
     "egorov": run_egorov,
     "qe-catmap": run_qe_catmap,
     "scar-construction": run_scar_construction,
     "entropy-sweep": run_entropy_sweep,
+    "ergodic-orbit": run_ergodic_orbit,
     "billiard-circle": run_billiard_circle,
     "billiard-stadium": run_billiard_stadium,
-    "ergodic-orbit": run_ergodic_orbit,
 }
 
 

@@ -1,9 +1,9 @@
-"""The suites as the command line runs them at its defaults, and their runner
-in a fresh interpreter, where a BLAS thread count can still take effect: run
-as a script, `suite_runs.py OUT SUITE...` runs the suites at seed 0, each into
-its own subdirectory of OUT. It prints as JSON the scipy and numpy.ma modules
-loaded after the package import and after each suite, the BLAS thread counts
-after the last suite, and half_atom_estimates()."""
+"""The runner of every suite in a fresh interpreter, where a BLAS thread
+count can still take effect: run as a script, `suite_runs.py OUT` runs each
+suite of EXPERIMENTS, in its order, at seed 0 and the command line's
+defaults, into its own subdirectory of OUT. It prints as JSON the scipy and
+numpy.ma modules loaded after the package import and after each suite, the
+BLAS thread counts after the last suite, and half_atom_estimates()."""
 
 import json
 import os
@@ -12,15 +12,10 @@ import sys
 from pathlib import Path
 
 import semiclass_lab
-from semiclass_lab import (DEFAULT_MAP, ExperimentConfig, TorusPoint, atom_cloud,
-                           ks_entropy_estimate, mixture_cloud, run_experiment,
-                           uniform_cloud)
+from semiclass_lab import (DEFAULT_MAP, EXPERIMENTS, ExperimentConfig, TorusPoint,
+                           atom_cloud, ks_entropy_estimate, mixture_cloud,
+                           run_experiment, uniform_cloud)
 from semiclass_lab._blas import _threads
-
-# every suite, the five that solve no sparse eigenproblem first, so that the
-# scipy probe reads them before a billiard suite imports scipy
-SUITES = ("egorov", "qe-catmap", "scar-construction", "entropy-sweep",
-          "ergodic-orbit", "billiard-circle", "billiard-stadium")
 
 
 def _lazy_modules():
@@ -47,9 +42,9 @@ def half_atom_estimates() -> list:
             for eps in (0.1, 0.3)]
 
 
-def _main(out, *names):
+def _main(out):
     loaded = {"import": _lazy_modules()}
-    for name in names:
+    for name in EXPERIMENTS:
         run_experiment(ExperimentConfig(experiment=name, out_dir=f"{out}/{name}"))
         loaded[name] = _lazy_modules()
     print(json.dumps({"loaded": loaded, "threads": blas_threads(),
@@ -66,18 +61,15 @@ def suite_files(out: Path) -> dict:
 
 
 class FreshRun:
-    """SUITES, run in the background by this file as a script, with
-    SEMICLASS_LAB_THREADS set to threads and the BLAS thread variables
-    removed, so that the package sets them from it."""
+    """Every suite, run in the background by this file as a script, with
+    SEMICLASS_LAB_THREADS set to threads."""
 
     def __init__(self, out: Path, threads: str):
         self.out, self.threads, self._printed = out, threads, None
-        env = {k: v for k, v in os.environ.items() if k not in
-               ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-        env["SEMICLASS_LAB_THREADS"] = threads
+        env = dict(os.environ, SEMICLASS_LAB_THREADS=threads)
         src = str(Path(semiclass_lab.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        self.proc = subprocess.Popen([sys.executable, __file__, str(out), *SUITES],
+        self.proc = subprocess.Popen([sys.executable, __file__, str(out)],
                                      env=env, stdout=subprocess.PIPE, text=True)
 
     def printed(self) -> dict:
@@ -97,4 +89,4 @@ class FreshRun:
 
 
 if __name__ == "__main__":
-    _main(*sys.argv[1:])
+    _main(sys.argv[1])

@@ -22,7 +22,7 @@ from semiclass_lab.billiard import StadiumDomain
 from semiclass_lab.catmap import DEFAULT_MAP, cat_lyapunov
 from semiclass_lab.config import EXPERIMENTS, ExperimentConfig
 from semiclass_lab.torus_quantum import TrigObservable
-from suite_runs import SUITES, blas_threads, suite_files
+from suite_runs import blas_threads, suite_files
 
 M = DEFAULT_MAP
 LAM = cat_lyapunov(M).lambda_plus
@@ -42,7 +42,7 @@ def suites(request, tmp_path_factory):
         request.getfixturevalue("fresh_run")
     out = tmp_path_factory.mktemp("suites")
     return {name: ex.run_experiment(ExperimentConfig(
-        experiment=name, out_dir=str(out / name))) for name in SUITES}
+        experiment=name, out_dir=str(out / name))) for name in EXPERIMENTS}
 
 
 def _checks(report):
@@ -137,15 +137,16 @@ def test_criterion_5_entropy_oracles(suites):
     assert ok
 
 
-def test_criterion_6_scar_weight_bound():
-    report = ex.RunReport("bounds")
-    boundary = ex.entropy_bounds(report, M)[2]
-    assert boundary["alpha"] == 0.5
-    ok, detail = _checks(report)
-    ok = ok and boundary["entropy_margin"] == 0.0 and boundary["weight_margin"] == 0.0
+def test_criterion_6_scar_weight_bound(suites):
+    report = suites["entropy-sweep"]
+    checks = [c for c in report.checks if c.name.startswith("bound_")]
+    boundary = json.loads((report.out / "entropy_bounds.json").read_text())[2]
+    assert boundary["alpha"] == 0.5 and len(checks) == 2
+    ok = (all(c.passed for c in checks)
+          and boundary["entropy_margin"] == boundary["weight_margin"] == 0.0)
     _report(6, "scar-weight bound accepts alpha<=1/2, rejects above", ok,
             f"margins at 1/2: entropy {boundary['entropy_margin']:.1e}, "
-            f"weight {boundary['weight_margin']:.1e}; {detail}")
+            f"weight {boundary['weight_margin']:.1e}; " + "; ".join(map(str, checks)))
     assert ok
 
 
@@ -195,8 +196,7 @@ def test_criterion_10_determinism(suites, fresh_run):
     here, there = blas_threads(), fresh_run.printed()["threads"]
     counted = (here == dict.fromkeys(here, int(os.environ["SEMICLASS_LAB_THREADS"]))
                and there == dict.fromkeys(here, int(fresh_run.threads)))
-    ok = (set(suites) == set(EXPERIMENTS) and all(r.checks for r in suites.values())
-          and not differ and not failed and counted)
+    ok = all(r.checks for r in suites.values()) and not differ and not failed and counted
     _report(10, "equal-seed runs at one and at two BLAS threads pass every "
             "check and write identical files, each report.json listing "
             "exactly the files its run wrote", ok,

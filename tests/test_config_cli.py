@@ -71,6 +71,8 @@ def test_validated_rejects_bad_values():
             ExperimentConfig(experiment="egorov", h=h).validated()
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="egorov", a=1, b=1, c=0, d=1).validated()
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        ExperimentConfig(experiment="egorov", seed=-1).validated()
     assert ExperimentConfig(experiment="egorov").validated().experiment == "egorov"
 
 
@@ -103,11 +105,11 @@ def test_main_runs_suite_and_is_deterministic(tmp_path, capsys):
 
 
 def test_main_multi_suite_subdirs(tmp_path):
-    """A list writes each suite into its own subdirectory the same CSV
-    bytes as that suite run alone."""
-    rc = main(["--experiment", "egorov, qe-catmap", "--N", "32",
-               "--out", str(tmp_path / "list")])
-    assert rc == 0
+    """A list, here from a config file's experiment key, writes each suite
+    into its own subdirectory the same CSV bytes as that suite run alone."""
+    cfg = tmp_path / "list.cfg"
+    cfg.write_text(f"experiment = egorov, qe-catmap\nN = 32\nout = {tmp_path / 'list'}\n")
+    assert main(["--config", str(cfg)]) == 0
     for suite in ("egorov", "qe-catmap"):
         assert main(["--experiment", suite, "--N", "32",
                      "--out", str(tmp_path / "alone" / suite)]) == 0
@@ -115,6 +117,13 @@ def test_main_multi_suite_subdirs(tmp_path):
                        for p in (tmp_path / run / suite).glob("*.csv"))
                 for run in ("list", "alone")]
         assert csvs[0] and csvs[0] == csvs[1]
+
+
+def test_main_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "D"
+    assert main(["--experiment", "egorov", "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+    assert not out.exists()
 
 
 def test_main_rejects_duplicate_suite(tmp_path, capsys):
