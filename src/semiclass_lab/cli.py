@@ -59,15 +59,15 @@ def _configs_from_args(args) -> list:
     names = [name.strip() for name in listed.split(",")] if listed else []
     if not names:
         raise SemiclassError("no experiment given (use --experiment or a config file)")
-    if len(set(names)) < len(names):
-        raise ConfigError(f"a suite is listed twice in {listed!r}; "
-                          "its second run would overwrite the first's files")
     configs = []
     for name in names:
         cfg = replace(base, experiment=name)
         if len(names) > 1:
             cfg = replace(cfg, out_dir=str(Path(cfg.out_dir) / cfg.experiment))
         configs.append(cfg.validated())
+    if len(set(names)) < len(names):
+        raise ConfigError(f"a suite is listed twice in {listed!r}; "
+                          "its second run would overwrite the first's files")
     return configs
 
 

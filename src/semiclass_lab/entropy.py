@@ -51,11 +51,14 @@ def uniform_cloud(n: int, seed: int = 0) -> SampleCloud:
 
 
 def atom_cloud(points, n: int) -> SampleCloud:
-    """Cloud of n samples spread uniformly over the given orbit points."""
+    """Cloud of n samples spread uniformly over the given orbit points, the
+    first n % len(points) points holding one copy more. Each point's copies
+    lie side by side, so a Bowen ball steps them once (see
+    `_nested_ball_masses`)."""
     pts = np.array([[p.x, p.xi] for p in points], float)
     if len(pts) == 0 or n < 1:
         raise ValueError("atom_cloud needs at least one orbit point and n >= 1")
-    reps = np.resize(np.arange(len(pts)), n)
+    reps = np.sort(np.resize(np.arange(len(pts)), n))
     return SampleCloud(points=pts[reps], weights=np.full(n, 1.0 / n))
 
 
@@ -79,7 +82,8 @@ def _cell_index(points: np.ndarray, eps: float):
     but at least 1, each cell wider than eps/3. Returns ball(center): the
     ascending indices of the points whose `torus_distance_array` to center
     is below eps, found among the points of the 7 x 7 cells around
-    center's, wrapped mod n, each cell that the wrap repeats read once.
+    center's, wrapped mod n: one slice of the key-sorted points per cell,
+    each cell that the wrap repeats read once.
 
     The width exceeds eps/3 by at least eps^2/9 (or 2^-40 under the cap),
     far above the few ulps by which a rounded x * n can misplace a point,
@@ -108,45 +112,15 @@ def _cell_index(points: np.ndarray, eps: float):
 
     def ball(center):
         i, j = cell(center)
-        # the row-major products of two ascending lists ascend: the sorted
-        # distinct keys, without np.unique, which imports numpy.ma
+        # the distinct keys, without np.unique, which imports numpy.ma
         wanted = (near(i)[:, None] * n + near(j)).ravel()
-        lo = np.searchsorted(keys, wanted, "left")
-        hi = np.searchsorted(keys, wanted, "right")
-        # adjacent cells are adjacent runs of the sorted keys: read each
-        # run of them as one slice
-        first = np.flatnonzero(np.r_[True, lo[1:] != hi[:-1]])
-        last = np.r_[first[1:], len(lo)] - 1
-        spans = [slice(a, b) for a, b in zip(lo[first], hi[last])]
+        spans = [slice(a, b) for a, b in zip(np.searchsorted(keys, wanted, "left"),
+                                             np.searchsorted(keys, wanted, "right"))]
         d = torus_distance_array(np.concatenate([sorted_points[s] for s in spans]),
                                  center)
         return np.sort(np.concatenate([order[s] for s in spans])[d < eps])
 
     return ball
-
-
-def _group_starts(v: np.ndarray):
-    """Where each run of equal entries of v starts, and each entry's run."""
-    starts = np.ones(len(v), bool)
-    starts[1:] = v[1:] != v[:-1]
-    return starts, np.cumsum(starts) - 1
-
-
-def _distinct_rows(xy: np.ndarray):
-    """Group the rows xy, each (x, xi) viewed as one complex number: returns
-    one row per group and each row's group. Runs of equal adjacent rows
-    (copies adjacent in the cloud) form one group each; their heads are
-    then sorted on x, and a new group starts wherever (x, xi) differs from
-    the head before. Each group holds copies of one point only; a copy that
-    neither pass places beside its twins only forms a group of its own."""
-    starts, run = _group_starts(xy)
-    heads = xy[starts]
-    by_x = np.argsort(heads.real)
-    heads = heads[by_x]
-    starts, group = _group_starts(heads)
-    which = np.empty(len(heads), np.intp)
-    which[by_x] = group
-    return heads[starts].view(float).reshape(-1, 2), which[run]
 
 
 def _nested_ball_masses(m: CatMap, cloud: SampleCloud, center, T: int,
@@ -157,18 +131,22 @@ def _nested_ball_masses(m: CatMap, cloud: SampleCloud, center, T: int,
     the t = 0 ball (see `_cell_index`). Each even t adds one forward and one
     backward step to the window, so B_{t+2} is B_t minus the points whose
     new step lands eps or more away. Copies of one point share every step,
-    so one row per group of `_distinct_rows` is stepped, by the `step_rows`
-    that `bowen_distance_cloud` steps with; a copy left in a group of its
-    own is stepped again, to the same bits. Each mass sums the weights of
-    every copy of a live point in ascending index order. Those are the
-    weights and the order of the full scan, so every mass equals
-    `cloud.weights[bowen_distance_cloud(...) < eps].sum()` to the bit.
+    so each run of equal adjacent rows of the ball is stepped as one row, by
+    the `step_rows` that `bowen_distance_cloud` steps with; copies apart
+    from each other are stepped each on its own, to the same bits. Each
+    mass sums the weights of every copy of a live point in ascending index
+    order. Those are the weights and the order of the full scan, so every
+    mass equals `cloud.weights[bowen_distance_cloud(...) < eps].sum()` to
+    the bit.
     """
     mat = m.matrix().astype(float)
     inv = m.inverse_matrix().astype(float)
     fc = bc = np.asarray(center, float)
-    fwd, which = _distinct_rows(cloud.points.view(complex).ravel()[ball])
-    bwd = fwd
+    xy = cloud.points.view(complex).ravel()[ball]  # each row (x, xi) as x + i xi
+    heads = np.ones(len(xy), bool)  # sized by the ball, which may be empty
+    heads[1:] = xy[1:] != xy[:-1]
+    which = np.cumsum(heads) - 1  # the run of each point of the ball
+    fwd = bwd = xy[heads].view(float).reshape(-1, 2)
     rows = np.arange(len(fwd))
     live = np.ones(len(fwd), bool)
     masses = {}
@@ -200,10 +178,11 @@ def ks_entropy_estimate(m: CatMap, cloud: SampleCloud, T: int, eps: float,
     The cloud is bucketed once per call into an n x n torus grid, n =
     max(1, min(int(3/eps) - 1, MAX_CELLS_PER_AXIS)) at every eps, and each
     center's t = 0 ball is measured only among the points of its 7 x 7
-    neighbour cells, each distinct cell read once. Each distinct point of
-    the ball is stepped once, however many copies the cloud holds. Both
-    leave every mass bit-identical to a full-cloud `bowen_distance_cloud`
-    scan (see `_cell_index` and `_nested_ball_masses`).
+    neighbour cells, each distinct cell read once. Each run of adjacent
+    copies of a point in the ball is stepped once, however long; a copy
+    apart from its twins is stepped on its own. Both leave every mass
+    bit-identical to a full-cloud `bowen_distance_cloud` scan (see
+    `_cell_index` and `_nested_ball_masses`).
     """
     if n_centers < 10:
         raise ValueError("n_centers must be >= 10")

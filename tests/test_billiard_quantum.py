@@ -20,6 +20,7 @@ from semiclass_lab.billiard_quantum import (ALPHA_MIN, BilliardMode,
                                             eigenmodes_near, eigenmodes_window,
                                             qe_spatial_variance, region_masses,
                                             scar_scores, weyl_window_count)
+from semiclass_lab.config import EXPERIMENTS
 from semiclass_lab.errors import GeometryError, NumericalError, UnderResolved
 
 CIRCLE = StadiumDomain(half_length=0.0, radius=1.0)
@@ -204,18 +205,19 @@ def test_bessel_zero_constants_are_scipy_values():
 
 def test_torus_and_orbit_suites_leave_scipy_unloaded(fresh_run):
     """Only the billiard eigen-solves import scipy: neither the package
-    import nor the egorov, qe-catmap, scar-construction, entropy-sweep and
-    ergodic-orbit suites, which the fresh interpreter runs first, load any
-    scipy module, nor numpy.ma (np.unique, for one, imports it), though
-    qe-catmap and scar-construction enter the one-thread BLAS pin. The
-    billiard-circle run that follows loads scipy.sparse.linalg, which shows
-    that the probe sees a lazy import."""
+    import nor the suites listed before the first billiard suite in
+    EXPERIMENTS (egorov, qe-catmap, scar-construction, entropy-sweep and
+    ergodic-orbit), which the fresh interpreter runs first, load any scipy
+    module, nor numpy.ma (np.unique, for one, imports it), though qe-catmap
+    and scar-construction enter the one-thread BLAS pin. The billiard run
+    that follows loads scipy.sparse.linalg, which shows that the probe sees
+    a lazy import."""
     loaded = fresh_run.printed()["loaded"]
-    scipy_free = ["import", "egorov", "qe-catmap", "scar-construction",
-                  "entropy-sweep", "ergodic-orbit"]
-    assert list(loaded)[:7] == scipy_free + ["billiard-circle"]
-    assert [loaded[step] for step in scipy_free] == [[]] * 6
-    assert "scipy.sparse.linalg" in loaded["billiard-circle"]
+    first = next(i for i, name in enumerate(EXPERIMENTS) if name.startswith("billiard"))
+    scipy_free = ["import", *EXPERIMENTS[:first]]
+    assert list(loaded)[:first + 2] == scipy_free + [EXPERIMENTS[first]]
+    assert [loaded[step] for step in scipy_free] == [[]] * len(scipy_free)
+    assert "scipy.sparse.linalg" in loaded[EXPERIMENTS[first]]
 
 
 def test_circle_ground_mode_matches_bessel_zero():

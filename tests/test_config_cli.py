@@ -127,12 +127,14 @@ def test_main_rejects_negative_seed(tmp_path, capsys):
 
 
 def test_main_rejects_duplicate_suite(tmp_path, capsys):
-    """A second run of one suite would overwrite the first's files."""
-    rc = main(["--experiment", "egorov,qe-catmap, egorov",
-               "--N", "32", "--out", str(tmp_path)])
-    assert rc == 2
-    assert "listed twice" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    """A second run of one suite would overwrite the first's files. Each
+    name is checked before the list, so ',' reads as its empty name."""
+    for listed, message in [("egorov,qe-catmap, egorov", "listed twice"),
+                            (",", "error: unknown experiment ''")]:
+        rc = main(["--experiment", listed, "--N", "32", "--out", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 def test_main_reports_suite_error(tmp_path, capsys):

@@ -10,7 +10,7 @@ from semiclass_lab.catmap import (DEFAULT_MAP, CatMap, TorusPoint,
                                   bowen_distance_cloud, cat_lyapunov, step_rows,
                                   torus_distance_array)
 from semiclass_lab import entropy
-from semiclass_lab.entropy import (SampleCloud, _cell_index, _distinct_rows,
+from semiclass_lab.entropy import (SampleCloud, _cell_index,
                                    _nested_ball_masses, atom_cloud,
                                    entropy_bound_check, ks_entropy_estimate,
                                    mixture_cloud, uniform_cloud)
@@ -60,10 +60,13 @@ def _test_cloud(kind, n, seed, alpha):
     rng = np.random.default_rng(seed)
     orbit = [TorusPoint(*p) for p in rng.random((1 + seed % 3, 2))]
     a = atom_cloud(orbit, n)  # every orbit point repeated
-    return {"uniform": u, "atom": a, "mixture": mixture_cloud(alpha, a, u)}[kind]
+    mix = mixture_cloud(alpha, a, u)
+    perm = rng.permutation(len(mix))  # copies scattered over the cloud
+    scattered = SampleCloud(points=mix.points[perm], weights=mix.weights[perm])
+    return {"uniform": u, "atom": a, "mixture": mix, "scattered": scattered}[kind]
 
 
-@given(kind=st.sampled_from(["uniform", "atom", "mixture"]),
+@given(kind=st.sampled_from(["uniform", "atom", "mixture", "scattered"]),
        n=st.integers(2, 300), seed=st.integers(0, 2**16),
        alpha=st.floats(0.05, 0.95),
        center=st.one_of(st.integers(0, 10**6),
@@ -78,7 +81,10 @@ def _test_cloud(kind, n, seed, alpha):
          eps=1e-6, m=DEFAULT_MAP)  # only the center survives
 @example(kind="mixture", n=300, seed=2, alpha=0.5, center=0, T=8,
          eps=0.1, m=DEFAULT_MAP)  # 7 x 7 of 29 x 29 cells, on a point with
-                                  # 100 copies, none adjacent to another
+                                  # 100 adjacent copies
+@example(kind="scattered", n=300, seed=2, alpha=0.5, center=0, T=8,
+         eps=0.1, m=DEFAULT_MAP)  # one of those points, its 100 copies
+                                  # scattered over the cloud
 @example(kind="mixture", n=300, seed=2, alpha=0.5, center=0, T=8,
          eps=0.3, m=DEFAULT_MAP)  # 7 x 7 of 9 x 9 cells, the same point
 @example(kind="mixture", n=300, seed=3, alpha=0.5, center=0, T=8,
@@ -167,16 +173,28 @@ def test_cell_boundary_points_catch_a_narrow_neighbourhood(eps):
                for c in pts)
 
 
-def test_distinct_rows_group_copies_only():
-    rng = np.random.default_rng(4)
-    base = rng.random((6, 2))
-    base[1, 0] = base[0, 0]  # two points that share x
-    pts = base[rng.integers(0, 6, 500)]
-    pts[100:140] = base[2]  # a run of adjacent copies
-    rows, which = _distinct_rows(pts.view(complex).ravel())
-    assert np.array_equal(rows[which], pts)  # a group holds copies of one point
-    for k in range(2, 6):  # a point whose x is its own forms one group
-        assert len(np.unique(which[(pts == base[k]).all(axis=1)])) == 1
+def test_ball_steps_each_run_of_adjacent_copies_once(monkeypatch):
+    """A ball steps the atom's 400 adjacent copies as one row, next to the
+    uniform points it holds; a multi-point atom lays each point's copies
+    side by side, the first n % len(points) points holding one more."""
+    stepped = []
+
+    def counting_step_rows(rows, mat):
+        stepped.append(len(rows))
+        return step_rows(rows, mat)
+
+    monkeypatch.setattr(entropy, "step_rows", counting_step_rows)
+    cloud = mixture_cloud(0.5, atom_cloud(ORIGIN, 400), uniform_cloud(400, seed=4))
+    center = cloud.points[0]
+    ball = _cell_index(cloud.points, 0.2)(center)
+    uniform_in_ball = np.count_nonzero(ball >= 400)
+    assert uniform_in_ball > 0 and np.array_equal(ball[:400], np.arange(400))
+    _nested_ball_masses(M, cloud, center, 2, 0.2, ball)
+    assert stepped == [1 + uniform_in_ball] * 2  # one forward, one backward
+    orbit = [TorusPoint(0.1, 0.2), TorusPoint(0.3, 0.4), TorusPoint(0.5, 0.6)]
+    pts = np.array([[p.x, p.xi] for p in orbit])
+    assert np.array_equal(atom_cloud(orbit, 10).points,
+                          np.repeat(pts, [4, 3, 3], axis=0))
 
 
 def test_lone_row_steps_as_in_whole_cloud():
