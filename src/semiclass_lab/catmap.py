@@ -90,35 +90,30 @@ def torus_distance_array(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def step_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """One step of the float matrix mat on every row of rows, mod 1. numpy
-    hands a single row to BLAS gemv, which can round differently from gemm,
-    so a lone row is stepped as two: each row gets the bits it gets inside
-    any larger cloud."""
-    if len(rows) == 1:
-        return step_rows(np.repeat(rows, 2, axis=0), mat)[:1]
-    return reduce_mod1(rows @ mat.T)
+    """One step of the float matrix mat on every row of rows (or on one
+    point, a length-2 array), mod 1. Each coordinate is two products and one
+    sum, computed elementwise: no BLAS call, so a point gets the same bits
+    alone, inside any cloud and at any thread count."""
+    x, y = rows[..., 0], rows[..., 1]
+    out = np.empty_like(rows)
+    np.add(mat[0, 0] * x, mat[0, 1] * y, out=out[..., 0])
+    np.add(mat[1, 0] * x, mat[1, 1] * y, out=out[..., 1])
+    return reduce_mod1(out)
 
 
 def bowen_distance_cloud(m: CatMap, center, pts: np.ndarray, T: int) -> np.ndarray:
     """Bowen distance from every row of pts to center: the max torus
     distance of the two orbits over the discrete window
-    t in [-floor(T/2), ceil(T/2)], the whole cloud stepped by `step_rows`.
-    The point-by-point reference it is tested against is `bowen_distance`
-    in tests/test_catmap.py."""
+    t in [-floor(T/2), ceil(T/2)], the cloud and the center both stepped by
+    `step_rows`. The point-by-point reference it is tested against is
+    `bowen_distance` in tests/test_catmap.py."""
     c = center.as_array() if isinstance(center, TorusPoint) else np.asarray(center, float)
     pts = np.asarray(pts, float)
-    back, fwd = T // 2, (T + 1) // 2
-    mat = m.matrix().astype(float)
-    inv = m.inverse_matrix().astype(float)
     dmax = torus_distance_array(pts, c)
-    cur, cc = pts, c
-    for _ in range(fwd):
-        cur = step_rows(cur, mat)
-        cc = reduce_mod1(mat @ cc)
-        np.maximum(dmax, torus_distance_array(cur, cc), out=dmax)
-    cur, cc = pts, c
-    for _ in range(back):
-        cur = step_rows(cur, inv)
-        cc = reduce_mod1(inv @ cc)
-        np.maximum(dmax, torus_distance_array(cur, cc), out=dmax)
+    for mat, steps in ((m.matrix(float), (T + 1) // 2),
+                       (m.inverse_matrix(float), T // 2)):
+        cur, cc = pts, c
+        for _ in range(steps):
+            cur, cc = step_rows(cur, mat), step_rows(cc, mat)
+            np.maximum(dmax, torus_distance_array(cur, cc), out=dmax)
     return dmax

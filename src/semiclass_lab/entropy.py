@@ -131,16 +131,16 @@ def _nested_ball_masses(m: CatMap, cloud: SampleCloud, center, T: int,
     the t = 0 ball (see `_cell_index`). Each even t adds one forward and one
     backward step to the window, so B_{t+2} is B_t minus the points whose
     new step lands eps or more away. Copies of one point share every step,
-    so each run of equal adjacent rows of the ball is stepped as one row, by
-    the `step_rows` that `bowen_distance_cloud` steps with; copies apart
-    from each other are stepped each on its own, to the same bits. Each
-    mass sums the weights of every copy of a live point in ascending index
-    order. Those are the weights and the order of the full scan, so every
-    mass equals `cloud.weights[bowen_distance_cloud(...) < eps].sum()` to
-    the bit.
+    so each run of equal adjacent rows of the ball is stepped as one row;
+    copies apart from each other are stepped each on its own, to the same
+    bits. The rows and the center are stepped by the `step_rows` that
+    `bowen_distance_cloud` steps with, which gives a point the same bits
+    whatever is stepped with it. Each mass sums the weights of every copy
+    of a live point in ascending index order. Those are the weights and the
+    order of the full scan, so every mass equals
+    `cloud.weights[bowen_distance_cloud(...) < eps].sum()` to the bit.
     """
-    mat = m.matrix().astype(float)
-    inv = m.inverse_matrix().astype(float)
+    mat, inv = m.matrix(float), m.inverse_matrix(float)
     fc = bc = np.asarray(center, float)
     xy = cloud.points.view(complex).ravel()[ball]  # each row (x, xi) as x + i xi
     heads = np.ones(len(xy), bool)  # sized by the ball, which may be empty
@@ -151,8 +151,8 @@ def _nested_ball_masses(m: CatMap, cloud: SampleCloud, center, T: int,
     live = np.ones(len(fwd), bool)
     masses = {}
     for t in range(2, T + 1, 2):
-        fwd, fc = step_rows(fwd, mat), reduce_mod1(mat @ fc)
-        bwd, bc = step_rows(bwd, inv), reduce_mod1(inv @ bc)
+        fwd, fc = step_rows(fwd, mat), step_rows(fc, mat)
+        bwd, bc = step_rows(bwd, inv), step_rows(bc, inv)
         keep = ((torus_distance_array(fwd, fc) < eps)
                 & (torus_distance_array(bwd, bc) < eps))
         live[rows[~keep]] = False
@@ -226,12 +226,11 @@ class BoundCheckReport:
 
     entropy_margin: float
     weight_margin: float
-    entropy_ok: bool
-    weight_ok: bool
 
     @property
     def passed(self) -> bool:
-        return self.entropy_ok and self.weight_ok
+        return (self.entropy_margin >= -BOUND_TOL
+                and self.weight_margin >= -BOUND_TOL)
 
 
 def entropy_bound_check(h: float, m: CatMap,
@@ -239,11 +238,5 @@ def entropy_bound_check(h: float, m: CatMap,
     if not 0.0 <= claimed_scar_weight <= 1.0:
         raise ValueError("scar weight must lie in [0, 1]")
     lam = cat_lyapunov(m).lambda_plus
-    entropy_margin = h - lam / 2.0
-    weight_margin = 0.5 - claimed_scar_weight
-    return BoundCheckReport(
-        entropy_margin=entropy_margin,
-        weight_margin=weight_margin,
-        entropy_ok=entropy_margin >= -BOUND_TOL,
-        weight_ok=weight_margin >= -BOUND_TOL,
-    )
+    return BoundCheckReport(entropy_margin=h - lam / 2.0,
+                            weight_margin=0.5 - claimed_scar_weight)

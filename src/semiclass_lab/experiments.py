@@ -189,11 +189,14 @@ def run_qe_catmap(cfg: ExperimentConfig, report: RunReport):
 
 def scar_study(report: RunReport, m, n_max: int):
     """Half-scarred states on the fixed point at the first four short-period
-    dimensions in [50, n_max]: adds the check that at least three exist,
-    then the ball-mass and closest-measure checks per N. Returns the CSV
-    rows and (N, state, Husimi grid) of the last N, or None if none exists.
-    At the default map the four are 56, 195, 209 and 260, so an n_max above
-    260 (the suite's --N) changes only the count the first check reads."""
+    dimensions in [50, n_max], those whose matrix order mod 2N is at most
+    SHORT_PERIOD_FACTOR log N / lambda (`short_period_dimensions`; the
+    quantum period divides that order): adds the check that at least three
+    exist, then the ball-mass and closest-measure checks per N. Returns the
+    CSV rows and (N, state, Husimi grid) of the last N, or None if none
+    exists. At the default map the four are 56, 195, 209 and 260, so an
+    n_max above 260 (the suite's --N) changes only the count the first
+    check reads."""
     dims = short_period_dimensions(m, 50, n_max)
     report.check("short_period_dims_found_ge_3", len(dims), ge=3,
                  detail=f"dims: {dims[:4]}")

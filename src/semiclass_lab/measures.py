@@ -49,7 +49,10 @@ class HusimiGrid:
     """
 
     values: np.ndarray
-    G: int
+
+    @property
+    def G(self) -> int:
+        return len(self.values)
 
 
 def husimi(psi: np.ndarray) -> HusimiGrid:
@@ -74,7 +77,7 @@ def husimi(psi: np.ndarray) -> HusimiGrid:
         norms = np.einsum("kd,d->k", cos, [np.trace(pairs, s) for s in d])
         H[i] = np.abs(np.fft.fft(b)) ** 2 / norms
     H /= H.sum()
-    return HusimiGrid(values=H, G=G)
+    return HusimiGrid(values=H)
 
 
 def ball_mass(g: HusimiGrid, center: TorusPoint, eps: float) -> float:

@@ -200,9 +200,11 @@ def quantum_period(m: CatMap, P_max: int, U: np.ndarray):
 
 
 def short_period_dimensions(m: CatMap, n_min: int, n_max: int):
-    """Dimensions N in [n_min, n_max] whose quantum period P satisfies
-    P <= SHORT_PERIOD_FACTOR * log N / lambda_plus, found through the matrix
-    order mod 2N."""
+    """Dimensions N in [n_min, n_max], as (N, P) pairs, whose order P of the
+    map's matrix mod 2N satisfies P <= SHORT_PERIOD_FACTOR * log N /
+    lambda_plus. The quantum period divides P and can be half of it (9
+    against 18 at N = 53), so an N whose quantum period alone meets the
+    bound may be missing."""
     lam = cat_lyapunov(m).lambda_plus
     out = []
     for N in range(max(2, n_min), n_max + 1):

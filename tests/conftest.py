@@ -1,7 +1,9 @@
 """Run the tests at the BLAS thread count SEMICLASS_LAB_THREADS, set here to 1
 unless the shell set it, before any test module imports numpy. The
 fresh_run fixture holds every suite's run in a fresh interpreter at the
-other thread count, which the determinism and thread-count tests read."""
+other thread count, which criterion 10 compares file by file and thread
+count by thread count, and whose loaded modules the scipy-import test
+reads."""
 
 import os
 

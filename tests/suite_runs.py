@@ -2,8 +2,8 @@
 count can still take effect: run as a script, `suite_runs.py OUT` runs each
 suite of EXPERIMENTS, in its order, at seed 0 and the command line's
 defaults, into its own subdirectory of OUT. It prints as JSON the scipy and
-numpy.ma modules loaded after the package import and after each suite, the
-BLAS thread counts after the last suite, and half_atom_estimates()."""
+numpy.ma modules loaded after the package import and after each suite, and
+the BLAS thread counts after the last suite."""
 
 import json
 import os
@@ -12,9 +12,7 @@ import sys
 from pathlib import Path
 
 import semiclass_lab
-from semiclass_lab import (DEFAULT_MAP, EXPERIMENTS, ExperimentConfig, TorusPoint,
-                           atom_cloud, ks_entropy_estimate, mixture_cloud,
-                           run_experiment, uniform_cloud)
+from semiclass_lab import EXPERIMENTS, ExperimentConfig, run_experiment
 from semiclass_lab._blas import _threads
 
 
@@ -32,23 +30,12 @@ def blas_threads() -> dict:
             if p in sys.modules and _threads(p)}
 
 
-def half_atom_estimates() -> list:
-    """The reprs of two estimates on a 3e5-point half-atom cloud; at eps 0.3
-    about 70k distinct rows survive t = 0 and are stepped as one product,
-    large enough for OpenBLAS to thread."""
-    mix = mixture_cloud(0.5, atom_cloud([TorusPoint(0.0, 0.0)], 50_000),
-                        uniform_cloud(250_000, seed=1))
-    return [repr(ks_entropy_estimate(DEFAULT_MAP, mix, 8, eps, 20, seed=0))
-            for eps in (0.1, 0.3)]
-
-
 def _main(out):
     loaded = {"import": _lazy_modules()}
     for name in EXPERIMENTS:
         run_experiment(ExperimentConfig(experiment=name, out_dir=f"{out}/{name}"))
         loaded[name] = _lazy_modules()
-    print(json.dumps({"loaded": loaded, "threads": blas_threads(),
-                      "half_atom": half_atom_estimates()}))
+    print(json.dumps({"loaded": loaded, "threads": blas_threads()}))
 
 
 def suite_files(out: Path) -> dict:
@@ -74,8 +61,7 @@ class FreshRun:
 
     def printed(self) -> dict:
         """Waits for the run; the scipy and numpy.ma modules it "loaded"
-        ("import", then each suite in run order), its BLAS "threads" and its
-        "half_atom" estimates."""
+        ("import", then each suite in run order) and its BLAS "threads"."""
         if self._printed is None:
             stdout = self.proc.communicate(timeout=600)[0]
             assert self.proc.returncode == 0

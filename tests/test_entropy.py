@@ -15,7 +15,6 @@ from semiclass_lab.entropy import (SampleCloud, _cell_index,
                                    entropy_bound_check, ks_entropy_estimate,
                                    mixture_cloud, uniform_cloud)
 from semiclass_lab.errors import UnderResolved
-from suite_runs import half_atom_estimates
 
 M = DEFAULT_MAP
 LAM = cat_lyapunov(M).lambda_plus
@@ -79,6 +78,8 @@ def _test_cloud(kind, n, seed, alpha):
          eps=1e-6, m=DEFAULT_MAP)  # empty before t = 2
 @example(kind="uniform", n=200, seed=1, alpha=0.5, center=7, T=8,
          eps=1e-6, m=DEFAULT_MAP)  # only the center survives
+@example(kind="uniform", n=200, seed=1, alpha=0.5, center=7, T=8,
+         eps=1e-6, m=CatMap(3, 2, 4, 3))  # the same, on a second map
 @example(kind="mixture", n=300, seed=2, alpha=0.5, center=0, T=8,
          eps=0.1, m=DEFAULT_MAP)  # 7 x 7 of 29 x 29 cells, on a point with
                                   # 100 adjacent copies
@@ -175,12 +176,13 @@ def test_cell_boundary_points_catch_a_narrow_neighbourhood(eps):
 
 def test_ball_steps_each_run_of_adjacent_copies_once(monkeypatch):
     """A ball steps the atom's 400 adjacent copies as one row, next to the
-    uniform points it holds; a multi-point atom lays each point's copies
-    side by side, the first n % len(points) points holding one more."""
+    uniform points it holds, and then its center; a multi-point atom lays
+    each point's copies side by side, the first n % len(points) points
+    holding one more."""
     stepped = []
 
     def counting_step_rows(rows, mat):
-        stepped.append(len(rows))
+        stepped.append(rows.shape)
         return step_rows(rows, mat)
 
     monkeypatch.setattr(entropy, "step_rows", counting_step_rows)
@@ -190,7 +192,8 @@ def test_ball_steps_each_run_of_adjacent_copies_once(monkeypatch):
     uniform_in_ball = np.count_nonzero(ball >= 400)
     assert uniform_in_ball > 0 and np.array_equal(ball[:400], np.arange(400))
     _nested_ball_masses(M, cloud, center, 2, 0.2, ball)
-    assert stepped == [1 + uniform_in_ball] * 2  # one forward, one backward
+    # the ball, then the center; forward, then backward
+    assert stepped == [(1 + uniform_in_ball, 2), (2,)] * 2
     orbit = [TorusPoint(0.1, 0.2), TorusPoint(0.3, 0.4), TorusPoint(0.5, 0.6)]
     pts = np.array([[p.x, p.xi] for p in orbit])
     assert np.array_equal(atom_cloud(orbit, 10).points,
@@ -199,11 +202,12 @@ def test_ball_steps_each_run_of_adjacent_copies_once(monkeypatch):
 
 def test_lone_row_steps_as_in_whole_cloud():
     pts = uniform_cloud(2000, seed=6).points
-    for mat in (M.matrix().astype(float), M.inverse_matrix().astype(float)):
+    for mat in (M.matrix(float), M.inverse_matrix(float),
+                CatMap(3, 2, 4, 3).matrix(float)):
         whole = step_rows(pts, mat)
-        assert np.array_equal(whole, (pts @ mat.T) % 1.0)
         for i in range(len(pts)):
             assert np.array_equal(step_rows(pts[i:i + 1], mat), whole[i:i + 1])
+            assert np.array_equal(step_rows(pts[i], mat), whole[i])
 
 
 def test_ks_estimate_permutation_invariant():
@@ -220,15 +224,6 @@ def test_ks_estimate_uniform_near_lyapunov():
     est = ks_entropy_estimate(M, cloud, 8, 0.1, 40, seed=0)
     assert abs(est.value - LAM) / LAM < 0.2
     assert est.n_centers_used >= 20
-
-
-def test_ks_estimate_same_at_one_and_two_blas_threads(fresh_run):
-    """Two estimates on a half-atom cloud, one stepping a product that
-    OpenBLAS threads, are the same to the last bit in this process and in
-    the fresh run at the other thread count."""
-    here = half_atom_estimates()
-    assert [r.startswith("EntropyEstimate(") for r in here] == [True, True]
-    assert fresh_run.printed()["half_atom"] == here
 
 
 def test_ks_estimate_atom_is_zero():

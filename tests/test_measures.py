@@ -165,7 +165,7 @@ def test_husimi_working_set_is_one_row():
 def test_ball_mass_uniform_and_monotone():
     from semiclass_lab.measures import HusimiGrid
     G = 64
-    uniform = HusimiGrid(values=np.full((G, G), 1.0 / G**2), G=G)
+    uniform = HusimiGrid(values=np.full((G, G), 1.0 / G**2))
     m = ball_mass(uniform, TorusPoint(0.3, 0.6), 0.1)
     assert abs(m - np.pi * 0.01) < 2 * np.pi * 0.1 * (1 / G)  # one cell layer
     big = ball_mass(uniform, TorusPoint(0.3, 0.6), 0.49)
