@@ -16,12 +16,15 @@ region_masses' dot products and the cat-map parity blocks of diagonalize),
 which run at one OpenBLAS thread so that every artifact is the same at any
 count. Importing the package sets OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
 MKL_NUM_THREADS to it, so it takes effect only if it is set before numpy is
-first imported in the process; set later, it is silently ignored.
+first imported in the process; set later, it is silently ignored. A
+non-empty value that is not a positive integer makes the command exit 2
+before any suite runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -50,6 +53,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configs_from_args(args) -> list:
+    threads = os.environ.get("SEMICLASS_LAB_THREADS", "")
+    try:
+        valid = not threads or int(threads) >= 1
+    except ValueError:
+        valid = False
+    if not valid:  # OpenBLAS would not run at the count it names
+        raise ConfigError("SEMICLASS_LAB_THREADS must be a positive integer, "
+                          f"got {threads!r}")
     overrides = {"out_dir": args.out, "seed": args.seed, "N": args.N,
                  "h": args.h}
     if args.dump_state:

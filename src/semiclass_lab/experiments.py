@@ -255,32 +255,34 @@ def run_entropy_sweep(cfg: ExperimentConfig, report: RunReport):
     lam = cat_lyapunov(m).lambda_plus
     rows = []
 
+    def estimate(cloud_name, cloud, T, eps, n_centers, model):
+        """Adds the estimate's row of entropy_estimates.csv; returns its value."""
+        est = ks_entropy_estimate(m, cloud, T, eps, n_centers, seed=cfg.seed)
+        rows.append((cloud_name, T, eps, est.value, est.standard_error,
+                     est.empty_ball_count, model))
+        return est.value
+
     # sweep on a medium cloud for the table
     sweep_cloud = uniform_cloud(200_000, seed=cfg.seed)
     for T in (4, 6, 8):
         for eps in (0.05, 0.1, 0.15):
-            est = ks_entropy_estimate(m, sweep_cloud, T, eps, 10, seed=cfg.seed)
-            rows.append(("uniform-200k", T, eps, est.value, est.standard_error,
-                         est.empty_ball_count, lam))
+            estimate("uniform-200k", sweep_cloud, T, eps, 10, lam)
+    del sweep_cloud
 
-    # oracles on 1e6-point Lebesgue and half-atom clouds and a pure atom
+    # oracles on 1e6-point Lebesgue and half-atom clouds and a pure atom, each
+    # built for its own estimate so that one 1e6-point cloud is alive at a time
     n = 1_000_000
-    uni = uniform_cloud(n, seed=cfg.seed)
-    atom = atom_cloud([TorusPoint(0.0, 0.0)], 200)
-    mix = mixture_cloud(0.5, atom_cloud([TorusPoint(0.0, 0.0)], n // 2),
-                        uniform_cloud(n // 2, seed=cfg.seed + 1))
     T, eps = 8, 0.1
-    est_u = ks_entropy_estimate(m, uni, T, eps, 10, seed=cfg.seed)
-    est_a = ks_entropy_estimate(m, atom, T, eps, 10, seed=cfg.seed)
-    est_m = ks_entropy_estimate(m, mix, T, eps, 20, seed=cfg.seed)
-    for label, est, model, band, tol in (
-            ("uniform", est_u, lam, "15pct", 0.15 * lam),
-            ("atom", est_a, 0.0, "0.05", 0.05),
-            ("mixture", est_m, lam / 2, "20pct", 0.20 * (lam / 2))):
-        rows.append((label, T, eps, est.value, est.standard_error,
-                     est.empty_ball_count, model))
-        report.check(f"estimate_{label}_within_{band}", est.value,
-                     within=(model - tol, model + tol))
+    value = estimate("uniform", uniform_cloud(n, seed=cfg.seed), T, eps, 10, lam)
+    report.check("estimate_uniform_within_15pct", value,
+                 within=(lam - 0.15 * lam, lam + 0.15 * lam))
+    value = estimate("atom", atom_cloud([TorusPoint(0.0, 0.0)], 200), T, eps, 10, 0.0)
+    report.check("estimate_atom_within_0.05", value, within=(0.0 - 0.05, 0.0 + 0.05))
+    value = estimate("mixture", mixture_cloud(
+        0.5, atom_cloud([TorusPoint(0.0, 0.0)], n // 2),
+        uniform_cloud(n // 2, seed=cfg.seed + 1)), T, eps, 20, lam / 2)
+    report.check("estimate_mixture_within_20pct", value,
+                 within=(lam / 2 - 0.20 * (lam / 2), lam / 2 + 0.20 * (lam / 2)))
     write_csv(report.path("entropy_estimates.csv"), ("cloud", "T", "eps", "estimate",
               "stderr", "empty_ball_count", "model_value"), rows)
     bounds = entropy_bounds(report, m)

@@ -162,14 +162,13 @@ def degeneracy_clusters(dec: EigenDecomposition,
 
 def matrix_order_mod(m: CatMap, modulus: int, p_max: int):
     """Multiplicative order of the map's matrix in SL(2, Z/modulus), or None."""
-    if modulus == 1:
-        return 1
-    A = np.eye(2, dtype=np.int64)
-    M = m.matrix() % modulus
-    I = np.eye(2, dtype=np.int64) % modulus
-    for p in range(1, p_max + 1):
-        A = (A @ M) % modulus
-        if (A == I).all():
+    q = modulus
+    identity = (1 % q, 0, 0, 1 % q)
+    a, b, c, d = identity
+    for p in range(1, p_max + 1):  # (a, b; c, d) <- (a, b; c, d) M, in Python ints
+        a, b, c, d = ((a * m.a + b * m.c) % q, (a * m.b + b * m.d) % q,
+                      (c * m.a + d * m.c) % q, (c * m.b + d * m.d) % q)
+        if (a, b, c, d) == identity:
             return p
     return None
 

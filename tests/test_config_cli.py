@@ -126,6 +126,23 @@ def test_main_rejects_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
+def test_main_checks_thread_count(tmp_path, capsys, monkeypatch, value):
+    """A non-empty SEMICLASS_LAB_THREADS that is not a positive integer,
+    which OpenBLAS would not run at, exits 2 before any suite runs; an
+    empty one is unset."""
+    monkeypatch.setitem(experiments._SUITES, "egorov", _passing_suite)
+    monkeypatch.setenv("SEMICLASS_LAB_THREADS", value)
+    out = tmp_path / "D"
+    rc = main(["--experiment", "egorov", "--out", str(out)])
+    if value:
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == ("error: SEMICLASS_LAB_THREADS must be "
+                                           f"a positive integer, got {value!r}\n")
+    else:
+        assert rc == 0 and (out / "report.json").exists()
+
+
 def test_main_rejects_duplicate_suite(tmp_path, capsys):
     """A second run of one suite would overwrite the first's files. Each
     name is checked before the list, so ',' reads as its empty name."""

@@ -1,5 +1,6 @@
 
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from semiclass_lab.catmap import (DEFAULT_MAP, CatMap, TorusPoint,
                                   bowen_distance_cloud, cat_lyapunov, step_rows,
                                   torus_distance_array)
-from semiclass_lab import entropy
+from semiclass_lab import entropy, experiments
+from semiclass_lab.config import ExperimentConfig
 from semiclass_lab.entropy import (SampleCloud, _cell_index,
                                    _nested_ball_masses, atom_cloud,
                                    entropy_bound_check, ks_entropy_estimate,
@@ -208,6 +210,35 @@ def test_lone_row_steps_as_in_whole_cloud():
         for i in range(len(pts)):
             assert np.array_equal(step_rows(pts[i:i + 1], mat), whole[i:i + 1])
             assert np.array_equal(step_rows(pts[i], mat), whole[i])
+
+
+def test_entropy_sweep_holds_one_large_cloud_at_a_time(tmp_path, monkeypatch):
+    """When each of the suite's twelve estimates starts, no cloud of 1e5
+    points or more is alive other than the one it estimates."""
+    built = []
+
+    def recorded(make):
+        def build(*args, **kwargs):
+            cloud = make(*args, **kwargs)
+            built.append(weakref.ref(cloud))
+            return cloud
+        return build
+
+    for name in ("uniform_cloud", "atom_cloud", "mixture_cloud"):
+        monkeypatch.setattr(experiments, name, recorded(getattr(experiments, name)))
+    others = []
+
+    def counting_estimate(m, cloud, *args, **kwargs):
+        live = [ref() for ref in built]
+        others.append(sum(c is not None and c is not cloud and len(c.points) >= 10**5
+                          for c in live))
+        del live  # the count keeps no cloud alive through the estimate
+        return ks_entropy_estimate(m, cloud, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ks_entropy_estimate", counting_estimate)
+    experiments.run_experiment(ExperimentConfig(experiment="entropy-sweep",
+                                                out_dir=str(tmp_path)))
+    assert others == [0] * 12
 
 
 def test_ks_estimate_permutation_invariant():

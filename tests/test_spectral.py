@@ -276,6 +276,21 @@ def test_quantum_period_matches_matrix_order():
         assert np.abs(UP - np.exp(1j * qp.global_phase) * np.eye(N)).max() < 1e-8
 
 
+def test_matrix_order_mod_matches_matrix_powers():
+    """The smallest p <= p_max with M^p = I mod q, or None, for q = 1..300."""
+    p_max = 24
+    outcomes = set()
+    for m in (M, CatMap(3, 2, 4, 3)):
+        A = m.matrix(object)
+        for q in range(1, 301):
+            want = next((p for p in range(1, p_max + 1)
+                         if (np.linalg.matrix_power(A, p) % q
+                             == np.eye(2, dtype=int) % q).all()), None)
+            assert matrix_order_mod(m, q, p_max) == want
+            outcomes.add(want is None)
+    assert outcomes == {False, True}
+
+
 def test_quantum_period_absent():
     # generic N: order of M mod 2N far exceeds the small search bound
     assert quantum_period(M, 3, cat_propagator(101, M)) is None
