@@ -4,11 +4,17 @@ estimation, and billiard eigenmodes."""
 
 import os as _os
 
-_threads = _os.environ.get("SEMICLASS_LAB_THREADS")
+from ._blas import env_threads as _env_threads
+from .errors import ConfigError as _ConfigError
+
+try:
+    _threads = _env_threads()
+except _ConfigError:  # copied nowhere; run_experiment raises it
+    _threads = None
 if _threads:
     # must land before the first numpy import to take effect in BLAS
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ[_var] = _threads  # over any value the shell set
+        _os.environ[_var] = str(_threads)  # over any value the shell set
 
 from .catmap import CatMap, DEFAULT_MAP, LyapunovData, TorusPoint, cat_lyapunov
 from .billiard import (BilliardState, StadiumDomain, billiard_flow,

@@ -24,7 +24,6 @@ before any suite runs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -53,14 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configs_from_args(args) -> list:
-    threads = os.environ.get("SEMICLASS_LAB_THREADS", "")
-    try:
-        valid = not threads or int(threads) >= 1
-    except ValueError:
-        valid = False
-    if not valid:  # OpenBLAS would not run at the count it names
-        raise ConfigError("SEMICLASS_LAB_THREADS must be a positive integer, "
-                          f"got {threads!r}")
     overrides = {"out_dir": args.out, "seed": args.seed, "N": args.N,
                  "h": args.h}
     if args.dump_state:

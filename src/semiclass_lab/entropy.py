@@ -5,7 +5,7 @@ and scar weights."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,28 +18,38 @@ BOUND_TOL = 1e-12  # slack of the entropy and scar-weight bound checks
 MAX_CELLS_PER_AXIS = 2**20  # keeps the cell keys of `_cell_index` in int64
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleCloud:
-    """Weighted point cloud on the torus standing in for a measure."""
+    """Weighted point cloud on the torus standing in for a measure.
+
+    Immutable: `points` and `weights` are read-only copies of the arrays
+    given, so the memo in which `ks_entropy_estimate` keeps each center's
+    nested Bowen-ball masses cannot go stale. The memo maps (map, eps,
+    center index) to one short list of masses and dies with the cloud."""
 
     points: np.ndarray  # (n, 2) in [0, 1)
     weights: np.ndarray  # nonnegative, summing to 1
+    _balls: dict = field(init=False, repr=False, compare=False,
+                         default_factory=dict)
 
     def __post_init__(self):
-        self.points = np.array(self.points, float, order="C")
-        if not np.isfinite(self.points).all():
+        points = np.array(self.points, float, order="C")
+        if not np.isfinite(points).all():
             raise ValueError("points must be finite")
-        reduce_mod1(self.points)
-        self.weights = np.asarray(self.weights, float)
-        if self.points.ndim != 2 or self.points.shape[1] != 2:
+        reduce_mod1(points)
+        weights = np.array(self.weights, float)
+        if points.ndim != 2 or points.shape[1] != 2:
             raise ValueError("points must be an (n, 2) array")
-        if len(self.weights) != len(self.points):
+        if len(weights) != len(points):
             raise ValueError("weights must match points")
-        if (self.weights < 0).any():
+        if (weights < 0).any():
             raise ValueError("weights must be nonnegative")
-        total = self.weights.sum()
+        total = weights.sum()
         if not math.isclose(total, 1.0, rel_tol=1e-9):
             raise ValueError("weights must sum to 1")
+        for name, array in (("points", points), ("weights", weights)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def __len__(self):
         return len(self.points)
@@ -82,8 +92,10 @@ def _cell_index(points: np.ndarray, eps: float):
     but at least 1, each cell wider than eps/3. Returns ball(center): the
     ascending indices of the points whose `torus_distance_array` to center
     is below eps, found among the points of the 7 x 7 cells around
-    center's, wrapped mod n: one slice of the key-sorted points per cell,
-    each cell that the wrap repeats read once.
+    center's, wrapped mod n: one slice of the key-sorted point indices per
+    cell, each cell that the wrap repeats read once. The index holds only
+    those indices and the sorted keys, in the narrowest dtype that holds
+    n * n - 1; ball rows are gathered from points through the indices.
 
     The width exceeds eps/3 by at least eps^2/9 (or 2^-40 under the cap),
     far above the few ulps by which a rounded x * n can misplace a point,
@@ -97,13 +109,11 @@ def _cell_index(points: np.ndarray, eps: float):
         return np.floor(np.asarray(p, float) * n).astype(np.int64) % n
 
     ij = cell(points)
-    keys = ij[:, 0] * n + ij[:, 1]
+    keys = (ij[:, 0] * n + ij[:, 1]).astype(np.min_scalar_type(n * n - 1))
     # numpy sorts keys of 16 bits or fewer (n <= 256) stably by radix; the
     # order within a cell is immaterial, as each ball is sorted by index
-    order = np.argsort(keys.astype(np.min_scalar_type(n * n - 1)), kind="stable")
+    order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    # np.take and np.compress gather rows many times faster than indexing
-    sorted_points = np.take(points, order, axis=0)
     shifts = np.arange(-3, 4)
 
     def near(c):
@@ -112,20 +122,23 @@ def _cell_index(points: np.ndarray, eps: float):
 
     def ball(center):
         i, j = cell(center)
-        # the distinct keys, without np.unique, which imports numpy.ma
-        wanted = (near(i)[:, None] * n + near(j)).ravel()
+        # the distinct keys, without np.unique, which imports numpy.ma; in
+        # the keys' dtype, as searchsorted would otherwise copy every key
+        wanted = (near(i)[:, None] * n + near(j)).ravel().astype(keys.dtype)
         spans = [slice(a, b) for a, b in zip(np.searchsorted(keys, wanted, "left"),
                                              np.searchsorted(keys, wanted, "right"))]
-        d = torus_distance_array(np.concatenate([sorted_points[s] for s in spans]),
-                                 center)
-        return np.sort(np.concatenate([order[s] for s in spans])[d < eps])
+        near_rows = np.concatenate([order[s] for s in spans])
+        # np.take and np.compress gather rows many times faster than indexing
+        d = torus_distance_array(np.take(points, near_rows, axis=0), center)
+        return np.sort(near_rows[d < eps])
 
     return ball
 
 
 def _nested_ball_masses(m: CatMap, cloud: SampleCloud, center, T: int,
-                        eps: float, ball: np.ndarray) -> dict:
-    """Mass of the Bowen ball B_t(center, eps) for every even t in [2, T].
+                        eps: float, ball: np.ndarray) -> tuple[list, bool]:
+    """Masses of the Bowen balls B_t(center, eps) for t = 2, 4, ..., and
+    whether the ball has settled.
 
     `ball` holds the ascending indices of the points within eps of center,
     the t = 0 ball (see `_cell_index`). Each even t adds one forward and one
@@ -139,6 +152,14 @@ def _nested_ball_masses(m: CatMap, cloud: SampleCloud, center, T: int,
     of a live point in ascending index order. Those are the weights and the
     order of the full scan, so every mass equals
     `cloud.weights[bowen_distance_cloud(...) < eps].sum()` to the bit.
+
+    The ball has settled when every live run equals the center bit for
+    bit, forward and backward: `step_rows` is elementwise, so each later
+    step keeps every live run and each later mass repeats the last one to
+    the bit. The pass stops at the first t at which the ball has settled,
+    before T if it settles there, or else at t = 2T, unsettled. So the list
+    holds the masses up to the horizon t = 2 * len(masses), and a settled
+    ball's last mass is its mass at every later t.
     """
     mat, inv = m.matrix(float), m.inverse_matrix(float)
     fc = bc = np.asarray(center, float)
@@ -149,8 +170,9 @@ def _nested_ball_masses(m: CatMap, cloud: SampleCloud, center, T: int,
     fwd = bwd = xy[heads].view(float).reshape(-1, 2)
     rows = np.arange(len(fwd))
     live = np.ones(len(fwd), bool)
-    masses = {}
-    for t in range(2, T + 1, 2):
+    masses, settled, t = [], False, 0
+    while t < 2 * T and not settled:
+        t += 2
         fwd, fc = step_rows(fwd, mat), step_rows(fc, mat)
         bwd, bc = step_rows(bwd, inv), step_rows(bc, inv)
         keep = ((torus_distance_array(fwd, fc) < eps)
@@ -158,8 +180,10 @@ def _nested_ball_masses(m: CatMap, cloud: SampleCloud, center, T: int,
         live[rows[~keep]] = False
         rows = rows[keep]
         fwd, bwd = np.compress(keep, fwd, axis=0), np.compress(keep, bwd, axis=0)
-        masses[t] = float(cloud.weights[ball[live[which]]].sum())
-    return masses
+        masses.append(float(cloud.weights[ball[live[which]]].sum()))
+        # reduce_mod1 leaves no -0.0 and no NaN, so == compares bits
+        settled = bool((fwd == fc).all() and (bwd == bc).all())
+    return masses, settled
 
 
 def ks_entropy_estimate(m: CatMap, cloud: SampleCloud, T: int, eps: float,
@@ -175,12 +199,20 @@ def ks_entropy_estimate(m: CatMap, cloud: SampleCloud, T: int, eps: float,
     B_{t+2} within B_t, because the window only grows with t, so one pass
     per center gives the masses for every t.
 
-    The cloud is bucketed once per call into an n x n torus grid, n =
-    max(1, min(int(3/eps) - 1, MAX_CELLS_PER_AXIS)) at every eps, and each
-    center's t = 0 ball is measured only among the points of its 7 x 7
-    neighbour cells, each distinct cell read once. Each run of adjacent
-    copies of a point in the ball is stepped once, however long; a copy
-    apart from its twins is stepped on its own. Both leave every mass
+    Each pass is kept in the cloud's memo under (m, eps, center index), so
+    the ball of one center is stepped once per cloud: a later call with the
+    same eps and centers reads its masses, whatever its T. A pass runs on
+    past T until its ball settles, or up to t = 2T; a later T beyond an
+    unsettled pass's horizon steps the ball again from t = 0 (see
+    `_nested_ball_masses`).
+
+    A call that misses a center in the memo buckets the cloud once into an
+    n x n torus grid, n = max(1, min(int(3/eps) - 1, MAX_CELLS_PER_AXIS))
+    at every eps, and each missing center's t = 0 ball is measured only
+    among the points of its 7 x 7 neighbour cells, each distinct cell read
+    once. Each run of adjacent copies of a point in the ball is stepped
+    once, however long; a copy apart from its twins is stepped on its own.
+    All of these leave every mass
     bit-identical to a full-cloud `bowen_distance_cloud` scan (see
     `_cell_index` and `_nested_ball_masses`).
     """
@@ -194,13 +226,21 @@ def ks_entropy_estimate(m: CatMap, cloud: SampleCloud, T: int, eps: float,
         raise ValueError("eps must be > 0")
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(cloud), size=n_centers, p=cloud.weights)
-    ball = _cell_index(cloud.points, eps)
+    ball = None  # the cell index, built at the first center the memo lacks
     floor = MIN_BALL_POINTS / len(cloud)
     values = []
     empty = 0
     for ci in idx:
-        center = cloud.points[ci]
-        masses = _nested_ball_masses(m, cloud, center, T, eps, ball(center))
+        key = (m, eps, int(ci))
+        stored, settled = cloud._balls.get(key, ([], False))
+        if not settled and 2 * len(stored) < T:
+            if ball is None:
+                ball = _cell_index(cloud.points, eps)
+            center = cloud.points[ci]
+            stored, settled = cloud._balls[key] = _nested_ball_masses(
+                m, cloud, center, T, eps, ball(center))
+        # a settled ball keeps its last mass past the horizon
+        masses = {t: stored[min(t // 2, len(stored)) - 1] for t in range(2, T + 1, 2)}
         usable = [t for t, mu in masses.items() if mu >= floor]
         t1 = max(usable, default=0)
         if t1 <= 2:

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import billiard_quantum as bq
+from ._blas import env_threads
 from .billiard import (BilliardState, StadiumDomain, billiard_flow,
                        circle_angular_momentum, coverage_grid, ergodic_average,
                        orbit_blocks)
@@ -413,6 +414,7 @@ _SUITES = {
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     cfg = cfg.validated()
+    env_threads()  # a malformed SEMICLASS_LAB_THREADS raises before any file
     report = RunReport(cfg.experiment, Path(cfg.out_dir))
     try:
         report.out.mkdir(parents=True, exist_ok=True)

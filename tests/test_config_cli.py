@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -141,6 +144,34 @@ def test_main_checks_thread_count(tmp_path, capsys, monkeypatch, value):
                                            f"a positive integer, got {value!r}\n")
     else:
         assert rc == 0 and (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_run_experiment_checks_thread_count(tmp_path, monkeypatch, value):
+    """A caller of run_experiment, not only the command, is refused a
+    malformed SEMICLASS_LAB_THREADS before any output directory is made."""
+    monkeypatch.setitem(experiments._SUITES, "egorov", _passing_suite)
+    monkeypatch.setenv("SEMICLASS_LAB_THREADS", value)
+    out = tmp_path / "D"
+    with pytest.raises(ConfigError) as raised:
+        experiments.run_experiment(ExperimentConfig(experiment="egorov",
+                                                     out_dir=str(out)))
+    assert str(raised.value) == ("SEMICLASS_LAB_THREADS must be a positive "
+                                 f"integer, got {value!r}")
+    assert not out.exists()
+
+
+def test_import_copies_only_a_valid_thread_count():
+    """Importing the package sets the three BLAS variables to a valid
+    SEMICLASS_LAB_THREADS, and leaves them unset for a malformed one."""
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    code = f"import os, semiclass_lab; print([os.environ.get(v) for v in {names}])"
+    for value, printed in [("3", "['3', '3', '3']"), ("abc", "[None, None, None]")]:
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env["SEMICLASS_LAB_THREADS"] = value
+        run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert run.stdout.strip() == printed
 
 
 def test_main_rejects_duplicate_suite(tmp_path, capsys):

@@ -1,6 +1,8 @@
 
+import dataclasses
 import inspect
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -44,6 +46,18 @@ def test_cloud_rejects_non_finite_points(bad):
 def test_atom_cloud_rejects_empty(points, n):
     with pytest.raises(ValueError, match="atom_cloud"):
         atom_cloud(points, n)
+
+
+def test_cloud_is_immutable():
+    pts, w = np.full((4, 2), 0.5), np.full(4, 0.25)
+    cloud = SampleCloud(points=pts, weights=w)
+    for name in ("points", "weights"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cloud, name, getattr(cloud, name).copy())
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cloud, name)[0] = 0.1
+    pts[0], w[:2] = 0.1, [0.4, 0.1]  # the cloud holds copies of its inputs
+    assert (cloud.points == 0.5).all() and (cloud.weights == 0.25).all()
 
 
 def test_cloud_constructors():
@@ -102,13 +116,22 @@ def test_nested_ball_masses_equal_full_scans(kind, n, seed, alpha, center, T,
         center = cloud.points[center % len(cloud)]
     center = np.asarray(center, float)
     ball = _cell_index(cloud.points, eps)  # as ks_entropy_estimate builds it
-    masses = _nested_ball_masses(m, cloud, center, T, eps, ball(center))
-    assert list(masses) == list(range(2, T + 1, 2))
-    for t, mass in masses.items():
+    values = _assert_masses_equal_full_scans(m, cloud, center, T, eps, ball)
+    assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+def _assert_masses_equal_full_scans(m, cloud, center, T, eps, ball):
+    """One pass of `_nested_ball_masses`: it stops settled at or before
+    t = 2T, or unsettled at t = 2T, and each of its masses, and a settled
+    pass's last mass read at every later t up to 2T, equals a full scan.
+    Returns the masses for t = 2, 4, ..., 2T, as read."""
+    masses, settled = _nested_ball_masses(m, cloud, center, T, eps, ball(center))
+    assert len(masses) == T or (settled and 0 < len(masses) < T)
+    masses += masses[-1:] * (T - len(masses))
+    for t, mass in zip(range(2, 2 * T + 1, 2), masses):
         d = bowen_distance_cloud(m, center, cloud.points, t)
         assert mass == float(cloud.weights[d < eps].sum())
-    values = list(masses.values())
-    assert all(a >= b for a, b in zip(values, values[1:]))
+    return masses
 
 
 def test_nested_ball_masses_ties_at_the_edge():
@@ -117,11 +140,27 @@ def test_nested_ball_masses_ties_at_the_edge():
     pts = np.stack(np.meshgrid(g, g), -1).reshape(-1, 2)
     cloud = SampleCloud(points=pts, weights=np.full(len(pts), 1 / len(pts)))
     for eps in np.unique(np.hypot(*pts[:40].T))[1:]:
-        ball = _cell_index(pts, eps)
-        masses = _nested_ball_masses(M, cloud, pts[17], 6, eps, ball(pts[17]))
-        for t, mass in masses.items():
-            d = bowen_distance_cloud(M, pts[17], pts, t)
-            assert mass == float(cloud.weights[d < eps].sum())
+        _assert_masses_equal_full_scans(M, cloud, pts[17], 6, eps,
+                                        _cell_index(pts, eps))
+
+
+# p, and the step on which p + one ulp in x rounds onto p's step
+@pytest.mark.parametrize("p, meets", [((0.8132702392002724, 0.9127555772777217), 0),
+                                      ((0.8105268303172452, 0.13676405154258153), 1)])
+def test_ball_meeting_its_center_one_way_is_not_settled(p, meets):
+    """q lies one ulp from the center p, and its forward (or backward) step
+    rounds onto p's while its steps the other way stay apart; the ball
+    settles only when q has left it that way, some 20 steps on."""
+    p = np.array(p)
+    q = np.array([np.nextafter(p[0], 1), p[1]])
+    mats = [M.matrix(float), M.inverse_matrix(float)]
+    assert [np.array_equal(step_rows(p, a), step_rows(q, a)) for a in mats] \
+        == [meets == 0, meets == 1]
+    pts = np.concatenate([[p, q], uniform_cloud(98, seed=5).points])
+    cloud = SampleCloud(points=pts, weights=np.full(100, 0.01))
+    masses = _assert_masses_equal_full_scans(M, cloud, p, 40, 1e-12,
+                                             _cell_index(pts, 1e-12))
+    assert masses[0] == 0.02 and masses[-1] == 0.01
 
 
 def _boundary_points(eps):
@@ -150,10 +189,7 @@ def test_cell_index_on_cell_boundaries_and_the_seam(eps):
                               np.flatnonzero(torus_distance_array(pts, c) < eps))
     cloud = SampleCloud(points=pts, weights=np.full(len(pts), 1 / len(pts)))
     for c in pts[::7]:
-        masses = _nested_ball_masses(M, cloud, c, 4, eps, ball(c))
-        for t, mass in masses.items():
-            d = bowen_distance_cloud(M, c, pts, t)
-            assert mass == float(cloud.weights[d < eps].sum())
+        _assert_masses_equal_full_scans(M, cloud, c, 4, eps, ball)
 
 
 def _five_by_five_cell_index():
@@ -178,9 +214,10 @@ def test_cell_boundary_points_catch_a_narrow_neighbourhood(eps):
 
 def test_ball_steps_each_run_of_adjacent_copies_once(monkeypatch):
     """A ball steps the atom's 400 adjacent copies as one row, next to the
-    uniform points it holds, and then its center; a multi-point atom lays
-    each point's copies side by side, the first n % len(points) points
-    holding one more."""
+    uniform points it holds, and then its center; the T = 2 pass runs on to
+    t = 4 with the runs still live. A multi-point atom lays each point's
+    copies side by side, the first n % len(points) points holding one
+    more."""
     stepped = []
 
     def counting_step_rows(rows, mat):
@@ -193,9 +230,13 @@ def test_ball_steps_each_run_of_adjacent_copies_once(monkeypatch):
     ball = _cell_index(cloud.points, 0.2)(center)
     uniform_in_ball = np.count_nonzero(ball >= 400)
     assert uniform_in_ball > 0 and np.array_equal(ball[:400], np.arange(400))
-    _nested_ball_masses(M, cloud, center, 2, 0.2, ball)
-    # the ball, then the center; forward, then backward
-    assert stepped == [(1 + uniform_in_ball, 2), (2,)] * 2
+    masses, _ = _nested_ball_masses(M, cloud, center, 2, 0.2, ball)
+    live_at_2 = np.count_nonzero(
+        bowen_distance_cloud(M, center, cloud.points[400:], 2) < 0.2)
+    assert live_at_2 > 0 and len(masses) == 2
+    # the ball, then the center; forward, then backward; at t = 2, then 4
+    assert stepped == ([(1 + uniform_in_ball, 2), (2,)] * 2
+                       + [(1 + live_at_2, 2), (2,)] * 2)
     orbit = [TorusPoint(0.1, 0.2), TorusPoint(0.3, 0.4), TorusPoint(0.5, 0.6)]
     pts = np.array([[p.x, p.xi] for p in orbit])
     assert np.array_equal(atom_cloud(orbit, 10).points,
@@ -239,6 +280,61 @@ def test_entropy_sweep_holds_one_large_cloud_at_a_time(tmp_path, monkeypatch):
     experiments.run_experiment(ExperimentConfig(experiment="entropy-sweep",
                                                 out_dir=str(tmp_path)))
     assert others == [0] * 12
+
+
+TABLE = [(T, eps) for T in (4, 6, 8) for eps in (0.05, 0.1, 0.15)]
+
+
+def test_entropy_table_steps_each_ball_once(monkeypatch):
+    """The suite's 3 x 3 (T, eps) table on one cloud, 10 centers, one seed:
+    one pass per (eps, center) and one cell index per eps, where a fresh
+    start per estimate makes 90 passes and 9 indexes."""
+    calls = Counter()
+
+    def counted(name):
+        function = getattr(entropy, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return call
+
+    for name in ("_nested_ball_masses", "_cell_index"):
+        monkeypatch.setattr(entropy, name, counted(name))
+    cloud = uniform_cloud(200_000, seed=0)
+    for T, eps in TABLE:
+        ks_entropy_estimate(M, cloud, T, eps, 10, seed=0)
+    assert calls == {"_nested_ball_masses": 30, "_cell_index": 3}
+
+
+def _fresh_copy(cloud):
+    return SampleCloud(points=cloud.points, weights=cloud.weights)
+
+
+def test_table_on_one_cloud_equals_fresh_estimates():
+    """The table in ascending, then descending T on one cloud: each
+    estimate equals the same call on a copy of the cloud with no memo."""
+    cloud = uniform_cloud(200_000, seed=1)
+    for T, eps in TABLE + TABLE[::-1]:
+        assert (ks_entropy_estimate(M, cloud, T, eps, 10, seed=1)
+                == ks_entropy_estimate(M, _fresh_copy(cloud), T, eps, 10, seed=1))
+
+
+def test_unsettled_pass_steps_again_for_a_larger_T():
+    """Each point has four twins about 1e-9 away, which stay in its ball
+    for some 40 steps, so every T = 4 pass stops unsettled at t = 8; at
+    T = 40 each ball is stepped again from t = 0, and settles."""
+    rng = np.random.default_rng(3)
+    pts = np.repeat(rng.random((2_000, 2)), 5, axis=0)
+    pts += rng.normal(scale=1e-9, size=pts.shape)
+    cloud = SampleCloud(points=pts, weights=np.full(len(pts), 1 / len(pts)))
+    short = ks_entropy_estimate(M, cloud, 4, 0.1, 10, seed=0)
+    assert not any(settled for _, settled in cloud._balls.values())
+    assert short == ks_entropy_estimate(M, _fresh_copy(cloud), 4, 0.1, 10, seed=0)
+    long = ks_entropy_estimate(M, cloud, 40, 0.1, 10, seed=0)
+    assert all(settled for _, settled in cloud._balls.values())
+    assert long == ks_entropy_estimate(M, _fresh_copy(cloud), 40, 0.1, 10, seed=0)
+    assert long.value < short.value
 
 
 def test_ks_estimate_permutation_invariant():
