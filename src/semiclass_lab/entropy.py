@@ -18,19 +18,20 @@ BOUND_TOL = 1e-12  # slack of the entropy and scar-weight bound checks
 MAX_CELLS_PER_AXIS = 2**20  # keeps the cell keys of `_cell_index` in int64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleCloud:
     """Weighted point cloud on the torus standing in for a measure.
 
     Immutable: `points` and `weights` are read-only copies of the arrays
     given, so the memo in which `ks_entropy_estimate` keeps each center's
     nested Bowen-ball masses cannot go stale. The memo maps (map, eps,
-    center index) to one short list of masses and dies with the cloud."""
+    center index) to one short list of masses and dies with the cloud.
+    A cloud equals only itself and hashes by identity, as fits a memo that
+    is its own."""
 
     points: np.ndarray  # (n, 2) in [0, 1)
     weights: np.ndarray  # nonnegative, summing to 1
-    _balls: dict = field(init=False, repr=False, compare=False,
-                         default_factory=dict)
+    _balls: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         points = np.array(self.points, float, order="C")

@@ -95,11 +95,14 @@ def ball_mass(g: HusimiGrid, center: TorusPoint, eps: float) -> float:
 
 def eigenbasis_elements(dec: EigenDecomposition, A: TrigObservable) -> np.ndarray:
     """mu_{v_n}(A) for every eigenvector v_n, equal bit for bit to
-    matrix_element on each: one op_apply gather on the whole basis, then one
-    vdot per column."""
+    matrix_element on each: one op_apply gather on each block of 64
+    columns, then one vdot per column."""
     V = dec.eigenvectors
-    W = op_apply(A, V)
-    return np.array([np.vdot(V[:, n], W[:, n]).real for n in range(V.shape[1])])
+    elements = []
+    for c0 in range(0, V.shape[1], 64):
+        W = op_apply(A, V[:, c0:c0 + 64])
+        elements += [np.vdot(V[:, c0 + k], W[:, k]).real for k in range(W.shape[1])]
+    return np.array(elements)
 
 
 def qe_variance(elements: np.ndarray, mean: float) -> float:

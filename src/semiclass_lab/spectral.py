@@ -70,71 +70,120 @@ def _unitary_eigenvectors(B: np.ndarray) -> np.ndarray:
     gaps = np.diff(points, append=points[0] + 2 * np.pi)
     k = np.argmax(gaps)
     alpha = points[k] + gaps[k] / 2 - np.pi
-    Y = np.linalg.inv(np.eye(n) + np.exp(-1j * alpha) * B)
-    return np.linalg.eigh(1j * (Y - Y.conj().T))[1]
+    # I + R, then i (Y - Y*), in one n x n buffer; Y is freed before eigh
+    H = np.exp(-1j * alpha) * B
+    H += np.eye(n)
+    Y = np.linalg.inv(H)
+    np.conjugate(Y.T, out=H)
+    np.subtract(Y, H, out=H)
+    del Y
+    return np.linalg.eigh(np.multiply(1j, H, out=H))[1]
+
+
+def _reflection_orbits(N: int):
+    """The orbits of the parity j -> -j mod N: its fixed points (0, and N/2
+    for even N) as a list, and the pairs (lo, N - lo), lo = 1, 2, ..., as
+    two slices."""
+    n = (N - 1) // 2
+    return [0, N // 2][:2 - N % 2], slice(1, n + 1), slice(N - 1, N - n - 1, -1)
+
+
+def _fold(U: np.ndarray, combine) -> np.ndarray:
+    """The even block Q^T U Q (combine = np.add) or the odd one
+    (np.subtract), read from the quadrants of U. The sums run in the order
+    that forms the columns of U Q first, s (U[:, lo] +- U[:, hi]), then the
+    rows of Q^T (U Q), s (rows lo +- rows hi), with s = sqrt(1/2)."""
+    fixed, lo, hi = _reflection_orbits(len(U))
+    if combine is np.subtract:
+        fixed = []
+    f, n = len(fixed), lo.stop - lo.start
+    s = np.sqrt(0.5)
+    B = np.empty((f + n, f + n), complex)
+    if f:
+        B[:f, :f] = U[np.ix_(fixed, fixed)]
+        np.add(U[fixed, lo], U[fixed, hi], out=B[:f, f:])
+        np.add(U[lo][:, fixed], U[hi][:, fixed], out=B[f:, :f])
+        np.multiply(s, B[:f, f:], out=B[:f, f:])
+        np.multiply(s, B[f:, :f], out=B[f:, :f])
+    pairs, hi_rows = B[f:, f:], np.empty((n, n), complex)
+    combine(U[lo, lo], U[lo, hi], out=pairs)
+    combine(U[hi, lo], U[hi, hi], out=hi_rows)
+    np.multiply(s, pairs, out=pairs)
+    np.multiply(s, hi_rows, out=hi_rows)
+    combine(pairs, hi_rows, out=pairs)
+    np.multiply(s, pairs, out=pairs)
+    return B
+
+
+def _eigenpairs(B: np.ndarray):
+    """Eigenphases and orthonormal eigenvectors Z of one parity block,
+    refused unless the residual ||B Z - Z e^{i theta}|| and the
+    orthogonality defect ||Z* Z - I|| are within RESIDUAL_TOL."""
+    with one_blas_thread():
+        Z = _unitary_eigenvectors(B)
+        BZ = B @ Z
+        theta = np.angle(np.einsum("ij,ij->j", Z.conj(), BZ))
+        resid = np.abs(np.subtract(BZ, Z * np.exp(1j * theta), out=BZ)).max(initial=0.0)
+        del BZ
+        gram = Z.conj().T @ Z
+        gram[np.diag_indices_from(gram)] -= 1
+        ortho = np.abs(gram).max(initial=0.0)
+    if resid > RESIDUAL_TOL or ortho > RESIDUAL_TOL:
+        raise NumericalError(
+            f"eigensolver residual {resid:.2e}, orthogonality defect {ortho:.2e}"
+        )
+    return theta, Z
 
 
 def diagonalize(U: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a unitary matrix that commutes with the parity
     R: psi_j -> psi_{-j mod N}, with orthonormal eigenvectors.
 
-    U is folded by index into its even and odd blocks Q^T U Q, on the fixed
-    points j = 0 and N/2 and the pairs (e_j +- e_{N-j})/sqrt(2). Each
-    block's eigenvectors come from a Hermitian eigensolve of its Cayley
-    transform (_unitary_eigenvectors), and each eigenphase is the angle of
-    the vector's Rayleigh quotient v* B v. So every eigenvector has a
-    definite parity, and where the spectrum is simple within each class
-    (the cat map at power-of-two N) the basis is unique up to phases.
+    U is folded by index into its even and odd blocks Q^T U Q (_fold), on
+    the fixed points j = 0 and N/2 and the pairs (e_j +- e_{N-j})/sqrt(2).
+    Each block's eigenvectors come from a Hermitian eigensolve of its
+    Cayley transform (_unitary_eigenvectors), and each eigenphase is the
+    angle of the vector's Rayleigh quotient v* B v. So every eigenvector
+    has a definite parity, and where the spectrum is simple within each
+    class (the cat map at power-of-two N) the basis is unique up to phases.
+    The vectors Q Z are lifted straight into phase order, each a contiguous
+    column of a Fortran-ordered basis.
 
-    U must be unitary and commute with R, else it is refused. The residual
-    ||B Z - Z e^{i theta}|| and the orthogonality defect ||Z* Z - I|| are
-    read on each block: Q is orthogonal, and the parity guard bounds the
-    off-diagonal blocks of Q^T U Q, which the fold drops.
+    U must be unitary and commute with R, else it is refused; the parity
+    guard reads 64 rows at a time. The residual ||B Z - Z e^{i theta}|| and
+    the orthogonality defect ||Z* Z - I|| are read on each block: Q is
+    orthogonal, and the parity guard bounds the off-diagonal blocks of
+    Q^T U Q, which the fold drops.
     """
     N = U.shape[0]
     if unitarity_defect(U) > RESIDUAL_TOL:
         raise NumericalError(f"input operator is not unitary to {RESIDUAL_TOL}")
-    j = np.arange(N)
-    rev = -j % N
-    commutator = np.abs(U[np.ix_(rev, rev)] - U).max()
+    rev = -np.arange(N) % N
+    commutator = max(np.abs(U[np.ix_(rev[r0:r0 + 64], rev)] - U[r0:r0 + 64]).max()
+                     for r0 in range(0, N, 64))
     if commutator > RESIDUAL_TOL:
         raise NumericalError(
             f"operator does not commute with parity (defect {commutator:.2e})"
         )
-    fixed = j[rev == j]  # 0, and N/2 for even N
-    lo = j[1:(N + 1) // 2]  # pairs (lo, N - lo)
-    hi = N - lo
-    s = np.sqrt(0.5)
-    # columns of U Q, then rows of Q^T (U Q), for each class
-    even_cols = np.concatenate([U[:, fixed], s * (U[:, lo] + U[:, hi])], axis=1)
-    odd_cols = s * (U[:, lo] - U[:, hi])
-    even = np.concatenate([even_cols[fixed], s * (even_cols[lo] + even_cols[hi])])
-    odd = s * (odd_cols[lo] - odd_cols[hi])
-    phases, Zs = [], []
-    for B in (even, odd):
-        with one_blas_thread():
-            Z = _unitary_eigenvectors(B)
-            BZ = B @ Z
-            theta = np.angle(np.einsum("ij,ij->j", Z.conj(), BZ))
-            resid = np.abs(BZ - Z * np.exp(1j * theta)).max(initial=0.0)
-            ortho = np.abs(Z.conj().T @ Z - np.eye(len(Z))).max(initial=0.0)
-        if resid > RESIDUAL_TOL or ortho > RESIDUAL_TOL:
-            raise NumericalError(
-                f"eigensolver residual {resid:.2e}, orthogonality defect {ortho:.2e}"
-            )
-        phases.append(theta)
-        Zs.append(Z)
-    phases = _canonical_phase(np.concatenate(phases))
-    Ze, Zo = Zs
-    # lift Q Z into one basis, even vectors first
-    ne = len(fixed) + len(lo)
-    V = np.zeros((N, N), dtype=complex)
-    V[fixed, :ne] = Ze[:len(fixed)]
-    V[lo, :ne] = V[hi, :ne] = s * Ze[len(fixed):]
-    V[lo, ne:] = s * Zo
-    V[hi, ne:] = -V[lo, ne:]
+    # each block is freed once solved
+    (theta_e, Ze), (theta_o, Zo) = (_eigenpairs(_fold(U, combine))
+                                    for combine in (np.add, np.subtract))
+    phases = _canonical_phase(np.concatenate([theta_e, theta_o]))
     order = np.argsort(phases, kind="stable")
-    return EigenDecomposition(eigenphases=phases[order], eigenvectors=V[:, order])
+    column = np.empty(N, int)
+    column[order] = np.arange(N)  # where each vector lands in phase order
+    even_at, odd_at = column[:len(Ze)], column[len(Ze):]
+    fixed, lo, hi = _reflection_orbits(N)
+    s = np.sqrt(0.5)
+    V = np.zeros((N, N), dtype=complex, order="F")
+    V[np.ix_(fixed, even_at)] = Ze[:len(fixed)]
+    pairs = np.multiply(s, Ze[len(fixed):], out=Ze[len(fixed):])
+    V[lo, even_at] = pairs
+    V[hi, even_at] = pairs
+    np.multiply(s, Zo, out=Zo)
+    V[lo, odd_at] = Zo
+    V[hi, odd_at] = np.negative(Zo, out=Zo)
+    return EigenDecomposition(eigenphases=phases[order], eigenvectors=V)
 
 
 def degeneracy_clusters(dec: EigenDecomposition,

@@ -207,7 +207,7 @@ def cat_propagator(N: int, m: CatMap) -> np.ndarray:
     U = np.eye(N, dtype=complex)
     for token in word:
         if token[0] == "J":
-            U = np.fft.fft(U, axis=1, norm="ortho")
+            np.fft.fft(U, axis=1, norm="ortho", out=U)
         else:
             U *= np.exp(-1j * np.pi * (token[1] % (2 * N) * jj % (2 * N)) / N)
     z = U[0, 0]
@@ -225,8 +225,41 @@ def _norm_bound(X: np.ndarray) -> float:
     (Golub & Van Loan, Matrix Computations, 2.3): the largest column
     abs-sum times the largest row abs-sum, in O(N^2) where an SVD costs
     O(N^3). For N x N matrices it is at most sqrt(N) ||X||_2."""
-    a = np.abs(X)
-    return float(np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()))
+    bound = _RowBlockNormBound()
+    bound.add(X)
+    return bound.value()
+
+
+class _RowBlockNormBound:
+    """_norm_bound of a matrix given one block of rows at a time, top to
+    bottom, so that no more than a block is held. Each column adds its rows
+    in order, as one sum over the whole matrix does: the running column
+    sums ride on the first row of the next block. Adding the blocks'
+    partial sums instead would change the last bits."""
+
+    def __init__(self):
+        self.colsum, self.row_max = None, 0.0
+
+    def add(self, X: np.ndarray):
+        a = np.abs(X)
+        self.row_max = max(self.row_max, a.sum(axis=1).max())
+        if self.colsum is None:
+            self.colsum = a.sum(axis=0)
+        else:
+            a[0] += self.colsum
+            a.sum(axis=0, out=self.colsum)
+
+    def value(self) -> float:
+        return float(np.sqrt(self.colsum.max() * self.row_max))
+
+
+def _row_blocks(N: int, B: int) -> list:
+    """N rows as the fewest slices of at most B rows, of near-equal sizes, so
+    that no block is a lone row: numpy multiplies a single row by gemv,
+    whose sums round apart from those of the gemm that multiplies the whole
+    matrix."""
+    n = -(-N // B)
+    return [slice(N * k // n, N * (k + 1) // n) for k in range(n)]
 
 
 def _commutator_defect(Ut: np.ndarray, left, right) -> float:
@@ -238,19 +271,18 @@ def _commutator_defect(Ut: np.ndarray, left, right) -> float:
     then by c and added onto zeros, as op_apply does. A right term is a
     column roll of the same rows, scaled by conj(phase) and then conj(c):
     conjugation distributes exactly over complex products and sums, so it
-    equals op_apply on Ut* conjugate-transposed to the last bit. The norm
-    is taken once on the whole difference, so that its column sums add in
-    the same order."""
+    equals op_apply on Ut* conjugate-transposed to the last bit. Each
+    block's difference goes to _RowBlockNormBound; no N x N array is
+    formed."""
     N = len(Ut)
-    B = min(N, 32)  # rows per block: each B x N buffer is 256 kB at N = 512
-    gathered, lhs, rhs = np.empty((3, B, N), complex)
-    D = np.empty((N, N), complex)
+    B = 32  # rows per block: each B x N buffer is 256 kB at N = 512
+    gathered, lhs, rhs = np.empty((3, min(N, B), N), complex)
     left = [(*_translation(N, m), c) for m, c in left]
     right = [(*_translation(N, m), c) for m, c in right]
     right = [(cols[0], phase.conj(), np.conj(c)) for cols, phase, c in right]
-    for r0 in range(0, N, B):
-        rows = slice(r0, min(r0 + B, N))
-        b = rows.stop - r0
+    bound = _RowBlockNormBound()
+    for rows in _row_blocks(N, B):
+        b = rows.stop - rows.start
         g, L, R = gathered[:b], lhs[:b], rhs[:b]
         L.fill(0)
         for cols, phase, c in left:
@@ -267,8 +299,8 @@ def _commutator_defect(Ut: np.ndarray, left, right) -> float:
             np.multiply(phase, g, out=g)
             np.multiply(c, g, out=g)
             R += g
-        np.subtract(L, R, out=D[rows])
-    return _norm_bound(D)
+        bound.add(np.subtract(L, R, out=L))
+    return bound.value()
 
 
 def intertwining_defect(U: np.ndarray, m: CatMap) -> float:
@@ -290,16 +322,16 @@ def egorov_defect(U: np.ndarray, m: CatMap, observables, T: int) -> np.ndarray:
     so zero to roundoff for linear maps (exact correspondence). The norm is
     read as ||Op(A) U^t - U^t Op(A o M^t)|| (unitary invariance) by
     _commutator_defect, from U^t alone: the one dense product is U^t
-    itself, formed into one of two reused buffers."""
+    itself, advanced in place (_multiply_in_place), so U^t is the one
+    N x N array formed."""
     defects = np.empty((len(observables), T))
     mat = m.matrix(object)
     mat_t = np.eye(2, dtype=object)
-    Ut = U.astype(complex)
-    spare = np.empty_like(Ut)
+    U = np.asarray(U, complex)
+    Ut = U.copy()
     for t in range(T):
         if t:
-            np.matmul(Ut, U, out=spare)
-            Ut, spare = spare, Ut
+            _multiply_in_place(Ut, U)
         mat_t = mat_t @ mat
         for i, A in enumerate(observables):
             defects[i, t] = _commutator_defect(
@@ -307,6 +339,23 @@ def egorov_defect(U: np.ndarray, m: CatMap, observables, T: int) -> np.ndarray:
     return defects
 
 
+def _multiply_in_place(X: np.ndarray, U: np.ndarray):
+    """X <- X U, 32 rows at a time through one buffer: row i of X U is row
+    i of X times U."""
+    product = np.empty((min(len(X), 32), U.shape[1]), complex)
+    for rows in _row_blocks(len(X), 32):
+        X[rows] = np.matmul(X[rows], U, out=product[:rows.stop - rows.start])
+
+
 def unitarity_defect(U: np.ndarray) -> float:
-    """_norm_bound of U* U - I, an upper bound on its operator norm."""
-    return _norm_bound(U.conj().T @ U - np.eye(U.shape[0]))
+    """_norm_bound of U* U - I, an upper bound on its operator norm, formed
+    32 rows at a time into one buffer: rows r of U* U are the columns r of
+    U, conjugated and transposed, times U."""
+    N = U.shape[0]
+    product = np.empty((min(N, 32), N), U.dtype)
+    bound = _RowBlockNormBound()
+    for rows in _row_blocks(N, 32):
+        X = np.matmul(U[:, rows].conj().T, U, out=product[:rows.stop - rows.start])
+        X[np.arange(len(X)), np.arange(rows.start, rows.stop)] -= 1
+        bound.add(X)
+    return bound.value()

@@ -60,6 +60,15 @@ def test_cloud_is_immutable():
     assert (cloud.points == 0.5).all() and (cloud.weights == 0.25).all()
 
 
+def test_cloud_equals_only_itself():
+    """Equality is identity, as fits a cloud that carries its own memo: two
+    clouds of equal content compare unequal, and a cloud can key a dict."""
+    a, b = uniform_cloud(200, 1), uniform_cloud(200, 1)
+    assert (a == b) is False and (a != b) is True
+    assert a == a
+    assert {a: 1, b: 2}[a] == 1
+
+
 def test_cloud_constructors():
     u = uniform_cloud(500, seed=3)
     assert len(u) == 500 and u.weights.sum() == pytest.approx(1.0)

@@ -203,6 +203,15 @@ def test_eigenbasis_elements_equal_matrix_element():
     assert np.array_equal(eigenbasis_elements(dec, A), loop)
 
 
+def test_eigenbasis_elements_by_column_blocks():
+    """At N = 130 the basis is read in blocks of 64, 64 and 2 columns; each
+    element is still matrix_element's bytes."""
+    dec = diagonalize(cat_propagator(130, M))
+    A = TrigObservable.cosine((2, 1), 0.7)
+    loop = [matrix_element(dec.eigenvectors[:, n], A) for n in range(130)]
+    assert np.array_equal(eigenbasis_elements(dec, A), loop)
+
+
 def test_basis_average_identity():
     dec = diagonalize(cat_propagator(64, M))
     A = TrigObservable.cosine((2, 1), amplitude=0.7)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -258,6 +260,23 @@ def test_phase_zero_cluster_stays_at_the_head():
     clusters = degeneracy_clusters(dec)
     assert [idx.tolist() for _, idx in clusters] == [[0, 1, 2], [3, 4]]
     assert abs(clusters[0][0]) < 1e-15
+
+
+def test_diagonalize_working_set():
+    """At N = 512 the traced peak stays under 7 MiB: the basis (4 MiB),
+    lifted in phase order into a Fortran-ordered array, and the two
+    blocks' eigenvectors (1 MiB each). It read 17.0 MiB when the guards
+    formed N x N arrays, the fold went through U's even and odd columns and
+    the sorted basis was a copy."""
+    U = cat_propagator(512, M)
+    tracemalloc.start()
+    try:
+        V = diagonalize(U).eigenvectors
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20
+    assert V.flags.f_contiguous
 
 
 def test_quantum_period_n1():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -367,6 +369,42 @@ def test_defects_match_reference_bit_for_bit(N):
             assert np.array_equal(egorov_defect(U, M, observables, t),
                                   egorov_defect_reference(U, M, observables, t))
         assert intertwining_defect(U, M) == intertwining_defect_reference(U, M)
+
+
+@pytest.mark.parametrize("N", [33, 65, 97])
+def test_row_blocks_leave_no_lone_row(N):
+    """At N = 1 mod 32 a plain split into 32-row blocks ends on one row,
+    which numpy multiplies by gemv and rounds apart from the whole matrix's
+    gemm. The near-equal split keeps U^t and U* U - I to the last bit."""
+    U = cat_propagator(N, M)
+    observables = EQUALITY_OBSERVABLES[:1] + EQUALITY_OBSERVABLES[-2:]
+    assert np.array_equal(egorov_defect(U, M, observables, 3),
+                          egorov_defect_reference(U, M, observables, 3))
+    assert unitarity_defect(U) == _norm_bound(U.conj().T @ U - np.eye(N))
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_defects_working_set():
+    """At N = 512 the defects read U (4 MiB) by blocks of rows. Egorov holds
+    U^t, advanced in place, and at most 1 MiB besides; it read 14.8 MiB when
+    U^t was formed into one of two buffers and the difference into a
+    third. Unitarity and intertwining stay under 1 MiB, where U* U - I and
+    the difference took 8.0 and 6.8 MiB."""
+    N = 512
+    U = cat_propagator(N, M)
+    observables = [TrigObservable.cosine(m) for m in
+                   ((1, 0), (0, 1), (1, 1), (2, 1), (3, 3))]
+    assert _traced_peak(egorov_defect, U, M, observables, 5) <= U.nbytes + 2**20
+    assert _traced_peak(unitarity_defect, U) < 2**20
+    assert _traced_peak(intertwining_defect, U, M) < 2**20
 
 
 def test_egorov_gate_fails_for_kicked_map():
