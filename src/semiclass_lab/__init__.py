@@ -20,8 +20,8 @@ from .catmap import CatMap, DEFAULT_MAP, LyapunovData, TorusPoint, cat_lyapunov
 from .billiard import (BilliardState, StadiumDomain, billiard_flow,
                        circle_angular_momentum, coverage_grid, ergodic_average,
                        orbit_blocks)
-from .torus_quantum import (TrigObservable, cat_propagator, coherent_state,
-                            egorov_defect)
+from .torus_quantum import (TrigObservable, UnitaryWord, cat_propagator,
+                            coherent_state, egorov_defect, propagator_word)
 from .spectral import (EigenDecomposition, QuantumPeriod, diagonalize,
                        degeneracy_clusters, quantum_period, scarred_state,
                        short_period_dimensions)

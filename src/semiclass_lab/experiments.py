@@ -33,7 +33,8 @@ from .serialization import write_csv, write_pgm
 from .spectral import (diagonalize, degeneracy_clusters, quantum_period,
                        scarred_state, short_period_dimensions)
 from .torus_quantum import (TrigObservable, cat_propagator, egorov_defect,
-                            intertwining_defect, unitarity_defect)
+                            intertwining_defect, propagator_word,
+                            unitarity_defect)
 
 if TYPE_CHECKING:  # config derives its suite list from _SUITES
     from .config import ExperimentConfig
@@ -131,7 +132,7 @@ def egorov_study(report: RunReport, m, N: int, observables):
     U = cat_propagator(N, m)
     report.check("unitarity_defect_lt_1e-10", unitarity_defect(U), lt=1e-10)
     report.check("intertwining_defect_lt_1e-10", intertwining_defect(U, m), lt=1e-10)
-    defects = egorov_defect(U, m, observables, 5)
+    defects = egorov_defect(propagator_word(N, m), m, observables, 5)
     report.check("max_egorov_defect_lt_1e-9", defects.max(), lt=1e-9)
     return U, defects
 
@@ -208,7 +209,7 @@ def scar_study(report: RunReport, m, n_max: int):
     last = None
     for N, P in dims[:4]:
         U = cat_propagator(N, m)
-        qp = quantum_period(m, P + 1, U)
+        qp = quantum_period(m, P + 1, propagator_word(N, m))
         T_half = max(1, qp.P // 2)
         psi = scarred_state(T_half, U, qp)
         g = husimi(psi)

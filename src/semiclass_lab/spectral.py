@@ -16,7 +16,7 @@ import numpy as np
 from ._blas import one_blas_thread
 from .catmap import CatMap, TorusPoint, cat_lyapunov
 from .errors import DegenerateConstruction, NumericalError
-from .torus_quantum import coherent_state, unitarity_defect
+from .torus_quantum import UnitaryWord, coherent_state, unitarity_defect
 
 DEGENERACY_TOL = 1e-8 * 2 * np.pi
 RESIDUAL_TOL = 1e-10  # diagonalize: unitarity, eigen-residual, orthogonality
@@ -222,18 +222,21 @@ def matrix_order_mod(m: CatMap, modulus: int, p_max: int):
     return None
 
 
-def quantum_period(m: CatMap, P_max: int, U: np.ndarray):
+def quantum_period(m: CatMap, P_max: int, word: UnitaryWord):
     """Smallest P <= P_max with U^P proportional to the identity, else None,
-    where U is the propagator of m.
+    where the UnitaryWord word is the propagator U of m (propagator_word).
+    U^P is advanced in place by the word's factors, U^P <- U^(P-1) U in
+    O(N^2 log N), with no dense product.
 
     The result is cross-checked against the order of the map's matrix modulo
     2N, which governs when the propagator becomes scalar.
     """
     if P_max < 1:
         raise ValueError("P_max must be >= 1")
-    N = len(U)
+    N = word.N
+    Up = np.eye(N, dtype=complex)
     for P in range(1, P_max + 1):
-        Up = U if P == 1 else Up @ U
+        word.apply_right(Up)
         z = Up[0, 0]
         if (abs(abs(z) - 1.0) < PERIOD_TOL
                 and np.abs(Up - z * np.eye(N)).max() < PERIOD_TOL):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .catmap import CatMap, TorusPoint
 from .errors import InvalidObservable, QuantizationConditionError
 
@@ -186,38 +187,78 @@ def _theta_group_word(A):
     return word
 
 
-def cat_propagator(N: int, m: CatMap) -> np.ndarray:
-    """Unitary quantization of the cat map in the zero-angle sector.
+class UnitaryWord:
+    """An N x N unitary as a product of unitary factors, left to right. A
+    factor None is the unitary DFT along rows, F_jk = exp(-2 pi i j k/N) /
+    sqrt(N); any other factor is a diagonal, given by its entries (a
+    length-N array) or by one number (a multiple of the identity)."""
 
-    A product of metaplectic generators applied in place to the identity:
-    each J is a unitary FFT along the rows, each G_c a column scaling by the
-    chirp exp(-i pi c j^2 / N) reduced mod 2N in integers, so U T[f] U* =
-    T[M^-T f] holds to roundoff. The global phase makes the (0, 0) entry
-    real positive when significant, else the first entry of the first row
-    whose modulus is at least (1 - 1e-9) times the row's largest.
-    """
+    def __init__(self, N: int, factors=()):
+        self.N, self.factors = N, tuple(factors)
+
+    def times(self, *factors) -> "UnitaryWord":
+        """This word with factors appended on the right."""
+        return UnitaryWord(self.N, self.factors + factors)
+
+    def apply_right(self, X: np.ndarray) -> np.ndarray:
+        """X <- X U in place, for a complex block of rows X; returns X. Each
+        DFT is one FFT along the rows and each diagonal one column scaling,
+        so a row costs O(N log N), and each row gets the bits it gets in
+        any other block, the whole matrix included."""
+        for f in self.factors:
+            if f is None:
+                np.fft.fft(X, axis=1, norm="ortho", out=X)
+            else:
+                X *= f
+        return X
+
+    def power(self, t: int) -> np.ndarray:
+        """U^t for t >= 0 as a dense matrix: the identity, advanced in
+        place t times."""
+        X = np.eye(self.N, dtype=complex)
+        for _ in range(t):
+            self.apply_right(X)
+        return X
+
+
+def propagator_word(N: int, m: CatMap) -> UnitaryWord:
+    """The cat-map propagator of cat_propagator as a UnitaryWord: its
+    metaplectic generators in the order of the map's theta-group word,
+    each J the unitary DFT and each G_c the chirp exp(-i pi c j^2 / N)
+    reduced mod 2N in integers, then the global phase. The phase is read
+    from the generators applied to the row e_0, which is row 0 of U: it
+    makes the (0, 0) entry real positive when significant, else the first
+    entry of that row whose modulus is at least (1 - 1e-9) times the
+    row's largest."""
     if N < 1:
         raise ValueError("dimension N must be >= 1")
     if not is_quantizable(m):
         raise QuantizationConditionError(
             f"map {m} violates the parity condition (a*b, c*d even)"
         )
-    word = _theta_group_word(index_action(m))
     jj = np.arange(N) ** 2
-    U = np.eye(N, dtype=complex)
-    for token in word:
-        if token[0] == "J":
-            np.fft.fft(U, axis=1, norm="ortho", out=U)
-        else:
-            U *= np.exp(-1j * np.pi * (token[1] % (2 * N) * jj % (2 * N)) / N)
-    z = U[0, 0]
+    generators = UnitaryWord(N, [
+        None if token[0] == "J"
+        else np.exp(-1j * np.pi * (token[1] % (2 * N) * jj % (2 * N)) / N)
+        for token in _theta_group_word(index_action(m))])
+    row = np.zeros((1, N), complex)
+    row[0, 0] = 1
+    row = generators.apply_right(row)[0]
+    z = row[0]
     if abs(z) < 1e-8:
         # the first entry within rounding of the row's largest modulus, so
         # rounding cannot choose among entries of equal modulus
-        row = np.abs(U[0])
-        z = U[0, int(np.argmax(row >= row.max() * (1 - 1e-9)))]
-    U *= np.conj(z) / abs(z)
-    return U
+        a = np.abs(row)
+        z = row[int(np.argmax(a >= a.max() * (1 - 1e-9)))]
+    return generators.times(np.conj(z) / abs(z))
+
+
+def cat_propagator(N: int, m: CatMap) -> np.ndarray:
+    """Unitary quantization of the cat map in the zero-angle sector: its
+    propagator_word applied in place to the identity, each J as a unitary
+    FFT along the rows and each chirp and the global phase as a column
+    scaling, so U T[f] U* = T[M^-T f] holds to roundoff."""
+    return propagator_word(N, m).power(1)
 
 
 def _norm_bound(X: np.ndarray) -> float:
@@ -315,23 +356,22 @@ def intertwining_defect(U: np.ndarray, m: CatMap) -> float:
                for f in INTERTWINING_FREQUENCIES)
 
 
-def egorov_defect(U: np.ndarray, m: CatMap, observables, T: int) -> np.ndarray:
+def egorov_defect(word: UnitaryWord, m: CatMap, observables, T: int) -> np.ndarray:
     """Defects ||U^-t Op(A) U^t - Op(A o M^t)|| for each observable A and
-    t = 1..T, as an array [len(observables), T], where U is the propagator
-    of m. Each value is _norm_bound, an upper bound on the operator norm,
-    so zero to roundoff for linear maps (exact correspondence). The norm is
-    read as ||Op(A) U^t - U^t Op(A o M^t)|| (unitary invariance) by
-    _commutator_defect, from U^t alone: the one dense product is U^t
-    itself, advanced in place (_multiply_in_place), so U^t is the one
-    N x N array formed."""
+    t = 1..T, as an array [len(observables), T], where the UnitaryWord
+    word is the propagator of m (propagator_word). Each value is
+    _norm_bound, an upper bound on the operator norm, so zero to roundoff
+    for linear maps (exact correspondence). The norm is read as
+    ||Op(A) U^t - U^t Op(A o M^t)|| (unitary invariance) by
+    _commutator_defect, from U^t alone: U^t is advanced in place by the
+    word's factors, U^t <- U^t U in O(N^2 log N), so it is the one N x N
+    array formed and no BLAS call is made."""
     defects = np.empty((len(observables), T))
     mat = m.matrix(object)
     mat_t = np.eye(2, dtype=object)
-    U = np.asarray(U, complex)
-    Ut = U.copy()
+    Ut = np.eye(word.N, dtype=complex)
     for t in range(T):
-        if t:
-            _multiply_in_place(Ut, U)
+        word.apply_right(Ut)
         mat_t = mat_t @ mat
         for i, A in enumerate(observables):
             defects[i, t] = _commutator_defect(
@@ -339,23 +379,17 @@ def egorov_defect(U: np.ndarray, m: CatMap, observables, T: int) -> np.ndarray:
     return defects
 
 
-def _multiply_in_place(X: np.ndarray, U: np.ndarray):
-    """X <- X U, 32 rows at a time through one buffer: row i of X U is row
-    i of X times U."""
-    product = np.empty((min(len(X), 32), U.shape[1]), complex)
-    for rows in _row_blocks(len(X), 32):
-        X[rows] = np.matmul(X[rows], U, out=product[:rows.stop - rows.start])
-
-
 def unitarity_defect(U: np.ndarray) -> float:
     """_norm_bound of U* U - I, an upper bound on its operator norm, formed
     32 rows at a time into one buffer: rows r of U* U are the columns r of
-    U, conjugated and transposed, times U."""
+    U, conjugated and transposed, times U. The products run at one BLAS
+    thread, so the value does not follow the thread count."""
     N = U.shape[0]
     product = np.empty((min(N, 32), N), U.dtype)
     bound = _RowBlockNormBound()
-    for rows in _row_blocks(N, 32):
-        X = np.matmul(U[:, rows].conj().T, U, out=product[:rows.stop - rows.start])
-        X[np.arange(len(X)), np.arange(rows.start, rows.stop)] -= 1
-        bound.add(X)
+    with one_blas_thread():
+        for rows in _row_blocks(N, 32):
+            X = np.matmul(U[:, rows].conj().T, U, out=product[:rows.stop - rows.start])
+            X[np.arange(len(X)), np.arange(rows.start, rows.stop)] -= 1
+            bound.add(X)
     return bound.value()

@@ -8,13 +8,14 @@ from semiclass_lab import spectral
 from semiclass_lab.catmap import DEFAULT_MAP, CatMap, TorusPoint
 from semiclass_lab.errors import NumericalError
 from semiclass_lab.measures import eigenbasis_elements
-from semiclass_lab.spectral import (DEGENERACY_TOL, RESIDUAL_TOL,
+from semiclass_lab.spectral import (DEGENERACY_TOL, PERIOD_TOL, RESIDUAL_TOL,
                                     EigenDecomposition, degeneracy_clusters,
                                     diagonalize, matrix_order_mod,
                                     quantum_period, scarred_state,
                                     short_period_dimensions)
 from semiclass_lab.torus_quantum import (TrigObservable, cat_propagator,
-                                         coherent_state, unitarity_defect)
+                                         coherent_state, propagator_word,
+                                         unitarity_defect)
 
 M = DEFAULT_MAP
 
@@ -280,7 +281,7 @@ def test_diagonalize_working_set():
 
 
 def test_quantum_period_n1():
-    qp = quantum_period(M, 5, cat_propagator(1, M))
+    qp = quantum_period(M, 5, propagator_word(1, M))
     assert qp is not None and qp.P == 1
 
 
@@ -288,11 +289,39 @@ def test_quantum_period_matches_matrix_order():
     # the period divides the matrix order mod 2N; at N = 53 it is half of it
     for N, ratio in ((15, 1), (56, 1), (53, 2)):
         U = cat_propagator(N, M)
-        qp = quantum_period(M, 20, U)
+        qp = quantum_period(M, 20, propagator_word(N, M))
         assert qp is not None
         assert matrix_order_mod(M, 2 * N, 20) == ratio * qp.P
         UP = np.linalg.matrix_power(U, qp.P)
         assert np.abs(UP - np.exp(1j * qp.global_phase) * np.eye(N)).max() < 1e-8
+
+
+def _dense_quantum_period(U, P_max):
+    """quantum_period's search by dense powers U^P = U^(P-1) @ U: the
+    smallest P <= P_max with U^P scalar to PERIOD_TOL, and the angle of
+    that scalar in [0, 2 pi), or None."""
+    N = len(U)
+    for P in range(1, P_max + 1):
+        Up = U if P == 1 else Up @ U
+        z = Up[0, 0]
+        if (abs(abs(z) - 1.0) < PERIOD_TOL
+                and np.abs(Up - z * np.eye(N)).max() < PERIOD_TOL):
+            return P, float(np.angle(z) % (2 * np.pi))
+    return None
+
+
+@pytest.mark.parametrize("m", (M, CatMap(3, 2, 4, 3)), ids=("default", "map3243"))
+def test_quantum_period_matches_dense_powers(m):
+    """At every short-period N <= 700 (6 for the default map, 10 for the
+    other) the powers advanced by the propagator's factors find the period
+    of the dense powers, and a global phase within 1e-14 of theirs."""
+    dims = short_period_dimensions(m, 1, 700)
+    assert len(dims) >= 6
+    for N, P in dims:
+        qp = quantum_period(m, P, propagator_word(N, m))
+        want_P, want_phase = _dense_quantum_period(cat_propagator(N, m), P)
+        assert qp.P == want_P
+        assert abs(np.exp(1j * qp.global_phase) - np.exp(1j * want_phase)) < 1e-14
 
 
 def test_matrix_order_mod_matches_matrix_powers():
@@ -312,13 +341,13 @@ def test_matrix_order_mod_matches_matrix_powers():
 
 def test_quantum_period_absent():
     # generic N: order of M mod 2N far exceeds the small search bound
-    assert quantum_period(M, 3, cat_propagator(101, M)) is None
+    assert quantum_period(M, 3, propagator_word(101, M)) is None
 
 
 def test_spectrum_on_period_roots():
     N = 56
     U = cat_propagator(N, M)
-    qp = quantum_period(M, 12, U)
+    qp = quantum_period(M, 12, propagator_word(N, M))
     dec = diagonalize(U)
     centers = (qp.global_phase + 2 * np.pi * np.arange(qp.P)) / qp.P
     for ph in dec.eigenphases:
@@ -340,7 +369,7 @@ def test_degeneracy_clusters_partition_and_refine():
 
 def test_scarred_state_single_term_is_coherent():
     U = cat_propagator(56, M)
-    psi = scarred_state(1, U, quantum_period(M, 12, U))
+    psi = scarred_state(1, U, quantum_period(M, 12, propagator_word(56, M)))
     cs = coherent_state(56, TorusPoint(0, 0))
     assert abs(np.vdot(cs, psi)) == pytest.approx(1.0, abs=1e-10)
 
@@ -348,7 +377,7 @@ def test_scarred_state_single_term_is_coherent():
 def test_scarred_state_normalized_and_scarred():
     from semiclass_lab.measures import ball_mass, husimi
     U = cat_propagator(56, M)
-    qp = quantum_period(M, 12, U)
+    qp = quantum_period(M, 12, propagator_word(56, M))
     psi = scarred_state(qp.P // 2, U, qp)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
     mass = ball_mass(husimi(psi), TorusPoint(0, 0), 0.1)
@@ -357,7 +386,7 @@ def test_scarred_state_normalized_and_scarred():
 
 def test_scarred_state_concentrates_on_one_cluster():
     U = cat_propagator(56, M)
-    qp = quantum_period(M, 12, U)
+    qp = quantum_period(M, 12, propagator_word(56, M))
     dec = diagonalize(U)
     clusters = degeneracy_clusters(dec, 1e-6)
 

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from semiclass_lab.catmap import CatMap, DEFAULT_MAP, TorusPoint
 from semiclass_lab.errors import InvalidObservable, QuantizationConditionError
+from semiclass_lab import _blas
 from semiclass_lab.torus_quantum import (INTERTWINING_FREQUENCIES, TrigObservable,
-                                         _norm_bound, _theta_group_word,
-                                         cat_propagator, coherent_state,
-                                         egorov_defect, index_action,
-                                         intertwining_defect, is_quantizable,
-                                         op_apply, translation_apply,
+                                         UnitaryWord, _norm_bound,
+                                         _theta_group_word, cat_propagator,
+                                         coherent_state, egorov_defect,
+                                         index_action, intertwining_defect,
+                                         is_quantizable, op_apply,
+                                         propagator_word, translation_apply,
                                          unitarity_defect, weyl_quantize)
 
 M = DEFAULT_MAP
@@ -263,6 +265,43 @@ def test_propagator_matches_dense_generator_product(N, m):
     assert np.abs(cat_propagator(N, m) - _dense_generator_product(N, m)).max() < 1e-12
 
 
+def _propagator_in_place(N, m):
+    """cat_propagator as it was built before its factors were kept: the
+    generators applied in place to the whole identity, then the global
+    phase read from U's first row."""
+    jj = np.arange(N) ** 2
+    U = np.eye(N, dtype=complex)
+    for token in _theta_group_word(index_action(m)):
+        if token[0] == "J":
+            np.fft.fft(U, axis=1, norm="ortho", out=U)
+        else:
+            U *= np.exp(-1j * np.pi * (token[1] % (2 * N) * jj % (2 * N)) / N)
+    z = U[0, 0]
+    if abs(z) < 1e-8:
+        row = np.abs(U[0])
+        z = U[0, int(np.argmax(row >= row.max() * (1 - 1e-9)))]
+    U *= np.conj(z) / abs(z)
+    return U
+
+
+@pytest.mark.parametrize("m", (M, MAPS[2]), ids=("default", "map3243"))
+def test_propagator_matches_whole_matrix_construction_bit_for_bit(m):
+    """The word's factors applied to the identity, with the phase read from
+    e_0 alone, give the bytes of the whole-matrix construction."""
+    for N in [*range(1, 301), 509, 512, 1024, 1025]:
+        assert cat_propagator(N, m).tobytes() == _propagator_in_place(N, m).tobytes(), N
+
+
+@pytest.mark.parametrize("m", (M, MAPS[2]), ids=("default", "map3243"))
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 61, 64, 65, 128, 509, 512])
+def test_word_powers_match_matrix_power(N, m):
+    """U^t advanced by the word's factors equals the dense power."""
+    word = propagator_word(N, m)
+    U = word.power(1)
+    for t in range(6):
+        assert np.abs(word.power(t) - np.linalg.matrix_power(U, t)).max() < 1e-12
+
+
 @pytest.mark.parametrize("m", MAPS[1:], ids=lambda m: f"map{m.a}{m.b}{m.c}{m.d}")
 @pytest.mark.parametrize("N", range(2, 131, 4))
 def test_global_phase_tie_break(N, m):
@@ -305,7 +344,7 @@ def test_propagator_multiplicative_up_to_phase():
 @pytest.mark.parametrize("T", [0, 1, 5])
 def test_egorov_defect_small(T):
     A = TrigObservable.cosine((1, 0))
-    defects = egorov_defect(cat_propagator(128, M), M, [A], T)
+    defects = egorov_defect(propagator_word(128, M), M, [A], T)
     assert defects.shape == (1, T)
     assert (defects < 1e-9).all()
 
@@ -313,22 +352,23 @@ def test_egorov_defect_small(T):
 def test_egorov_mixed_mode():
     observables = [TrigObservable.cosine((2, 1), amplitude=0.5),
                    TrigObservable.cosine((0, 1))]
-    defects = egorov_defect(cat_propagator(64, M), M, observables, 3)
+    defects = egorov_defect(propagator_word(64, M), M, observables, 3)
     assert defects.shape == (2, 3)
     assert (defects < 1e-9).all()
     # a unitary that does not quantize the map fails the correspondence
-    assert egorov_defect(np.eye(64), M, observables, 1).min() > 0.5
+    assert egorov_defect(UnitaryWord(64), M, observables, 1).min() > 0.5
 
 
-def egorov_defect_reference(U, m, observables, T):
+def egorov_defect_reference(word, m, observables, T):
     """egorov_defect as op_apply gathers on the columns of U^t and of its
-    adjoint, U^t formed from the identity: (Op(A) U^t) - (Op(A o M^t) U^t*)*."""
+    adjoint, U^t advanced from the identity by the word's factors:
+    (Op(A) U^t) - (Op(A o M^t) U^t*)*."""
     defects = np.empty((len(observables), T))
     mat = m.matrix(object)
     mat_t = np.eye(2, dtype=object)
-    Ut = np.eye(len(U), dtype=complex)
+    Ut = np.eye(word.N, dtype=complex)
     for t in range(T):
-        Ut = Ut @ U
+        word.apply_right(Ut)
         mat_t = mat_t @ mat
         Ut_adj = np.ascontiguousarray(Ut.conj().T)
         for i, A in enumerate(observables):
@@ -364,10 +404,11 @@ def test_defects_match_reference_bit_for_bit(N):
     mode, far frequency, sine) and one step keep the test short."""
     observables, T = ((EQUALITY_OBSERVABLES, 3) if N < 509 else
                       (EQUALITY_OBSERVABLES[:1] + EQUALITY_OBSERVABLES[-2:], 1))
-    for U in (cat_propagator(N, M), np.eye(N)):
+    for word in (propagator_word(N, M), UnitaryWord(N)):
         for t in (0, T):
-            assert np.array_equal(egorov_defect(U, M, observables, t),
-                                  egorov_defect_reference(U, M, observables, t))
+            assert np.array_equal(egorov_defect(word, M, observables, t),
+                                  egorov_defect_reference(word, M, observables, t))
+        U = word.power(1)
         assert intertwining_defect(U, M) == intertwining_defect_reference(U, M)
 
 
@@ -375,12 +416,45 @@ def test_defects_match_reference_bit_for_bit(N):
 def test_row_blocks_leave_no_lone_row(N):
     """At N = 1 mod 32 a plain split into 32-row blocks ends on one row,
     which numpy multiplies by gemv and rounds apart from the whole matrix's
-    gemm. The near-equal split keeps U^t and U* U - I to the last bit."""
-    U = cat_propagator(N, M)
+    gemm. The near-equal split keeps U* U - I to the last bit (the whole
+    product is formed at one BLAS thread too, as unitarity_defect's
+    blocks are), and the Egorov defects' row-block reading of U^t."""
+    word = propagator_word(N, M)
+    U = word.power(1)
     observables = EQUALITY_OBSERVABLES[:1] + EQUALITY_OBSERVABLES[-2:]
-    assert np.array_equal(egorov_defect(U, M, observables, 3),
-                          egorov_defect_reference(U, M, observables, 3))
-    assert unitarity_defect(U) == _norm_bound(U.conj().T @ U - np.eye(N))
+    assert np.array_equal(egorov_defect(word, M, observables, 3),
+                          egorov_defect_reference(word, M, observables, 3))
+    with _blas.one_blas_thread():
+        whole = U.conj().T @ U - np.eye(N)
+    assert unitarity_defect(U) == _norm_bound(whole)
+
+
+def test_defects_do_not_follow_blas_threads():
+    """At N = 130, away from the suite's default, the unitarity,
+    intertwining and Egorov defects read the same bits with numpy's
+    OpenBLAS at two threads as at one: unitarity_defect pins its products
+    to one thread, and the other two make no BLAS call."""
+    threads = _blas._threads("numpy")
+    if threads is None:
+        pytest.skip("numpy's bundled OpenBLAS is not found")
+    get, set_ = threads
+    N = 130
+    word = propagator_word(N, M)
+    U = word.power(1)
+    observables = [TrigObservable.cosine(m) for m in
+                   ((1, 0), (0, 1), (1, 1), (2, 1), (3, 3))]
+    before = get()
+    values = {}
+    try:
+        for count in (1, 2):
+            set_(count)
+            assert get() == count
+            values[count] = (unitarity_defect(U), intertwining_defect(U, M),
+                             egorov_defect(word, M, observables, 5))
+    finally:
+        set_(before)
+    assert values[1][:2] == values[2][:2]
+    assert np.array_equal(values[1][2], values[2][2])
 
 
 def _traced_peak(f, *args):
@@ -399,26 +473,28 @@ def test_defects_working_set():
     third. Unitarity and intertwining stay under 1 MiB, where U* U - I and
     the difference took 8.0 and 6.8 MiB."""
     N = 512
-    U = cat_propagator(N, M)
+    word = propagator_word(N, M)
+    U = word.power(1)
     observables = [TrigObservable.cosine(m) for m in
                    ((1, 0), (0, 1), (1, 1), (2, 1), (3, 3))]
-    assert _traced_peak(egorov_defect, U, M, observables, 5) <= U.nbytes + 2**20
+    assert _traced_peak(egorov_defect, word, M, observables, 5) <= U.nbytes + 2**20
     assert _traced_peak(unitarity_defect, U) < 2**20
     assert _traced_peak(intertwining_defect, U, M) < 2**20
 
 
 def test_egorov_gate_fails_for_kicked_map():
     """Negative control of criterion 1: the kicked propagator U diag(exp(-2
-    pi i N V(j/N))), V = (eps / 4 pi^2) cos 2 pi x, does not intertwine the
-    linear pullback A o M^t: the defect reads 1.8e-4 here."""
+    pi i N V(j/N))), V = (eps / 4 pi^2) cos 2 pi x, the kick one more
+    diagonal factor of the word, does not intertwine the linear pullback
+    A o M^t: the defect reads 1.8e-4 here."""
     N, eps = 64, 1e-6
     V = eps / (4 * np.pi**2) * np.cos(2 * np.pi * np.arange(N) / N)
-    U = cat_propagator(N, M) * np.exp(-2j * np.pi * N * V)
+    word = propagator_word(N, M).times(np.exp(-2j * np.pi * N * V))
     observables = [TrigObservable.cosine(m) for m in
                    ((1, 0), (0, 1), (1, 1), (2, 1), (3, 3))]
-    defects = egorov_defect(U, M, observables, 3)
+    defects = egorov_defect(word, M, observables, 3)
     assert defects.max() > 1e-9
-    assert np.array_equal(defects, egorov_defect_reference(U, M, observables, 3))
+    assert np.array_equal(defects, egorov_defect_reference(word, M, observables, 3))
 
 
 def test_intertwining_gate_fails_for_flipped_column():
@@ -452,7 +528,7 @@ def test_egorov_exact_at_small_N(N):
     observables = [TrigObservable.cosine(m) for m in
                    ((1, 0), (0, 1), (1, 1), (2, 1), (3, 3))]
     observables.append(TrigObservable({(2, -3): -1j, (-2, 3): 1j}))  # 2 sin
-    defects = egorov_defect(cat_propagator(N, M), M, observables, 5)
+    defects = egorov_defect(propagator_word(N, M), M, observables, 5)
     assert defects.max() < 1e-13
 
 
