@@ -11,14 +11,14 @@ Usage:
     semiclass-lab --config run.cfg --seed 3
 
 The SEMICLASS_LAB_THREADS environment variable sets the BLAS thread count
-everywhere but in the three pinned regions (the billiard class solves,
-region_masses' dot products and the cat-map parity blocks of diagonalize),
-which run at one OpenBLAS thread so that every artifact is the same at any
-count. Importing the package sets OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
-MKL_NUM_THREADS to it, so it takes effect only if it is set before numpy is
-first imported in the process; set later, it is silently ignored. A
-non-empty value that is not a positive integer makes the command exit 2
-before any suite runs.
+everywhere but in the four pinned regions (the billiard class solves,
+region_masses' dot products, the cat-map parity blocks of diagonalize and
+the U* U blocks of unitarity_defect), which run at one OpenBLAS thread so
+that every artifact is the same at any count. Importing the package sets
+OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS to it, so it
+takes effect only if it is set before numpy is first imported in the
+process; set later, it is silently ignored. A non-empty value that is not
+a positive integer makes the command exit 2 before any suite runs.
 """
 
 from __future__ import annotations

@@ -208,10 +208,10 @@ def scar_study(report: RunReport, m, n_max: int):
     rows = []
     last = None
     for N, P in dims[:4]:
-        U = cat_propagator(N, m)
-        qp = quantum_period(m, P + 1, propagator_word(N, m))
+        word = propagator_word(N, m)
+        qp = quantum_period(m, P + 1, word)
         T_half = max(1, qp.P // 2)
-        psi = scarred_state(T_half, U, qp)
+        psi = scarred_state(T_half, word, qp)
         g = husimi(psi)
         mass = ball_mass(g, TorusPoint(0.0, 0.0), 0.1)
         w = wigner_coefficients(psi, WEAK_STAR_K)

@@ -266,31 +266,34 @@ def short_period_dimensions(m: CatMap, n_min: int, n_max: int):
     return out
 
 
-def scarred_state(T_half: int, U: np.ndarray, period: QuantumPeriod) -> np.ndarray:
+def scarred_state(T_half: int, word: UnitaryWord, period: QuantumPeriod) -> np.ndarray:
     """Phase-weighted time average of the coherent state at the fixed origin:
 
         sum_{t=0}^{T_half-1} exp(-i theta t) U^t |cs(0,0)>, normalized,
 
-    where U has quantum period P = period.P and theta is the eigenphase-cluster
-    center (global_phase + 2 pi k)/P closest to the Rayleigh-quotient phase
-    of the coherent state.
+    where the UnitaryWord word is the propagator U (propagator_word), of
+    quantum period P = period.P, and theta is the eigenphase-cluster center
+    (global_phase + 2 pi k)/P closest to the Rayleigh-quotient phase of the
+    coherent state. U^t cs is kept as a row and advanced in place by the
+    word read backwards, which is U^T (see UnitaryWord), O(N log N) a step
+    with no matrix formed; U cs serves both that phase and the t = 1 term.
     """
     if T_half < 1:
         raise ValueError("T_half must be >= 1")
-    cs = coherent_state(len(U), TorusPoint(0.0, 0.0))
-    theta0 = np.angle(np.vdot(cs, U @ cs))
+    backwards = UnitaryWord(word.N, word.factors[::-1])
+    cs = coherent_state(word.N, TorusPoint(0.0, 0.0))
+    v = backwards.apply_right(np.array(cs, ndmin=2))[0]  # U cs
+    theta0 = np.angle(np.vdot(cs, v))
     centers = (period.global_phase + 2 * np.pi * np.arange(period.P)) / period.P
     theta = float(centers[np.argmin(np.abs(np.exp(1j * (centers - theta0)) - 1))])
-    psi = np.zeros(len(U), dtype=complex)
-    v = cs
-    for t in range(T_half):
-        psi = psi + np.exp(-1j * theta * t) * v
+    psi = cs.copy()
+    for t in range(1, T_half):
+        psi += np.exp(-1j * theta * t) * v
         if t + 1 < T_half:
-            v = U @ v
+            backwards.apply_right(v[None])
     nrm = np.linalg.norm(psi)
     if nrm < 1e-8:
         raise DegenerateConstruction(
             f"time average vanished (norm {nrm:.2e}); retry with shifted theta"
         )
     return psi / nrm
-

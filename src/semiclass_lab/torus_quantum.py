@@ -191,14 +191,13 @@ class UnitaryWord:
     """An N x N unitary as a product of unitary factors, left to right. A
     factor None is the unitary DFT along rows, F_jk = exp(-2 pi i j k/N) /
     sqrt(N); any other factor is a diagonal, given by its entries (a
-    length-N array) or by one number (a multiple of the identity)."""
+    length-N array) or by one number (a multiple of the identity).
+
+    Every factor is symmetric, so U^T is the word read backwards: U v is
+    apply_right of the reversed word on the row v^T, as v^T U^T = (U v)^T."""
 
     def __init__(self, N: int, factors=()):
         self.N, self.factors = N, tuple(factors)
-
-    def times(self, *factors) -> "UnitaryWord":
-        """This word with factors appended on the right."""
-        return UnitaryWord(self.N, self.factors + factors)
 
     def apply_right(self, X: np.ndarray) -> np.ndarray:
         """X <- X U in place, for a complex block of rows X; returns X. Each
@@ -210,14 +209,6 @@ class UnitaryWord:
                 np.fft.fft(X, axis=1, norm="ortho", out=X)
             else:
                 X *= f
-        return X
-
-    def power(self, t: int) -> np.ndarray:
-        """U^t for t >= 0 as a dense matrix: the identity, advanced in
-        place t times."""
-        X = np.eye(self.N, dtype=complex)
-        for _ in range(t):
-            self.apply_right(X)
         return X
 
 
@@ -250,7 +241,7 @@ def propagator_word(N: int, m: CatMap) -> UnitaryWord:
         # rounding cannot choose among entries of equal modulus
         a = np.abs(row)
         z = row[int(np.argmax(a >= a.max() * (1 - 1e-9)))]
-    return generators.times(np.conj(z) / abs(z))
+    return UnitaryWord(N, (*generators.factors, np.conj(z) / abs(z)))
 
 
 def cat_propagator(N: int, m: CatMap) -> np.ndarray:
@@ -258,25 +249,20 @@ def cat_propagator(N: int, m: CatMap) -> np.ndarray:
     propagator_word applied in place to the identity, each J as a unitary
     FFT along the rows and each chirp and the global phase as a column
     scaling, so U T[f] U* = T[M^-T f] holds to roundoff."""
-    return propagator_word(N, m).power(1)
-
-
-def _norm_bound(X: np.ndarray) -> float:
-    """Upper bound sqrt(||X||_1 ||X||_inf) on the operator norm ||X||_2
-    (Golub & Van Loan, Matrix Computations, 2.3): the largest column
-    abs-sum times the largest row abs-sum, in O(N^2) where an SVD costs
-    O(N^3). For N x N matrices it is at most sqrt(N) ||X||_2."""
-    bound = _RowBlockNormBound()
-    bound.add(X)
-    return bound.value()
+    return propagator_word(N, m).apply_right(np.eye(N, dtype=complex))
 
 
 class _RowBlockNormBound:
-    """_norm_bound of a matrix given one block of rows at a time, top to
-    bottom, so that no more than a block is held. Each column adds its rows
-    in order, as one sum over the whole matrix does: the running column
-    sums ride on the first row of the next block. Adding the blocks'
-    partial sums instead would change the last bits."""
+    """Upper bound sqrt(||X||_1 ||X||_inf) on the operator norm ||X||_2
+    (Golub & Van Loan, Matrix Computations, 2.3): the largest column
+    abs-sum times the largest row abs-sum, in O(N^2) where an SVD costs
+    O(N^3). For N x N matrices it is at most sqrt(N) ||X||_2.
+
+    X is given one block of rows at a time, top to bottom, so that no more
+    than a block is held. Each column adds its rows in order, as one sum
+    over the whole matrix does: the running column sums ride on the first
+    row of the next block. Adding the blocks' partial sums instead would
+    change the last bits."""
 
     def __init__(self):
         self.colsum, self.row_max = None, 0.0
@@ -304,9 +290,9 @@ def _row_blocks(N: int, B: int) -> list:
 
 
 def _commutator_defect(Ut: np.ndarray, left, right) -> float:
-    """_norm_bound of sum_l c_l T[m_l] Ut - Ut (sum_r c_r T[m_r])*, for lists
-    of (frequency m, coefficient c) and a complex Ut, read from Ut alone one
-    block of rows at a time.
+    """_RowBlockNormBound of sum_l c_l T[m_l] Ut - Ut (sum_r c_r T[m_r])*,
+    for lists of (frequency m, coefficient c) and a complex Ut, read from
+    Ut alone one block of rows at a time.
 
     A left term is a row gather of the block, scaled by the row phase and
     then by c and added onto zeros, as op_apply does. A right term is a
@@ -347,8 +333,9 @@ def _commutator_defect(Ut: np.ndarray, left, right) -> float:
 def intertwining_defect(U: np.ndarray, m: CatMap) -> float:
     """Max defect of U T[f] U* = T[M^-T f] over INTERTWINING_FREQUENCIES,
     read as ||T[M^-T f] U - U T[f]|| (unitary invariance) through
-    _norm_bound, an upper bound on the operator norm: _commutator_defect
-    with the one left term T[M^-T f] and the one right term T[-f]* = T[f]."""
+    _RowBlockNormBound, an upper bound on the operator norm:
+    _commutator_defect with the one left term T[M^-T f] and the one right
+    term T[-f]* = T[f]."""
     A = m.inverse_matrix().T
     U = np.asarray(U, complex)
     return max(_commutator_defect(U, [(A @ np.asarray(f, np.int64), 1.0)],
@@ -360,8 +347,8 @@ def egorov_defect(word: UnitaryWord, m: CatMap, observables, T: int) -> np.ndarr
     """Defects ||U^-t Op(A) U^t - Op(A o M^t)|| for each observable A and
     t = 1..T, as an array [len(observables), T], where the UnitaryWord
     word is the propagator of m (propagator_word). Each value is
-    _norm_bound, an upper bound on the operator norm, so zero to roundoff
-    for linear maps (exact correspondence). The norm is read as
+    _RowBlockNormBound, an upper bound on the operator norm, so zero to
+    roundoff for linear maps (exact correspondence). The norm is read as
     ||Op(A) U^t - U^t Op(A o M^t)|| (unitary invariance) by
     _commutator_defect, from U^t alone: U^t is advanced in place by the
     word's factors, U^t <- U^t U in O(N^2 log N), so it is the one N x N
@@ -380,10 +367,10 @@ def egorov_defect(word: UnitaryWord, m: CatMap, observables, T: int) -> np.ndarr
 
 
 def unitarity_defect(U: np.ndarray) -> float:
-    """_norm_bound of U* U - I, an upper bound on its operator norm, formed
-    32 rows at a time into one buffer: rows r of U* U are the columns r of
-    U, conjugated and transposed, times U. The products run at one BLAS
-    thread, so the value does not follow the thread count."""
+    """_RowBlockNormBound of U* U - I, an upper bound on its operator norm,
+    formed 32 rows at a time into one buffer: rows r of U* U are the
+    columns r of U, conjugated and transposed, times U. The products run
+    at one BLAS thread, so the value does not follow the thread count."""
     N = U.shape[0]
     product = np.empty((min(N, 32), N), U.dtype)
     bound = _RowBlockNormBound()

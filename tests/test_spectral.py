@@ -368,26 +368,26 @@ def test_degeneracy_clusters_partition_and_refine():
 
 
 def test_scarred_state_single_term_is_coherent():
-    U = cat_propagator(56, M)
-    psi = scarred_state(1, U, quantum_period(M, 12, propagator_word(56, M)))
+    word = propagator_word(56, M)
+    psi = scarred_state(1, word, quantum_period(M, 12, word))
     cs = coherent_state(56, TorusPoint(0, 0))
     assert abs(np.vdot(cs, psi)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_scarred_state_normalized_and_scarred():
     from semiclass_lab.measures import ball_mass, husimi
-    U = cat_propagator(56, M)
-    qp = quantum_period(M, 12, propagator_word(56, M))
-    psi = scarred_state(qp.P // 2, U, qp)
+    word = propagator_word(56, M)
+    qp = quantum_period(M, 12, word)
+    psi = scarred_state(qp.P // 2, word, qp)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
     mass = ball_mass(husimi(psi), TorusPoint(0, 0), 0.1)
     assert 0.35 <= mass <= 0.60
 
 
 def test_scarred_state_concentrates_on_one_cluster():
-    U = cat_propagator(56, M)
-    qp = quantum_period(M, 12, propagator_word(56, M))
-    dec = diagonalize(U)
+    word = propagator_word(56, M)
+    qp = quantum_period(M, 12, word)
+    dec = diagonalize(cat_propagator(56, M))
     clusters = degeneracy_clusters(dec, 1e-6)
 
     def top_cluster_weight(psi):
@@ -395,9 +395,37 @@ def test_scarred_state_concentrates_on_one_cluster():
         return max(w[idx].sum() for _, idx in clusters) / w.sum()
 
     # a full-period average is an exact eigenprojection
-    assert top_cluster_weight(scarred_state(qp.P, U, qp)) >= 0.99
+    assert top_cluster_weight(scarred_state(qp.P, word, qp)) >= 0.99
     # the half-period state still puts most of its weight on one cluster
-    assert top_cluster_weight(scarred_state(qp.P // 2, U, qp)) >= 0.5
+    assert top_cluster_weight(scarred_state(qp.P // 2, word, qp)) >= 0.5
+
+
+def _dense_scarred_state(T_half, U, period):
+    """scarred_state by dense matvecs U @ v, with U @ cs formed twice: once
+    for the Rayleigh-quotient phase and once as the t = 1 term."""
+    cs = coherent_state(len(U), TorusPoint(0.0, 0.0))
+    theta0 = np.angle(np.vdot(cs, U @ cs))
+    centers = (period.global_phase + 2 * np.pi * np.arange(period.P)) / period.P
+    theta = float(centers[np.argmin(np.abs(np.exp(1j * (centers - theta0)) - 1))])
+    psi = np.zeros(len(U), dtype=complex)
+    v = cs
+    for t in range(T_half):
+        psi = psi + np.exp(-1j * theta * t) * v
+        if t + 1 < T_half:
+            v = U @ v
+    return psi / np.linalg.norm(psi)
+
+
+def test_scarred_state_matches_dense_matvecs():
+    """At the scar study's four dimensions, at half and at the full period,
+    the state from the word equals the dense-U construction to 1e-13."""
+    for N in (56, 195, 209, 260):
+        word = propagator_word(N, M)
+        qp = quantum_period(M, 13, word)
+        U = cat_propagator(N, M)
+        for T_half in (qp.P // 2, qp.P):
+            psi = scarred_state(T_half, word, qp)
+            assert np.abs(psi - _dense_scarred_state(T_half, U, qp)).max() < 1e-13
 
 
 def test_short_period_dimensions_bound():

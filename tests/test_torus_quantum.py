@@ -9,7 +9,7 @@ from semiclass_lab.catmap import CatMap, DEFAULT_MAP, TorusPoint
 from semiclass_lab.errors import InvalidObservable, QuantizationConditionError
 from semiclass_lab import _blas
 from semiclass_lab.torus_quantum import (INTERTWINING_FREQUENCIES, TrigObservable,
-                                         UnitaryWord, _norm_bound,
+                                         UnitaryWord, _RowBlockNormBound,
                                          _theta_group_word, cat_propagator,
                                          coherent_state, egorov_defect,
                                          index_action, intertwining_defect,
@@ -19,6 +19,13 @@ from semiclass_lab.torus_quantum import (INTERTWINING_FREQUENCIES, TrigObservabl
 
 M = DEFAULT_MAP
 MAPS = (M, CatMap(1, 2, 2, 5), CatMap(3, 2, 4, 3))  # quantizable, hyperbolic
+
+
+def _norm_bound(X):
+    """sqrt(||X||_1 ||X||_inf) of the whole matrix, the bound the defects
+    read block by block (_RowBlockNormBound)."""
+    a = np.abs(X)
+    return np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max())
 
 
 def translation_op(N: int, m) -> np.ndarray:
@@ -221,7 +228,10 @@ def test_norm_bound_brackets_operator_norm(N, kind, exponent, seed):
         X = np.outer(u, v.conj())
     X *= 10.0 ** exponent
     two = np.linalg.norm(X, 2)
-    bound = _norm_bound(X)
+    one_block = _RowBlockNormBound()
+    one_block.add(X)
+    bound = one_block.value()
+    assert bound == _norm_bound(X)
     assert bound >= two * (1 - 1e-12)
     assert bound <= np.sqrt(N) * two * (1 + 1e-12)
 
@@ -295,11 +305,29 @@ def test_propagator_matches_whole_matrix_construction_bit_for_bit(m):
 @pytest.mark.parametrize("m", (M, MAPS[2]), ids=("default", "map3243"))
 @pytest.mark.parametrize("N", [1, 2, 3, 7, 61, 64, 65, 128, 509, 512])
 def test_word_powers_match_matrix_power(N, m):
-    """U^t advanced by the word's factors equals the dense power."""
+    """U^t advanced in place by the word's factors equals the dense power."""
     word = propagator_word(N, m)
-    U = word.power(1)
+    U = cat_propagator(N, m)
+    Ut = np.eye(N, dtype=complex)
     for t in range(6):
-        assert np.abs(word.power(t) - np.linalg.matrix_power(U, t)).max() < 1e-12
+        assert np.abs(Ut - np.linalg.matrix_power(U, t)).max() < 1e-12
+        word.apply_right(Ut)
+
+
+@pytest.mark.parametrize("m", (M, MAPS[2]), ids=("default", "map3243"))
+@pytest.mark.parametrize("N", [7, 64, 509, 512])
+def test_reversed_word_applies_propagator_to_vectors(N, m):
+    """Every factor is symmetric, so the word read backwards is U^T, and
+    applied to the row v^T it gives (U v)^T: the dense U v to 1e-13."""
+    word = propagator_word(N, m)
+    backwards = UnitaryWord(N, word.factors[::-1])
+    U = cat_propagator(N, m)
+    rng = np.random.default_rng(N)
+    for _ in range(2):
+        v = rng.normal(size=N) + 1j * rng.normal(size=N)
+        v /= np.linalg.norm(v)
+        Uv = backwards.apply_right(np.array(v, ndmin=2))[0]
+        assert np.abs(Uv - U @ v).max() < 1e-13
 
 
 @pytest.mark.parametrize("m", MAPS[1:], ids=lambda m: f"map{m.a}{m.b}{m.c}{m.d}")
@@ -408,7 +436,7 @@ def test_defects_match_reference_bit_for_bit(N):
         for t in (0, T):
             assert np.array_equal(egorov_defect(word, M, observables, t),
                                   egorov_defect_reference(word, M, observables, t))
-        U = word.power(1)
+        U = word.apply_right(np.eye(N, dtype=complex))
         assert intertwining_defect(U, M) == intertwining_defect_reference(U, M)
 
 
@@ -420,7 +448,7 @@ def test_row_blocks_leave_no_lone_row(N):
     product is formed at one BLAS thread too, as unitarity_defect's
     blocks are), and the Egorov defects' row-block reading of U^t."""
     word = propagator_word(N, M)
-    U = word.power(1)
+    U = cat_propagator(N, M)
     observables = EQUALITY_OBSERVABLES[:1] + EQUALITY_OBSERVABLES[-2:]
     assert np.array_equal(egorov_defect(word, M, observables, 3),
                           egorov_defect_reference(word, M, observables, 3))
@@ -440,7 +468,7 @@ def test_defects_do_not_follow_blas_threads():
     get, set_ = threads
     N = 130
     word = propagator_word(N, M)
-    U = word.power(1)
+    U = cat_propagator(N, M)
     observables = [TrigObservable.cosine(m) for m in
                    ((1, 0), (0, 1), (1, 1), (2, 1), (3, 3))]
     before = get()
@@ -474,7 +502,7 @@ def test_defects_working_set():
     the difference took 8.0 and 6.8 MiB."""
     N = 512
     word = propagator_word(N, M)
-    U = word.power(1)
+    U = cat_propagator(N, M)
     observables = [TrigObservable.cosine(m) for m in
                    ((1, 0), (0, 1), (1, 1), (2, 1), (3, 3))]
     assert _traced_peak(egorov_defect, word, M, observables, 5) <= U.nbytes + 2**20
@@ -489,7 +517,8 @@ def test_egorov_gate_fails_for_kicked_map():
     A o M^t: the defect reads 1.8e-4 here."""
     N, eps = 64, 1e-6
     V = eps / (4 * np.pi**2) * np.cos(2 * np.pi * np.arange(N) / N)
-    word = propagator_word(N, M).times(np.exp(-2j * np.pi * N * V))
+    kick = np.exp(-2j * np.pi * N * V)
+    word = UnitaryWord(N, (*propagator_word(N, M).factors, kick))
     observables = [TrigObservable.cosine(m) for m in
                    ((1, 0), (0, 1), (1, 1), (2, 1), (3, 3))]
     defects = egorov_defect(word, M, observables, 3)
