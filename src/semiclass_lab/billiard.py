@@ -167,32 +167,32 @@ def ergodic_average(blocks, n_bounces: int) -> float:
     """Exact fraction of the arc length of an orbit of n_bounces chords that
     lies in x < 0, the orbit given as consecutive blocks of states (those of
     orbit_blocks), which must hold n_bounces chords in all. A chord crossing
-    x = 0 splits at the chord parameter x0 / (x0 - x1). Only one block is
-    read at a time: each chord's length and its length in x < 0 go into two
-    n_bounces-long arrays, 16 bytes per chord."""
+    x = 0 splits at the chord parameter x0 / (x0 - x1). Blocks are read one
+    at a time, each adding its summed lengths, in all and in x < 0, to two
+    running totals, so the last bits depend on how the orbit is split."""
     if n_bounces < 1:
         raise ValueError("n_bounces must be >= 1")
-    lengths, weighted = np.empty(n_bounces), np.empty(n_bounces)
+    left_length = total_length = 0.0
     done = 0
     for states in blocks:
         n = len(states) - 1
         if done + n > n_bounces:
             raise ValueError(f"the blocks hold more than n_bounces={n_bounces} chords")
-        p0, p1 = states[:-1, :2], states[1:, :2]
-        chunk = slice(done, done + n)
-        lengths[chunk] = np.hypot(*(p1 - p0).T)
+        p0, p1 = _chord_ends(states, n)
+        lengths = np.hypot(*(p1 - p0).T)
         x0, x1 = p0[:, 0], p1[:, 0]
         left = (x0 < 0).astype(float)
         cross = (x0 < 0) != (x1 < 0)
         s = x0[cross] / (x0[cross] - x1[cross])
         left[cross] = np.where(x0[cross] < 0, s, 1.0 - s)
-        np.multiply(left, lengths[chunk], out=weighted[chunk])
+        # numpy's own pairwise sums, not a BLAS dot, whose split over
+        # threads would make the last bits depend on the thread count
+        left_length += float(np.sum(left * lengths))
+        total_length += float(np.sum(lengths))
         done += n
     if done < n_bounces:
         raise ValueError(f"the blocks hold {done} chords, not n_bounces={n_bounces}")
-    # numpy's own pairwise sums over whole arrays, not a BLAS dot, whose
-    # split over threads would make the last bits depend on the thread count
-    return float(weighted.sum() / lengths.sum())
+    return left_length / total_length
 
 
 def coverage_grid(domain: StadiumDomain, states: np.ndarray, n_bounces: int):

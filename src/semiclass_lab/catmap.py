@@ -8,7 +8,7 @@ acts linearly through an integer matrix of determinant one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -23,9 +23,10 @@ class CatMap:
     d: int
 
     def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError("matrix must be unimodular (determinant 1)")
-        if abs(self.a + self.d) <= 2:
+        if not (all(float(v).is_integer() for v in astuple(self))
+                and self.a * self.d - self.b * self.c == 1):
+            raise ValueError("matrix must be in SL(2, Z): integers, determinant 1")
+        if abs(self.trace) <= 2:
             raise ValueError("matrix must be hyperbolic (|trace| > 2)")
 
     @property

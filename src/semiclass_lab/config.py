@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .catmap import CatMap
+from .catmap import DEFAULT_MAP, CatMap
 from .errors import ConfigError
 from .experiments import _SUITES
 
@@ -17,10 +17,10 @@ EXPERIMENTS = tuple(_SUITES)
 class ExperimentConfig:
     experiment: str = ""
     N: int = 512
-    a: int = 2
-    b: int = 1
-    c: int = 3
-    d: int = 2
+    a: int = DEFAULT_MAP.a
+    b: int = DEFAULT_MAP.b
+    c: int = DEFAULT_MAP.c
+    d: int = DEFAULT_MAP.d
     h: float = 0.01
     seed: int = 0
     out_dir: str = "."

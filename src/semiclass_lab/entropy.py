@@ -57,6 +57,8 @@ class SampleCloud:
 
 
 def uniform_cloud(n: int, seed: int = 0) -> SampleCloud:
+    if n < 1:
+        raise ValueError("uniform_cloud needs n >= 1")
     rng = np.random.default_rng(seed)
     return SampleCloud(points=rng.random((n, 2)), weights=np.full(n, 1.0 / n))
 

@@ -18,7 +18,7 @@ class QuantizationConditionError(SemiclassError):
 
 
 class InvalidObservable(SemiclassError):
-    """Trigonometric coefficient map violates the reality condition."""
+    """Trigonometric coefficients break the reality or integer-frequency rule."""
 
 
 class AliasingError(SemiclassError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catmap import TorusPoint
+from .catmap import TorusPoint, torus_distance_array
 from .errors import AliasingError
 from .spectral import EigenDecomposition
 from .torus_quantum import (TrigObservable, gaussian_translates, op_apply,
@@ -81,15 +81,11 @@ def husimi(psi: np.ndarray) -> HusimiGrid:
 
 
 def ball_mass(g: HusimiGrid, center: TorusPoint, eps: float) -> float:
-    """Husimi mass of cells whose center lies within torus distance eps."""
+    """Husimi mass of the cells whose center lies at torus distance <= eps."""
     if not 0 < eps < 0.5:
         raise ValueError("eps must be in (0, 0.5)")
-    G = g.G
-    dx = (np.arange(G) / G - center.x) % 1.0
-    dx = np.minimum(dx, 1.0 - dx)
-    dxi = (np.arange(G) / G - center.xi) % 1.0
-    dxi = np.minimum(dxi, 1.0 - dxi)
-    mask = dx[:, None] ** 2 + dxi[None, :] ** 2 <= eps**2
+    cells = np.stack(np.meshgrid(*[np.arange(g.G) / g.G] * 2, indexing="ij"), axis=-1)
+    mask = torus_distance_array(cells, center.as_array()) <= eps
     return float(g.values[mask].sum())
 
 

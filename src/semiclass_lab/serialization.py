@@ -26,9 +26,7 @@ def write_pgm(grid, path) -> None:
 
 def format_value(v) -> str:
     """CSV cell: integers verbatim, floats at 12 significant digits."""
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (int, np.integer, np.bool_)):  # bool is an int
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return f"{float(v):.12g}"

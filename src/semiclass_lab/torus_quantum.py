@@ -35,6 +35,8 @@ class TrigObservable:
     def __init__(self, coefficients):
         coeffs = {}
         for m, c in dict(coefficients).items():
+            if not (float(m[0]).is_integer() and float(m[1]).is_integer()):
+                raise InvalidObservable(f"frequency {m} must be a pair of integers")
             m = (int(m[0]), int(m[1]))
             c = complex(c)
             if c != 0:
@@ -50,10 +52,10 @@ class TrigObservable:
     @classmethod
     def cosine(cls, m, amplitude=1.0):
         """amplitude * 2 cos(2 pi m.(x, xi)); at m = 0 the constant 2 amplitude."""
-        m = (int(m[0]), int(m[1]))
-        if m == (0, 0):
-            return cls({m: 2 * amplitude})
-        return cls({m: amplitude, (-m[0], -m[1]): amplitude})
+        m1, m2 = m
+        if m1 == m2 == 0:
+            return cls({(0, 0): 2 * amplitude})
+        return cls({(m1, m2): amplitude, (-m1, -m2): amplitude})
 
     @property
     def mean(self) -> float:
@@ -66,8 +68,7 @@ class TrigObservable:
         mat = np.asarray(mat, np.int64)
         out = {}
         for (m1, m2), c in self.coefficients.items():
-            key = (int(mat[0, 0] * m1 + mat[1, 0] * m2),
-                   int(mat[0, 1] * m1 + mat[1, 1] * m2))
+            key = (mat[0, 0] * m1 + mat[1, 0] * m2, mat[0, 1] * m1 + mat[1, 1] * m2)
             out[key] = out.get(key, 0.0) + c
         return TrigObservable(out)
 

@@ -350,26 +350,26 @@ def test_grazing_in_a_later_block_carries_its_orbit_index(monkeypatch):
 
 
 def test_block_average_matches_one_array_reference(blocks_1e5):
-    """Block by block, the left-half fraction of 10^5 chords keeps the bits
-    of the whole-array computation: the same elementwise values, summed
-    pairwise over the same whole arrays."""
+    """One block keeps the bits of the whole-array computation. Ten blocks
+    add ten per-block sums, so they keep its value within 4 ulp (1 ulp
+    apart at this orbit)."""
     want = _one_array_average(_joined(blocks_1e5))
-    assert ergodic_average(blocks_1e5, 100_000) == want
     assert ergodic_average([_joined(blocks_1e5)], 100_000) == want
+    assert abs(ergodic_average(blocks_1e5, 100_000) - want) <= 4 * math.ulp(want)
 
 
 def test_block_average_holds_one_block_at_a_time(blocks_1e5):
     """The average's traced peak over 10^5 chords in blocks of 10^4 stays
-    below its two 8-byte arrays per chord plus 64 bytes per chord of one
-    block, 2.24 MB; the whole-array reference's temporaries reach about
-    28 bytes per chord, 2.8 MB."""
+    below 64 bytes per chord of one block, 0.64 MB, so it holds nothing as
+    long as the orbit: two 8-byte arrays per chord of the orbit alone take
+    1.6 MB."""
     tracemalloc.start()
     try:
         ergodic_average(blocks_1e5, 100_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 100_000 + 64 * 10_000
+    assert peak < 64 * 10_000
 
 
 @pytest.mark.parametrize("n_bounces", [19, 21])

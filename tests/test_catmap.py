@@ -93,6 +93,14 @@ def test_rejects_non_hyperbolic():
         CatMap(1, 1, 0, 1)
 
 
+def test_rejects_non_integer_entries():
+    """(2.5, 1, 1.5, 1) has determinant 1 and trace 3.5, and matrix() would
+    truncate it to [[2, 1], [1, 1]]."""
+    with pytest.raises(ValueError, match="integers"):
+        CatMap(2.5, 1, 1.5, 1)
+    assert CatMap(*np.array([2, 1, 3, 2])) == DEFAULT_MAP
+
+
 def test_fixed_points_of_default_map():
     fixed = [(0.0, 0.0), (0.5, 0.5)]
     assert np.array_equal(_step(fixed), fixed)

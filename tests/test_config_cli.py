@@ -18,6 +18,7 @@ def test_defaults():
     cfg = ExperimentConfig()
     assert (cfg.N, cfg.h, cfg.seed) == (512, 0.01, 0)
     assert (cfg.a, cfg.b, cfg.c, cfg.d) == (2, 1, 3, 2)
+    assert cfg.cat_map() == DEFAULT_MAP
     assert cfg.out_dir == "." and not cfg.dump_state
 
 
@@ -76,6 +77,8 @@ def test_validated_rejects_bad_values():
         ExperimentConfig(experiment="egorov", a=1, b=1, c=0, d=1).validated()
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         ExperimentConfig(experiment="egorov", seed=-1).validated()
+    with pytest.raises(ConfigError, match="integers"):
+        ExperimentConfig(experiment="egorov", a=2.5, b=1, c=1.5, d=1).validated()
     assert ExperimentConfig(experiment="egorov").validated().experiment == "egorov"
 
 

@@ -42,6 +42,12 @@ def test_cloud_rejects_non_finite_points(bad):
         SampleCloud(points=[[0.4, 0.2], [0.3, bad]], weights=[0.5, 0.5])
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_uniform_cloud_rejects_empty(n):
+    with pytest.raises(ValueError, match="uniform_cloud"):
+        uniform_cloud(n)
+
+
 @pytest.mark.parametrize("points, n", [([], 10), (ORIGIN, 0)])
 def test_atom_cloud_rejects_empty(points, n):
     with pytest.raises(ValueError, match="atom_cloud"):

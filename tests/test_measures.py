@@ -174,6 +174,43 @@ def test_ball_mass_uniform_and_monotone():
     assert all(a <= b for a, b in zip(masses, masses[1:]))
 
 
+def _ball_mass_per_axis(g, center, eps):
+    """ball_mass's former body: the torus distance per axis, squared."""
+    G = g.G
+    dx = (np.arange(G) / G - center.x) % 1.0
+    dx = np.minimum(dx, 1.0 - dx)
+    dxi = (np.arange(G) / G - center.xi) % 1.0
+    dxi = np.minimum(dxi, 1.0 - dxi)
+    mask = dx[:, None] ** 2 + dxi[None, :] ** 2 <= eps**2
+    return float(g.values[mask].sum())
+
+
+@pytest.mark.parametrize("G", [8, 15, 28, 29, 33, 64, 81])
+def test_ball_mass_matches_per_axis_reference(G):
+    """The ball through torus_distance_array keeps the former mask bit for
+    bit at the scar study's center and radius (G = 15, 28, 29, 33 are its
+    grids) and at seeded random centers and radii. A cell exactly k cells
+    from a grid-point center is decided by rounding, where the two can part
+    (at G = 23 and 81, not at 8 or 64), so no such case is listed."""
+    from semiclass_lab.measures import HusimiGrid
+    rng = np.random.default_rng(G)
+    g = HusimiGrid(values=rng.random((G, G)))
+    cases = [(TorusPoint(0, 0), 0.1)]
+    cases += [(TorusPoint(*rng.random(2)), rng.uniform(0.01, 0.49)) for _ in range(20)]
+    for center, eps in cases:
+        assert ball_mass(g, center, eps) == _ball_mass_per_axis(g, center, eps)
+
+
+def test_ball_mass_is_closed():
+    """On a 64 x 64 grid, where every distance below is exact, the ball of
+    radius 5 cells holds the 81 lattice points with i^2 + k^2 <= 25,
+    (3, 4) and (5, 0) on its edge included."""
+    from semiclass_lab.measures import HusimiGrid
+    uniform = HusimiGrid(values=np.full((64, 64), 1.0))
+    for center in (TorusPoint(0, 0), TorusPoint(3 / 64, 62 / 64)):
+        assert ball_mass(uniform, center, 5 / 64) == 81.0
+
+
 def test_coherent_ball_mass_concentrated():
     N = 128
     psi = coherent_state(N, TorusPoint(0.25, 0.75))

@@ -26,6 +26,7 @@ def test_pgm_rejects_bad_input(tmp_path):
 def test_format_value():
     assert format_value(7) == "7"
     assert format_value(True) == "1"
+    assert format_value(np.True_) == "1"
     assert format_value(np.int64(-3)) == "-3"
     assert format_value(1 / 3) == "0.333333333333"
     assert format_value(1.0) == "1"

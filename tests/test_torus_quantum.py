@@ -153,6 +153,26 @@ def test_observable_reality_enforced():
     TrigObservable({(1, 0): 1.0 + 2.0j, (-1, 0): 1.0 - 2.0j})
 
 
+@pytest.mark.parametrize("make", [
+    lambda: TrigObservable({(0.5, 0): 1.0, (-0.5, 0): 1.0}),
+    lambda: TrigObservable.cosine((1.7, 0)),
+    lambda: TrigObservable.cosine((1, np.nan)),
+    lambda: TrigObservable.cosine((np.inf, 0)),
+], ids=["half", "cosine-1.7", "nan", "inf"])
+def test_observable_rejects_non_integer_frequency(make):
+    """A frequency is refused, not truncated: int() made the first a
+    constant 2 and the second the (1, 0) mode."""
+    with pytest.raises(InvalidObservable, match="integers"):
+        make()
+
+
+def test_observable_accepts_integral_frequency_values():
+    want = TrigObservable.cosine((1, -2)).coefficients
+    for m in ((1.0, -2.0), (np.int64(1), np.int32(-2)), np.array([1, -2])):
+        got = TrigObservable.cosine(m).coefficients
+        assert got == want and all(type(k) is int for key in got for k in key)
+
+
 def test_quantize_constant_is_identity():
     assert np.allclose(weyl_quantize(16, TrigObservable({(0, 0): 1.0})), np.eye(16))
 
